@@ -203,7 +203,7 @@ int main() {
   // Distributed ledger modes: the same corpus drained through the shared
   // on-disk work ledger (docs/ROBUSTNESS.md, "Distributed draining") by
   // one supervisor, then by two racing supervisors — what the
-  // crash-safety machinery (O_EXCL claims, heartbeats, CRC-framed shard
+  // crash-safety machinery (exclusive claims, heartbeats, CRC-framed shard
   // journals, merge) costs when nothing crashes, and what a second
   // drainer buys.
   auto runLedger = [&](unsigned Supervisors) {

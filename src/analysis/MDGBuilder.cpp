@@ -62,6 +62,9 @@ static std::string mainKey(const std::string &Pkg) {
 void MDGBuilder::finalize(BuildResult &R) {
   R.TimedOut = Aborted;
   R.WorkDone = Work;
+  R.FixpointIters = FixpointIters;
+  R.StoreVarsPeak = StoreVarsPeak;
+  obs::counters::BuilderStoreVarsPeak.add(StoreVarsPeak);
   R.Alloc.Site = SiteAlloc;
   R.Alloc.Version = VersionAlloc;
   R.Alloc.Value = ValueAlloc;
@@ -81,6 +84,8 @@ BuildResult MDGBuilder::build(const core::Program &Program) {
   G = &R.Graph;
   Store = AbstractStore();
   Work = 0;
+  FixpointIters = 0;
+  StoreVarsPeak = 0;
   Aborted = false;
 
   // Module initialization code runs first, so exported functions see the
@@ -88,6 +93,7 @@ BuildResult MDGBuilder::build(const core::Program &Program) {
   analyzeBlock(Program.TopLevel);
 
   markEntryPoints();
+  noteStoreWidth();
 
   finalize(R);
   return R;
@@ -99,6 +105,8 @@ BuildResult MDGBuilder::buildPackage(const std::vector<PackageModule> &Modules,
   Result = &R;
   G = &R.Graph;
   Work = 0;
+  FixpointIters = 0;
+  StoreVarsPeak = 0;
   Aborted = false;
   PkgLink = Link && !Link->empty() ? Link : nullptr;
 
@@ -130,7 +138,8 @@ BuildResult MDGBuilder::buildPackage(const std::vector<PackageModule> &Modules,
     } else {
       ModuleExports[Stem] = E;
     }
-    ModuleStores[I] = Store;
+    noteStoreWidth();
+    ModuleStores[I] = std::move(Store);
   }
 
   // Pass 2: re-run the top levels so requires of modules listed *later*
@@ -138,17 +147,19 @@ BuildResult MDGBuilder::buildPackage(const std::vector<PackageModule> &Modules,
   for (size_t I = 0; I < Modules.size() && !Aborted; ++I) {
     Prog = Modules[I].Program;
     CurPkg = Modules[I].Pkg;
-    Store = ModuleStores[I];
+    Store = std::move(ModuleStores[I]);
     analyzeBlock(Prog->TopLevel);
-    ModuleStores[I] = Store;
+    noteStoreWidth();
+    ModuleStores[I] = std::move(Store);
   }
 
   // Pass 3: entry points, module by module, each under its own store.
   for (size_t I = 0; I < Modules.size() && !Aborted; ++I) {
     Prog = Modules[I].Program;
     CurPkg = Modules[I].Pkg;
-    Store = ModuleStores[I];
+    Store = std::move(ModuleStores[I]);
     markEntryPoints();
+    noteStoreWidth();
   }
 
   PkgLink = nullptr;
@@ -199,7 +210,7 @@ void MDGBuilder::markEntryPoints() {
     if (Aborted)
       break;
     const core::Function &Fn = *Prog->Functions.at(Name);
-    std::vector<std::set<NodeId>> ArgLocs;
+    std::vector<LocSet> ArgLocs;
     for (const std::string &Param : Fn.Params) {
       std::string Key = Fn.Name + ":" + Param;
       auto It = ParamAlloc.find(Key);
@@ -227,6 +238,10 @@ void MDGBuilder::markEntryPoints() {
   }
 }
 
+void MDGBuilder::noteStoreWidth() {
+  StoreVarsPeak = std::max(StoreVarsPeak, Store.numBound());
+}
+
 bool MDGBuilder::budgetExceeded() {
   ++Work;
   obs::counters::BuilderStmts.add();
@@ -243,11 +258,12 @@ bool MDGBuilder::budgetExceeded() {
 // Operand evaluation
 //===----------------------------------------------------------------------===//
 
-std::set<NodeId> MDGBuilder::eval(const Operand &O) {
+LocSet MDGBuilder::eval(const Operand &O) {
   if (!O.isVar())
     return {};
-  if (Store.contains(O.Name))
-    return Store.get(O.Name);
+  VarId V = var(O.Name);
+  if (Store.contains(V))
+    return Store.get(V);
   // Unbound variable: a global (or host builtin). Allocate a stable object
   // node for it so lookups and calls through it still work.
   auto It = GlobalAlloc.find(O.Name);
@@ -258,13 +274,13 @@ std::set<NodeId> MDGBuilder::eval(const Operand &O) {
     N = G->addNode(NodeKind::Object, 0, SourceLocation(), O.Name);
     GlobalAlloc[O.Name] = N;
   }
-  Store.set(O.Name, N);
+  Store.set(V, N);
   return {N};
 }
 
-std::set<NodeId> MDGBuilder::evalValue(const Operand &O, core::StmtIndex Site,
-                                       SourceLocation Loc) {
-  std::set<NodeId> L = eval(O);
+LocSet MDGBuilder::evalValue(const Operand &O, core::StmtIndex Site,
+                             SourceLocation Loc) {
+  LocSet L = eval(O);
   if (!L.empty())
     return L;
   if (O.isVar()) {
@@ -299,9 +315,8 @@ NodeId MDGBuilder::allocAtSite(core::StmtIndex Site, SourceLocation Loc,
 // AP / AP* — lazy property materialization
 //===----------------------------------------------------------------------===//
 
-std::set<NodeId> MDGBuilder::ensureProperty(NodeId L, Symbol P,
-                                            core::StmtIndex Site,
-                                            SourceLocation Loc) {
+LocSet MDGBuilder::ensureProperty(NodeId L, Symbol P, core::StmtIndex Site,
+                                  SourceLocation Loc) {
   std::vector<NodeId> R = G->resolveProperty(L, P);
   if (R.empty()) {
     // The property "existed from the beginning": attach it to the oldest
@@ -325,9 +340,9 @@ std::set<NodeId> MDGBuilder::ensureProperty(NodeId L, Symbol P,
   return {R.begin(), R.end()};
 }
 
-std::set<NodeId> MDGBuilder::ensureUnknownProperty(
-    NodeId L, const std::set<NodeId> &NameLocs, core::StmtIndex Site,
-    SourceLocation Loc) {
+LocSet MDGBuilder::ensureUnknownProperty(NodeId L, const LocSet &NameLocs,
+                                         core::StmtIndex Site,
+                                         SourceLocation Loc) {
   // AP*: reuse L's direct P(*) property if present, else allocate one
   // (keyed by site: the cyclic representation of §5.5).
   std::vector<NodeId> Direct = G->unknownPropTargets(L);
@@ -363,9 +378,11 @@ std::set<NodeId> MDGBuilder::ensureUnknownProperty(
 // NV / NV* — versioning
 //===----------------------------------------------------------------------===//
 
-std::vector<NodeId> MDGBuilder::newVersions(
-    const std::set<NodeId> &Objs, core::StmtIndex Site, Symbol P,
-    bool IsUnknown, const std::set<NodeId> &NameLocs, SourceLocation Loc) {
+std::vector<NodeId> MDGBuilder::newVersions(const LocSet &Objs,
+                                            core::StmtIndex Site, Symbol P,
+                                            bool IsUnknown,
+                                            const LocSet &NameLocs,
+                                            SourceLocation Loc) {
   if (!Options.SiteVersionReuse) {
     // Ablated allocator: fresh version per (site, old version). Loop
     // iterations extend the chain instead of folding onto one node.
@@ -431,13 +448,17 @@ void MDGBuilder::analyzeBlock(const std::vector<core::StmtPtr> &Block) {
 
 void MDGBuilder::fixpoint(const std::vector<core::StmtPtr> &Body) {
   for (unsigned Iter = 0; Iter < Options.MaxFixpointIters; ++Iter) {
+    ++FixpointIters;
+    obs::counters::BuilderFixpointIters.add();
     uint64_t Rev = G->revision();
-    AbstractStore Before = Store;
+    // Snapshot ρ̂ as an undo level; joinLevel() then forms ρ̂' ⊔ ρ̂ from the
+    // bindings the body overwrote and reports whether that differs from ρ̂.
+    Store.pushLevel();
     analyzeBlock(Body);
-    Store.joinWith(Before);
+    bool StoreGrew = Store.joinLevel();
     if (Aborted)
       return;
-    if (G->revision() == Rev && Store == Before)
+    if (G->revision() == Rev && !StoreGrew)
       return;
   }
 }
@@ -453,23 +474,23 @@ void MDGBuilder::analyzeStmt(const core::Stmt &S) {
     // the concrete semantics allocates a location here too.
     if (!S.Value.isVar()) {
       NodeId N = allocAtSite(S.Index, S.Loc, S.Target);
-      Store.set(S.Target, N);
+      Store.set(var(S.Target), N);
       break;
     }
-    Store.set(S.Target, eval(S.Value));
+    Store.set(var(S.Target), eval(S.Value));
     break;
   }
   case StmtKind::BinOp: {
-    std::set<NodeId> L1 = eval(S.LHS);
-    std::set<NodeId> L2 = eval(S.RHS);
+    LocSet L1 = eval(S.LHS);
+    LocSet L2 = eval(S.RHS);
     // The async lowering's `x := x promise-join %p` is an alias join, not
     // a value computation: x may be the original promise object or the
     // model object carrying the settled `%promise` property. A fresh node
     // here would sever the property lookup the await/then suspension
     // reads through.
     if (S.Async == core::AsyncRole::PromiseJoin) {
-      L1.insert(L2.begin(), L2.end());
-      Store.set(S.Target, std::move(L1));
+      L1.insertAll(L2);
+      Store.set(var(S.Target), std::move(L1));
       break;
     }
     NodeId N = allocAtSite(S.Index, S.Loc, S.Target);
@@ -477,15 +498,15 @@ void MDGBuilder::analyzeStmt(const core::Stmt &S) {
       G->addEdge(L, N, EdgeKind::Dep);
     for (NodeId L : L2)
       G->addEdge(L, N, EdgeKind::Dep);
-    Store.set(S.Target, N);
+    Store.set(var(S.Target), N);
     break;
   }
   case StmtKind::UnOp: {
-    std::set<NodeId> L = eval(S.Value);
+    LocSet L = eval(S.Value);
     NodeId N = allocAtSite(S.Index, S.Loc, S.Target);
     for (NodeId V : L)
       G->addEdge(V, N, EdgeKind::Dep);
-    Store.set(S.Target, N);
+    Store.set(var(S.Target), N);
     break;
   }
   case StmtKind::NewObject: {
@@ -493,62 +514,62 @@ void MDGBuilder::analyzeStmt(const core::Stmt &S) {
     if (!S.RequireModule.empty() && !ModuleExports.empty()) {
       NodeId E = lookupModuleExports(S.RequireModule);
       if (E != InvalidNode) {
-        Store.set(S.Target, E);
+        Store.set(var(S.Target), E);
         break;
       }
     }
     NodeId N = allocAtSite(S.Index, S.Loc, S.Target);
-    Store.set(S.Target, N);
+    Store.set(var(S.Target), N);
     break;
   }
   case StmtKind::FuncDef: {
     NodeId N = allocAtSite(S.Index, S.Loc, S.Func->Name);
     FuncOfNode[N] = S.Func.get();
     FuncNodeByName[S.Func->Name] = N;
-    Store.set(S.Target, N);
+    Store.set(var(S.Target), N);
     break;
   }
   case StmtKind::StaticLookup: {
-    std::set<NodeId> Objs = evalValue(S.Obj, S.Index, S.Loc);
+    LocSet Objs = evalValue(S.Obj, S.Index, S.Loc);
     Symbol P = Result->Props.intern(S.Prop);
-    std::set<NodeId> Out;
+    LocSet Out;
     for (NodeId L : Objs) {
-      std::set<NodeId> R = ensureProperty(L, P, S.Index, S.Loc);
-      Out.insert(R.begin(), R.end());
+      LocSet R = ensureProperty(L, P, S.Index, S.Loc);
+      Out.insertAll(R);
     }
-    Store.set(S.Target, std::move(Out));
+    Store.set(var(S.Target), std::move(Out));
     break;
   }
   case StmtKind::DynamicLookup: {
     // A statically-known index (o["x"], a[0]) is a static lookup.
     if (S.PropOperand.K == Operand::Kind::String ||
         S.PropOperand.K == Operand::Kind::Number) {
-      std::set<NodeId> Objs = evalValue(S.Obj, S.Index, S.Loc);
+      LocSet Objs = evalValue(S.Obj, S.Index, S.Loc);
       std::string Name = S.PropOperand.K == Operand::Kind::String
                              ? S.PropOperand.Name
                              : S.PropOperand.str();
       Symbol P = Result->Props.intern(Name);
-      std::set<NodeId> Out;
+      LocSet Out;
       for (NodeId L : Objs) {
-        std::set<NodeId> R = ensureProperty(L, P, S.Index, S.Loc);
-        Out.insert(R.begin(), R.end());
+        LocSet R = ensureProperty(L, P, S.Index, S.Loc);
+        Out.insertAll(R);
       }
-      Store.set(S.Target, std::move(Out));
+      Store.set(var(S.Target), std::move(Out));
       break;
     }
-    std::set<NodeId> Objs = evalValue(S.Obj, S.Index, S.Loc);
-    std::set<NodeId> NameLocs = eval(S.PropOperand);
-    std::set<NodeId> Out;
+    LocSet Objs = evalValue(S.Obj, S.Index, S.Loc);
+    LocSet NameLocs = eval(S.PropOperand);
+    LocSet Out;
     for (NodeId L : Objs) {
-      std::set<NodeId> R = ensureUnknownProperty(L, NameLocs, S.Index, S.Loc);
-      Out.insert(R.begin(), R.end());
+      LocSet R = ensureUnknownProperty(L, NameLocs, S.Index, S.Loc);
+      Out.insertAll(R);
     }
-    Store.set(S.Target, std::move(Out));
+    Store.set(var(S.Target), std::move(Out));
     break;
   }
   case StmtKind::StaticUpdate: {
-    std::set<NodeId> Objs = evalValue(S.Obj, S.Index, S.Loc);
-    std::set<NodeId> Vals = evalValue(S.Value, S.Index, S.Loc);
+    LocSet Objs = evalValue(S.Obj, S.Index, S.Loc);
+    LocSet Vals = evalValue(S.Value, S.Index, S.Loc);
     Symbol P = Result->Props.intern(S.Prop);
     std::vector<NodeId> Vers =
         newVersions(Objs, S.Index, P, /*IsUnknown=*/false, {}, S.Loc);
@@ -559,8 +580,8 @@ void MDGBuilder::analyzeStmt(const core::Stmt &S) {
     break;
   }
   case StmtKind::DynamicUpdate: {
-    std::set<NodeId> Objs = evalValue(S.Obj, S.Index, S.Loc);
-    std::set<NodeId> Vals = evalValue(S.Value, S.Index, S.Loc);
+    LocSet Objs = evalValue(S.Obj, S.Index, S.Loc);
+    LocSet Vals = evalValue(S.Value, S.Index, S.Loc);
     if (S.PropOperand.K == Operand::Kind::String ||
         S.PropOperand.K == Operand::Kind::Number) {
       std::string Name = S.PropOperand.K == Operand::Kind::String
@@ -575,7 +596,7 @@ void MDGBuilder::analyzeStmt(const core::Stmt &S) {
             G->addEdge(V, Val, EdgeKind::Prop, P);
       break;
     }
-    std::set<NodeId> NameLocs = eval(S.PropOperand);
+    LocSet NameLocs = eval(S.PropOperand);
     std::vector<NodeId> Vers =
         newVersions(Objs, S.Index, 0, /*IsUnknown=*/true, NameLocs, S.Loc);
     for (NodeId V : Vers)
@@ -589,18 +610,24 @@ void MDGBuilder::analyzeStmt(const core::Stmt &S) {
     break;
   case StmtKind::Return: {
     if (!CurrentFunction.empty()) {
-      std::set<NodeId> L = eval(S.Value);
-      ReturnSummaries[CurrentFunction.back()].insert(L.begin(), L.end());
+      LocSet L = eval(S.Value);
+      ReturnSummaries[CurrentFunction.back()].insertAll(L);
     }
     break;
   }
   case StmtKind::If: {
-    AbstractStore Base = Store;
+    // ρ̂_then ⊔ ρ̂_else, both branches starting from the same ρ̂. Without an
+    // else-branch ρ̂_else = ρ̂, which joinLevel() joins back directly.
+    Store.pushLevel();
     analyzeBlock(S.Then);
-    AbstractStore AfterThen = Store;
-    Store = std::move(Base);
+    if (S.Else.empty()) {
+      Store.joinLevel();
+      break;
+    }
+    AbstractStore::Branch Then = Store.undoLevel();
+    Store.pushLevel();
     analyzeBlock(S.Else);
-    Store.joinWith(AfterThen);
+    Store.joinBranch(Then);
     break;
   }
   case StmtKind::While:
@@ -616,7 +643,7 @@ void MDGBuilder::analyzeStmt(const core::Stmt &S) {
 //===----------------------------------------------------------------------===//
 
 void MDGBuilder::analyzeCall(const core::Stmt &S) {
-  std::set<NodeId> CalleeLocs = eval(S.Callee);
+  LocSet CalleeLocs = eval(S.Callee);
 
   // Allocate (or reuse) the call node f_i.
   NodeId CallNode;
@@ -634,9 +661,9 @@ void MDGBuilder::analyzeCall(const core::Stmt &S) {
   }
 
   // Argument dependencies: every argument location flows into the call.
-  std::vector<std::set<NodeId>> ArgLocs;
+  std::vector<LocSet> ArgLocs;
   for (const Operand &A : S.Args) {
-    std::set<NodeId> L = eval(A);
+    LocSet L = eval(A);
     for (NodeId N : L)
       G->addEdge(N, CallNode, EdgeKind::Dep);
     ArgLocs.push_back(std::move(L));
@@ -652,8 +679,8 @@ void MDGBuilder::analyzeCall(const core::Stmt &S) {
           CN.Args[I].push_back(N);
   }
 
-  std::set<NodeId> ReceiverLocs =
-      S.Receiver.isVar() ? eval(S.Receiver) : std::set<NodeId>();
+  LocSet ReceiverLocs =
+      S.Receiver.isVar() ? eval(S.Receiver) : LocSet();
   // A method call's result may derive from its receiver (`prop.split('.')`
   // returns data from `prop`), so the receiver flows into the call node.
   for (NodeId RL : ReceiverLocs)
@@ -668,7 +695,7 @@ void MDGBuilder::analyzeCall(const core::Stmt &S) {
                      ? RIt->second
                      : (RetAlloc[S.Index] = G->addNode(
                             NodeKind::Object, S.Index, S.Loc, S.Target));
-    Store.set(S.Target, Ret);
+    Store.set(var(S.Target), Ret);
     return;
   }
 
@@ -677,7 +704,7 @@ void MDGBuilder::analyzeCall(const core::Stmt &S) {
 
   // Return value: known callees contribute their return summaries; unknown
   // callees produce a value depending on the call node itself.
-  std::set<NodeId> RetLocs;
+  LocSet RetLocs;
   bool AnyKnown = false;
 
   // `new F(...)`: the constructed object is the receiver of the callee.
@@ -698,12 +725,12 @@ void MDGBuilder::analyzeCall(const core::Stmt &S) {
       continue;
     AnyKnown = true;
     analyzeFunctionInline(*FIt->second, ArgLocs, ReceiverLocs);
-    const std::set<NodeId> &Summary = ReturnSummaries[FIt->second->Name];
-    RetLocs.insert(Summary.begin(), Summary.end());
+    const LocSet &Summary = ReturnSummaries[FIt->second->Name];
+    RetLocs.insertAll(Summary);
   }
 
   if (S.IsNew) {
-    Store.set(S.Target, NewObj);
+    Store.set(var(S.Target), NewObj);
   } else if (!AnyKnown || RetLocs.empty()) {
     auto RIt = RetAlloc.find(S.Index);
     NodeId Ret = RIt != RetAlloc.end()
@@ -712,9 +739,9 @@ void MDGBuilder::analyzeCall(const core::Stmt &S) {
                             NodeKind::Object, S.Index, S.Loc, S.Target));
     G->addEdge(CallNode, Ret, EdgeKind::Dep);
     RetLocs.insert(Ret);
-    Store.set(S.Target, std::move(RetLocs));
+    Store.set(var(S.Target), std::move(RetLocs));
   } else {
-    Store.set(S.Target, std::move(RetLocs));
+    Store.set(var(S.Target), std::move(RetLocs));
   }
 
   // Callback arguments: a function value passed to an unknown callee may be
@@ -728,7 +755,7 @@ void MDGBuilder::analyzeCall(const core::Stmt &S) {
         if (FIt == FuncOfNode.end())
           continue;
         const core::Function &CB = *FIt->second;
-        std::vector<std::set<NodeId>> CBArgs;
+        std::vector<LocSet> CBArgs;
         for (const std::string &Param : CB.Params) {
           std::string Key = CB.Name + ":" + Param;
           auto PIt = ParamAlloc.find(Key);
@@ -746,8 +773,8 @@ void MDGBuilder::analyzeCall(const core::Stmt &S) {
 }
 
 bool MDGBuilder::tryBuiltinCall(const core::Stmt &S, NodeId CallNode,
-                                const std::vector<std::set<NodeId>> &ArgLocs,
-                                const std::set<NodeId> &ReceiverLocs) {
+                                const std::vector<LocSet> &ArgLocs,
+                                const LocSet &ReceiverLocs) {
   const std::string &Path = S.CalleePath;
   const std::string &Name = S.CalleeName;
 
@@ -769,9 +796,9 @@ bool MDGBuilder::tryBuiltinCall(const core::Stmt &S, NodeId CallNode,
   // values — dynamic source keys may overwrite anything, which is
   // exactly the Object.assign pollution shape.
   if (Path == "Object.assign" && !ArgLocs.empty()) {
-    std::set<NodeId> SourceLocs;
+    LocSet SourceLocs;
     for (size_t I = 1; I < ArgLocs.size(); ++I)
-      SourceLocs.insert(ArgLocs[I].begin(), ArgLocs[I].end());
+      SourceLocs.insertAll(ArgLocs[I]);
     std::vector<NodeId> Vers = newVersions(
         ArgLocs[0], S.Index, 0, /*IsUnknown=*/true, SourceLocs, S.Loc);
     for (NodeId V : Vers) {
@@ -787,7 +814,7 @@ bool MDGBuilder::tryBuiltinCall(const core::Stmt &S, NodeId CallNode,
     }
     EnsureRet();
     // Object.assign returns the target.
-    Store.set(S.Target, std::set<NodeId>(Vers.begin(), Vers.end()));
+    Store.set(var(S.Target), LocSet(Vers.begin(), Vers.end()));
     return true;
   }
 
@@ -795,7 +822,7 @@ bool MDGBuilder::tryBuiltinCall(const core::Stmt &S, NodeId CallNode,
   if (Path == "Object.freeze" || Path == "Object.create") {
     if (!ArgLocs.empty() && !ArgLocs[0].empty()) {
       EnsureRet();
-      Store.set(S.Target, ArgLocs[0]);
+      Store.set(var(S.Target), ArgLocs[0]);
       return true;
     }
     return false;
@@ -806,9 +833,9 @@ bool MDGBuilder::tryBuiltinCall(const core::Stmt &S, NodeId CallNode,
   if ((Name == "push" || Name == "unshift" || Name == "fill" ||
        Name == "splice") &&
       !ReceiverLocs.empty()) {
-    std::set<NodeId> Values;
-    for (const std::set<NodeId> &A : ArgLocs)
-      Values.insert(A.begin(), A.end());
+    LocSet Values;
+    for (const LocSet &A : ArgLocs)
+      Values.insertAll(A);
     if (Values.empty())
       return false;
     std::vector<NodeId> Vers = newVersions(ReceiverLocs, S.Index, 0,
@@ -818,7 +845,7 @@ bool MDGBuilder::tryBuiltinCall(const core::Stmt &S, NodeId CallNode,
         if (V != Val)
           G->addEdge(V, Val, EdgeKind::PropUnknown);
     // push returns the new length: a value derived from the call.
-    Store.set(S.Target, EnsureRet());
+    Store.set(var(S.Target), EnsureRet());
     return true;
   }
 
@@ -826,8 +853,8 @@ bool MDGBuilder::tryBuiltinCall(const core::Stmt &S, NodeId CallNode,
 }
 
 void MDGBuilder::analyzeFunctionInline(
-    const core::Function &Fn, const std::vector<std::set<NodeId>> &ArgLocs,
-    const std::set<NodeId> &ReceiverLocs) {
+    const core::Function &Fn, const std::vector<LocSet> &ArgLocs,
+    const LocSet &ReceiverLocs) {
   // Bind parameters (weak join: different call sites accumulate). This
   // happens *before* the recursion check: a recursive call site must fold
   // its arguments into the parameters so the enclosing fixpoint re-analyzes
@@ -835,12 +862,12 @@ void MDGBuilder::analyzeFunctionInline(
   // source[key])) is only visible on that second pass.
   for (size_t I = 0; I < Fn.Params.size(); ++I) {
     if (I < ArgLocs.size())
-      Store.join(Fn.Params[I], ArgLocs[I]);
+      Store.join(var(Fn.Params[I]), ArgLocs[I]);
     else
-      Store.join(Fn.Params[I], {});
+      Store.join(var(Fn.Params[I]), {});
   }
   if (!ReceiverLocs.empty())
-    Store.join("this", ReceiverLocs);
+    Store.join(var("this"), ReceiverLocs);
 
   // Recursion: rely on the current summary; the enclosing fixpoint loop
   // re-analyzes until the summary stabilizes.

@@ -115,6 +115,10 @@ struct BuildResult {
   bool TimedOut = false;
   /// Abstract statements processed (analysis effort metric).
   uint64_t WorkDone = 0;
+  /// Fixpoint passes over while-loop and function bodies.
+  uint64_t FixpointIters = 0;
+  /// The most variables any one abstract store bound (the store width).
+  size_t StoreVarsPeak = 0;
   /// Allocation tables backing the abstraction function α.
   AllocationTables Alloc;
   /// Function-definition nodes by core function name (call-graph lint
@@ -165,6 +169,9 @@ private:
   BuildResult *Result = nullptr;
   mdg::Graph *G = nullptr;
   mdg::AbstractStore Store;
+  /// Variable names -> store ids.
+  StringInterner VarNames;
+  mdg::VarId var(const std::string &Name) { return VarNames.intern(Name); }
 
   //===--------------------------------------------------------------------===//
   // Memoized allocators (the alloc(i, ĝ) of [NEW OBJECT])
@@ -213,11 +220,13 @@ private:
   /// Inline stack (function names) for recursion detection.
   std::vector<std::string> InlineStack;
   /// Return-location summaries per function (grow monotonically).
-  std::map<std::string, std::set<mdg::NodeId>> ReturnSummaries;
+  std::map<std::string, mdg::LocSet> ReturnSummaries;
   /// Name of the function whose body is being analyzed (return binding).
   std::vector<std::string> CurrentFunction;
 
   uint64_t Work = 0;
+  uint64_t FixpointIters = 0;
+  size_t StoreVarsPeak = 0;
   bool Aborted = false;
 
   //===--------------------------------------------------------------------===//
@@ -229,8 +238,8 @@ private:
 
   void analyzeCall(const core::Stmt &S);
   void analyzeFunctionInline(const core::Function &Fn,
-                             const std::vector<std::set<mdg::NodeId>> &ArgLocs,
-                             const std::set<mdg::NodeId> &ReceiverLocs);
+                             const std::vector<mdg::LocSet> &ArgLocs,
+                             const mdg::LocSet &ReceiverLocs);
 
   /// Models well-known builtins with dedicated summaries instead of the
   /// generic unknown-call treatment: `Object.assign` (a merge — the
@@ -238,8 +247,8 @@ private:
   /// and the mutating array methods (`push`/`unshift`/`fill`/`splice`).
   /// Returns true when the call was fully handled (target bound).
   bool tryBuiltinCall(const core::Stmt &S, mdg::NodeId CallNode,
-                      const std::vector<std::set<mdg::NodeId>> &ArgLocs,
-                      const std::set<mdg::NodeId> &ReceiverLocs);
+                      const std::vector<mdg::LocSet> &ArgLocs,
+                      const mdg::LocSet &ReceiverLocs);
 
   /// Runs \p Body to a (graph, store) fixpoint.
   void fixpoint(const std::vector<core::StmtPtr> &Body);
@@ -250,35 +259,38 @@ private:
 
   /// Locations of an operand. Unbound variables are bound to fresh global
   /// object nodes; literals evaluate to the empty set.
-  std::set<mdg::NodeId> eval(const core::Operand &O);
+  mdg::LocSet eval(const core::Operand &O);
   /// Like eval, but guarantees a nonempty result by allocating a fresh
   /// value node at \p Site for literal operands.
-  std::set<mdg::NodeId> evalValue(const core::Operand &O,
-                                  core::StmtIndex Site, SourceLocation Loc);
+  mdg::LocSet evalValue(const core::Operand &O, core::StmtIndex Site,
+                        SourceLocation Loc);
 
   mdg::NodeId allocAtSite(core::StmtIndex Site, SourceLocation Loc,
                           const std::string &Label);
 
   /// ĝ[l, p] with lazy AP on the oldest version when undefined.
-  std::set<mdg::NodeId> ensureProperty(mdg::NodeId L, Symbol P,
-                                       core::StmtIndex Site,
-                                       SourceLocation Loc);
+  mdg::LocSet ensureProperty(mdg::NodeId L, Symbol P, core::StmtIndex Site,
+                             SourceLocation Loc);
   /// AP*: ensures an unknown-property node on \p L, wiring D edges from the
   /// dynamic name's locations, then resolves across the version chain.
-  std::set<mdg::NodeId> ensureUnknownProperty(
-      mdg::NodeId L, const std::set<mdg::NodeId> &NameLocs,
-      core::StmtIndex Site, SourceLocation Loc);
+  mdg::LocSet ensureUnknownProperty(mdg::NodeId L,
+                                    const mdg::LocSet &NameLocs,
+                                    core::StmtIndex Site, SourceLocation Loc);
 
   /// NV / NV*: creates new versions of every location in \p Objs due to an
   /// update of property \p P (or an unknown property when IsUnknown), and
   /// rewrites the store. Returns the new version for each input location.
-  std::vector<mdg::NodeId> newVersions(const std::set<mdg::NodeId> &Objs,
+  std::vector<mdg::NodeId> newVersions(const mdg::LocSet &Objs,
                                        core::StmtIndex Site, Symbol P,
                                        bool IsUnknown,
-                                       const std::set<mdg::NodeId> &NameLocs,
+                                       const mdg::LocSet &NameLocs,
                                        SourceLocation Loc);
 
   bool budgetExceeded();
+  /// Folds the current store's width into StoreVarsPeak. Bindings are
+  /// never removed outside an if-branch undo, so a store is widest when
+  /// its module's analysis ends.
+  void noteStoreWidth();
   void markEntryPoints();
   void finalize(BuildResult &R);
 };

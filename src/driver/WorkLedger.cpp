@@ -13,7 +13,9 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -42,22 +44,37 @@ std::string readFileAll(const std::string &Path) {
   return S;
 }
 
-/// Atomic create: O_CREAT|O_EXCL is the one filesystem primitive that
-/// cannot race — exactly one contender ever sees success. The claim/steal
-/// token ratchet is built entirely on it.
+/// Atomic exclusive publication. The content goes to a private temp file
+/// (a dotfile beside \p Path, which directory listings skip), is fsynced,
+/// and is then link(2)ed to the final name. link fails with EEXIST when
+/// the name exists, so exactly one contender ever sees success — the
+/// claim/steal token ratchet is built entirely on that — and a reader
+/// that finds the name always finds the whole content.
 bool createExclusive(const std::string &Path, const std::string &Content) {
-  int FD = ::open(Path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+  static std::atomic<unsigned> Seq{0};
+  fs::path Final(Path);
+  std::string Tmp =
+      (Final.parent_path() / ("." + Final.filename().string() + ".tmp." +
+                              std::to_string(::getpid()) + "." +
+                              std::to_string(Seq++)))
+          .string();
+  int FD = ::open(Tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
   if (FD < 0)
     return false;
   size_t Off = 0;
   while (Off < Content.size()) {
     ssize_t N = ::write(FD, Content.data() + Off, Content.size() - Off);
+    if (N < 0 && errno == EINTR)
+      continue;
     if (N <= 0)
       break;
     Off += static_cast<size_t>(N);
   }
-  ::close(FD);
-  return true;
+  bool Ok = Off == Content.size() && ::fsync(FD) == 0;
+  Ok = ::close(FD) == 0 && Ok;
+  Ok = Ok && ::link(Tmp.c_str(), Path.c_str()) == 0;
+  ::unlink(Tmp.c_str());
+  return Ok;
 }
 
 /// Write-temp-then-rename: readers see the old content or the new content,
@@ -171,14 +188,23 @@ bool WorkLedger::init(const std::vector<std::string> &PackageNames,
     return true;
 
   // A joiner: the manifest must describe the exact same corpus partition,
-  // otherwise two different batches are fighting over one ledger.
+  // otherwise two different batches are fighting over one ledger. The
+  // creator publishes it whole, so it is complete or absent; while it is
+  // absent (the create above failed for a reason other than losing the
+  // race) give the creator a moment.
   json::Value V;
-  if (!readFramedObject(Path, V)) {
+  bool Read = readFramedObject(Path, V);
+  for (int Retry = 0; !Read && Retry < 200 && !fs::exists(Path); ++Retry) {
+    ::usleep(10 * 1000);
+    Read = readFramedObject(Path, V);
+  }
+  if (!Read) {
     if (Error)
-      *Error = "ledger manifest at " + Path + " is torn or corrupt";
+      *Error = fs::exists(Path)
+                   ? "ledger manifest at " + Path + " is torn or corrupt"
+                   : "cannot publish ledger manifest at " + Path;
     return false;
   }
-  std::string Theirs;
   {
     const json::Object &O = V.asObject();
     auto SIt = O.find("shard_size");
@@ -214,7 +240,6 @@ bool WorkLedger::init(const std::vector<std::string> &PackageNames,
       }
     }
   }
-  (void)Theirs;
   return true;
 }
 
@@ -306,9 +331,9 @@ std::optional<LeaseInfo> WorkLedger::stealStale() {
       continue; // Holder is live.
     ++ExpiredN;
     obs::counters::LedgerExpired.merge(1);
-    // Ratchet the fencing token: O_EXCL picks exactly one thief, and every
-    // artifact the stale holder keeps writing stays under its old token —
-    // the late writer loses structurally.
+    // Ratchet the fencing token: link's EEXIST picks exactly one thief, and
+    // every artifact the stale holder keeps writing stays under its old
+    // token — the late writer loses structurally.
     std::string NextTok =
         shardPrefix(S) + ".tok." + std::to_string(Cur->Token + 1);
     if (!createExclusive(NextTok, Options.SupervisorId + "\n"))
@@ -465,7 +490,7 @@ void WorkLedger::quarantine(const std::string &Package, unsigned Strikes) {
   O["time"] = json::Value(nowUnixSeconds());
   char Crc[16];
   std::snprintf(Crc, sizeof(Crc), "%08x", journalCrc32(Package));
-  // O_EXCL: the first supervisor to trip the breaker records the history;
+  // Exclusive: the first supervisor to trip the breaker records the history;
   // concurrent trippers are harmless no-ops.
   createExclusive(Options.Dir + "/quarantine/" + sanitizeName(Package) + "-" +
                       Crc + ".json",
@@ -477,6 +502,8 @@ std::vector<std::string> WorkLedger::quarantinedPackages() const {
   std::error_code EC;
   for (const auto &E :
        fs::directory_iterator(Options.Dir + "/quarantine", EC)) {
+    if (E.path().filename().string().starts_with("."))
+      continue; // An unpublished marker (createExclusive's temp file).
     json::Value V;
     if (!readFramedObject(E.path().string(), V))
       continue;

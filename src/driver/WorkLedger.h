@@ -16,7 +16,7 @@
 ///
 /// Design, in one breath: the corpus is partitioned into fixed *shards*
 /// (manifest written once, verified by every joiner); a shard is owned via
-/// a *lease* — an `O_CREAT|O_EXCL` token file ratchet (`s<N>.tok.<k>`)
+/// a *lease* — an exclusively-published token file ratchet (`s<N>.tok.<k>`)
 /// that hands out strictly increasing fencing tokens, plus a heartbeat
 /// file (`s<N>.owner.t<k>`) the holder rewrites while it works. A
 /// supervisor that stops heartbeating past the expiry gets its lease
@@ -87,14 +87,16 @@ struct LeaseInfo {
 };
 
 /// The shared on-disk ledger. Every method is crash-safe: state changes go
-/// through O_EXCL creates or write-temp-then-rename, and every record is
-/// CRC-framed.
+/// through exclusive publication (write a temp file, fsync, link(2) to the
+/// final name — EEXIST fences contenders) or write-temp-then-rename, and
+/// every record is CRC-framed.
 class WorkLedger {
 public:
   explicit WorkLedger(LedgerOptions Options);
 
   /// Creates the directory layout and the shard manifest (first supervisor
-  /// wins the O_EXCL create; joiners verify the package list matches).
+  /// wins the exclusive publication; joiners verify the package list
+  /// matches).
   /// False with *Error set when the ledger belongs to a different corpus.
   bool init(const std::vector<std::string> &PackageNames, std::string *Error);
 

@@ -9,8 +9,8 @@
 #include "obs/Counters.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <deque>
 #include <sstream>
 
 using namespace gjs;
@@ -69,7 +69,7 @@ bool Graph::addEdge(NodeId From, NodeId To, EdgeKind Kind, Symbol Prop) {
   if (From >= Nodes.size() || To >= Nodes.size())
     return false; // Out-of-range endpoint: reject rather than corrupt.
   Edge E{From, To, Kind, Prop};
-  if (!EdgeSet.insert(E).second)
+  if (!EdgeSet.insert(E))
     return false;
   OutEdges[From].push_back(E);
   InEdges[To].push_back(E);
@@ -80,7 +80,53 @@ bool Graph::addEdge(NodeId From, NodeId To, EdgeKind Kind, Symbol Prop) {
 }
 
 bool Graph::hasEdge(NodeId From, NodeId To, EdgeKind Kind, Symbol Prop) const {
-  return EdgeSet.count(Edge{From, To, Kind, Prop}) != 0;
+  return EdgeSet.contains(Edge{From, To, Kind, Prop});
+}
+
+size_t Graph::EdgeTable::slotOf(const Edge &E) const {
+  uint64_t H = (static_cast<uint64_t>(E.From) << 32) ^ E.To;
+  H = H * 1099511628211ULL ^ static_cast<uint64_t>(E.Kind);
+  H = H * 1099511628211ULL ^ E.Prop;
+  // Fibonacci hashing: the top bits of the product mix every input bit.
+  return static_cast<size_t>((H * 0x9E3779B97F4A7C15ULL) >> Shift);
+}
+
+bool Graph::EdgeTable::contains(const Edge &E) const {
+  if (Slots.empty())
+    return false;
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = slotOf(E);; I = (I + 1) & Mask) {
+    if (Slots[I].From == InvalidNode)
+      return false;
+    if (Slots[I] == E)
+      return true;
+  }
+}
+
+bool Graph::EdgeTable::insert(const Edge &E) {
+  if ((Size + 1) * 2 > Slots.size()) {
+    std::vector<Edge> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? 64 : Old.size() * 2, Edge());
+    Shift = 64 - static_cast<unsigned>(std::countr_zero(Slots.size()));
+    for (const Edge &O : Old) {
+      if (O.From == InvalidNode)
+        continue;
+      size_t I = slotOf(O);
+      while (Slots[I].From != InvalidNode)
+        I = (I + 1) & (Slots.size() - 1);
+      Slots[I] = O;
+    }
+  }
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = slotOf(E);; I = (I + 1) & Mask) {
+    if (Slots[I].From == InvalidNode) {
+      Slots[I] = E;
+      ++Size;
+      return true;
+    }
+    if (Slots[I] == E)
+      return false;
+  }
 }
 
 std::vector<NodeId> Graph::nodeIds() const {
@@ -91,23 +137,34 @@ std::vector<NodeId> Graph::nodeIds() const {
 }
 
 std::vector<NodeId> Graph::versionAncestors(NodeId L) const {
-  std::vector<NodeId> Chain;
-  std::vector<bool> Seen(Nodes.size(), false);
-  std::deque<NodeId> Work{L};
-  Seen[L] = true;
-  while (!Work.empty()) {
-    NodeId N = Work.front();
-    Work.pop_front();
-    Chain.push_back(N);
-    for (const Edge &E : InEdges[N]) {
-      if (E.Kind != EdgeKind::Version && E.Kind != EdgeKind::VersionUnknown)
-        continue;
-      if (!Seen[E.From]) {
-        Seen[E.From] = true;
-        Work.push_back(E.From);
+  // Breadth-first over incoming V edges. Chain is both the queue and the
+  // visited set: version chains are short, so a linear scan beats
+  // allocating an O(nodes) bitmap per lookup. A chain that outgrows the
+  // scan switches to a bitmap.
+  constexpr size_t LinearScanMax = 32;
+  std::vector<NodeId> Chain{L};
+  std::vector<bool> Seen;
+  auto Visit = [&](NodeId N) {
+    if (Seen.empty()) {
+      if (std::find(Chain.begin(), Chain.end(), N) != Chain.end())
+        return;
+      Chain.push_back(N);
+      if (Chain.size() > LinearScanMax) {
+        Seen.assign(Nodes.size(), false);
+        for (NodeId C : Chain)
+          Seen[C] = true;
       }
+      return;
     }
-  }
+    if (!Seen[N]) {
+      Seen[N] = true;
+      Chain.push_back(N);
+    }
+  };
+  for (size_t I = 0; I < Chain.size(); ++I)
+    for (const Edge &E : InEdges[Chain[I]])
+      if (E.Kind == EdgeKind::Version || E.Kind == EdgeKind::VersionUnknown)
+        Visit(E.From);
   return Chain;
 }
 
@@ -213,9 +270,10 @@ std::vector<NodeId> Graph::resolveUnknownProperty(NodeId L) const {
 bool Graph::leq(const Graph &G1, const Graph &G2) {
   if (G1.NumEdgesTotal > G2.NumEdgesTotal)
     return false;
-  for (const Edge &E : G1.EdgeSet)
-    if (!G2.EdgeSet.count(E))
-      return false;
+  for (const std::vector<Edge> &Out : G1.OutEdges)
+    for (const Edge &E : Out)
+      if (!G2.EdgeSet.contains(E))
+        return false;
   return true;
 }
 

@@ -33,8 +33,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace gjs {
@@ -187,15 +185,24 @@ private:
   std::vector<std::vector<Edge>> OutEdges;
   std::vector<std::vector<Edge>> InEdges;
 
-  struct EdgeHash {
-    size_t operator()(const Edge &E) const {
-      uint64_t H = (static_cast<uint64_t>(E.From) << 32) ^ E.To;
-      H = H * 1099511628211ULL ^ static_cast<uint64_t>(E.Kind);
-      H = H * 1099511628211ULL ^ E.Prop;
-      return static_cast<size_t>(H);
-    }
+  /// The edge set behind addEdge's duplicate check: open addressing with
+  /// linear probing, a power-of-two table at most half full, and empty
+  /// slots marked by From == InvalidNode (never a valid endpoint). One
+  /// flat array instead of a heap node per edge; re-analysis probes every
+  /// edge of a converged loop body again, so most probes are hits.
+  class EdgeTable {
+  public:
+    /// Inserts \p E; false when it was already present.
+    bool insert(const Edge &E);
+    bool contains(const Edge &E) const;
+
+  private:
+    std::vector<Edge> Slots;
+    size_t Size = 0;
+    unsigned Shift = 64; ///< Slot index = hash >> Shift.
+    size_t slotOf(const Edge &E) const;
   };
-  std::unordered_set<Edge, EdgeHash> EdgeSet;
+  EdgeTable EdgeSet;
   size_t NumEdgesTotal = 0;
   uint64_t Revision = 0;
 };

@@ -80,6 +80,8 @@ Counter MdgEdgePU("build.mdg_edges_pu");
 Counter MdgEdgeV("build.mdg_edges_v");
 Counter MdgEdgeVU("build.mdg_edges_vu");
 Counter BuilderStmts("build.abstract_stmts");
+Counter BuilderFixpointIters("build.fixpoint_iters");
+Counter BuilderStoreVarsPeak("build.store_vars_peak");
 Counter ImportNodes("import.nodes");
 Counter ImportRels("import.rels");
 Counter QuerySteps("query.steps");

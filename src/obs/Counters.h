@@ -108,6 +108,10 @@ extern Counter MdgEdgePU;       ///< build.mdg_edges_pu — P(*) edges added.
 extern Counter MdgEdgeV;        ///< build.mdg_edges_v — V(p) edges added.
 extern Counter MdgEdgeVU;       ///< build.mdg_edges_vu — V(*) edges added.
 extern Counter BuilderStmts;    ///< build.abstract_stmts — abstract stmts.
+extern Counter BuilderFixpointIters; ///< build.fixpoint_iters — loop and
+                                     ///< function-body fixpoint passes.
+extern Counter BuilderStoreVarsPeak; ///< build.store_vars_peak — per build,
+                                     ///< the most variables one store bound.
 extern Counter ImportNodes;     ///< import.nodes — property-graph nodes.
 extern Counter ImportRels;      ///< import.rels — property-graph rels.
 extern Counter QuerySteps;      ///< query.steps — matcher steps taken.

@@ -366,6 +366,7 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   std::vector<std::unique_ptr<core::Program>> Programs(Files.size());
   {
     obs::Span NormSpan(TR, "normalize");
+    Timer NormTimer;
     if (!inject(ScanPhase::Normalize) && !D.expired()) {
       core::StmtIndex NextIndex = 1;
       bool SingleFile = Files.size() == 1 && !Link;
@@ -406,6 +407,7 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
       }
     }
     NormSpan.arg("core_stmts", static_cast<uint64_t>(Out.CoreStmts));
+    Out.Times.Normalize = NormTimer.elapsedSeconds() - Out.Times.Lower;
   }
   noteDeadline(ScanPhase::Normalize);
   Out.Times.Parse = Phase.elapsedSeconds() - Out.Times.Lower;
@@ -448,6 +450,7 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   Enabled.fill(true);
   if (Cfg.Prune) {
     obs::Span PruneSpan(TR, "prune");
+    Timer PruneTimer;
     if (!PruneMods.empty()) {
       analysis::CallGraph CG = analysis::CallGraph::build(
           PruneMods, PruneStems, Cfg.Builder.FallbackAllFunctionsExported,
@@ -468,6 +471,7 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
       PruneSpan.arg("pruned", static_cast<uint64_t>(PD.numPruned()));
       PruneSpan.arg("decision", PD.str());
     }
+    Out.Times.Prune = PruneTimer.elapsedSeconds();
   }
 
   // Phase 3: MDG construction over all parsed modules, deps first.
@@ -510,6 +514,9 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
       BuildSpan.arg("mdg_nodes", static_cast<uint64_t>(Out.MDGNodes));
       BuildSpan.arg("mdg_edges", static_cast<uint64_t>(Out.MDGEdges));
       BuildSpan.arg("work", Out.BuildWork);
+      BuildSpan.arg("fixpoint_iters", Build.FixpointIters);
+      BuildSpan.arg("store_vars_peak",
+                    static_cast<uint64_t>(Build.StoreVarsPeak));
       // The builder's own work budget (no shared deadline involved) is a
       // Build-phase Budget error.
       if (Build.TimedOut && !D.expired())
@@ -725,6 +732,8 @@ ScanResult Scanner::scanWithLadder(const std::vector<SourceFile> &Files,
   // degraded package attributes its full (retried) cost to each phase.
   obs::hists::PhaseParse.recordSeconds(Out.CumulativeTimes.Parse);
   obs::hists::PhaseLower.recordSeconds(Out.CumulativeTimes.Lower);
+  obs::hists::PhaseNormalize.recordSeconds(Out.CumulativeTimes.Normalize);
+  obs::hists::PhasePrune.recordSeconds(Out.CumulativeTimes.Prune);
   obs::hists::PhaseBuild.recordSeconds(Out.CumulativeTimes.GraphBuild);
   obs::hists::PhaseImport.recordSeconds(Out.CumulativeTimes.DbImport);
   obs::hists::PhaseQuery.recordSeconds(Out.CumulativeTimes.Query);

@@ -8,9 +8,23 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/MDGBuilder.h"
+#include "analysis/PackageGraph.h"
+#include "core/AsyncLower.h"
 #include "core/Normalizer.h"
+#include "frontend/Parser.h"
+#include "scanner/Scanner.h"
+#include "workload/Datasets.h"
+#include "workload/DepTrees.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 
 using namespace gjs;
 using namespace gjs::analysis;
@@ -321,4 +335,296 @@ TEST(MDGBuilderTest, PrototypePollutionPatternShape) {
   }
   EXPECT_TRUE(FoundLookup);
   EXPECT_TRUE(FoundAssign);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden MDG identity: the builder's output, node for node and edge for
+// edge, is pinned by a digest of Graph::dump per input. Any change to node
+// allocation order, labels, edges or edge order — or to the number of
+// abstract statements analyzed — changes a digest. A deliberate change to
+// the builder's output must regenerate the table (the failure messages
+// print the new entries).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint64_t fnv1a(const std::string &S) {
+  uint64_t H = 1469598103934665603ULL;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ULL;
+  }
+  return H;
+}
+
+std::string stem(const std::string &Name) {
+  std::string S = Name.substr(Name.find_last_of('/') + 1);
+  if (S.size() > 3 && S.compare(S.size() - 3, 3, ".js") == 0)
+    S.resize(S.size() - 3);
+  return S;
+}
+
+/// Builds the MDG of a package the way the scanner does: per-module
+/// prefixes and statement-index ranges, async lowering, and a linked
+/// buildPackage for multi-file packages and dependency trees (\p PkgOf /
+/// \p IsMain non-empty). Returns the digest of the dump plus the work
+/// count.
+uint64_t digestOf(const std::vector<scanner::SourceFile> &Files,
+                  const std::vector<std::string> &PkgOf = {},
+                  const std::vector<bool> &IsMain = {},
+                  const std::set<std::string> &Missing = {}) {
+  bool Linked = !PkgOf.empty();
+  bool SingleFile = Files.size() == 1 && !Linked;
+  std::vector<std::unique_ptr<core::Program>> Programs(Files.size());
+  analysis::ModuleLinkInfo Link;
+  Link.ForceUnresolved = Missing;
+  core::StmtIndex Next = 1;
+  for (size_t I = 0; I < Files.size(); ++I) {
+    DiagnosticEngine Diags;
+    auto AST = parseJS(Files[I].Contents, Diags);
+    if (Diags.hasErrors()) {
+      if (Linked) {
+        Link.ForceUnresolved.insert(PkgOf[I]);
+        Link.ForceUnresolved.insert(stem(Files[I].Name));
+      }
+      continue;
+    }
+    std::string Prefix = SingleFile ? ""
+                         : Linked   ? PkgOf[I] + "$" + stem(Files[I].Name) + "$"
+                                    : stem(Files[I].Name) + "$";
+    core::Normalizer Norm(Diags, Prefix, Next);
+    Programs[I] = Norm.normalize(*AST);
+    core::lowerAsync(*Programs[I], Prefix);
+    Next = Programs[I]->NumIndices + 1;
+  }
+  std::vector<analysis::PackageModule> Modules;
+  for (size_t I = 0; I < Files.size(); ++I) {
+    if (!Programs[I])
+      continue;
+    if (Linked) {
+      Link.PkgOf.push_back(PkgOf[I]);
+      if (IsMain[I] && !Link.ForceUnresolved.count(PkgOf[I]))
+        Link.MainModuleOf.emplace(PkgOf[I], Modules.size());
+      Modules.push_back({Files[I].Name, Programs[I].get(), PkgOf[I],
+                         static_cast<bool>(IsMain[I])});
+    } else {
+      Modules.push_back({Files[I].Name, Programs[I].get(), "", false});
+    }
+  }
+  if (Modules.empty()) {
+    ADD_FAILURE() << "no module parsed";
+    return 0;
+  }
+  BuildResult R =
+      SingleFile ? buildMDG(*Programs[0])
+                 : buildPackageMDG(Modules, {}, Linked ? &Link : nullptr);
+  return fnv1a(R.Graph.dump(R.Props) + "work=" + std::to_string(R.WorkDone));
+}
+
+uint64_t digestOf(const workload::DepTree &T) {
+  analysis::PackageGraph::FlatPlan Plan = T.Graph.flatten();
+  std::vector<scanner::SourceFile> Files;
+  std::vector<std::string> PkgOf;
+  std::vector<bool> IsMain;
+  for (const analysis::PackageGraph::FlatModule &M : Plan.Modules) {
+    Files.push_back({M.Path, *M.Contents});
+    PkgOf.push_back(M.Pkg);
+    IsMain.push_back(M.IsMain);
+  }
+  return digestOf(Files, PkgOf, IsMain, Plan.MissingDeps);
+}
+
+/// Store control-flow shapes: bindings written in one branch only,
+/// loops and version rewrites inside branches, recursion.
+const char *const ControlFlowSnippets[] = {
+    "function f(a, b) {\n"
+    "  var x = a;\n"
+    "  if (b) { var t = 1; } else { x = b; }\n"
+    "  exec(x, t);\n"
+    "}\n"
+    "module.exports = f;\n",
+
+    "function f(a, b) {\n"
+    "  var x = a;\n"
+    "  if (b) { x = b; }\n"
+    "  sink(x);\n"
+    "}\n"
+    "module.exports = f;\n",
+
+    "function f(o, k, v, n) {\n"
+    "  var cur = o;\n"
+    "  if (n) {\n"
+    "    while (n) { cur = cur[k]; cur[k] = v; }\n"
+    "  } else {\n"
+    "    for (var i = 0; i < n; i++) { cur.p = cur[k]; cur = cur.p; }\n"
+    "  }\n"
+    "  sink(cur.x);\n"
+    "}\n"
+    "module.exports = f;\n",
+
+    "function g(a, b, c) {\n"
+    "  var o = {};\n"
+    "  var p = o;\n"
+    "  while (c) {\n"
+    "    if (a) { o.x = a; } else { p.y = b; }\n"
+    "    p = o.x;\n"
+    "  }\n"
+    "  eval(p);\n"
+    "}\n"
+    "module.exports = g;\n",
+
+    "function merge(t, s, k) {\n"
+    "  if (s[k]) { merge(t[k], s[k], k); } else { t[k] = s[k]; }\n"
+    "  return t;\n"
+    "}\n"
+    "module.exports = merge;\n",
+
+    "function h(a) {\n"
+    "  if (a) { var q = a + 1; } else { var r = 2; }\n"
+    "  sink(q, r);\n"
+    "}\n"
+    "module.exports = h;\n",
+};
+
+/// Every golden input, by name, with its current digest.
+std::vector<std::pair<std::string, uint64_t>> goldenInputs() {
+  std::vector<std::pair<std::string, uint64_t>> Out;
+  for (size_t I = 0; I < std::size(ControlFlowSnippets); ++I)
+    Out.emplace_back("snippet/" + std::to_string(I),
+                     digestOf({{"index.js", ControlFlowSnippets[I]}}));
+  std::vector<std::filesystem::path> Examples;
+  for (const auto &E : std::filesystem::directory_iterator(GJS_EXAMPLES_JS_DIR))
+    if (E.path().extension() == ".js")
+      Examples.push_back(E.path());
+  std::sort(Examples.begin(), Examples.end());
+  for (const std::filesystem::path &P : Examples) {
+    std::ifstream In(P);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    Out.emplace_back("examples/" + P.filename().string(),
+                     digestOf({{P.filename().string(), SS.str()}}));
+  }
+
+  std::vector<workload::Package> Mix =
+      workload::makeDataset(20261017, {4, 6, 4, 6});
+  for (size_t I = 0; I < Mix.size(); ++I)
+    Out.emplace_back("table3/" + std::to_string(I) + "/" + Mix[I].Name,
+                     digestOf(Mix[I].Files));
+
+  workload::DepTreeGenerator TG(12);
+  using queries::VulnType;
+  const VulnType Types[] = {VulnType::CommandInjection, VulnType::CodeInjection,
+                            VulnType::PathTraversal,
+                            VulnType::PrototypePollution};
+  for (VulnType T : Types) {
+    std::string N = std::to_string(static_cast<int>(T));
+    for (unsigned Depth = 1; Depth <= 3; ++Depth)
+      Out.emplace_back("deptree/chain/" + N + "/" + std::to_string(Depth),
+                       digestOf(TG.chain(T, Depth, true)));
+    Out.emplace_back("deptree/benign/" + N, digestOf(TG.chain(T, 2, false)));
+    Out.emplace_back("deptree/cyclic/" + N, digestOf(TG.cyclic(T, true)));
+    Out.emplace_back("deptree/missing/" + N, digestOf(TG.missingDep(T)));
+    Out.emplace_back("deptree/broken/" + N, digestOf(TG.brokenDep(T)));
+  }
+
+  workload::PackageGenerator AG(12);
+  const workload::AsyncForm Forms[] = {
+      workload::AsyncForm::Await, workload::AsyncForm::ThenChain,
+      workload::AsyncForm::PromiseExecutor,
+      workload::AsyncForm::ErrorFirstCallback};
+  for (workload::AsyncForm F : Forms) {
+    std::string N = workload::asyncFormName(F);
+    Out.emplace_back("async/vulnerable/" + N,
+                     digestOf(AG.asyncVulnerable(F).Files));
+    Out.emplace_back("async/benign/" + N, digestOf(AG.asyncBenign(F).Files));
+  }
+  return Out;
+}
+
+// clang-format off
+const std::map<std::string, uint64_t> GoldenDigests = {
+    {"snippet/0", 0x253e82049f0d91a1ULL},
+    {"snippet/1", 0x841a03628060fc7dULL},
+    {"snippet/2", 0xacc92b913339ba8bULL},
+    {"snippet/3", 0x6ae308a8f97e0be2ULL},
+    {"snippet/4", 0xee66cecc033a18c0ULL},
+    {"snippet/5", 0x3dd8119e9c357089ULL},
+    {"examples/clean_utils.js", 0xf4045a0ecbca1c5bULL},
+    {"examples/figure1.js", 0xa826c95403ccd6f7ULL},
+    {"examples/promise_chain.js", 0xc72c4ef6f6d413fcULL},
+    {"examples/set_value.js", 0x36cb3188b63d35d3ULL},
+    {"table3/0/path-0", 0x3e5a8c12acd78ae7ULL},
+    {"table3/1/path-1", 0x45175c87764d0932ULL},
+    {"table3/2/path-2", 0x16d4dd93f13f3492ULL},
+    {"table3/3/path-3", 0x3d4f847bfe03b036ULL},
+    {"table3/4/cmd-4", 0x6abbb7324ba46e1eULL},
+    {"table3/5/cmd-5", 0xef626710a461a0aeULL},
+    {"table3/6/cmd-6", 0xf96e76089780b044ULL},
+    {"table3/7/cmd-7", 0xbda7971bc3de3b22ULL},
+    {"table3/8/cmd-8", 0x8b460af22e89074aULL},
+    {"table3/9/cmd-9", 0x33c0b1cb41e03b58ULL},
+    {"table3/10/code-10", 0x71c96ef75ddd0eafULL},
+    {"table3/11/code-11", 0x4f9f2ac722b54778ULL},
+    {"table3/12/code-12", 0x27c7470e0fa445b0ULL},
+    {"table3/13/code-13", 0x498a6ee4a361a8f3ULL},
+    {"table3/14/proto-14", 0xc6b96d955e992da0ULL},
+    {"table3/15/proto-15", 0x4c419f70fd4f03b5ULL},
+    {"table3/16/proto-16", 0x26467b005acbcf00ULL},
+    {"table3/17/proto-17", 0xd2bf03d4c3fc1354ULL},
+    {"table3/18/proto-18", 0x2e23f94d0c8c1110ULL},
+    {"table3/19/proto-19", 0xa95750bcb6edc91bULL},
+    {"deptree/chain/0/1", 0x802e151f23b9971aULL},
+    {"deptree/chain/0/2", 0x8cb4c598cac827f7ULL},
+    {"deptree/chain/0/3", 0xfa5f4dceb92cb807ULL},
+    {"deptree/benign/0", 0x8246f6373890181eULL},
+    {"deptree/cyclic/0", 0x748b399dc0d6c5faULL},
+    {"deptree/missing/0", 0xba14ca098860d120ULL},
+    {"deptree/broken/0", 0xa39ab9579380271cULL},
+    {"deptree/chain/1/1", 0xa0e8820afb70a25eULL},
+    {"deptree/chain/1/2", 0x8b5e0f40071bc14fULL},
+    {"deptree/chain/1/3", 0x883092d15096f79dULL},
+    {"deptree/benign/1", 0xc102cfbd3eb9e387ULL},
+    {"deptree/cyclic/1", 0xa118155814b5dbbfULL},
+    {"deptree/missing/1", 0x0ce221b35ad8b900ULL},
+    {"deptree/broken/1", 0x090bdba41a1d4468ULL},
+    {"deptree/chain/2/1", 0x5e68c88786ed57f6ULL},
+    {"deptree/chain/2/2", 0xe89bff3c5d12c78bULL},
+    {"deptree/chain/2/3", 0x7a7a184d03a9000dULL},
+    {"deptree/benign/2", 0xc7550b46f2ac334eULL},
+    {"deptree/cyclic/2", 0x4a644087c3f82029ULL},
+    {"deptree/missing/2", 0x9baf81b2a20bccc0ULL},
+    {"deptree/broken/2", 0x2cce443252bf07e0ULL},
+    {"deptree/chain/3/1", 0x050a715397a5f7a5ULL},
+    {"deptree/chain/3/2", 0x6e1c7101b97a569fULL},
+    {"deptree/chain/3/3", 0xad60a740ec183eb7ULL},
+    {"deptree/benign/3", 0xd7008ff1f1ef0bb8ULL},
+    {"deptree/cyclic/3", 0x68bad4085982532dULL},
+    {"deptree/missing/3", 0x970a82f90d01e9beULL},
+    {"deptree/broken/3", 0x59f1ef1211c2fb36ULL},
+    {"async/vulnerable/await", 0xb41398a97d434718ULL},
+    {"async/benign/await", 0x6fe4b81aff11eb5aULL},
+    {"async/vulnerable/then-chain", 0x06fa20b2466fbf6aULL},
+    {"async/benign/then-chain", 0x2c6aeab6941f7aceULL},
+    {"async/vulnerable/promise-executor", 0x0fe10e47479c3c95ULL},
+    {"async/benign/promise-executor", 0x45da78bf5d7ba3dfULL},
+    {"async/vulnerable/error-first-callback", 0xa44d9cb274965e37ULL},
+    {"async/benign/error-first-callback", 0x12eb9225413cd584ULL},
+};
+// clang-format on
+
+} // namespace
+
+TEST(MDGGoldenTest, DumpsMatchRecordedDigests) {
+  auto Inputs = goldenInputs();
+  EXPECT_EQ(Inputs.size(), GoldenDigests.size());
+  for (const auto &[Name, Digest] : Inputs) {
+    char Entry[160];
+    std::snprintf(Entry, sizeof(Entry), "    {\"%s\", 0x%016llxULL},",
+                  Name.c_str(), static_cast<unsigned long long>(Digest));
+    auto It = GoldenDigests.find(Name);
+    if (It == GoldenDigests.end())
+      ADD_FAILURE() << "no recorded digest; entry:\n" << Entry;
+    else
+      EXPECT_EQ(It->second, Digest) << "MDG changed; new entry:\n" << Entry;
+  }
 }

@@ -3,11 +3,11 @@
 // Part of graphjs-cpp (PLDI 2024 MDG reproduction).
 //
 // The crash-only distributed draining surface: CRC32+length journal
-// framing and torn-tail recovery, the shared work ledger (O_EXCL claims,
-// lease stealing, fencing tokens, heartbeats), poison-package quarantine,
-// the deterministic merge, runSharedBatch end to end, the overloaded
-// client retry path, and chaos CLI round trips — concurrent supervisors
-// SIGKILLed mid-drain with exactly-once accounting against a
+// framing and torn-tail recovery, the shared work ledger (exclusive
+// claims, lease stealing, fencing tokens, heartbeats), poison-package
+// quarantine, the deterministic merge, runSharedBatch end to end, the
+// overloaded client retry path, and chaos CLI round trips — concurrent
+// supervisors SIGKILLed mid-drain with exactly-once accounting against a
 // single-supervisor baseline.
 //
 //===----------------------------------------------------------------------===//
@@ -307,6 +307,32 @@ TEST(WorkLedgerTest, JoinerVerifiesManifest) {
   EXPECT_FALSE(C.init({"a", "zzz"}, &Error));
   EXPECT_FALSE(Error.empty());
   std::filesystem::remove_all(Dir);
+}
+
+TEST(WorkLedgerTest, ConcurrentJoinersNeverSeeAPartialManifest) {
+  // Every contender races to publish the manifest; the losers read it at
+  // once. A name that became visible before its content (create, then
+  // write) showed up here as a "torn or corrupt" joiner.
+  std::vector<std::string> Names;
+  for (int I = 0; I < 400; ++I)
+    Names.push_back("package-with-a-long-name-" + std::to_string(I));
+  for (int Round = 0; Round < 25; ++Round) {
+    std::string Dir = tempDir("race" + std::to_string(Round));
+    std::vector<std::thread> Threads;
+    std::vector<std::string> Errors(6);
+    std::vector<int> Ok(6, 0);
+    for (size_t T = 0; T < Errors.size(); ++T)
+      Threads.emplace_back([&, T] {
+        driver::WorkLedger L(
+            ledgerOpts(Dir, 4, 10.0, "sup-" + std::to_string(T)));
+        Ok[T] = L.init(Names, &Errors[T]);
+      });
+    for (std::thread &Th : Threads)
+      Th.join();
+    for (size_t T = 0; T < Errors.size(); ++T)
+      EXPECT_TRUE(Ok[T]) << "round " << Round << ": " << Errors[T];
+    std::filesystem::remove_all(Dir);
+  }
 }
 
 TEST(WorkLedgerTest, StealOnlyAfterExpiryAndFencingWins) {

@@ -45,11 +45,11 @@ Graph randomGraph(RNG &R, size_t N, size_t E, StringInterner &Props) {
 AbstractStore randomStore(RNG &R, size_t Vars, size_t Nodes) {
   AbstractStore S;
   for (size_t I = 0; I < Vars; ++I) {
-    AbstractStore::LocSet Locs;
+    LocSet Locs;
     size_t K = R.below(4);
     for (size_t J = 0; J < K; ++J)
       Locs.insert(static_cast<NodeId>(R.below(Nodes)));
-    S.set("v" + std::to_string(I), std::move(Locs));
+    S.set(static_cast<VarId>(I), std::move(Locs));
   }
   return S;
 }

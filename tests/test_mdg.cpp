@@ -174,61 +174,177 @@ TEST(MDGTest, DumpMentionsEdgeLabels) {
 // Abstract store
 //===----------------------------------------------------------------------===//
 
+namespace {
+// Variable ids for the store tests (the builder interns names to these).
+constexpr VarId X = 1, Y = 2, A = 3, B = 4, T = 5, E = 6;
+} // namespace
+
 TEST(AbstractStoreTest, SetAndGet) {
   AbstractStore S;
-  S.set("x", 3);
-  EXPECT_EQ(S.get("x").size(), 1u);
-  EXPECT_TRUE(S.get("x").count(3));
-  EXPECT_TRUE(S.get("y").empty());
-  EXPECT_FALSE(S.contains("y"));
+  S.set(X, 3);
+  EXPECT_EQ(S.get(X).size(), 1u);
+  EXPECT_TRUE(S.get(X).count(3));
+  EXPECT_TRUE(S.get(Y).empty());
+  EXPECT_FALSE(S.contains(Y));
 }
 
 TEST(AbstractStoreTest, StrongUpdateReplaces) {
   AbstractStore S;
-  S.set("x", 1);
-  S.set("x", 2);
-  EXPECT_EQ(S.get("x").size(), 1u);
-  EXPECT_TRUE(S.get("x").count(2));
+  S.set(X, 1);
+  S.set(X, 2);
+  EXPECT_EQ(S.get(X).size(), 1u);
+  EXPECT_TRUE(S.get(X).count(2));
 }
 
 TEST(AbstractStoreTest, JoinAccumulates) {
   AbstractStore S;
-  S.set("x", 1);
-  EXPECT_TRUE(S.join("x", {2}));
-  EXPECT_FALSE(S.join("x", {2}));
-  EXPECT_EQ(S.get("x").size(), 2u);
+  S.set(X, 1);
+  EXPECT_TRUE(S.join(X, {2}));
+  EXPECT_FALSE(S.join(X, {2}));
+  EXPECT_EQ(S.get(X).size(), 2u);
 }
 
 TEST(AbstractStoreTest, JoinWithAndLeq) {
   AbstractStore S1, S2;
-  S1.set("x", 1);
-  S2.set("x", 2);
-  S2.set("y", 3);
+  S1.set(X, 1);
+  S2.set(X, 2);
+  S2.set(Y, 3);
   EXPECT_FALSE(AbstractStore::leq(S2, S1));
   AbstractStore Joined = S1;
   EXPECT_TRUE(Joined.joinWith(S2));
   EXPECT_TRUE(AbstractStore::leq(S1, Joined));
   EXPECT_TRUE(AbstractStore::leq(S2, Joined));
-  EXPECT_EQ(Joined.get("x").size(), 2u);
+  EXPECT_EQ(Joined.get(X).size(), 2u);
 }
 
 TEST(AbstractStoreTest, ReplaceEverywhereRewritesVersions) {
   AbstractStore S;
-  S.set("a", {1, 5});
-  S.set("b", 5);
+  S.set(A, {1, 5});
+  S.set(B, 5);
   S.replaceEverywhere(5, 9);
-  EXPECT_TRUE(S.get("a").count(9));
-  EXPECT_FALSE(S.get("a").count(5));
-  EXPECT_TRUE(S.get("b").count(9));
+  EXPECT_TRUE(S.get(A).count(9));
+  EXPECT_FALSE(S.get(A).count(5));
+  EXPECT_TRUE(S.get(B).count(9));
 }
 
 TEST(AbstractStoreTest, Equality) {
   AbstractStore S1, S2;
-  S1.set("x", 1);
-  S2.set("x", 1);
+  S1.set(X, 1);
+  S2.set(X, 1);
   EXPECT_TRUE(S1 == S2);
-  S2.join("x", {2});
+  S2.join(X, {2});
   EXPECT_FALSE(S1 == S2);
+}
+
+TEST(AbstractStoreTest, LocSetIteratesInAscendingOrder) {
+  LocSet L{9, 2, 5, 2};
+  EXPECT_EQ(std::vector<NodeId>(L.begin(), L.end()),
+            (std::vector<NodeId>{2, 5, 9}));
+  EXPECT_TRUE(L.insertAll({1, 5}));
+  EXPECT_FALSE(L.insertAll({1, 9}));
+  EXPECT_EQ(std::vector<NodeId>(L.begin(), L.end()),
+            (std::vector<NodeId>{1, 2, 5, 9}));
+}
+
+// The builder's while-loop pattern: each iteration opens a level and
+// joinLevel() reports whether ρ̂' ⊔ ρ̂ differs from ρ̂. Here the fixpoint runs
+// inside both branches of an if; the then-branch also wrote X before its
+// loop, so the loop's trail entry for X folds into the branch's older one.
+TEST(AbstractStoreTest, NestedFixpointInsideBothIfBranches) {
+  AbstractStore S;
+  S.set(X, 1);
+
+  S.pushLevel(); // then-branch
+  S.set(X, 4);
+  S.pushLevel(); // loop, iteration 1
+  S.set(X, 2);
+  EXPECT_TRUE(S.joinLevel());
+  EXPECT_EQ(S.get(X), (LocSet{2, 4}));
+  S.pushLevel(); // loop, iteration 2: nothing new
+  S.set(X, 2);
+  EXPECT_FALSE(S.joinLevel());
+  EXPECT_EQ(S.get(X), (LocSet{2, 4}));
+  AbstractStore::Branch Then = S.undoLevel();
+  EXPECT_EQ(S.get(X), (LocSet{1})) << "undo restores the pre-if binding";
+  EXPECT_EQ(S.depth(), 0u);
+
+  S.pushLevel(); // else-branch
+  S.pushLevel(); // loop, iteration 1: creates Y
+  S.set(Y, 3);
+  EXPECT_TRUE(S.joinLevel());
+  S.pushLevel(); // loop, iteration 2
+  S.set(Y, 3);
+  EXPECT_FALSE(S.joinLevel());
+  S.joinBranch(Then);
+
+  EXPECT_EQ(S.depth(), 0u);
+  EXPECT_EQ(S.get(X), (LocSet{1, 2, 4}));
+  EXPECT_EQ(S.get(Y), (LocSet{3}));
+  EXPECT_EQ(S.numBound(), 2u);
+}
+
+TEST(AbstractStoreTest, BranchOnlyBindingsSurviveTheJoin) {
+  AbstractStore S;
+  S.set(A, 1);
+  S.set(B, 7);
+
+  S.pushLevel(); // then: binds T, overwrites A
+  S.set(T, 5);
+  S.set(A, 2);
+  AbstractStore::Branch Then = S.undoLevel();
+  EXPECT_FALSE(S.contains(T)) << "then-only binding undone before else";
+  EXPECT_EQ(S.get(A), (LocSet{1}));
+
+  S.pushLevel(); // else: binds E, overwrites A and B
+  S.set(E, 6);
+  S.set(A, 3);
+  S.set(B, 8);
+  S.joinBranch(Then);
+
+  EXPECT_EQ(S.get(T), (LocSet{5})) << "bound only in the then-branch";
+  EXPECT_EQ(S.get(E), (LocSet{6})) << "bound only in the else-branch";
+  EXPECT_EQ(S.get(A), (LocSet{2, 3}));
+  // The then-branch left B at its pre-if binding, so the join keeps it.
+  EXPECT_EQ(S.get(B), (LocSet{7, 8}));
+}
+
+TEST(AbstractStoreTest, JoinOfEmptySetCreatesBinding) {
+  AbstractStore S;
+  EXPECT_TRUE(S.join(X, {}));
+  EXPECT_TRUE(S.contains(X));
+  EXPECT_TRUE(S.get(X).empty());
+  EXPECT_FALSE(S.join(X, {}));
+
+  // Under a level, creating a binding is a change even though no location
+  // was added.
+  S.pushLevel();
+  EXPECT_TRUE(S.join(Y, {}));
+  EXPECT_TRUE(S.joinLevel());
+  EXPECT_TRUE(S.contains(Y));
+  S.pushLevel();
+  S.join(Y, {});
+  EXPECT_FALSE(S.joinLevel());
+}
+
+TEST(AbstractStoreTest, ReplaceEverywhereUnderLevelIsUndone) {
+  AbstractStore S;
+  S.set(A, {1, 5});
+  S.set(B, 5);
+
+  S.pushLevel();
+  S.replaceEverywhere(5, 9);
+  EXPECT_EQ(S.get(A), (LocSet{1, 9}));
+  EXPECT_EQ(S.get(B), (LocSet{9}));
+  S.undoLevel();
+  EXPECT_EQ(S.get(A), (LocSet{1, 5}));
+  EXPECT_EQ(S.get(B), (LocSet{5}));
+
+  // The reverse index follows the undo: a later rewrite of 5 still finds
+  // both holders, and 9 no longer has any.
+  S.replaceEverywhere(9, 11);
+  S.replaceEverywhere(5, 7);
+  EXPECT_EQ(S.get(A), (LocSet{1, 7}));
+  EXPECT_EQ(S.get(B), (LocSet{7}));
 }
 
 TEST(MDGTest, DotExportRendersStructure) {

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -492,8 +493,9 @@ TEST(HistogramTest, DisabledRecordsHaveNegligibleCost) {
 TEST(HistogramTest, WiredCatalogIsRegistered) {
   obs::HistogramSnapshotMap Snap = obs::snapshotHistograms();
   for (const char *Name :
-       {"scan.latency_us", "phase.parse_us", "phase.build_us",
-        "phase.import_us", "phase.query_us", "queue.wait_us", "worker.job_us",
+       {"scan.latency_us", "phase.parse_us", "phase.normalize_us",
+        "phase.prune_us", "phase.build_us", "phase.import_us",
+        "phase.query_us", "queue.wait_us", "worker.job_us",
         "proto.frame_bytes"})
     EXPECT_TRUE(Snap.count(Name)) << Name;
 }
@@ -639,6 +641,34 @@ TEST(ScanObsTest, ScanPackageCoversEveryPipelinePhase) {
   EXPECT_EQ(Spans[0].Depth, 0u);
   for (size_t I = 1; I < Spans.size(); ++I)
     EXPECT_GT(Spans[I].Depth, 0u) << Spans[I].Name;
+}
+
+TEST(ScanObsTest, BuildSpanAndCountersShowWhereTheBuildIterates) {
+  CounterGate Gate(true);
+  TraceRecorder TR;
+  scanner::ScanOptions O;
+  O.Trace = &TR;
+  scanner::Scanner S(O);
+  obs::HistogramSnapshotMap Before = obs::snapshotHistograms();
+  scanner::ScanResult R = S.scanPackage({{"index.js", VulnSource}});
+
+  // One fixpoint per analyzed function body; `run` binds cmd, cb, prefixed
+  // and the module-level cp among others.
+  EXPECT_GT(R.Counters.at("build.fixpoint_iters"), 0u);
+  EXPECT_GE(R.Counters.at("build.store_vars_peak"), 4u);
+  std::map<std::string, std::string> Args;
+  for (const auto &Sp : TR.spans())
+    if (Sp.Name == "build")
+      Args.insert(Sp.Args.begin(), Sp.Args.end());
+  EXPECT_EQ(Args["fixpoint_iters"],
+            std::to_string(R.Counters.at("build.fixpoint_iters")));
+  EXPECT_EQ(Args["store_vars_peak"],
+            std::to_string(R.Counters.at("build.store_vars_peak")));
+
+  // Normalize and prune get their own latency distributions.
+  obs::HistogramSnapshotMap After = obs::snapshotHistograms();
+  for (const char *Name : {"phase.normalize_us", "phase.prune_us"})
+    EXPECT_EQ(After.at(Name).count(), Before.at(Name).count() + 1) << Name;
 }
 
 TEST(ScanObsTest, NativeBackendTracesNativeQuerySpan) {

@@ -36,8 +36,8 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 "$BUILD_DIR/tests/test_procpool"
 
 # The distributed-draining chaos suite: CRC framing over torn byte
-# prefixes, the O_EXCL lease ratchet and steal/fence races, quarantine
-# marker IO, the merge's cross-journal dedup, and `graphjs batch
+# prefixes, the link(2)-published lease ratchet and steal/fence races,
+# quarantine marker IO, the merge's cross-journal dedup, and `graphjs batch
 # --shared` supervisors SIGKILLed mid-drain — crash-recovery paths that
 # re-read half-written state are exactly where use-after-free and
 # uninitialized reads hide.
@@ -76,3 +76,10 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 "$BUILD_DIR/tests/test_async"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+# The flake gate: the whole suite three more times under full parallel
+# load. A test that passes only most of the time (a publication race in
+# the ledger, an order-dependent store bug) fails the job here instead of
+# flaking later. until-fail stops each test at its first failure.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
+  --repeat until-fail:3

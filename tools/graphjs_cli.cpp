@@ -328,6 +328,10 @@ int runScan(const std::vector<std::string> &Files, bool Native, bool Confirm,
     analysis::BuildResult Build = analysis::buildMDG(*Program);
     BuildSpan.arg("mdg_nodes", static_cast<uint64_t>(Build.Graph.numNodes()));
     BuildSpan.arg("mdg_edges", static_cast<uint64_t>(Build.Graph.numEdges()));
+    BuildSpan.arg("work", Build.WorkDone);
+    BuildSpan.arg("fixpoint_iters", Build.FixpointIters);
+    BuildSpan.arg("store_vars_peak",
+                  static_cast<uint64_t>(Build.StoreVarsPeak));
     BuildSpan.close();
     if (SelfCheck) {
       lint::PassManager PM;
