@@ -164,6 +164,18 @@ private:
   json::Object Root, SeriesObj, Scalars;
 };
 
+/// Stamps the build's provenance into a bench's output through \p Add, a
+/// (key, value) sink — benchmark::AddCustomContext for the
+/// google-benchmark binaries, whose JSON "context" then records what was
+/// measured: source revision, build type, compiler and GJS_BENCH_SCALE.
+/// The first three are configured by bench/targets.cmake.
+template <typename AddFn> void addProvenance(AddFn Add) {
+  Add("git_revision", GJS_GIT_REVISION);
+  Add("build_type", GJS_BUILD_TYPE);
+  Add("compiler", GJS_COMPILER);
+  Add("gjs_bench_scale", std::to_string(scalePercent()));
+}
+
 inline void printHeader(const char *Title, const char *PaperRef) {
   std::printf("\n================================================================\n");
   std::printf("%s\n(reproduces %s; GJS_BENCH_SCALE=%u%%)\n", Title, PaperRef,

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "analysis/MDGBuilder.h"
 #include "core/Normalizer.h"
 #include "frontend/Parser.h"
@@ -91,7 +92,8 @@ BENCHMARK(BM_ImportToGraphDB)->Arg(50)->Arg(200)->Arg(800)->Arg(3200)
 // Custom main instead of BENCHMARK_MAIN(): write the results to
 // BENCH_micro_construction.json (google-benchmark's JSON format) unless
 // the caller already passed a --benchmark_out destination. The directory
-// is overridable with GJS_BENCH_OUT, matching bench::Report.
+// is overridable with GJS_BENCH_OUT, matching bench::Report. The JSON
+// context carries the build provenance (bench::addProvenance).
 int main(int argc, char **argv) {
   std::vector<char *> Args(argv, argv + argc);
   bool HasOut = false;
@@ -107,6 +109,7 @@ int main(int argc, char **argv) {
   }
   int N = static_cast<int>(Args.size());
   benchmark::Initialize(&N, Args.data());
+  bench::addProvenance(benchmark::AddCustomContext);
   if (benchmark::ReportUnrecognizedArguments(N, Args.data()))
     return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "analysis/MDGBuilder.h"
 #include "core/Normalizer.h"
 #include "queries/QueryRunner.h"
@@ -103,7 +104,8 @@ BENCHMARK(BM_EndToEndScan)->Arg(100)->Arg(400)->Arg(1600);
 // Custom main instead of BENCHMARK_MAIN(): write the results to
 // BENCH_micro_querylatency.json (google-benchmark's JSON format) unless
 // the caller already passed a --benchmark_out destination. The directory
-// is overridable with GJS_BENCH_OUT, matching bench::Report.
+// is overridable with GJS_BENCH_OUT, matching bench::Report. The JSON
+// context carries the build provenance (bench::addProvenance).
 int main(int argc, char **argv) {
   std::vector<char *> Args(argv, argv + argc);
   bool HasOut = false;
@@ -119,6 +121,7 @@ int main(int argc, char **argv) {
   }
   int N = static_cast<int>(Args.size());
   benchmark::Initialize(&N, Args.data());
+  bench::addProvenance(benchmark::AddCustomContext);
   if (benchmark::ReportUnrecognizedArguments(N, Args.data()))
     return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -3,8 +3,24 @@
 #   for b in build/bench/*; do $b; done
 # runs the whole harness.
 
+# Build provenance stamped into bench output (bench::addProvenance): the
+# source revision at configure time, the build type and the compiler.
+execute_process(
+  COMMAND git describe --always --dirty --abbrev=12
+  WORKING_DIRECTORY ${CMAKE_SOURCE_DIR}
+  OUTPUT_VARIABLE GJS_GIT_REVISION
+  OUTPUT_STRIP_TRAILING_WHITESPACE
+  ERROR_QUIET)
+if(NOT GJS_GIT_REVISION)
+  set(GJS_GIT_REVISION "unknown")
+endif()
+
 function(gjs_add_bench NAME)
   add_executable(${NAME} ${CMAKE_SOURCE_DIR}/bench/${NAME}.cpp)
+  target_compile_definitions(${NAME} PRIVATE
+    GJS_GIT_REVISION="${GJS_GIT_REVISION}"
+    GJS_BUILD_TYPE="${CMAKE_BUILD_TYPE}"
+    GJS_COMPILER="${CMAKE_CXX_COMPILER_ID} ${CMAKE_CXX_COMPILER_VERSION}")
   target_link_libraries(${NAME} PRIVATE
     gjs_eval gjs_workload gjs_odgen gjs_scanner gjs_queries gjs_graphdb
     gjs_analysis gjs_mdg gjs_coreir gjs_cfg gjs_frontend gjs_support)

@@ -44,13 +44,14 @@ std::string readFileAll(const std::string &Path) {
   return S;
 }
 
-/// Atomic exclusive publication. The content goes to a private temp file
-/// (a dotfile beside \p Path, which directory listings skip), is fsynced,
-/// and is then link(2)ed to the final name. link fails with EEXIST when
-/// the name exists, so exactly one contender ever sees success — the
-/// claim/steal token ratchet is built entirely on that — and a reader
-/// that finds the name always finds the whole content.
-bool createExclusive(const std::string &Path, const std::string &Content) {
+/// The shared first half of every publication: writes \p Content to a
+/// private temp file beside \p Path and fsyncs it. The temp name is a
+/// dotfile (directory listings skip it) unique per process and call (pid
+/// plus a per-process counter), so concurrent writers of one name never
+/// share a temp. Returns the temp path, or "" on failure — with nothing
+/// left behind.
+std::string writeSyncedTemp(const std::string &Path,
+                            const std::string &Content) {
   static std::atomic<unsigned> Seq{0};
   fs::path Final(Path);
   std::string Tmp =
@@ -60,7 +61,7 @@ bool createExclusive(const std::string &Path, const std::string &Content) {
           .string();
   int FD = ::open(Tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
   if (FD < 0)
-    return false;
+    return "";
   size_t Off = 0;
   while (Off < Content.size()) {
     ssize_t N = ::write(FD, Content.data() + Off, Content.size() - Off);
@@ -72,25 +73,25 @@ bool createExclusive(const std::string &Path, const std::string &Content) {
   }
   bool Ok = Off == Content.size() && ::fsync(FD) == 0;
   Ok = ::close(FD) == 0 && Ok;
-  Ok = Ok && ::link(Tmp.c_str(), Path.c_str()) == 0;
-  ::unlink(Tmp.c_str());
-  return Ok;
+  if (!Ok) {
+    ::unlink(Tmp.c_str());
+    return "";
+  }
+  return Tmp;
 }
 
-/// Write-temp-then-rename: readers see the old content or the new content,
-/// never a torn half (heartbeat/owner files are rewritten while observers
-/// poll them).
-bool writeFileAtomic(const std::string &Path, const std::string &Content) {
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out << Content;
-    if (!Out.flush())
-      return false;
-  }
-  return ::rename(Tmp.c_str(), Path.c_str()) == 0;
+/// Atomic exclusive publication: the synced temp file is link(2)ed to the
+/// final name. link fails with EEXIST when the name exists, so exactly one
+/// contender ever sees success — the claim/steal token ratchet is built
+/// entirely on that — and a reader that finds the name always finds the
+/// whole content.
+bool createExclusive(const std::string &Path, const std::string &Content) {
+  std::string Tmp = writeSyncedTemp(Path, Content);
+  if (Tmp.empty())
+    return false;
+  bool Ok = ::link(Tmp.c_str(), Path.c_str()) == 0;
+  ::unlink(Tmp.c_str());
+  return Ok;
 }
 
 double fileMtime(const std::string &Path) {
@@ -128,6 +129,17 @@ std::string sanitizeName(const std::string &Name) {
 }
 
 } // namespace
+
+bool driver::writeFileAtomic(const std::string &Path,
+                             const std::string &Content) {
+  std::string Tmp = writeSyncedTemp(Path, Content);
+  if (Tmp.empty())
+    return false;
+  if (::rename(Tmp.c_str(), Path.c_str()) == 0)
+    return true;
+  ::unlink(Tmp.c_str());
+  return false;
+}
 
 //===----------------------------------------------------------------------===//
 // WorkLedger

@@ -16,7 +16,43 @@ using namespace gjs::mdg;
 ImportedMDG graphdb::importMDG(const Graph &MDG, const StringInterner &Props,
                                Deadline *ScanDeadline) {
   ImportedMDG Out;
+  PropertyGraph &G = Out.Graph;
   Out.NodeOf.reserve(MDG.numNodes());
+
+  // The schema's strings, interned up front. Keys are interned in
+  // alphabetical order, so the runs below are already sorted by atom.
+  const Atom Label = G.intern("label"), Line = G.intern("line"),
+             Name = G.intern("name"), PathKey = G.intern("path"),
+             Site = G.intern("site"), Taint = G.intern("taint");
+  const Atom Call = G.intern("Call"), Object = G.intern("Object");
+  const Atom True = G.intern("true"), False = G.intern("false");
+  Atom TypeOf[5];
+  TypeOf[static_cast<int>(EdgeKind::Dep)] = G.intern("D");
+  TypeOf[static_cast<int>(EdgeKind::Prop)] = G.intern("P");
+  TypeOf[static_cast<int>(EdgeKind::PropUnknown)] = G.intern("PU");
+  TypeOf[static_cast<int>(EdgeKind::Version)] = G.intern("V");
+  TypeOf[static_cast<int>(EdgeKind::VersionUnknown)] = G.intern("VU");
+
+  // Small numbers (lines, sites) and MDG property names recur across
+  // nodes and edges: each is interned once.
+  std::vector<Atom> NumberAtoms;
+  auto Number = [&](uint32_t V) {
+    if (V >= 1u << 16)
+      return G.intern(std::to_string(V));
+    if (V >= NumberAtoms.size())
+      NumberAtoms.resize(V + 1, NoAtom);
+    Atom &A = NumberAtoms[V];
+    if (A == NoAtom)
+      A = G.intern(std::to_string(V));
+    return A;
+  };
+  std::vector<Atom> PropAtoms(Props.size(), NoAtom);
+  auto PropName = [&](Symbol S) {
+    Atom &A = PropAtoms[S];
+    if (A == NoAtom)
+      A = G.intern(Props.str(S));
+    return A;
+  };
 
   for (NodeId N : MDG.nodeIds()) {
     // Cooperative cancellation: one checkpoint per imported node. On
@@ -26,17 +62,21 @@ ImportedMDG graphdb::importMDG(const Graph &MDG, const StringInterner &Props,
       return Out;
     }
     const Node &Src = MDG.node(N);
-    std::map<std::string, std::string> P;
-    P["label"] = Src.Label;
-    P["site"] = std::to_string(Src.Site);
-    P["line"] = std::to_string(Src.Loc.Line);
+    Atom L = G.intern(Src.Label);
+    Atom LineA = Number(Src.Loc.Line), SiteA = Number(Src.Site);
     if (Src.Kind == NodeKind::Call) {
-      P["name"] = Src.CallName;
-      P["path"] = Src.CallPath;
-      Out.NodeOf.push_back(Out.Graph.addNode("Call", std::move(P)));
+      const Prop P[] = {{Label, L},
+                        {Line, LineA},
+                        {Name, G.intern(Src.CallName)},
+                        {PathKey, G.intern(Src.CallPath)},
+                        {Site, SiteA}};
+      Out.NodeOf.push_back(G.addNode(Call, P));
     } else {
-      P["taint"] = Src.IsTaintSource ? "true" : "false";
-      Out.NodeOf.push_back(Out.Graph.addNode("Object", std::move(P)));
+      const Prop P[] = {{Label, L},
+                        {Line, LineA},
+                        {Site, SiteA},
+                        {Taint, Src.IsTaintSource ? True : False}};
+      Out.NodeOf.push_back(G.addNode(Object, P));
     }
     obs::counters::ImportNodes.add();
   }
@@ -48,29 +88,13 @@ ImportedMDG graphdb::importMDG(const Graph &MDG, const StringInterner &Props,
         Out.Truncated = true;
         return Out;
       }
-      std::map<std::string, std::string> P;
-      const char *Type = "D";
-      switch (E.Kind) {
-      case EdgeKind::Dep:
-        Type = "D";
-        break;
-      case EdgeKind::Prop:
-        Type = "P";
-        P["name"] = Props.str(E.Prop);
-        break;
-      case EdgeKind::PropUnknown:
-        Type = "PU";
-        break;
-      case EdgeKind::Version:
-        Type = "V";
-        P["name"] = Props.str(E.Prop);
-        break;
-      case EdgeKind::VersionUnknown:
-        Type = "VU";
-        break;
-      }
-      Out.Graph.addRel(Out.NodeOf[E.From], Out.NodeOf[E.To], Type,
-                       std::move(P));
+      // P(p) and V(p) carry the property name; the others carry nothing.
+      bool Named =
+          E.Kind == EdgeKind::Prop || E.Kind == EdgeKind::Version;
+      const Prop P[] = {{Name, Named ? PropName(E.Prop) : 0}};
+      G.addRel(Out.NodeOf[E.From], Out.NodeOf[E.To],
+               TypeOf[static_cast<int>(E.Kind)],
+               std::span<const Prop>(P, Named ? 1 : 0));
       obs::counters::ImportRels.add();
     }
   }

@@ -203,20 +203,249 @@ struct QueryEngine::Profiler {
   };
 };
 
-QueryEngine::QueryEngine(const PropertyGraph &Graph, EngineOptions O)
-    : G(Graph), Options(O) {}
+//===----------------------------------------------------------------------===//
+// The compiled plan
+//===----------------------------------------------------------------------===//
 
-void QueryEngine::registerPathPredicate(const std::string &Name,
-                                        PathPredicate Pred) {
-  Predicates[Name] = std::move(Pred);
+/// A node pattern resolved against the store.
+struct QueryEngine::NodeStep {
+  /// A label or property string the store never saw: matches nothing.
+  bool Never = false;
+  Atom Label = NoAtom; ///< NoAtom = any label.
+  std::vector<Prop> Props;
+  int32_t Slot = -1; ///< Node variable slot; -1 = anonymous.
+  /// Label scan of an item's first node (ascending handles).
+  const std::vector<NodeHandle> *Scan = nullptr;
+};
+
+/// A relationship pattern resolved against the store.
+struct QueryEngine::RelStep {
+  bool AnyType = true;
+  /// Bitset over type atoms: the pattern's types the store has.
+  std::vector<uint64_t> Types;
+  bool hasType(Atom T) const {
+    return (T >> 6) < Types.size() && (Types[T >> 6] >> (T & 63)) & 1;
+  }
+  bool Never = false;      ///< A property string the store never saw.
+  std::vector<Prop> Props;
+  uint32_t MinHops = 1, MaxHops = 1; ///< Effective bounds.
+  bool Reverse = false;
+  bool Folded = false; ///< Variable-length with a registered fold.
+};
+
+struct QueryEngine::Plan {
+  struct Item {
+    std::vector<NodeStep> Nodes;
+    std::vector<RelStep> Rels;
+    int32_t PathSlot = -1;
+    size_t StepBase = 0; ///< Plan step of the item's scan.
+  };
+  struct Cond {
+    bool IsCompare = true;
+    bool Negated = false;
+    bool NotEqual = false;
+    int32_t LHSSlot = -1, RHSSlot = -1; ///< -1: not a node variable.
+    /// NoAtom (a key the store never saw) reads as '' like a missing key.
+    Atom LHSKey = NoAtom, RHSKey = NoAtom;
+    bool RHSIsLiteral = true;
+    Atom RHSLiteral = NoAtom;
+    const PathPredicate *Pred = nullptr; ///< null: unregistered.
+    int32_t PathSlot = -1;
+  };
+  struct Return {
+    int32_t NodeSlot = -1, PathSlot = -1;
+    bool WholeNode = true;
+    Atom Key = NoAtom;
+  };
+  std::vector<Item> Items;
+  std::vector<Cond> Conds;
+  std::vector<Return> Returns;
+  std::vector<std::string> NodeVars, PathVars; ///< Slot → variable name.
+  size_t NumSteps = 0; ///< One scan plus one per segment, per item.
+  bool Distinct = false;
+  uint64_t Limit = 0;
+};
+
+QueryEngine::Plan QueryEngine::compile(const Query &Q) const {
+  Plan P;
+  P.Distinct = Q.Distinct;
+  P.Limit = Q.Limit;
+  std::map<std::string, int32_t> NodeSlots, PathSlots;
+  auto Declare = [](std::map<std::string, int32_t> &Slots,
+                    std::vector<std::string> &Names, const std::string &Var) {
+    if (Var.empty())
+      return -1;
+    auto [It, Fresh] =
+        Slots.emplace(Var, static_cast<int32_t>(Names.size()));
+    if (Fresh)
+      Names.push_back(Var);
+    return It->second;
+  };
+  auto Find = [](const std::map<std::string, int32_t> &Slots,
+                 const std::string &Var) {
+    auto It = Slots.find(Var);
+    return It == Slots.end() ? -1 : It->second;
+  };
+  // Pattern properties: a key or value the store never saw can't match.
+  auto Resolve = [&](const std::map<std::string, std::string> &In,
+                     std::vector<Prop> &Out) {
+    bool Never = false;
+    for (const auto &[Key, Value] : In) {
+      Prop Pr{G.atom(Key), G.atom(Value)};
+      Never |= Pr.Key == NoAtom || Pr.Value == NoAtom;
+      Out.push_back(Pr);
+    }
+    return Never;
+  };
+  for (const MatchItem &M : Q.Matches) {
+    Plan::Item &I = P.Items.emplace_back();
+    I.PathSlot = Declare(PathSlots, P.PathVars, M.PathVar);
+    I.StepBase = P.NumSteps;
+    P.NumSteps += M.Nodes.size();
+    for (const NodePattern &N : M.Nodes) {
+      NodeStep &S = I.Nodes.emplace_back();
+      if (!N.Label.empty()) {
+        S.Label = G.atom(N.Label);
+        S.Never = S.Label == NoAtom;
+      }
+      S.Never |= Resolve(N.Props, S.Props);
+      S.Slot = Declare(NodeSlots, P.NodeVars, N.Var);
+      S.Scan = &G.nodesByLabel(N.Label);
+    }
+    for (const RelPattern &R : M.Rels) {
+      RelStep &S = I.Rels.emplace_back();
+      S.AnyType = R.Types.empty();
+      for (const std::string &T : R.Types)
+        if (Atom A = G.atom(T); A != NoAtom) {
+          if ((A >> 6) >= S.Types.size())
+            S.Types.resize((A >> 6) + 1, 0);
+          S.Types[A >> 6] |= uint64_t(1) << (A & 63);
+        }
+      S.Never = Resolve(R.Props, S.Props);
+      S.MinHops = R.VarLength ? R.MinHops : 1;
+      S.MaxHops = R.VarLength ? (R.Unbounded ? Options.MaxHops : R.MaxHops) : 1;
+      S.Reverse = R.Reverse;
+      S.Folded = R.VarLength && Fold_;
+    }
+  }
+  for (const Condition &C : Q.Where) {
+    Plan::Cond &PC = P.Conds.emplace_back();
+    PC.IsCompare = C.K == Condition::Kind::Compare;
+    PC.Negated = C.Negated;
+    if (PC.IsCompare) {
+      PC.NotEqual = C.NotEqual;
+      PC.LHSSlot = Find(NodeSlots, C.LHSVar);
+      PC.LHSKey = G.atom(C.LHSKey);
+      PC.RHSIsLiteral = C.RHSIsLiteral;
+      if (C.RHSIsLiteral) {
+        PC.RHSLiteral = G.atom(C.RHSLiteral);
+      } else {
+        PC.RHSSlot = Find(NodeSlots, C.RHSVar);
+        PC.RHSKey = G.atom(C.RHSKey);
+      }
+    } else {
+      auto It = Predicates.find(C.PredName);
+      PC.Pred = It == Predicates.end() ? nullptr : &It->second;
+      PC.PathSlot = Find(PathSlots, C.PredArg);
+    }
+  }
+  for (const ReturnItem &R : Q.Returns) {
+    Plan::Return &PR = P.Returns.emplace_back();
+    PR.NodeSlot = Find(NodeSlots, R.Var);
+    PR.PathSlot = Find(PathSlots, R.Var);
+    PR.WholeNode = R.Key.empty();
+    PR.Key = G.atom(R.Key);
+  }
+  return P;
 }
+
+//===----------------------------------------------------------------------===//
+// Matcher state and reusable buffers
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The (node, fold state) pairs one variable-length segment walk has
+/// reached: a flat open-addressing table, emptied in O(1) by bumping the
+/// generation stamp.
+class VisitedTable {
+public:
+  /// Starts a new segment walk.
+  void reset() {
+    Used = 0;
+    if (++Gen == 0) { // Stamp wrapped: clear for real.
+      for (Entry &E : Slots)
+        E.Gen = 0;
+      Gen = 1;
+    }
+  }
+
+  /// Inserts (N, S); false when the walk already reached it.
+  bool insert(NodeHandle N, int64_t S) {
+    if ((Used + 1) * 2 > Slots.size())
+      grow();
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = hash(N, S) & Mask;; I = (I + 1) & Mask) {
+      Entry &E = Slots[I];
+      if (E.Gen != Gen) {
+        E = {Gen, N, S};
+        ++Used;
+        return true;
+      }
+      if (E.Node == N && E.State == S)
+        return false;
+    }
+  }
+
+private:
+  struct Entry {
+    uint32_t Gen = 0;
+    NodeHandle Node = 0;
+    int64_t State = 0;
+  };
+  std::vector<Entry> Slots;
+  uint32_t Gen = 0;
+  size_t Used = 0;
+
+  static size_t hash(NodeHandle N, int64_t S) {
+    uint64_t K = (static_cast<uint64_t>(S) << 32) ^ N;
+    K *= 0x9E3779B97F4A7C15ULL;
+    return static_cast<size_t>(K ^ (K >> 32));
+  }
+
+  void grow() {
+    std::vector<Entry> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? 64 : Old.size() * 2, Entry());
+    size_t Mask = Slots.size() - 1;
+    for (const Entry &E : Old) {
+      if (E.Gen != Gen)
+        continue;
+      size_t I = hash(E.Node, E.State) & Mask;
+      while (Slots[I].Gen == Gen)
+        I = (I + 1) & Mask;
+      Slots[I] = E;
+    }
+  }
+};
+
+} // namespace
+
+struct QueryEngine::Buffers {
+  /// One per MATCH item: the item's path so far, and an on-path mark per
+  /// relationship (relationship isomorphism in O(1)).
+  struct ItemPath {
+    Path P;
+    std::vector<uint8_t> OnPath;
+  };
+  std::vector<ItemPath> Items;
+  std::vector<VisitedTable> Visited; ///< One per plan step.
+};
 
 /// Mutable matcher state threaded through the backtracking search.
 struct QueryEngine::MatchState {
-  std::map<std::string, NodeHandle> NodeBindings;
-  std::map<std::string, Path> PathBindings;
-  /// Path accumulated for the current MatchItem.
-  Path CurrentPath;
+  const Plan &P;
+  std::vector<NodeHandle> Nodes; ///< Node slot → binding (or invalid).
+  std::vector<int32_t> Paths;    ///< Path slot → bound item (or -1).
   /// Projected rows already emitted (RETURN DISTINCT).
   std::set<std::vector<std::string>> SeenRows;
   uint64_t Work = 0;
@@ -226,58 +455,80 @@ struct QueryEngine::MatchState {
   bool RowLimitHit = false;
   /// Non-null in PROFILE mode only.
   Profiler *Prof = nullptr;
+
+  explicit MatchState(const Plan &P)
+      : P(P), Nodes(P.NodeVars.size(), InvalidHandle),
+        Paths(P.PathVars.size(), -1) {}
 };
 
-bool QueryEngine::nodeMatches(NodeHandle H, const NodePattern &Pat) const {
-  const StoredNode &N = G.node(H);
-  if (!Pat.Label.empty() && N.Label != Pat.Label)
+/// One variable-length (or single-hop) segment walk of matchChain.
+struct QueryEngine::Segment {
+  size_t ItemIdx, NodeIdx, StepIdx;
+  const RelStep &R;
+  const NodeStep &Next;
+  Buffers::ItemPath &Item;
+  VisitedTable *Visited; ///< Non-null when the segment is folded.
+};
+
+//===----------------------------------------------------------------------===//
+// Matching
+//===----------------------------------------------------------------------===//
+
+QueryEngine::QueryEngine(const PropertyGraph &Graph, EngineOptions O)
+    : G(Graph), Options(O), Bufs(std::make_unique<Buffers>()) {}
+
+QueryEngine::~QueryEngine() = default;
+
+void QueryEngine::registerPathPredicate(const std::string &Name,
+                                        PathPredicate Pred) {
+  Predicates[Name] = std::move(Pred);
+}
+
+bool QueryEngine::nodeMatches(NodeHandle H, const NodeStep &Pat) const {
+  if (Pat.Never)
     return false;
-  for (const auto &[Key, Value] : Pat.Props) {
-    auto It = N.Props.find(Key);
-    if (It == N.Props.end() || It->second != Value)
+  if (Pat.Label != NoAtom && G.node(H).Label != Pat.Label)
+    return false;
+  for (const Prop &P : Pat.Props)
+    if (G.propAtom(H, P.Key) != P.Value)
       return false;
-  }
   return true;
 }
 
-bool QueryEngine::relTypeMatches(RelHandle H, const RelPattern &Pat) const {
-  const StoredRel &R = G.rel(H);
-  if (!Pat.Types.empty() &&
-      std::find(Pat.Types.begin(), Pat.Types.end(), R.Type) ==
-          Pat.Types.end())
+bool QueryEngine::relMatches(RelHandle H, const RelStep &Pat) const {
+  if (Pat.Never)
     return false;
-  for (const auto &[Key, Value] : Pat.Props) {
-    auto It = R.Props.find(Key);
-    if (It == R.Props.end() || It->second != Value)
+  if (!Pat.AnyType && !Pat.hasType(G.rel(H).Type))
+    return false;
+  for (const Prop &P : Pat.Props)
+    if (G.relPropAtom(H, P.Key) != P.Value)
       return false;
-  }
   return true;
 }
 
-bool QueryEngine::evalWhere(const Query &Q, const MatchState &State) const {
-  for (const Condition &C : Q.Where) {
+bool QueryEngine::evalWhere(const MatchState &State) const {
+  // A property read: the value atom, "" (atom 0) when the node lacks it.
+  auto Read = [&](int32_t Slot, Atom Key, Atom &Out) {
+    if (Slot < 0 || State.Nodes[Slot] == InvalidHandle)
+      return false;
+    Out = G.propAtom(State.Nodes[Slot], Key);
+    if (Out == NoAtom)
+      Out = 0;
+    return true;
+  };
+  for (const Plan::Cond &C : State.P.Conds) {
     bool Holds = false;
-    if (C.K == Condition::Kind::Compare) {
-      auto LIt = State.NodeBindings.find(C.LHSVar);
-      if (LIt == State.NodeBindings.end())
+    if (C.IsCompare) {
+      Atom LHS = NoAtom, RHS = C.RHSLiteral;
+      if (!Read(C.LHSSlot, C.LHSKey, LHS))
         return false;
-      const std::string &LHS = G.prop(LIt->second, C.LHSKey);
-      std::string RHS;
-      if (C.RHSIsLiteral) {
-        RHS = C.RHSLiteral;
-      } else {
-        auto RIt = State.NodeBindings.find(C.RHSVar);
-        if (RIt == State.NodeBindings.end())
-          return false;
-        RHS = G.prop(RIt->second, C.RHSKey);
-      }
+      if (!C.RHSIsLiteral && !Read(C.RHSSlot, C.RHSKey, RHS))
+        return false;
       Holds = C.NotEqual ? LHS != RHS : LHS == RHS;
     } else {
-      auto PIt = Predicates.find(C.PredName);
-      auto AIt = State.PathBindings.find(C.PredArg);
-      if (PIt == Predicates.end() || AIt == State.PathBindings.end())
+      if (!C.Pred || C.PathSlot < 0 || State.Paths[C.PathSlot] < 0)
         return false;
-      Holds = PIt->second(AIt->second, G);
+      Holds = (*C.Pred)(Bufs->Items[State.Paths[C.PathSlot]].P, G);
     }
     if (C.Negated)
       Holds = !Holds;
@@ -287,48 +538,64 @@ bool QueryEngine::evalWhere(const Query &Q, const MatchState &State) const {
   return true;
 }
 
-void QueryEngine::emitRow(const Query &Q, MatchState &State, ResultSet &Out) {
-  if (!evalWhere(Q, State))
+void QueryEngine::emitRow(MatchState &State, ResultSet &Out) {
+  if (!evalWhere(State))
     return;
+  const Plan &P = State.P;
   ResultRow Row;
-  Row.NodeBindings = State.NodeBindings;
-  Row.PathBindings = State.PathBindings;
-  for (const ReturnItem &R : Q.Returns) {
-    auto NIt = State.NodeBindings.find(R.Var);
-    if (NIt != State.NodeBindings.end()) {
-      Row.Values.push_back(R.Key.empty() ? std::to_string(NIt->second)
-                                         : G.prop(NIt->second, R.Key));
-      continue;
+  for (const Plan::Return &R : P.Returns) {
+    if (R.NodeSlot >= 0 && State.Nodes[R.NodeSlot] != InvalidHandle) {
+      NodeHandle H = State.Nodes[R.NodeSlot];
+      Atom V = R.WholeNode ? NoAtom : G.propAtom(H, R.Key);
+      Row.Values.push_back(R.WholeNode ? std::to_string(H)
+                                       : G.str(V == NoAtom ? 0 : V));
+    } else if (R.PathSlot >= 0 && State.Paths[R.PathSlot] >= 0) {
+      const Path &Bound = Bufs->Items[State.Paths[R.PathSlot]].P;
+      Row.Values.push_back("path[" + std::to_string(Bound.Rels.size()) + "]");
+    } else {
+      Row.Values.push_back("");
     }
-    auto PIt = State.PathBindings.find(R.Var);
-    if (PIt != State.PathBindings.end()) {
-      Row.Values.push_back("path[" + std::to_string(PIt->second.Rels.size()) +
-                           "]");
-      continue;
-    }
-    Row.Values.push_back("");
   }
-  if (Q.Distinct && !State.SeenRows.insert(Row.Values).second)
+  if (P.Distinct && !State.SeenRows.insert(Row.Values).second)
     return;
+  for (size_t S = 0; S < P.NodeVars.size(); ++S)
+    if (State.Nodes[S] != InvalidHandle)
+      Row.NodeBindings.emplace(P.NodeVars[S], State.Nodes[S]);
+  for (size_t S = 0; S < P.PathVars.size(); ++S)
+    if (State.Paths[S] >= 0)
+      Row.PathBindings.emplace(P.PathVars[S], Bufs->Items[State.Paths[S]].P);
   Out.Rows.push_back(std::move(Row));
   if (Options.MaxRows != 0 && Out.Rows.size() >= Options.MaxRows)
     State.RowLimitHit = true;
-  if (Q.Limit != 0 && Out.Rows.size() >= Q.Limit)
+  if (P.Limit != 0 && Out.Rows.size() >= P.Limit)
     State.RowLimitHit = true;
 }
 
-void QueryEngine::matchItem(const Query &Q, size_t ItemIdx, MatchState &State,
+/// One matcher step: counts it against the budget and checkpoints the
+/// scan-level deadline (aborting with the rows found so far).
+bool QueryEngine::takeStep(MatchState &State) const {
+  ++State.Work;
+  if ((Options.WorkBudget != 0 && State.Work > Options.WorkBudget) ||
+      (Options.ScanDeadline && Options.ScanDeadline->checkpoint())) {
+    State.Aborted = true;
+    return false;
+  }
+  return true;
+}
+
+void QueryEngine::matchItem(size_t ItemIdx, MatchState &State,
                             ResultSet &Out) {
   if (State.Aborted || State.RowLimitHit)
     return;
-  if (ItemIdx == Q.Matches.size()) {
-    emitRow(Q, State, Out);
+  if (ItemIdx == State.P.Items.size()) {
+    emitRow(State, Out);
     return;
   }
-  const MatchItem &M = Q.Matches[ItemIdx];
-  const NodePattern &First = M.Nodes[0];
+  const Plan::Item &M = State.P.Items[ItemIdx];
+  const NodeStep &First = M.Nodes[0];
+  Buffers::ItemPath &Item = Bufs->Items[ItemIdx];
   Profiler::Scope Step(State.Prof, ItemIdx, 0);
-  const size_t StepIdx = State.Prof ? State.Prof->step(ItemIdx, 0) : 0;
+  const size_t StepIdx = M.StepBase;
 
   auto StartWith = [&](NodeHandle H) {
     if (State.Prof)
@@ -338,155 +605,144 @@ void QueryEngine::matchItem(const Query &Q, size_t ItemIdx, MatchState &State,
     if (State.Prof)
       State.Prof->match(StepIdx);
     bool Bound = false;
-    if (!First.Var.empty() && !State.NodeBindings.count(First.Var)) {
-      State.NodeBindings[First.Var] = H;
+    if (First.Slot >= 0 && State.Nodes[First.Slot] == InvalidHandle) {
+      State.Nodes[First.Slot] = H;
       Bound = true;
       ++State.Bindings;
     }
-    Path SavedPath = State.CurrentPath;
-    State.CurrentPath = Path{{H}, {}};
-    matchChain(Q, ItemIdx, 0, State, Out);
-    State.CurrentPath = SavedPath;
+    Item.P.Nodes.assign(1, H);
+    Item.P.Rels.clear();
+    matchChain(ItemIdx, 0, State, Out);
     if (Bound)
-      State.NodeBindings.erase(First.Var);
+      State.Nodes[First.Slot] = InvalidHandle;
   };
 
   // Already-bound variable joins with the previous matches.
-  if (!First.Var.empty() && State.NodeBindings.count(First.Var)) {
-    StartWith(State.NodeBindings.at(First.Var));
+  if (First.Slot >= 0 && State.Nodes[First.Slot] != InvalidHandle) {
+    StartWith(State.Nodes[First.Slot]);
     return;
   }
-  for (NodeHandle H : G.nodesByLabel(First.Label)) {
+  for (NodeHandle H : *First.Scan) {
     if (State.Aborted || State.RowLimitHit)
       return;
-    ++State.Work;
-    if (Options.WorkBudget != 0 && State.Work > Options.WorkBudget) {
-      State.Aborted = true;
+    if (!takeStep(State))
       return;
-    }
-    // The scan-level deadline bounds the whole pipeline; one checkpoint
-    // per matcher step, aborting with the rows found so far.
-    if (Options.ScanDeadline && Options.ScanDeadline->checkpoint()) {
-      State.Aborted = true;
-      return;
-    }
     StartWith(H);
   }
 }
 
-void QueryEngine::matchChain(const Query &Q, size_t ItemIdx, size_t NodeIdx,
+void QueryEngine::matchChain(size_t ItemIdx, size_t NodeIdx,
                              MatchState &State, ResultSet &Out) {
   if (State.Aborted || State.RowLimitHit)
     return;
-  const MatchItem &M = Q.Matches[ItemIdx];
+  const Plan::Item &M = State.P.Items[ItemIdx];
   if (NodeIdx == M.Rels.size()) {
     // Chain complete: bind the path variable and move to the next item.
     bool BoundPath = false;
-    if (!M.PathVar.empty() && !State.PathBindings.count(M.PathVar)) {
-      State.PathBindings[M.PathVar] = State.CurrentPath;
+    if (M.PathSlot >= 0 && State.Paths[M.PathSlot] < 0) {
+      State.Paths[M.PathSlot] = static_cast<int32_t>(ItemIdx);
       BoundPath = true;
     }
-    matchItem(Q, ItemIdx + 1, State, Out);
+    matchItem(ItemIdx + 1, State, Out);
     if (BoundPath)
-      State.PathBindings.erase(M.PathVar);
+      State.Paths[M.PathSlot] = -1;
     return;
   }
 
-  const RelPattern &R = M.Rels[NodeIdx];
-  const NodePattern &NextPat = M.Nodes[NodeIdx + 1];
-  NodeHandle From = State.CurrentPath.Nodes.back();
+  const size_t StepIdx = M.StepBase + NodeIdx + 1;
   Profiler::Scope Step(State.Prof, ItemIdx, NodeIdx + 1);
-  const size_t StepIdx = State.Prof ? State.Prof->step(ItemIdx, NodeIdx + 1) : 0;
-
-  uint32_t MinHops = R.VarLength ? R.MinHops : 1;
-  uint32_t MaxHops =
-      R.VarLength ? (R.Unbounded ? Options.MaxHops : R.MaxHops) : 1;
-
-  // DFS over hop sequences of length [MinHops, MaxHops]; relationships may
-  // not repeat within one segment (Cypher's relationship isomorphism).
   // With a registered path fold, (node, foldState) pairs are visited once
   // per segment walk — the planner-style pruning that keeps variable-
   // length matching polynomial.
-  std::map<std::pair<NodeHandle, int64_t>, bool> Visited;
+  VisitedTable *Visited = nullptr;
+  if (M.Rels[NodeIdx].Folded) {
+    Visited = &Bufs->Visited[StepIdx];
+    Visited->reset();
+  }
+  Buffers::ItemPath &Item = Bufs->Items[ItemIdx];
+  Segment Seg{ItemIdx, NodeIdx, StepIdx, M.Rels[NodeIdx],
+              M.Nodes[NodeIdx + 1], Item, Visited};
+  walk(Seg, Item.P.Nodes.back(), 0, 0, State, Out);
+}
 
-  std::function<void(NodeHandle, uint32_t, int64_t)> Walk =
-      [&](NodeHandle Cur, uint32_t Hops, int64_t FoldState) {
-    if (State.Aborted || State.RowLimitHit)
-      return;
-    ++State.Work;
-    if (Options.WorkBudget != 0 && State.Work > Options.WorkBudget) {
-      State.Aborted = true;
-      return;
-    }
-    if (Options.ScanDeadline && Options.ScanDeadline->checkpoint()) {
-      State.Aborted = true;
-      return;
-    }
-    // Every walked endpoint is one candidate for this step (a `*0..`
-    // segment can accept its start node with no extension at all, so
-    // counting attempted extensions instead would undercount).
+/// DFS over hop sequences of length [MinHops, MaxHops]; relationships may
+/// not repeat within one MATCH item's path (Cypher's relationship
+/// isomorphism).
+void QueryEngine::walk(const Segment &Seg, NodeHandle Cur, uint32_t Hops,
+                       int64_t FoldState, MatchState &State,
+                       ResultSet &Out) {
+  if (State.Aborted || State.RowLimitHit)
+    return;
+  if (!takeStep(State))
+    return;
+  // Every walked endpoint is one candidate for this step (a `*0..`
+  // segment can accept its start node with no extension at all, so
+  // counting attempted extensions instead would undercount).
+  if (State.Prof)
+    State.Prof->candidate(Seg.StepIdx);
+  if (Hops >= Seg.R.MinHops && nodeMatches(Cur, Seg.Next)) {
+    // Accept this endpoint; bind the next node pattern variable.
     if (State.Prof)
-      State.Prof->candidate(StepIdx);
-    if (Hops >= MinHops && nodeMatches(Cur, NextPat)) {
-      // Accept this endpoint; bind the next node pattern variable.
-      if (State.Prof)
-        State.Prof->match(StepIdx);
-      bool Bound = false;
-      bool Compatible = true;
-      if (!NextPat.Var.empty()) {
-        auto It = State.NodeBindings.find(NextPat.Var);
-        if (It != State.NodeBindings.end()) {
-          Compatible = It->second == Cur;
-        } else {
-          State.NodeBindings[NextPat.Var] = Cur;
-          Bound = true;
-          ++State.Bindings;
-        }
+      State.Prof->match(Seg.StepIdx);
+    bool Bound = false;
+    bool Compatible = true;
+    if (Seg.Next.Slot >= 0) {
+      NodeHandle &B = State.Nodes[Seg.Next.Slot];
+      if (B != InvalidHandle) {
+        Compatible = B == Cur;
+      } else {
+        B = Cur;
+        Bound = true;
+        ++State.Bindings;
       }
-      if (Compatible)
-        matchChain(Q, ItemIdx, NodeIdx + 1, State, Out);
-      if (Bound)
-        State.NodeBindings.erase(NextPat.Var);
     }
-    if (Hops >= MaxHops)
-      return;
-    // `<-[...]-` walks against edge direction: candidate relationships
-    // come from the in-adjacency and continue at their From endpoint.
-    const std::vector<RelHandle> &Adjacent =
-        R.Reverse ? G.in(Cur) : G.out(Cur);
-    for (RelHandle RH : Adjacent) {
-      if (!relTypeMatches(RH, R))
+    if (Compatible)
+      matchChain(Seg.ItemIdx, Seg.NodeIdx + 1, State, Out);
+    if (Bound)
+      State.Nodes[Seg.Next.Slot] = InvalidHandle;
+  }
+  if (Hops >= Seg.R.MaxHops)
+    return;
+  // `<-[...]-` walks against edge direction: candidate relationships
+  // come from the in-adjacency and continue at their From endpoint.
+  Path &P = Seg.Item.P;
+  std::vector<uint8_t> &OnPath = Seg.Item.OnPath;
+  for (RelHandle RH : Seg.R.Reverse ? G.in(Cur) : G.out(Cur)) {
+    if (!relMatches(RH, Seg.R) || OnPath[RH])
+      continue;
+    const StoredRel &R = G.rel(RH);
+    NodeHandle Next = Seg.R.Reverse ? R.From : R.To;
+    int64_t NextState = 0;
+    if (Seg.Visited) {
+      NextState = Fold_(FoldState, G, RH);
+      if (NextState < 0)
+        continue; // Fold pruned this extension.
+      if (!Seg.Visited->insert(Next, NextState))
         continue;
-      if (std::find(State.CurrentPath.Rels.begin(),
-                    State.CurrentPath.Rels.end(),
-                    RH) != State.CurrentPath.Rels.end())
-        continue; // No repeated relationships within a path.
-      NodeHandle Next = R.Reverse ? G.rel(RH).From : G.rel(RH).To;
-      int64_t NextState = 0;
-      if (R.VarLength && Fold_) {
-        NextState = Fold_(FoldState, G.rel(RH));
-        if (NextState < 0)
-          continue; // Fold pruned this extension.
-        auto Key = std::make_pair(Next, NextState);
-        if (Visited.count(Key))
-          continue;
-        Visited[Key] = true;
-      }
-      State.CurrentPath.Rels.push_back(RH);
-      State.CurrentPath.Nodes.push_back(Next);
-      Walk(Next, Hops + 1, NextState);
-      State.CurrentPath.Nodes.pop_back();
-      State.CurrentPath.Rels.pop_back();
-      ++State.Backtracks;
     }
-  };
-
-  Walk(From, 0, 0);
+    P.Rels.push_back(RH);
+    P.Nodes.push_back(Next);
+    OnPath[RH] = 1;
+    walk(Seg, Next, Hops + 1, NextState, State, Out);
+    OnPath[RH] = 0;
+    P.Nodes.pop_back();
+    P.Rels.pop_back();
+    ++State.Backtracks;
+  }
 }
 
 ResultSet QueryEngine::run(const Query &Q, QueryProfile *Profile) {
   ResultSet Out;
-  MatchState State;
+  Plan P = compile(Q);
+  MatchState State(P);
+  // Size the reusable buffers for this plan.
+  if (Bufs->Items.size() < P.Items.size())
+    Bufs->Items.resize(P.Items.size());
+  for (Buffers::ItemPath &I : Bufs->Items)
+    I.OnPath.resize(G.numRels(), 0);
+  if (Bufs->Visited.size() < P.NumSteps)
+    Bufs->Visited.resize(P.NumSteps);
+
   Profiler Prof;
   if (Profile) {
     *Profile = QueryProfile();
@@ -494,7 +750,7 @@ ResultSet QueryEngine::run(const Query &Q, QueryProfile *Profile) {
     State.Prof = &Prof;
   }
   auto Start = std::chrono::steady_clock::now();
-  matchItem(Q, 0, State, Out);
+  matchItem(0, State, Out);
   Out.TimedOut = State.Aborted;
   Out.Work = State.Work;
   if (Profile) {

@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -114,12 +115,20 @@ std::string explainQuery(const Query &Q, const EngineOptions &O = {});
 std::vector<StepProfile> planSteps(const Query &Q, const EngineOptions &O);
 
 /// The query engine bound to one graph.
+///
+/// Each run compiles the query against the store first: labels, types and
+/// property strings become atoms (a string the store never saw makes its
+/// pattern unmatchable), variables become slot indices. The matcher is
+/// then an interpreted backtracking search over the compiled plan whose
+/// steps cost a few integer compares; see docs/QUERY_LANGUAGE.md ("Engine
+/// internals") for what one matcher step is.
 class QueryEngine {
 public:
   using PathPredicate =
       std::function<bool(const Path &, const PropertyGraph &)>;
 
   explicit QueryEngine(const PropertyGraph &Graph, EngineOptions O = {});
+  ~QueryEngine();
 
   /// Registers a predicate callable from WHERE clauses as `name(pathVar)`.
   void registerPathPredicate(const std::string &Name, PathPredicate Pred);
@@ -131,7 +140,8 @@ public:
   /// only under a previously unseen state. State 0 is the initial state.
   /// Registered folds must be consistent with the path predicates: two
   /// paths with equal fold states must be indistinguishable to them.
-  using PathFold = std::function<int64_t(int64_t, const StoredRel &)>;
+  using PathFold =
+      std::function<int64_t(int64_t, const PropertyGraph &, RelHandle)>;
   void setPathFold(PathFold Fold) { Fold_ = std::move(Fold); }
 
   /// Parses and runs query text. On parse error, returns an empty set and
@@ -150,16 +160,28 @@ private:
   std::map<std::string, PathPredicate> Predicates;
   PathFold Fold_;
 
+  struct NodeStep;
+  struct RelStep;
+  struct Plan;
   struct MatchState;
+  struct Segment;
   struct Profiler;
-  void matchItem(const Query &Q, size_t ItemIdx, MatchState &State,
-                 ResultSet &Out);
-  void matchChain(const Query &Q, size_t ItemIdx, size_t NodeIdx,
-                  MatchState &State, ResultSet &Out);
-  void emitRow(const Query &Q, MatchState &State, ResultSet &Out);
-  bool nodeMatches(NodeHandle H, const NodePattern &Pat) const;
-  bool relTypeMatches(RelHandle H, const RelPattern &Pat) const;
-  bool evalWhere(const Query &Q, const MatchState &State) const;
+  struct Buffers;
+  /// Per-item path buffers and per-step visited tables, reused across
+  /// runs (allocated on first use).
+  std::unique_ptr<Buffers> Bufs;
+
+  Plan compile(const Query &Q) const;
+  bool takeStep(MatchState &State) const;
+  void matchItem(size_t ItemIdx, MatchState &State, ResultSet &Out);
+  void matchChain(size_t ItemIdx, size_t NodeIdx, MatchState &State,
+                  ResultSet &Out);
+  void walk(const Segment &Seg, NodeHandle Cur, uint32_t Hops,
+            int64_t FoldState, MatchState &State, ResultSet &Out);
+  void emitRow(MatchState &State, ResultSet &Out);
+  bool nodeMatches(NodeHandle H, const NodeStep &Pat) const;
+  bool relMatches(RelHandle H, const RelStep &Pat) const;
+  bool evalWhere(const MatchState &State) const;
 };
 
 } // namespace graphdb

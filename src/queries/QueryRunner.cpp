@@ -10,7 +10,11 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <unordered_map>
 
 using namespace gjs;
 using namespace gjs::queries;
@@ -36,57 +40,72 @@ void GraphDBRunner::registerPredicates(QueryEngine &E) const {
         "untainted",
         [](const Path &, const PropertyGraph &) { return false; });
     // A coarse reachability fold still prunes revisits (state 0 always).
-    E.setPathFold(
-        [](int64_t, const graphdb::StoredRel &) -> int64_t { return 0; });
+    E.setPathFold([](int64_t, const PropertyGraph &, graphdb::RelHandle)
+                      -> int64_t { return 0; });
     return;
   }
+  // The schema atoms of this store (NoAtom when it has no such edges).
+  const PropertyGraph &DB = Imported.Graph;
+  const graphdb::Atom V = DB.atom("V"), P = DB.atom("P"),
+                      Name = DB.atom("name");
+
   // UntaintedPath (Table 1): the path contains V(p) followed, anywhere
   // later, by P(p) on the same property: the tainted value was overwritten.
   E.registerPathPredicate(
-      "untainted", [](const Path &P, const PropertyGraph &G) {
-        std::set<std::string> Overwritten;
-        for (graphdb::RelHandle RH : P.Rels) {
-          const graphdb::StoredRel &R = G.rel(RH);
-          if (R.Type == "V") {
-            auto It = R.Props.find("name");
-            if (It != R.Props.end())
-              Overwritten.insert(It->second);
-          } else if (R.Type == "P") {
-            auto It = R.Props.find("name");
-            if (It != R.Props.end() && Overwritten.count(It->second))
-              return true;
-          }
+      "untainted", [V, P, Name](const Path &Pa, const PropertyGraph &G) {
+        std::vector<graphdb::Atom> Overwritten;
+        for (graphdb::RelHandle RH : Pa.Rels) {
+          graphdb::Atom Type = G.rel(RH).Type;
+          if (Type != V && Type != P)
+            continue;
+          graphdb::Atom Prop = G.relPropAtom(RH, Name);
+          if (Prop == graphdb::NoAtom)
+            continue;
+          if (Type == V)
+            Overwritten.push_back(Prop);
+          else if (std::find(Overwritten.begin(), Overwritten.end(), Prop) !=
+                   Overwritten.end())
+            return true;
         }
         return false;
       });
 
   // Path-state fold for planner-style pruning: the state is the interned
-  // set of overwritten properties, and untainted extensions (reading a
-  // property after its overwrite) are pruned outright. Consistent with the
-  // `untainted` predicate: every surviving path satisfies NOT untainted.
-  auto States = std::make_shared<std::vector<std::set<std::string>>>();
-  auto Index = std::make_shared<std::map<std::set<std::string>, int64_t>>();
-  States->push_back({});
-  (*Index)[{}] = 0;
-  E.setPathFold([States, Index](int64_t S,
-                                const graphdb::StoredRel &R) -> int64_t {
-    const std::set<std::string> &Cur = (*States)[static_cast<size_t>(S)];
-    auto NameIt = R.Props.find("name");
-    if (R.Type == "V" && NameIt != R.Props.end()) {
-      std::set<std::string> Next = Cur;
-      Next.insert(NameIt->second);
-      auto It = Index->find(Next);
-      if (It != Index->end())
-        return It->second;
-      int64_t Id = static_cast<int64_t>(States->size());
-      States->push_back(Next);
-      (*Index)[std::move(Next)] = Id;
-      return Id;
-    }
-    if (R.Type == "P" && NameIt != R.Props.end() &&
-        Cur.count(NameIt->second))
-      return -1; // Overwritten property: prune the untainted extension.
-    return S;
+  // set of overwritten properties (a sorted atom vector), and untainted
+  // extensions (reading a property after its overwrite) are pruned
+  // outright. Consistent with the `untainted` predicate: every surviving
+  // path satisfies NOT untainted.
+  struct FoldStates {
+    std::vector<std::vector<graphdb::Atom>> States{{}};
+    std::map<std::vector<graphdb::Atom>, int64_t> Index{{{}, 0}};
+    /// (state, overwritten property) → successor state.
+    std::unordered_map<uint64_t, int64_t> Next;
+  };
+  auto F = std::make_shared<FoldStates>();
+  E.setPathFold([F, V, P, Name](int64_t S, const PropertyGraph &G,
+                                graphdb::RelHandle RH) -> int64_t {
+    graphdb::Atom Type = G.rel(RH).Type;
+    if (Type != V && Type != P)
+      return S;
+    graphdb::Atom Prop = G.relPropAtom(RH, Name);
+    if (Prop == graphdb::NoAtom)
+      return S;
+    const std::vector<graphdb::Atom> &Cur = F->States[static_cast<size_t>(S)];
+    if (Type == P) // Overwritten property: prune the untainted extension.
+      return std::binary_search(Cur.begin(), Cur.end(), Prop) ? -1 : S;
+    auto [It, Fresh] =
+        F->Next.try_emplace((static_cast<uint64_t>(S) << 32) | Prop, 0);
+    if (!Fresh)
+      return It->second;
+    std::vector<graphdb::Atom> Next = Cur;
+    auto Pos = std::lower_bound(Next.begin(), Next.end(), Prop);
+    if (Pos == Next.end() || *Pos != Prop)
+      Next.insert(Pos, Prop);
+    auto [IdxIt, New] = F->Index.emplace(
+        std::move(Next), static_cast<int64_t>(F->States.size()));
+    if (New)
+      F->States.push_back(IdxIt->first);
+    return It->second = IdxIt->second;
   });
 }
 
@@ -110,6 +129,45 @@ static std::string instantiate(const char *Template, const std::string &Name) {
   return Out;
 }
 
+namespace {
+
+/// A built-in query text, parsed and schema-linted once.
+struct ParsedBuiltin {
+  bool Parsed = false;
+  graphdb::Query Q;
+  std::string LintError; ///< The first error-severity issue; "" if clean.
+};
+
+/// The process-wide memo of built-in query texts (keyed by the text, so a
+/// custom SinkConfig adds its own entries). Entries are never erased, so
+/// the returned reference stays valid.
+const ParsedBuiltin &parsedBuiltin(const std::string &Text) {
+  static std::mutex Lock;
+  static std::unordered_map<std::string, ParsedBuiltin> Memo;
+  std::lock_guard<std::mutex> Guard(Lock);
+  auto [It, Fresh] = Memo.try_emplace(Text);
+  ParsedBuiltin &P = It->second;
+  if (Fresh) {
+    P.Parsed = graphdb::parseQuery(Text, P.Q, nullptr);
+    for (const graphdb::SchemaIssue &Issue :
+         graphdb::lintQueryText(Text, graphdb::mdgSchema()))
+      if (Issue.Severity == DiagSeverity::Error) {
+        P.LintError = Issue.str();
+        break;
+      }
+  }
+  return P;
+}
+
+/// Runs a built-in query text from the memo (an unparsable text matches
+/// nothing, as QueryEngine::run on text would).
+ResultSet runBuiltin(QueryEngine &E, const std::string &Text) {
+  const ParsedBuiltin &P = parsedBuiltin(Text);
+  return P.Parsed ? E.run(P.Q) : ResultSet();
+}
+
+} // namespace
+
 std::vector<VulnReport>
 GraphDBRunner::detectTaintStyle(VulnType T, const SinkConfig &Config,
                                 DetectStats *Stats) {
@@ -125,7 +183,7 @@ GraphDBRunner::detectTaintStyle(VulnType T, const SinkConfig &Config,
         Spec.Name);
     obs::Span QSpan(EngineOpts.Trace, std::string(vulnTypeName(T)) + "/" +
                                           Spec.Name);
-    ResultSet R = E.run(QueryText);
+    ResultSet R = runBuiltin(E, QueryText);
     QSpan.arg("rows", static_cast<uint64_t>(R.Rows.size()));
     QSpan.arg("work", R.Work);
     if (Stats) {
@@ -189,16 +247,13 @@ GraphDBRunner::builtinQueries(const SinkConfig &Config) {
 
 bool GraphDBRunner::validateBuiltinQueries(const SinkConfig &Config,
                                            std::string *Error) {
-  const graphdb::GraphSchema &Schema = graphdb::mdgSchema();
   for (const auto &[Name, Text] : builtinQueries(Config)) {
-    for (const graphdb::SchemaIssue &Issue :
-         graphdb::lintQueryText(Text, Schema)) {
-      if (Issue.Severity != DiagSeverity::Error)
-        continue;
-      if (Error)
-        *Error = "built-in query '" + Name + "': " + Issue.str();
-      return false;
-    }
+    const ParsedBuiltin &P = parsedBuiltin(Text);
+    if (P.LintError.empty())
+      continue;
+    if (Error)
+      *Error = "built-in query '" + Name + "': " + P.LintError;
+    return false;
   }
   return true;
 }
@@ -209,7 +264,7 @@ GraphDBRunner::detectPrototypePollution(DetectStats *Stats) {
   registerPredicates(E);
 
   obs::Span QSpan(EngineOpts.Trace, "prototype-pollution");
-  ResultSet R = E.run(PollutionQuery);
+  ResultSet R = runBuiltin(E, PollutionQuery);
   QSpan.arg("rows", static_cast<uint64_t>(R.Rows.size()));
   QSpan.arg("work", R.Work);
   QSpan.close();

@@ -95,6 +95,8 @@ public:
   /// schema (graphdb::mdgSchema). Returns false and sets \p Error on the
   /// first error-severity issue — a typo'd edge label or property key in a
   /// built-in query must fail fast instead of silently matching nothing.
+  /// Each distinct query text is parsed and linted once per process; the
+  /// detectors run the same memoized parse.
   static bool validateBuiltinQueries(const SinkConfig &Config,
                                      std::string *Error);
 

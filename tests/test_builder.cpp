@@ -16,15 +16,14 @@
 #include "workload/Datasets.h"
 #include "workload/DepTrees.h"
 
+#include "GoldenCorpus.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 using namespace gjs;
 using namespace gjs::analysis;
@@ -348,196 +347,20 @@ TEST(MDGBuilderTest, PrototypePollutionPatternShape) {
 
 namespace {
 
-uint64_t fnv1a(const std::string &S) {
-  uint64_t H = 1469598103934665603ULL;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
-std::string stem(const std::string &Name) {
-  std::string S = Name.substr(Name.find_last_of('/') + 1);
-  if (S.size() > 3 && S.compare(S.size() - 3, 3, ".js") == 0)
-    S.resize(S.size() - 3);
-  return S;
-}
-
-/// Builds the MDG of a package the way the scanner does: per-module
-/// prefixes and statement-index ranges, async lowering, and a linked
-/// buildPackage for multi-file packages and dependency trees (\p PkgOf /
-/// \p IsMain non-empty). Returns the digest of the dump plus the work
-/// count.
-uint64_t digestOf(const std::vector<scanner::SourceFile> &Files,
-                  const std::vector<std::string> &PkgOf = {},
-                  const std::vector<bool> &IsMain = {},
-                  const std::set<std::string> &Missing = {}) {
-  bool Linked = !PkgOf.empty();
-  bool SingleFile = Files.size() == 1 && !Linked;
-  std::vector<std::unique_ptr<core::Program>> Programs(Files.size());
-  analysis::ModuleLinkInfo Link;
-  Link.ForceUnresolved = Missing;
-  core::StmtIndex Next = 1;
-  for (size_t I = 0; I < Files.size(); ++I) {
-    DiagnosticEngine Diags;
-    auto AST = parseJS(Files[I].Contents, Diags);
-    if (Diags.hasErrors()) {
-      if (Linked) {
-        Link.ForceUnresolved.insert(PkgOf[I]);
-        Link.ForceUnresolved.insert(stem(Files[I].Name));
-      }
-      continue;
-    }
-    std::string Prefix = SingleFile ? ""
-                         : Linked   ? PkgOf[I] + "$" + stem(Files[I].Name) + "$"
-                                    : stem(Files[I].Name) + "$";
-    core::Normalizer Norm(Diags, Prefix, Next);
-    Programs[I] = Norm.normalize(*AST);
-    core::lowerAsync(*Programs[I], Prefix);
-    Next = Programs[I]->NumIndices + 1;
-  }
-  std::vector<analysis::PackageModule> Modules;
-  for (size_t I = 0; I < Files.size(); ++I) {
-    if (!Programs[I])
-      continue;
-    if (Linked) {
-      Link.PkgOf.push_back(PkgOf[I]);
-      if (IsMain[I] && !Link.ForceUnresolved.count(PkgOf[I]))
-        Link.MainModuleOf.emplace(PkgOf[I], Modules.size());
-      Modules.push_back({Files[I].Name, Programs[I].get(), PkgOf[I],
-                         static_cast<bool>(IsMain[I])});
-    } else {
-      Modules.push_back({Files[I].Name, Programs[I].get(), "", false});
-    }
-  }
-  if (Modules.empty()) {
-    ADD_FAILURE() << "no module parsed";
+/// Digest of the MDG dump of \p In plus the builder's work count.
+uint64_t digestOf(const golden::Input &In) {
+  BuildResult R;
+  if (!golden::build(In, R))
     return 0;
-  }
-  BuildResult R =
-      SingleFile ? buildMDG(*Programs[0])
-                 : buildPackageMDG(Modules, {}, Linked ? &Link : nullptr);
-  return fnv1a(R.Graph.dump(R.Props) + "work=" + std::to_string(R.WorkDone));
+  return golden::fnv1a(R.Graph.dump(R.Props) + "work=" +
+                       std::to_string(R.WorkDone));
 }
-
-uint64_t digestOf(const workload::DepTree &T) {
-  analysis::PackageGraph::FlatPlan Plan = T.Graph.flatten();
-  std::vector<scanner::SourceFile> Files;
-  std::vector<std::string> PkgOf;
-  std::vector<bool> IsMain;
-  for (const analysis::PackageGraph::FlatModule &M : Plan.Modules) {
-    Files.push_back({M.Path, *M.Contents});
-    PkgOf.push_back(M.Pkg);
-    IsMain.push_back(M.IsMain);
-  }
-  return digestOf(Files, PkgOf, IsMain, Plan.MissingDeps);
-}
-
-/// Store control-flow shapes: bindings written in one branch only,
-/// loops and version rewrites inside branches, recursion.
-const char *const ControlFlowSnippets[] = {
-    "function f(a, b) {\n"
-    "  var x = a;\n"
-    "  if (b) { var t = 1; } else { x = b; }\n"
-    "  exec(x, t);\n"
-    "}\n"
-    "module.exports = f;\n",
-
-    "function f(a, b) {\n"
-    "  var x = a;\n"
-    "  if (b) { x = b; }\n"
-    "  sink(x);\n"
-    "}\n"
-    "module.exports = f;\n",
-
-    "function f(o, k, v, n) {\n"
-    "  var cur = o;\n"
-    "  if (n) {\n"
-    "    while (n) { cur = cur[k]; cur[k] = v; }\n"
-    "  } else {\n"
-    "    for (var i = 0; i < n; i++) { cur.p = cur[k]; cur = cur.p; }\n"
-    "  }\n"
-    "  sink(cur.x);\n"
-    "}\n"
-    "module.exports = f;\n",
-
-    "function g(a, b, c) {\n"
-    "  var o = {};\n"
-    "  var p = o;\n"
-    "  while (c) {\n"
-    "    if (a) { o.x = a; } else { p.y = b; }\n"
-    "    p = o.x;\n"
-    "  }\n"
-    "  eval(p);\n"
-    "}\n"
-    "module.exports = g;\n",
-
-    "function merge(t, s, k) {\n"
-    "  if (s[k]) { merge(t[k], s[k], k); } else { t[k] = s[k]; }\n"
-    "  return t;\n"
-    "}\n"
-    "module.exports = merge;\n",
-
-    "function h(a) {\n"
-    "  if (a) { var q = a + 1; } else { var r = 2; }\n"
-    "  sink(q, r);\n"
-    "}\n"
-    "module.exports = h;\n",
-};
 
 /// Every golden input, by name, with its current digest.
 std::vector<std::pair<std::string, uint64_t>> goldenInputs() {
   std::vector<std::pair<std::string, uint64_t>> Out;
-  for (size_t I = 0; I < std::size(ControlFlowSnippets); ++I)
-    Out.emplace_back("snippet/" + std::to_string(I),
-                     digestOf({{"index.js", ControlFlowSnippets[I]}}));
-  std::vector<std::filesystem::path> Examples;
-  for (const auto &E : std::filesystem::directory_iterator(GJS_EXAMPLES_JS_DIR))
-    if (E.path().extension() == ".js")
-      Examples.push_back(E.path());
-  std::sort(Examples.begin(), Examples.end());
-  for (const std::filesystem::path &P : Examples) {
-    std::ifstream In(P);
-    std::stringstream SS;
-    SS << In.rdbuf();
-    Out.emplace_back("examples/" + P.filename().string(),
-                     digestOf({{P.filename().string(), SS.str()}}));
-  }
-
-  std::vector<workload::Package> Mix =
-      workload::makeDataset(20261017, {4, 6, 4, 6});
-  for (size_t I = 0; I < Mix.size(); ++I)
-    Out.emplace_back("table3/" + std::to_string(I) + "/" + Mix[I].Name,
-                     digestOf(Mix[I].Files));
-
-  workload::DepTreeGenerator TG(12);
-  using queries::VulnType;
-  const VulnType Types[] = {VulnType::CommandInjection, VulnType::CodeInjection,
-                            VulnType::PathTraversal,
-                            VulnType::PrototypePollution};
-  for (VulnType T : Types) {
-    std::string N = std::to_string(static_cast<int>(T));
-    for (unsigned Depth = 1; Depth <= 3; ++Depth)
-      Out.emplace_back("deptree/chain/" + N + "/" + std::to_string(Depth),
-                       digestOf(TG.chain(T, Depth, true)));
-    Out.emplace_back("deptree/benign/" + N, digestOf(TG.chain(T, 2, false)));
-    Out.emplace_back("deptree/cyclic/" + N, digestOf(TG.cyclic(T, true)));
-    Out.emplace_back("deptree/missing/" + N, digestOf(TG.missingDep(T)));
-    Out.emplace_back("deptree/broken/" + N, digestOf(TG.brokenDep(T)));
-  }
-
-  workload::PackageGenerator AG(12);
-  const workload::AsyncForm Forms[] = {
-      workload::AsyncForm::Await, workload::AsyncForm::ThenChain,
-      workload::AsyncForm::PromiseExecutor,
-      workload::AsyncForm::ErrorFirstCallback};
-  for (workload::AsyncForm F : Forms) {
-    std::string N = workload::asyncFormName(F);
-    Out.emplace_back("async/vulnerable/" + N,
-                     digestOf(AG.asyncVulnerable(F).Files));
-    Out.emplace_back("async/benign/" + N, digestOf(AG.asyncBenign(F).Files));
-  }
+  for (const golden::Input &In : golden::corpus())
+    Out.emplace_back(In.Name, digestOf(In));
   return Out;
 }
 

@@ -335,6 +335,36 @@ TEST(WorkLedgerTest, ConcurrentJoinersNeverSeeAPartialManifest) {
   }
 }
 
+TEST(WorkLedgerTest, AtomicWriteLeavesNoTempFileBehind) {
+  std::string Dir = tempDir("atomic");
+  auto Temps = [&] {
+    std::vector<std::string> Out;
+    for (const auto &E : std::filesystem::recursive_directory_iterator(Dir))
+      if (E.path().filename().string().find(".tmp.") != std::string::npos)
+        Out.push_back(E.path().string());
+    return Out;
+  };
+  // Success replaces the content whole.
+  std::string Path = Dir + "/owner";
+  ASSERT_TRUE(driver::writeFileAtomic(Path, "first\n"));
+  ASSERT_TRUE(driver::writeFileAtomic(Path, "second\n"));
+  EXPECT_EQ(readLines(Path), std::vector<std::string>{"second"});
+  EXPECT_TRUE(Temps().empty());
+
+  // rename fails: the target is a non-empty directory. The temp file was
+  // written and synced, and must be unlinked again.
+  std::string Blocked = Dir + "/blocked";
+  std::filesystem::create_directories(Blocked + "/inside");
+  EXPECT_FALSE(driver::writeFileAtomic(Blocked, "lost\n"));
+  EXPECT_TRUE(std::filesystem::is_directory(Blocked));
+  EXPECT_TRUE(Temps().empty()) << Temps().front();
+
+  // The temp file cannot even be created: the parent is missing.
+  EXPECT_FALSE(driver::writeFileAtomic(Dir + "/missing/owner", "x\n"));
+  EXPECT_TRUE(Temps().empty()) << Temps().front();
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(WorkLedgerTest, StealOnlyAfterExpiryAndFencingWins) {
   std::string Dir = tempDir("steal");
   driver::WorkLedger A(ledgerOpts(Dir, 1, 0.2, "sup-a"));

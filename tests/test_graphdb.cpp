@@ -8,8 +8,12 @@
 #include "core/Normalizer.h"
 #include "graphdb/MDGImport.h"
 #include "graphdb/QueryEngine.h"
+#include "obs/Counters.h"
+#include "queries/QueryRunner.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace gjs;
 using namespace gjs::graphdb;
@@ -179,7 +183,7 @@ TEST(QueryEngineTest, PathPredicateFiltering) {
                       "WHERE longerThanOne(p) RETURN x");
   ASSERT_EQ(R.Rows.size(), 1u);
   // Only the 2-hop path to the call survives.
-  EXPECT_EQ(G.node(R.Rows[0].NodeBindings.at("x")).Label, "Call");
+  EXPECT_EQ(G.label(R.Rows[0].NodeBindings.at("x")), "Call");
 }
 
 TEST(QueryEngineTest, MultiMatchJoin) {
@@ -312,4 +316,147 @@ TEST(QueryParserTest, ParsesReverseAndRelProps) {
   EXPECT_TRUE(Q.Matches[0].Rels[0].Reverse);
   EXPECT_EQ(Q.Matches[0].Rels[0].Props.at("name"), "x");
   EXPECT_TRUE(Q.Distinct);
+}
+
+//===----------------------------------------------------------------------===//
+// Engine edge cases. Each expectation pins the rows, the matcher steps and
+// the bindings/backtracks counter deltas: the engine must take the same
+// steps in the same order however patterns are resolved internally.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// "rows|work|timeout|bindings|backtracks" followed by each row's values.
+std::string runSummary(const std::function<ResultSet()> &Run) {
+  bool WasOn = obs::setCountersEnabled(true);
+  uint64_t Bindings = obs::counters::QueryBindings.value();
+  uint64_t Backtracks = obs::counters::QueryBacktracks.value();
+  ResultSet R = Run();
+  std::string S = std::to_string(R.Rows.size()) + "|" +
+                  std::to_string(R.Work) + "|" + std::to_string(R.TimedOut) +
+                  "|" +
+                  std::to_string(obs::counters::QueryBindings.value() -
+                                 Bindings) +
+                  "|" +
+                  std::to_string(obs::counters::QueryBacktracks.value() -
+                                 Backtracks);
+  obs::setCountersEnabled(WasOn);
+  for (const ResultRow &Row : R.Rows) {
+    S += " ";
+    for (size_t I = 0; I < Row.Values.size(); ++I)
+      S += (I ? "," : "") + Row.Values[I];
+  }
+  return S;
+}
+
+std::string runSummary(QueryEngine &E, const std::string &Text) {
+  return runSummary([&] {
+    std::string Error;
+    ResultSet R = E.run(Text, &Error);
+    EXPECT_TRUE(Error.empty()) << Error;
+    return R;
+  });
+}
+
+} // namespace
+
+TEST(QueryEngineEdgeTest, StringsAbsentFromTheGraphNeverMatch) {
+  PropertyGraph G = makeFixture();
+  QueryEngine E(G);
+  // Absent label: nothing to scan.
+  EXPECT_EQ(runSummary(E, "MATCH (a:Missing) RETURN a"), "0|0|0|0|0");
+  // Absent property value: every Object is still scanned.
+  EXPECT_EQ(runSummary(E, "MATCH (a:Object {taint: 'maybe'}) RETURN a"),
+            "0|3|0|0|0");
+  // Absent relationship type: each start node walks once, never extends.
+  EXPECT_EQ(runSummary(E, "MATCH (a:Object)-[:NOPE]->(b) RETURN b"),
+            "0|6|0|3|0");
+  // ... but a zero-hop segment still accepts its start node.
+  EXPECT_EQ(runSummary(E, "MATCH (a:Object {taint: 'true'})-[:NOPE*0..]->(b) "
+                          "RETURN b.label"),
+            "1|4|0|2|0 a");
+  // Absent relationship property value.
+  EXPECT_EQ(runSummary(E, "MATCH (a)-[:P {name: 'y'}]->(b) RETURN b"),
+            "0|8|0|4|0");
+  // WHERE against an absent literal, and a missing key reading as ''.
+  EXPECT_EQ(runSummary(E, "MATCH (c:Call) WHERE c.name = 'nothing' RETURN c"),
+            "0|1|0|1|0");
+  EXPECT_EQ(runSummary(E, "MATCH (c:Call) WHERE c.name <> 'nothing' "
+                          "RETURN c.name"),
+            "1|1|0|1|0 exec");
+  EXPECT_EQ(runSummary(E, "MATCH (d:Object) WHERE d.nokey = '' "
+                          "RETURN d.label"),
+            "3|3|0|3|0 a b d");
+}
+
+TEST(QueryEngineEdgeTest, VariableJoinedAcrossTwoMatchItems) {
+  PropertyGraph G = makeFixture();
+  QueryEngine E(G);
+  // `b` is bound by the first item and re-used as the second item's start.
+  EXPECT_EQ(runSummary(E, "MATCH (a:Object)-[:D]->(b), (b)-[:D]->(c:Call) "
+                          "RETURN a.label, b.label, c.name"),
+            "1|11|0|6|3 a,b,exec");
+  // Joined as an endpoint instead: only the compatible binding survives.
+  EXPECT_EQ(runSummary(E, "MATCH (b:Object)-[:D]->(c:Call), "
+                          "(a:Object)-[:D*1..]->(b) RETURN a.label, c.name"),
+            "1|17|0|7|5 a,exec");
+}
+
+TEST(QueryEngineEdgeTest, ReverseVariableLengthWithFold) {
+  // The untainted fold prunes walks (reversed here: a property read seen
+  // before its overwrite) and dedups (node, state) pairs per segment.
+  DiagnosticEngine Diags;
+  auto Prog = core::normalizeJS(
+      "function f(a, b) {\n"
+      "  var o = {};\n"
+      "  o.c = a; o.d = b; o.c = 'x';\n"
+      "  if (b) { o.e = o.c + o.d; }\n"
+      "  require('child_process').exec(o.c + o.e);\n"
+      "}\n"
+      "module.exports = f;\n",
+      Diags);
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+  analysis::BuildResult Build = analysis::buildMDG(*Prog);
+  queries::GraphDBRunner Runner(Build);
+  auto Run = [&](const std::string &Text) {
+    return runSummary([&] {
+      std::string Error;
+      ResultSet R = Runner.runQuery(Text, &Error);
+      EXPECT_TRUE(Error.empty()) << Error;
+      return R;
+    });
+  };
+  EXPECT_EQ(Run("MATCH p = (c:Call {name: 'exec'})<-[:D|P|PU|V|VU*0..]-"
+                "(src:Object {taint: 'true'}) WHERE NOT untainted(p) "
+                "RETURN src.label"),
+            "1|20|0|2|18 b");
+  EXPECT_EQ(Run("MATCH p = (c:Call {name: 'exec'})<-[:D|P|PU|V|VU*1..3]-"
+                "(src:Object) RETURN DISTINCT src.label"),
+            "9|11|0|10|9 %t4 %t8 'x' %t0''' %t3 b %t0'''' "
+            "%t0'''.e %t0");
+}
+
+TEST(QueryEngineEdgeTest, WorkBudgetAbortStopsAtTheSameStep) {
+  PropertyGraph G;
+  std::vector<NodeHandle> Ns;
+  for (int I = 0; I < 6; ++I)
+    Ns.push_back(G.addNode("Object", {{"label", std::to_string(I)}}));
+  for (NodeHandle X : Ns)
+    for (NodeHandle Y : Ns)
+      if (X != Y)
+        G.addRel(X, Y, "D");
+  EngineOptions O;
+  O.WorkBudget = 40;
+  QueryEngine E(G, O);
+  EXPECT_EQ(runSummary(E, "MATCH (a)-[:D*1..]->(b) RETURN a.label, b.label"),
+            "38|41|1|39|91 0,1 0,0 0,2 0,0 0,3 0,0 0,4 0,0 0,5 0,0 0,1 0,2 0,1 "
+            "0,3 0,1 0,4 0,1 0,5 0,0 0,2 0,3 0,2 0,4 0,2 0,5 0,0 0,3 0,4 0,3 "
+            "0,4 0,2 0,5 0,5 0,0 0,3 0,4 0,5 0,0");
+  // Through a second item: the abort unwinds both levels.
+  O.WorkBudget = 25;
+  QueryEngine E2(G, O);
+  EXPECT_EQ(runSummary(E2, "MATCH (a {label: '0'})-[:D]->(b), "
+                           "(b)-[:D*2..3]->(c) RETURN b.label, c.label"),
+            "20|26|1|22|34 1,1 1,2 1,3 1,4 1,5 1,2 1,0 1,1 1,3 1,4 1,5 1,3 1,0 "
+            "1,1 1,2 1,4 1,5 1,4 1,0 1,1");
 }

@@ -10,12 +10,18 @@
 
 #include "analysis/MDGBuilder.h"
 #include "core/Normalizer.h"
+#include "obs/Counters.h"
 #include "queries/QueryRunner.h"
 #include "scanner/Scanner.h"
+
+#include "GoldenCorpus.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
+#include <thread>
 
 using namespace gjs;
 using namespace gjs::queries;
@@ -446,4 +452,207 @@ TEST(SanitizerTest, OtherFlowsStayReported) {
   scanner::ScanResult R = S.scanSource(Source);
   ASSERT_EQ(R.Reports.size(), 1u);
   EXPECT_EQ(R.Reports[0].SinkLoc.Line, 4u);
+}
+
+//===----------------------------------------------------------------------===//
+// Built-in query validation
+//===----------------------------------------------------------------------===//
+
+TEST(BuiltinQueryTest, MalformedSinkFailsTheScanEvenAfterAGoodConfig) {
+  // A good configuration first, so its queries are parsed and validated.
+  scanner::Scanner Good;
+  scanner::ScanResult R1 = Good.scanSource(Figure1Source);
+  EXPECT_TRUE(R1.SchemaError.empty()) << R1.SchemaError;
+  EXPECT_TRUE(hasType(R1.Reports, VulnType::CommandInjection));
+
+  // A quote in a sink name breaks its query: the scan must fail with a
+  // Schema error, every time it runs.
+  scanner::ScanOptions O;
+  O.Sinks.addSink(VulnType::CommandInjection, {"ex'ec", {0}});
+  std::string FirstError;
+  for (int Run = 0; Run < 2; ++Run) {
+    scanner::Scanner Bad(O);
+    scanner::ScanResult R2 = Bad.scanSource(Figure1Source);
+    EXPECT_NE(R2.SchemaError.find("command-injection/ex'ec"),
+              std::string::npos)
+        << "run " << Run << ": " << R2.SchemaError;
+    if (Run == 0)
+      FirstError = R2.SchemaError;
+    EXPECT_EQ(R2.SchemaError, FirstError);
+    bool SchemaKind = false;
+    for (const scanner::ScanError &E : R2.Errors)
+      SchemaKind |= E.Kind == scanner::ScanErrorKind::Schema;
+    EXPECT_TRUE(SchemaKind) << "run " << Run;
+  }
+
+  // Validation verdicts are per configuration: the good one still passes,
+  // the bad one fails with the scan's message.
+  std::string Error;
+  EXPECT_TRUE(
+      GraphDBRunner::validateBuiltinQueries(SinkConfig::defaults(), &Error))
+      << Error;
+  EXPECT_FALSE(GraphDBRunner::validateBuiltinQueries(O.Sinks, &Error));
+  EXPECT_EQ(Error, FirstError);
+}
+
+TEST(BuiltinQueryTest, ConcurrentScansShareTheMemo) {
+  // Scans on several threads insert and read the process-wide memo of
+  // parsed built-in queries at once; each still gets its own verdict.
+  std::vector<std::thread> Threads;
+  std::vector<int> Clean(4, 0), Found(4, 0);
+  for (int T = 0; T < 4; ++T)
+    Threads.emplace_back([&, T] {
+      scanner::ScanOptions O;
+      O.Sinks.addSink(VulnType::CommandInjection,
+                      {"run" + std::to_string(T), {0}});
+      for (int Rep = 0; Rep < 3; ++Rep) {
+        scanner::ScanResult R = scanner::Scanner(O).scanSource(Figure1Source);
+        Clean[T] += R.SchemaError.empty();
+        Found[T] += hasType(R.Reports, VulnType::CommandInjection);
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (int T = 0; T < 4; ++T) {
+    EXPECT_EQ(Clean[T], 3) << "thread " << T;
+    EXPECT_EQ(Found[T], 3) << "thread " << T;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Golden query identity: every built-in query run over the golden corpus
+// (tests/GoldenCorpus.h), digesting per query its projected rows, node
+// bindings, matcher steps, timeout flag and the query.bindings,
+// query.backtracks and query.rows counter deltas. Any change to which
+// rows the engine finds, in which order, or to how many steps it takes
+// changes a digest; budgets and the degradation ladder depend on both.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint64_t queryDigestOf(const golden::Input &In) {
+  analysis::BuildResult Build;
+  if (!golden::build(In, Build))
+    return 0;
+  SinkConfig Config = SinkConfig::defaults();
+  GraphDBRunner Runner(Build);
+  bool WasOn = obs::setCountersEnabled(true);
+  uint64_t H = golden::fnv1a("");
+  for (const auto &[Name, Text] : GraphDBRunner::builtinQueries(Config)) {
+    uint64_t Bindings = obs::counters::QueryBindings.value();
+    uint64_t Backtracks = obs::counters::QueryBacktracks.value();
+    uint64_t Rows = obs::counters::QueryRows.value();
+    std::string Error;
+    graphdb::ResultSet R = Runner.runQuery(Text, &Error);
+    std::string D = Name + "|" + Error + "|work=" + std::to_string(R.Work) +
+                    "|timeout=" + std::to_string(R.TimedOut) +
+                    "|bindings=" +
+                    std::to_string(obs::counters::QueryBindings.value() -
+                                   Bindings) +
+                    "|backtracks=" +
+                    std::to_string(obs::counters::QueryBacktracks.value() -
+                                   Backtracks) +
+                    "|rows=" +
+                    std::to_string(obs::counters::QueryRows.value() - Rows);
+    for (const graphdb::ResultRow &Row : R.Rows) {
+      D += "\n";
+      for (const std::string &V : Row.Values)
+        D += V + ",";
+      for (const auto &[Var, Node] : Row.NodeBindings)
+        D += Var + "=" + std::to_string(Node) + ";";
+    }
+    H = golden::fnv1a(D, H);
+  }
+  obs::setCountersEnabled(WasOn);
+  return H;
+}
+
+// clang-format off
+const std::map<std::string, uint64_t> QueryGoldenDigests = {
+    {"snippet/0", 0x45adeb8ec07afdd7ULL},
+    {"snippet/1", 0x80393a6184d7bfa9ULL},
+    {"snippet/2", 0xdf77434289a633f4ULL},
+    {"snippet/3", 0x41a3401208a1d38cULL},
+    {"snippet/4", 0x92638d4f2165b89eULL},
+    {"snippet/5", 0xa4e281f917798c8eULL},
+    {"examples/clean_utils.js", 0x371caf99f019624fULL},
+    {"examples/figure1.js", 0xf4b29093bcb21b63ULL},
+    {"examples/promise_chain.js", 0xf0a25863ae2debf8ULL},
+    {"examples/set_value.js", 0x3232fbab9afa2307ULL},
+    {"table3/0/path-0", 0x3fd94fec1268c70dULL},
+    {"table3/1/path-1", 0xa636d8cbd8fb5f96ULL},
+    {"table3/2/path-2", 0xfe22869593789b28ULL},
+    {"table3/3/path-3", 0xced35fc87d590b6dULL},
+    {"table3/4/cmd-4", 0x9b1a522a9a000540ULL},
+    {"table3/5/cmd-5", 0x7c48160539f85a80ULL},
+    {"table3/6/cmd-6", 0x896d404f724460d6ULL},
+    {"table3/7/cmd-7", 0x99234d692d5c753cULL},
+    {"table3/8/cmd-8", 0xd0db46ac4deeeb17ULL},
+    {"table3/9/cmd-9", 0xe0718d4940da1371ULL},
+    {"table3/10/code-10", 0x4b601e8937c0c034ULL},
+    {"table3/11/code-11", 0x8e4927bf9aef6dafULL},
+    {"table3/12/code-12", 0xf68462b4f5401e9aULL},
+    {"table3/13/code-13", 0xdc2785dbfaebce7dULL},
+    {"table3/14/proto-14", 0x3588612553190546ULL},
+    {"table3/15/proto-15", 0x6734ead6b4a30053ULL},
+    {"table3/16/proto-16", 0xb92309a68872b78dULL},
+    {"table3/17/proto-17", 0xfb2e019d409db67bULL},
+    {"table3/18/proto-18", 0x6d500f90b00bee33ULL},
+    {"table3/19/proto-19", 0x3931ebd686b74882ULL},
+    {"deptree/chain/0/1", 0x0ea9a9591754fbf8ULL},
+    {"deptree/chain/0/2", 0xee2a4c2c9672875cULL},
+    {"deptree/chain/0/3", 0x078c5e14362b3e63ULL},
+    {"deptree/benign/0", 0xa2676b201572cebeULL},
+    {"deptree/cyclic/0", 0x98578fdad663c849ULL},
+    {"deptree/missing/0", 0x7cf9b48c2c8d3394ULL},
+    {"deptree/broken/0", 0x7cf9b48c2c8d3394ULL},
+    {"deptree/chain/1/1", 0xbd7b8e4be4cbb7bbULL},
+    {"deptree/chain/1/2", 0x2634b81f23ae0455ULL},
+    {"deptree/chain/1/3", 0x35124c648ed38787ULL},
+    {"deptree/benign/1", 0x5929eb56da8fd6e2ULL},
+    {"deptree/cyclic/1", 0x6b8dc0a9ebc435efULL},
+    {"deptree/missing/1", 0x7cf9b48c2c8d3394ULL},
+    {"deptree/broken/1", 0x7cf9b48c2c8d3394ULL},
+    {"deptree/chain/2/1", 0x120ce8f8ec20e7a4ULL},
+    {"deptree/chain/2/2", 0x56bff982834b4745ULL},
+    {"deptree/chain/2/3", 0x8889b99758b3fff2ULL},
+    {"deptree/benign/2", 0xb9173a9940de3276ULL},
+    {"deptree/cyclic/2", 0x376fe19661ec3933ULL},
+    {"deptree/missing/2", 0x7cf9b48c2c8d3394ULL},
+    {"deptree/broken/2", 0x7cf9b48c2c8d3394ULL},
+    {"deptree/chain/3/1", 0xe0b61f7262308888ULL},
+    {"deptree/chain/3/2", 0x96cdca23c7250789ULL},
+    {"deptree/chain/3/3", 0x1abac4ab61c71e5bULL},
+    {"deptree/benign/3", 0xb771408085ee9501ULL},
+    {"deptree/cyclic/3", 0xf0ce529745437144ULL},
+    {"deptree/missing/3", 0xda663fed1b9f8625ULL},
+    {"deptree/broken/3", 0xda663fed1b9f8625ULL},
+    {"async/vulnerable/await", 0xc8870218e1237ff2ULL},
+    {"async/benign/await", 0x7388e3a0dc27f674ULL},
+    {"async/vulnerable/then-chain", 0xfa60f13408599f3bULL},
+    {"async/benign/then-chain", 0x5125aa59c51c9dbcULL},
+    {"async/vulnerable/promise-executor", 0x84861a0fb4b1e916ULL},
+    {"async/benign/promise-executor", 0x120ceb527d35e2a4ULL},
+    {"async/vulnerable/error-first-callback", 0xf45dbead71ca0576ULL},
+    {"async/benign/error-first-callback", 0xf5ed594120d3398fULL},
+};
+// clang-format on
+
+} // namespace
+
+TEST(QueryGoldenTest, BuiltinQueriesMatchRecordedDigests) {
+  std::vector<golden::Input> Inputs = golden::corpus();
+  EXPECT_EQ(Inputs.size(), QueryGoldenDigests.size());
+  for (const golden::Input &In : Inputs) {
+    uint64_t Digest = queryDigestOf(In);
+    char Entry[160];
+    std::snprintf(Entry, sizeof(Entry), "    {\"%s\", 0x%016llxULL},",
+                  In.Name.c_str(), static_cast<unsigned long long>(Digest));
+    auto It = QueryGoldenDigests.find(In.Name);
+    if (It == QueryGoldenDigests.end())
+      ADD_FAILURE() << "no recorded digest; entry:\n" << Entry;
+    else
+      EXPECT_EQ(It->second, Digest) << "query results changed; new entry:\n"
+                                    << Entry;
+  }
 }
