@@ -17,14 +17,15 @@
 #define GJS_BENCH_BENCHCOMMON_H
 
 #include "eval/Harness.h"
+#include "obs/AtomicFile.h"
 #include "support/JSON.h"
 #include "workload/Datasets.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace gjs {
@@ -111,6 +112,20 @@ inline SeriesStats summarize(std::vector<double> Samples) {
   return S;
 }
 
+/// Stamps the build's provenance into a bench's output through \p Add, a
+/// (key, value) sink — benchmark::AddCustomContext for the
+/// google-benchmark binaries, whose JSON "context" then records what was
+/// measured, and Report for every BENCH_<name>.json: source revision,
+/// build type, compiler, host cores and GJS_BENCH_SCALE. The first three
+/// are configured by bench/targets.cmake.
+template <typename AddFn> void addProvenance(AddFn Add) {
+  Add("git_revision", GJS_GIT_REVISION);
+  Add("build_type", GJS_BUILD_TYPE);
+  Add("compiler", GJS_COMPILER);
+  Add("host_cores", std::to_string(std::thread::hardware_concurrency()));
+  Add("gjs_bench_scale", std::to_string(scalePercent()));
+}
+
 /// Machine-readable bench output: every bench binary writes a
 /// BENCH_<name>.json file next to where it runs (override the directory
 /// with GJS_BENCH_OUT) holding mean/p50/p95/min/max per sample series
@@ -141,20 +156,25 @@ public:
     SeriesObj[Key] = json::Value(std::move(O));
   }
 
-  /// Writes BENCH_<name>.json; prints the path on success.
+  /// Writes BENCH_<name>.json (atomically: a reader never sees half a
+  /// file) with the build's provenance; prints the path on success.
   bool write() {
+    json::Object Provenance;
+    addProvenance([&](const char *Key, const std::string &Value) {
+      Provenance[Key] = json::Value(Value);
+    });
+    Root["provenance"] = json::Value(std::move(Provenance));
     Root["series"] = json::Value(std::move(SeriesObj));
     Root["scalars"] = json::Value(std::move(Scalars));
     std::string Dir = std::getenv("GJS_BENCH_OUT")
                           ? std::getenv("GJS_BENCH_OUT")
                           : std::string(".");
     std::string Path = Dir + "/BENCH_" + Name + ".json";
-    std::ofstream Out(Path);
-    if (!Out) {
+    if (!obs::writeFileAtomic(Path, json::Value(std::move(Root)).str(2) +
+                                        "\n")) {
       std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
       return false;
     }
-    Out << json::Value(std::move(Root)).str(2) << '\n';
     std::printf("wrote %s\n", Path.c_str());
     return true;
   }
@@ -163,18 +183,6 @@ private:
   std::string Name;
   json::Object Root, SeriesObj, Scalars;
 };
-
-/// Stamps the build's provenance into a bench's output through \p Add, a
-/// (key, value) sink — benchmark::AddCustomContext for the
-/// google-benchmark binaries, whose JSON "context" then records what was
-/// measured: source revision, build type, compiler and GJS_BENCH_SCALE.
-/// The first three are configured by bench/targets.cmake.
-template <typename AddFn> void addProvenance(AddFn Add) {
-  Add("git_revision", GJS_GIT_REVISION);
-  Add("build_type", GJS_BUILD_TYPE);
-  Add("compiler", GJS_COMPILER);
-  Add("gjs_bench_scale", std::to_string(scalePercent()));
-}
 
 inline void printHeader(const char *Title, const char *PaperRef) {
   std::printf("\n================================================================\n");

@@ -6,6 +6,7 @@
 
 #include "driver/WorkLedger.h"
 
+#include "obs/AtomicFile.h"
 #include "obs/Counters.h"
 #include "obs/Histogram.h"
 #include "obs/Metrics.h"
@@ -13,16 +14,13 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -44,49 +42,13 @@ std::string readFileAll(const std::string &Path) {
   return S;
 }
 
-/// The shared first half of every publication: writes \p Content to a
-/// private temp file beside \p Path and fsyncs it. The temp name is a
-/// dotfile (directory listings skip it) unique per process and call (pid
-/// plus a per-process counter), so concurrent writers of one name never
-/// share a temp. Returns the temp path, or "" on failure — with nothing
-/// left behind.
-std::string writeSyncedTemp(const std::string &Path,
-                            const std::string &Content) {
-  static std::atomic<unsigned> Seq{0};
-  fs::path Final(Path);
-  std::string Tmp =
-      (Final.parent_path() / ("." + Final.filename().string() + ".tmp." +
-                              std::to_string(::getpid()) + "." +
-                              std::to_string(Seq++)))
-          .string();
-  int FD = ::open(Tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
-  if (FD < 0)
-    return "";
-  size_t Off = 0;
-  while (Off < Content.size()) {
-    ssize_t N = ::write(FD, Content.data() + Off, Content.size() - Off);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      break;
-    Off += static_cast<size_t>(N);
-  }
-  bool Ok = Off == Content.size() && ::fsync(FD) == 0;
-  Ok = ::close(FD) == 0 && Ok;
-  if (!Ok) {
-    ::unlink(Tmp.c_str());
-    return "";
-  }
-  return Tmp;
-}
-
 /// Atomic exclusive publication: the synced temp file is link(2)ed to the
 /// final name. link fails with EEXIST when the name exists, so exactly one
 /// contender ever sees success — the claim/steal token ratchet is built
 /// entirely on that — and a reader that finds the name always finds the
 /// whole content.
 bool createExclusive(const std::string &Path, const std::string &Content) {
-  std::string Tmp = writeSyncedTemp(Path, Content);
+  std::string Tmp = obs::writeSyncedTemp(Path, Content);
   if (Tmp.empty())
     return false;
   bool Ok = ::link(Tmp.c_str(), Path.c_str()) == 0;
@@ -129,17 +91,6 @@ std::string sanitizeName(const std::string &Name) {
 }
 
 } // namespace
-
-bool driver::writeFileAtomic(const std::string &Path,
-                             const std::string &Content) {
-  std::string Tmp = writeSyncedTemp(Path, Content);
-  if (Tmp.empty())
-    return false;
-  if (::rename(Tmp.c_str(), Path.c_str()) == 0)
-    return true;
-  ::unlink(Tmp.c_str());
-  return false;
-}
 
 //===----------------------------------------------------------------------===//
 // WorkLedger
@@ -277,9 +228,8 @@ bool WorkLedger::writeOwnerFile(const LeaseInfo &Lease) {
   O["heartbeat"] = json::Value(Lease.HeartbeatUnix);
   std::string Path = shardPrefix(Lease.Shard) + ".owner.t" +
                      std::to_string(Lease.Token);
-  return writeFileAtomic(Path,
-                         frameJournalLine(json::Value(std::move(O)).str()) +
-                             "\n");
+  return obs::writeFileAtomic(
+      Path, frameJournalLine(json::Value(std::move(O)).str()) + "\n");
 }
 
 std::optional<LeaseInfo> WorkLedger::claimFresh() {
@@ -393,9 +343,9 @@ void WorkLedger::markDone(const LeaseInfo &Lease, size_t Terminals) {
   O["shard"] = json::Value(static_cast<unsigned long>(Lease.Shard));
   O["token"] = json::Value(static_cast<unsigned long>(Lease.Token));
   O["terminals"] = json::Value(static_cast<unsigned long>(Terminals));
-  writeFileAtomic(shardPrefix(Lease.Shard) + ".done.t" +
-                      std::to_string(Lease.Token),
-                  frameJournalLine(json::Value(std::move(O)).str()) + "\n");
+  obs::writeFileAtomic(
+      shardPrefix(Lease.Shard) + ".done.t" + std::to_string(Lease.Token),
+      frameJournalLine(json::Value(std::move(O)).str()) + "\n");
 }
 
 std::string WorkLedger::shardJournalPath(const LeaseInfo &Lease) const {
@@ -566,7 +516,7 @@ bool WorkLedger::merge(std::string *Error) {
       return false;
     }
   }
-  if (!writeFileAtomic(corpusJournalPath(), Out)) {
+  if (!obs::writeFileAtomic(corpusJournalPath(), Out)) {
     if (Error)
       *Error = "cannot write " + corpusJournalPath();
     return false;

@@ -220,13 +220,6 @@ struct SharedBatchResult {
 SharedBatchResult runSharedBatch(const SharedBatchOptions &Options,
                                  const std::vector<BatchInput> &Inputs);
 
-/// Replaces \p Path with \p Content atomically and durably: the content
-/// is written to a private temp file beside it, fsynced, and renamed over
-/// it, so readers (heartbeat observers, the merged corpus.jsonl's
-/// consumers) see the old content or the new, never a torn half. On any
-/// failure returns false and leaves no temp file behind.
-bool writeFileAtomic(const std::string &Path, const std::string &Content);
-
 } // namespace driver
 } // namespace gjs
 

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <set>
+#include <unordered_map>
 
 using namespace gjs;
 using namespace gjs::graphdb;
@@ -124,15 +125,23 @@ std::string graphdb::renderProfile(const QueryProfile &P) {
   std::string Out;
   for (size_t I = 0; I < P.Steps.size(); ++I) {
     const StepProfile &S = P.Steps[I];
-    char Buf[160];
+    char Buf[192];
     std::snprintf(Buf, sizeof(Buf),
-                  "  step %zu: %-58s candidates=%llu matches=%llu %.3fms\n",
-                  I, S.Desc.c_str(),
+                  "  step %zu: %-58s candidates=%llu matches=%llu ", I,
+                  S.Desc.c_str(),
                   static_cast<unsigned long long>(S.Candidates),
-                  static_cast<unsigned long long>(S.Matches),
-                  S.Seconds * 1e3);
+                  static_cast<unsigned long long>(S.Matches));
+    Out += Buf;
+    if (S.GoalSteps) {
+      std::snprintf(Buf, sizeof(Buf), "goal_steps=%llu ",
+                    static_cast<unsigned long long>(S.GoalSteps));
+      Out += Buf;
+    }
+    std::snprintf(Buf, sizeof(Buf), "%.3fms\n", S.Seconds * 1e3);
     Out += Buf;
   }
+  if (!P.EmptyPlan.empty())
+    Out += "  empty plan: " + P.EmptyPlan + "\n";
   char Buf[160];
   std::snprintf(Buf, sizeof(Buf),
                 "  total: rows=%llu steps=%llu backtracks=%llu %.3fms%s\n",
@@ -207,10 +216,10 @@ struct QueryEngine::Profiler {
 // The compiled plan
 //===----------------------------------------------------------------------===//
 
-/// A node pattern resolved against the store.
+/// A node pattern resolved against the store. One with a label or
+/// property string the store never saw empties the whole plan, so it is
+/// never matched.
 struct QueryEngine::NodeStep {
-  /// A label or property string the store never saw: matches nothing.
-  bool Never = false;
   Atom Label = NoAtom; ///< NoAtom = any label.
   std::vector<Prop> Props;
   int32_t Slot = -1; ///< Node variable slot; -1 = anonymous.
@@ -230,6 +239,7 @@ struct QueryEngine::RelStep {
   std::vector<Prop> Props;
   uint32_t MinHops = 1, MaxHops = 1; ///< Effective bounds.
   bool Reverse = false;
+  bool VarLength = false;
   bool Folded = false; ///< Variable-length with a registered fold.
 };
 
@@ -262,6 +272,9 @@ struct QueryEngine::Plan {
   std::vector<Return> Returns;
   std::vector<std::string> NodeVars, PathVars; ///< Slot → variable name.
   size_t NumSteps = 0; ///< One scan plus one per segment, per item.
+  /// Non-empty when compile proved that no row can match: names the
+  /// pattern string the store lacks.
+  std::string Empty;
   bool Distinct = false;
   uint64_t Limit = 0;
 };
@@ -287,32 +300,45 @@ QueryEngine::Plan QueryEngine::compile(const Query &Q) const {
     return It == Slots.end() ? -1 : It->second;
   };
   // Pattern properties: a key or value the store never saw can't match.
+  // Returns the first such string ("" when every string resolved).
   auto Resolve = [&](const std::map<std::string, std::string> &In,
                      std::vector<Prop> &Out) {
-    bool Never = false;
+    std::string Absent;
     for (const auto &[Key, Value] : In) {
       Prop Pr{G.atom(Key), G.atom(Value)};
-      Never |= Pr.Key == NoAtom || Pr.Value == NoAtom;
+      if (Absent.empty() && (Pr.Key == NoAtom || Pr.Value == NoAtom))
+        Absent = "'" + (Pr.Key == NoAtom ? Key : Value) + "'";
       Out.push_back(Pr);
     }
-    return Never;
+    return Absent;
+  };
+  // Every MATCH item is mandatory, so one pattern that cannot match
+  // anything proves the whole plan empty. The first proof found is kept.
+  auto ProveEmpty = [&](size_t Step, const std::string &Absent) {
+    if (P.Empty.empty() && !Absent.empty())
+      P.Empty = "step " + std::to_string(Step) + ": " + Absent +
+                " is absent from the store";
   };
   for (const MatchItem &M : Q.Matches) {
     Plan::Item &I = P.Items.emplace_back();
     I.PathSlot = Declare(PathSlots, P.PathVars, M.PathVar);
     I.StepBase = P.NumSteps;
     P.NumSteps += M.Nodes.size();
-    for (const NodePattern &N : M.Nodes) {
+    for (size_t Pos = 0; Pos < M.Nodes.size(); ++Pos) {
+      const NodePattern &N = M.Nodes[Pos];
       NodeStep &S = I.Nodes.emplace_back();
+      std::string Absent = Resolve(N.Props, S.Props);
       if (!N.Label.empty()) {
         S.Label = G.atom(N.Label);
-        S.Never = S.Label == NoAtom;
+        if (S.Label == NoAtom)
+          Absent = "label :" + N.Label;
       }
-      S.Never |= Resolve(N.Props, S.Props);
+      ProveEmpty(I.StepBase + Pos, Absent);
       S.Slot = Declare(NodeSlots, P.NodeVars, N.Var);
       S.Scan = &G.nodesByLabel(N.Label);
     }
-    for (const RelPattern &R : M.Rels) {
+    for (size_t Pos = 0; Pos < M.Rels.size(); ++Pos) {
+      const RelPattern &R = M.Rels[Pos];
       RelStep &S = I.Rels.emplace_back();
       S.AnyType = R.Types.empty();
       for (const std::string &T : R.Types)
@@ -321,11 +347,22 @@ QueryEngine::Plan QueryEngine::compile(const Query &Q) const {
             S.Types.resize((A >> 6) + 1, 0);
           S.Types[A >> 6] |= uint64_t(1) << (A & 63);
         }
-      S.Never = Resolve(R.Props, S.Props);
+      std::string Absent = Resolve(R.Props, S.Props);
+      S.Never = !Absent.empty();
+      if (!S.AnyType && S.Types.empty()) { // No named type is stored.
+        Absent = "every type of ";
+        for (size_t T = 0; T < R.Types.size(); ++T)
+          Absent += (T ? "|" : ":") + R.Types[T];
+      }
       S.MinHops = R.VarLength ? R.MinHops : 1;
       S.MaxHops = R.VarLength ? (R.Unbounded ? Options.MaxHops : R.MaxHops) : 1;
       S.Reverse = R.Reverse;
+      S.VarLength = R.VarLength;
       S.Folded = R.VarLength && Fold_;
+      // A segment that must take a hop but can take none. (A `*0..`
+      // segment still accepts its start node.)
+      if (S.MinHops >= 1)
+        ProveEmpty(I.StepBase + Pos + 1, Absent);
     }
   }
   for (const Condition &C : Q.Where) {
@@ -430,6 +467,30 @@ private:
 
 } // namespace
 
+/// The goal set of one plan step: every node that can reach Target through
+/// relationships the segment accepts. Members carry the current
+/// generation stamp, so a new target costs no clearing.
+struct QueryEngine::GoalSet {
+  NodeHandle Target = InvalidHandle; ///< InvalidHandle: no valid set.
+  uint32_t Gen = 0;
+  std::vector<uint32_t> Stamp; ///< Node → Gen while a member.
+  /// This run's finished sets by target: a target met again is re-stamped
+  /// from its members instead of walked again.
+  std::unordered_map<NodeHandle, std::vector<NodeHandle>> Known;
+
+  bool has(NodeHandle N) const { return Stamp[N] == Gen; }
+
+  /// Starts a new set (no member yet).
+  void nextGen(size_t NumNodes) {
+    Target = InvalidHandle;
+    Stamp.resize(NumNodes, 0);
+    if (++Gen == 0) { // Stamp wrapped: clear for real.
+      std::fill(Stamp.begin(), Stamp.end(), 0);
+      Gen = 1;
+    }
+  }
+};
+
 struct QueryEngine::Buffers {
   /// One per MATCH item: the item's path so far, and an on-path mark per
   /// relationship (relationship isomorphism in O(1)).
@@ -439,6 +500,7 @@ struct QueryEngine::Buffers {
   };
   std::vector<ItemPath> Items;
   std::vector<VisitedTable> Visited; ///< One per plan step.
+  std::vector<GoalSet> Goals;        ///< One per plan step.
 };
 
 /// Mutable matcher state threaded through the backtracking search.
@@ -449,6 +511,7 @@ struct QueryEngine::MatchState {
   /// Projected rows already emitted (RETURN DISTINCT).
   std::set<std::vector<std::string>> SeenRows;
   uint64_t Work = 0;
+  uint64_t GoalWork = 0;   ///< Of Work, the goal-walk steps.
   uint64_t Bindings = 0;   ///< Candidate variable binds (obs counter).
   uint64_t Backtracks = 0; ///< Path-element pops during segment walks.
   bool Aborted = false;
@@ -468,6 +531,7 @@ struct QueryEngine::Segment {
   const NodeStep &Next;
   Buffers::ItemPath &Item;
   VisitedTable *Visited; ///< Non-null when the segment is folded.
+  const GoalSet *Goal;   ///< Non-null when the end node is bound.
 };
 
 //===----------------------------------------------------------------------===//
@@ -485,8 +549,6 @@ void QueryEngine::registerPathPredicate(const std::string &Name,
 }
 
 bool QueryEngine::nodeMatches(NodeHandle H, const NodeStep &Pat) const {
-  if (Pat.Never)
-    return false;
   if (Pat.Label != NoAtom && G.node(H).Label != Pat.Label)
     return false;
   for (const Prop &P : Pat.Props)
@@ -583,6 +645,72 @@ bool QueryEngine::takeStep(MatchState &State) const {
   return true;
 }
 
+/// The goal set of segment \p NodeIdx of item \p ItemIdx, or null when the
+/// segment is single-hop or its end node variable is not yet bound (or the
+/// goal walk aborted). Computed once per run and target by a backward
+/// breadth-first walk from the bound node over the relationships the
+/// segment accepts, one matcher step per expanded node.
+///
+/// Pruning the segment walk to the set keeps every row, binding and path
+/// in the same order. The set is closed under predecessors, so every node
+/// reachable from a non-member is a non-member, and a row needs the walk
+/// to end at the bound node, a member. So a skipped start node or
+/// extension roots a subtree that would emit no row. The visited-table
+/// entries that subtree would have made are all for non-members, and
+/// every later visit to a non-member is skipped anyway, so none of them
+/// could have blocked a visit that leads to a row. On-path marks and fold
+/// pruning act on members exactly as before.
+const QueryEngine::GoalSet *
+QueryEngine::goalSet(size_t ItemIdx, size_t NodeIdx, MatchState &State) {
+  const Plan::Item &M = State.P.Items[ItemIdx];
+  const RelStep &R = M.Rels[NodeIdx];
+  const int32_t Slot = M.Nodes[NodeIdx + 1].Slot;
+  if (!R.VarLength || Slot < 0 || State.Nodes[Slot] == InvalidHandle)
+    return nullptr;
+  const NodeHandle Target = State.Nodes[Slot];
+  const size_t StepIdx = M.StepBase + NodeIdx + 1;
+  GoalSet &GS = Bufs->Goals[StepIdx];
+  if (GS.Target == Target)
+    return &GS;
+
+  GS.nextGen(G.numNodes());
+  auto [It, Fresh] = GS.Known.try_emplace(Target);
+  std::vector<NodeHandle> &Members = It->second;
+  if (!Fresh) {
+    for (NodeHandle N : Members)
+      GS.Stamp[N] = GS.Gen;
+    GS.Target = Target;
+    return &GS;
+  }
+  Profiler::Scope Step(State.Prof, ItemIdx, NodeIdx + 1);
+  const uint64_t Before = State.Work;
+  Members.push_back(Target);
+  GS.Stamp[Target] = GS.Gen;
+  for (size_t I = 0; I < Members.size() && takeStep(State); ++I) {
+    // Against the segment's direction: a forward segment's predecessors
+    // come from the in-adjacency, a `<-[...]-` segment's from the out.
+    for (RelHandle RH : R.Reverse ? G.out(Members[I]) : G.in(Members[I])) {
+      if (!relMatches(RH, R))
+        continue;
+      const StoredRel &Rel = G.rel(RH);
+      NodeHandle Prev = R.Reverse ? Rel.To : Rel.From;
+      if (GS.Stamp[Prev] != GS.Gen) {
+        GS.Stamp[Prev] = GS.Gen;
+        Members.push_back(Prev);
+      }
+    }
+  }
+  State.GoalWork += State.Work - Before;
+  if (State.Prof)
+    State.Prof->Out->Steps[StepIdx].GoalSteps += State.Work - Before;
+  if (State.Aborted) { // A partial set would prune reachable nodes.
+    GS.Known.erase(It);
+    return nullptr;
+  }
+  GS.Target = Target;
+  return &GS;
+}
+
 void QueryEngine::matchItem(size_t ItemIdx, MatchState &State,
                             ResultSet &Out) {
   if (State.Aborted || State.RowLimitHit)
@@ -622,9 +750,14 @@ void QueryEngine::matchItem(size_t ItemIdx, MatchState &State,
     StartWith(State.Nodes[First.Slot]);
     return;
   }
+  // A first segment into an already-bound node: only start nodes in its
+  // goal set are scanned.
+  const GoalSet *Goal = M.Rels.empty() ? nullptr : goalSet(ItemIdx, 0, State);
   for (NodeHandle H : *First.Scan) {
     if (State.Aborted || State.RowLimitHit)
       return;
+    if (Goal && !Goal->has(H))
+      continue;
     if (!takeStep(State))
       return;
     StartWith(H);
@@ -651,6 +784,10 @@ void QueryEngine::matchChain(size_t ItemIdx, size_t NodeIdx,
 
   const size_t StepIdx = M.StepBase + NodeIdx + 1;
   Profiler::Scope Step(State.Prof, ItemIdx, NodeIdx + 1);
+  Buffers::ItemPath &Item = Bufs->Items[ItemIdx];
+  const GoalSet *Goal = goalSet(ItemIdx, NodeIdx, State);
+  if (State.Aborted || (Goal && !Goal->has(Item.P.Nodes.back())))
+    return;
   // With a registered path fold, (node, foldState) pairs are visited once
   // per segment walk — the planner-style pruning that keeps variable-
   // length matching polynomial.
@@ -659,9 +796,8 @@ void QueryEngine::matchChain(size_t ItemIdx, size_t NodeIdx,
     Visited = &Bufs->Visited[StepIdx];
     Visited->reset();
   }
-  Buffers::ItemPath &Item = Bufs->Items[ItemIdx];
   Segment Seg{ItemIdx, NodeIdx, StepIdx, M.Rels[NodeIdx],
-              M.Nodes[NodeIdx + 1], Item, Visited};
+              M.Nodes[NodeIdx + 1], Item, Visited, Goal};
   walk(Seg, Item.P.Nodes.back(), 0, 0, State, Out);
 }
 
@@ -712,6 +848,8 @@ void QueryEngine::walk(const Segment &Seg, NodeHandle Cur, uint32_t Hops,
       continue;
     const StoredRel &R = G.rel(RH);
     NodeHandle Next = Seg.R.Reverse ? R.From : R.To;
+    if (Seg.Goal && !Seg.Goal->has(Next))
+      continue; // Cannot reach the bound end node (see goalSet).
     int64_t NextState = 0;
     if (Seg.Visited) {
       NextState = Fold_(FoldState, G, RH);
@@ -742,6 +880,12 @@ ResultSet QueryEngine::run(const Query &Q, QueryProfile *Profile) {
     I.OnPath.resize(G.numRels(), 0);
   if (Bufs->Visited.size() < P.NumSteps)
     Bufs->Visited.resize(P.NumSteps);
+  if (Bufs->Goals.size() < P.NumSteps)
+    Bufs->Goals.resize(P.NumSteps);
+  for (GoalSet &GS : Bufs->Goals) { // Steps mean other patterns now.
+    GS.Target = InvalidHandle;
+    GS.Known.clear();
+  }
 
   Profiler Prof;
   if (Profile) {
@@ -750,10 +894,14 @@ ResultSet QueryEngine::run(const Query &Q, QueryProfile *Profile) {
     State.Prof = &Prof;
   }
   auto Start = std::chrono::steady_clock::now();
-  matchItem(0, State, Out);
+  Out.EmptyPlan = !P.Empty.empty();
+  if (!Out.EmptyPlan)
+    matchItem(0, State, Out);
   Out.TimedOut = State.Aborted;
   Out.Work = State.Work;
+  Out.GoalWork = State.GoalWork;
   if (Profile) {
+    Profile->EmptyPlan = P.Empty;
     Prof.mark();
     Profile->TotalSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)

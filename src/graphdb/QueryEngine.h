@@ -58,6 +58,11 @@ struct ResultSet {
   std::vector<ResultRow> Rows;
   bool TimedOut = false;
   uint64_t Work = 0; ///< Matcher steps taken (the engine's cost metric).
+  /// Compile proved the plan matches nothing (no steps were taken).
+  bool EmptyPlan = false;
+  /// Of Work, the steps spent computing goal sets (backward walks from
+  /// bound endpoints of variable-length segments).
+  uint64_t GoalWork = 0;
 };
 
 /// One step of the compiled pattern plan: either the initial label scan of
@@ -69,6 +74,8 @@ struct StepProfile {
   std::string Desc; ///< Rendered pattern, e.g. "-[:D|P*0..24]->(arg)".
   uint64_t Candidates = 0; ///< Nodes scanned / extensions attempted.
   uint64_t Matches = 0;    ///< Candidates that satisfied the pattern.
+  /// Backward-walk steps spent on this segment's goal sets.
+  uint64_t GoalSteps = 0;
   double Seconds = 0;      ///< Exclusive time spent in this step.
 };
 
@@ -82,6 +89,9 @@ struct QueryProfile {
   uint64_t Backtracks = 0; ///< Path-element pops during segment walks.
   uint64_t Rows = 0;
   bool TimedOut = false;
+  /// Why compile proved the plan empty (names the string the store
+  /// lacks); "" when the plan ran.
+  std::string EmptyPlan;
 };
 
 /// Renders a profile as an indented text table (one line per step).
@@ -117,11 +127,13 @@ std::vector<StepProfile> planSteps(const Query &Q, const EngineOptions &O);
 /// The query engine bound to one graph.
 ///
 /// Each run compiles the query against the store first: labels, types and
-/// property strings become atoms (a string the store never saw makes its
-/// pattern unmatchable), variables become slot indices. The matcher is
-/// then an interpreted backtracking search over the compiled plan whose
-/// steps cost a few integer compares; see docs/QUERY_LANGUAGE.md ("Engine
-/// internals") for what one matcher step is.
+/// property strings become atoms, variables become slot indices. A string
+/// the store never saw in a mandatory pattern proves the whole plan empty,
+/// and the run then takes no steps. The matcher is an interpreted
+/// backtracking search over the compiled plan whose steps cost a few
+/// integer compares; a variable-length segment into an already-bound node
+/// only walks nodes that can reach it (its goal set). See
+/// docs/QUERY_LANGUAGE.md ("Engine internals").
 class QueryEngine {
 public:
   using PathPredicate =
@@ -167,12 +179,14 @@ private:
   struct Segment;
   struct Profiler;
   struct Buffers;
-  /// Per-item path buffers and per-step visited tables, reused across
-  /// runs (allocated on first use).
+  struct GoalSet;
+  /// Per-item path buffers and per-step visited tables and goal sets,
+  /// reused across runs (allocated on first use).
   std::unique_ptr<Buffers> Bufs;
 
   Plan compile(const Query &Q) const;
   bool takeStep(MatchState &State) const;
+  const GoalSet *goalSet(size_t ItemIdx, size_t NodeIdx, MatchState &State);
   void matchItem(size_t ItemIdx, MatchState &State, ResultSet &Out);
   void matchChain(size_t ItemIdx, size_t NodeIdx, MatchState &State,
                   ResultSet &Out);

@@ -6,8 +6,9 @@
 
 #include "obs/Metrics.h"
 
+#include "obs/AtomicFile.h"
+
 #include <cstdio>
-#include <fstream>
 
 using namespace gjs;
 using namespace gjs::obs;
@@ -66,18 +67,8 @@ bool obs::writePrometheusFile(const std::string &Path,
                               const GaugeList &Gauges) {
   if (Path.empty())
     return false;
-  std::string Text = renderPrometheus(Counters, Histograms, Gauges);
-  std::string Tmp = Path + ".tmp";
-  {
-    std::ofstream F(Tmp, std::ios::out | std::ios::trunc);
-    if (!F)
-      return false;
-    F << Text;
-    F.flush();
-    if (!F.good())
-      return false;
-  }
-  return std::rename(Tmp.c_str(), Path.c_str()) == 0;
+  return writeFileAtomic(Path,
+                         renderPrometheus(Counters, Histograms, Gauges));
 }
 
 bool obs::writePrometheusFile(const std::string &Path,

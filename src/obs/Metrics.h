@@ -37,11 +37,13 @@ std::string renderPrometheus(const CounterSnapshot &Counters,
                              const HistogramSnapshotMap &Histograms,
                              const GaugeList &Gauges = {});
 
-/// Writes one rendered page of the given snapshots to \p Path, via a temp
-/// file + rename so scrapers never observe a torn snapshot. Returns false
-/// when the file cannot be written. For callers whose live counter
-/// registry is not cumulative (the in-process batch driver resets it per
-/// package for journal attribution) — they render accumulated snapshots.
+/// Writes one rendered page of the given snapshots to \p Path through
+/// writeFileAtomic (obs/AtomicFile.h), so scrapers never observe a torn
+/// snapshot and concurrent writers never share a temp file. Returns false,
+/// leaving no temp file, when the file cannot be written. For callers
+/// whose live counter registry is not cumulative (the in-process batch
+/// driver resets it per package for journal attribution) — they render
+/// accumulated snapshots.
 bool writePrometheusFile(const std::string &Path,
                          const CounterSnapshot &Counters,
                          const HistogramSnapshotMap &Histograms,

@@ -186,6 +186,8 @@ GraphDBRunner::detectTaintStyle(VulnType T, const SinkConfig &Config,
     ResultSet R = runBuiltin(E, QueryText);
     QSpan.arg("rows", static_cast<uint64_t>(R.Rows.size()));
     QSpan.arg("work", R.Work);
+    QSpan.arg("empty_plan", static_cast<uint64_t>(R.EmptyPlan));
+    QSpan.arg("goal_steps", R.GoalWork);
     if (Stats) {
       Stats->QueryWork += R.Work;
       Stats->TimedOut |= R.TimedOut;
@@ -267,6 +269,8 @@ GraphDBRunner::detectPrototypePollution(DetectStats *Stats) {
   ResultSet R = runBuiltin(E, PollutionQuery);
   QSpan.arg("rows", static_cast<uint64_t>(R.Rows.size()));
   QSpan.arg("work", R.Work);
+  QSpan.arg("empty_plan", static_cast<uint64_t>(R.EmptyPlan));
+  QSpan.arg("goal_steps", R.GoalWork);
   QSpan.close();
   if (Stats) {
     Stats->QueryWork += R.Work;

@@ -15,6 +15,7 @@
 #include "driver/BatchDriver.h"
 #include "driver/ScanService.h"
 #include "driver/WorkLedger.h"
+#include "obs/AtomicFile.h"
 #include "obs/Counters.h"
 #include "support/JSON.h"
 #include "support/Subprocess.h"
@@ -346,8 +347,8 @@ TEST(WorkLedgerTest, AtomicWriteLeavesNoTempFileBehind) {
   };
   // Success replaces the content whole.
   std::string Path = Dir + "/owner";
-  ASSERT_TRUE(driver::writeFileAtomic(Path, "first\n"));
-  ASSERT_TRUE(driver::writeFileAtomic(Path, "second\n"));
+  ASSERT_TRUE(obs::writeFileAtomic(Path, "first\n"));
+  ASSERT_TRUE(obs::writeFileAtomic(Path, "second\n"));
   EXPECT_EQ(readLines(Path), std::vector<std::string>{"second"});
   EXPECT_TRUE(Temps().empty());
 
@@ -355,12 +356,12 @@ TEST(WorkLedgerTest, AtomicWriteLeavesNoTempFileBehind) {
   // written and synced, and must be unlinked again.
   std::string Blocked = Dir + "/blocked";
   std::filesystem::create_directories(Blocked + "/inside");
-  EXPECT_FALSE(driver::writeFileAtomic(Blocked, "lost\n"));
+  EXPECT_FALSE(obs::writeFileAtomic(Blocked, "lost\n"));
   EXPECT_TRUE(std::filesystem::is_directory(Blocked));
   EXPECT_TRUE(Temps().empty()) << Temps().front();
 
   // The temp file cannot even be created: the parent is missing.
-  EXPECT_FALSE(driver::writeFileAtomic(Dir + "/missing/owner", "x\n"));
+  EXPECT_FALSE(obs::writeFileAtomic(Dir + "/missing/owner", "x\n"));
   EXPECT_TRUE(Temps().empty()) << Temps().front();
   std::filesystem::remove_all(Dir);
 }

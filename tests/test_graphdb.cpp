@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <random>
 
 using namespace gjs;
 using namespace gjs::graphdb;
@@ -320,8 +321,8 @@ TEST(QueryParserTest, ParsesReverseAndRelProps) {
 
 //===----------------------------------------------------------------------===//
 // Engine edge cases. Each expectation pins the rows, the matcher steps and
-// the bindings/backtracks counter deltas: the engine must take the same
-// steps in the same order however patterns are resolved internally.
+// the bindings/backtracks counter deltas. Rows never depend on how the
+// engine prunes; the step counts move only when its pruning does.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -363,21 +364,19 @@ std::string runSummary(QueryEngine &E, const std::string &Text) {
 TEST(QueryEngineEdgeTest, StringsAbsentFromTheGraphNeverMatch) {
   PropertyGraph G = makeFixture();
   QueryEngine E(G);
-  // Absent label: nothing to scan.
+  // Absent label, property value, relationship type or relationship
+  // property value: the plan is proved empty and takes no step.
   EXPECT_EQ(runSummary(E, "MATCH (a:Missing) RETURN a"), "0|0|0|0|0");
-  // Absent property value: every Object is still scanned.
   EXPECT_EQ(runSummary(E, "MATCH (a:Object {taint: 'maybe'}) RETURN a"),
-            "0|3|0|0|0");
-  // Absent relationship type: each start node walks once, never extends.
+            "0|0|0|0|0");
   EXPECT_EQ(runSummary(E, "MATCH (a:Object)-[:NOPE]->(b) RETURN b"),
-            "0|6|0|3|0");
+            "0|0|0|0|0");
   // ... but a zero-hop segment still accepts its start node.
   EXPECT_EQ(runSummary(E, "MATCH (a:Object {taint: 'true'})-[:NOPE*0..]->(b) "
                           "RETURN b.label"),
             "1|4|0|2|0 a");
-  // Absent relationship property value.
   EXPECT_EQ(runSummary(E, "MATCH (a)-[:P {name: 'y'}]->(b) RETURN b"),
-            "0|8|0|4|0");
+            "0|0|0|0|0");
   // WHERE against an absent literal, and a missing key reading as ''.
   EXPECT_EQ(runSummary(E, "MATCH (c:Call) WHERE c.name = 'nothing' RETURN c"),
             "0|1|0|1|0");
@@ -396,10 +395,11 @@ TEST(QueryEngineEdgeTest, VariableJoinedAcrossTwoMatchItems) {
   EXPECT_EQ(runSummary(E, "MATCH (a:Object)-[:D]->(b), (b)-[:D]->(c:Call) "
                           "RETURN a.label, b.label, c.name"),
             "1|11|0|6|3 a,b,exec");
-  // Joined as an endpoint instead: only the compatible binding survives.
+  // Joined as an endpoint instead: only the compatible binding survives,
+  // and only start nodes in b's goal set ({a, b}) are scanned.
   EXPECT_EQ(runSummary(E, "MATCH (b:Object)-[:D]->(c:Call), "
                           "(a:Object)-[:D*1..]->(b) RETURN a.label, c.name"),
-            "1|17|0|7|5 a,exec");
+            "1|15|0|6|3 a,exec");
 }
 
 TEST(QueryEngineEdgeTest, ReverseVariableLengthWithFold) {
@@ -459,4 +459,173 @@ TEST(QueryEngineEdgeTest, WorkBudgetAbortStopsAtTheSameStep) {
                            "(b)-[:D*2..3]->(c) RETURN b.label, c.label"),
             "20|26|1|22|34 1,1 1,2 1,3 1,4 1,5 1,2 1,0 1,1 1,3 1,4 1,5 1,3 1,0 "
             "1,1 1,2 1,4 1,5 1,4 1,0 1,1");
+}
+
+//===----------------------------------------------------------------------===//
+// Empty plans and goal sets. A variable-length segment into a bound node
+// walks only nodes that can reach it; a pattern string the store lacks
+// empties the plan. Neither may change a row.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A seeded random graph: 14 nodes labelled X (about one in four) or Y,
+/// each with a unique id, and 28 relationships, mostly of type T, with a
+/// weight property w in 0..2 (self-loops and parallel edges included).
+PropertyGraph randomGraph(unsigned Seed) {
+  std::mt19937 Rng(Seed);
+  PropertyGraph G;
+  const unsigned N = 14;
+  for (unsigned I = 0; I < N; ++I)
+    G.addNode(Rng() % 4 == 0 ? "X" : "Y", {{"id", std::to_string(I)}});
+  for (unsigned E = 0; E < 2 * N; ++E) {
+    NodeHandle From = Rng() % N, To = Rng() % N;
+    G.addRel(From, To, Rng() % 5 ? "T" : "U",
+             {{"w", std::to_string(Rng() % 3)}});
+  }
+  return G;
+}
+
+/// A fold with three states that also prunes: the path's weight sum mod 3,
+/// with weight-2 extensions pruned from state 1.
+int64_t weightFold(int64_t S, const PropertyGraph &G, RelHandle RH) {
+  int64_t W = std::stoi(G.relProp(RH, "w"));
+  if (W == 2 && S == 1)
+    return -1;
+  return (S + W) % 3;
+}
+
+/// Each row as text: projected values, then node and path bindings (path
+/// nodes and relationships), leaving out the variable \p Skip.
+std::vector<std::string> rowsOf(const ResultSet &R, const std::string &Skip) {
+  std::vector<std::string> Out;
+  for (const ResultRow &Row : R.Rows) {
+    std::string S;
+    for (const std::string &V : Row.Values)
+      S += V + ",";
+    for (const auto &[Var, N] : Row.NodeBindings)
+      if (Var != Skip)
+        S += Var + "=" + std::to_string(N) + ";";
+    for (const auto &[Var, P] : Row.PathBindings) {
+      S += Var + "=";
+      for (NodeHandle N : P.Nodes)
+        S += std::to_string(N) + " ";
+      S += "/";
+      for (RelHandle E : P.Rels)
+        S += " " + std::to_string(E);
+    }
+    Out.push_back(std::move(S));
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(QueryGoalSetTest, BoundEndpointMatchesItsWhereTwinOnRandomGraphs) {
+  // The twin binds a fresh endpoint and compares ids in WHERE, so it never
+  // takes the goal path: the two must agree row for row, in order.
+  size_t Rows = 0;
+  for (unsigned Seed = 1; Seed <= 40; ++Seed) {
+    PropertyGraph G = randomGraph(Seed);
+    for (bool Fold : {false, true}) {
+      for (bool Reverse : {false, true}) {
+        EngineOptions O;
+        O.MaxHops = 5;
+        QueryEngine E(G, O);
+        if (Fold)
+          E.setPathFold(weightFold);
+        std::string Seg = Reverse ? "<-[:T*1..]-" : "-[:T*1..]->";
+        std::string Goal =
+            "MATCH (b:X), p = (a)" + Seg + "(b) RETURN a.id, b.id, p";
+        std::string Twin = "MATCH (b:X), p = (a)" + Seg +
+                           "(c) WHERE c.id = b.id RETURN a.id, b.id, p";
+        std::string Error;
+        ResultSet RG = E.run(Goal, &Error);
+        ASSERT_TRUE(Error.empty()) << Error;
+        ResultSet RT = E.run(Twin, &Error);
+        ASSERT_TRUE(Error.empty()) << Error;
+        SCOPED_TRACE("seed " + std::to_string(Seed) + (Fold ? " fold" : "") +
+                     (Reverse ? " reverse" : ""));
+        EXPECT_EQ(rowsOf(RG, "c"), rowsOf(RT, "c"));
+        EXPECT_FALSE(RG.TimedOut || RT.TimedOut);
+        EXPECT_EQ(RT.GoalWork, 0u);
+        if (!G.nodesByLabel("X").empty())
+          EXPECT_GT(RG.GoalWork, 0u);
+        Rows += RG.Rows.size();
+      }
+    }
+  }
+  EXPECT_GT(Rows, 1000u) << "the random graphs must produce rows to compare";
+}
+
+TEST(QueryGoalSetTest, BoundEndpointNoSourceReaches) {
+  PropertyGraph G = makeFixture();
+  QueryEngine E(G);
+  // d is reached from the source only through P: its D goal set is {d}, so
+  // no start node is walked at all.
+  const std::string Text = "MATCH (d:Object {label: 'd'}), "
+                           "(a:Object {taint: 'true'})-[:D*1..]->(d) "
+                           "RETURN a";
+  EXPECT_EQ(runSummary(E, Text), "0|5|0|1|0");
+  QueryProfile P;
+  std::string Error;
+  ResultSet R = E.run(Text, &Error, &P);
+  ASSERT_TRUE(Error.empty()) << Error;
+  EXPECT_EQ(R.GoalWork, 1u);
+  ASSERT_EQ(P.Steps.size(), 3u);
+  // Of the three Objects only d itself, which is no source, is scanned.
+  EXPECT_EQ(P.Steps[1].Candidates, 1u);
+  EXPECT_EQ(P.Steps[1].Matches, 0u);
+  EXPECT_EQ(P.Steps[2].GoalSteps, 1u);
+  EXPECT_NE(renderProfile(P).find("goal_steps=1"), std::string::npos);
+}
+
+TEST(QueryGoalSetTest, BudgetSmallerThanTheGoalWalkTimesOut) {
+  // A chain 0 -> 1 -> ... -> 9; the end nodes 2 and 9 are targets in turn.
+  PropertyGraph G;
+  std::vector<NodeHandle> Ns;
+  for (int I = 0; I < 10; ++I)
+    Ns.push_back(G.addNode(
+        "Object", {{"label", std::to_string(I)},
+                   {"end", I == 2 || I == 9 ? "yes" : "no"}}));
+  for (int I = 0; I + 1 < 10; ++I)
+    G.addRel(Ns[I], Ns[I + 1], "D");
+  const std::string Text = "MATCH (b:Object {end: 'yes'}), "
+                           "(a)-[:D*1..]->(b) RETURN b.label, a.label";
+  QueryEngine Full(G);
+  EXPECT_EQ(runSummary(Full, Text),
+            "11|97|0|15|48 2,0 2,1 9,0 9,1 9,2 9,3 9,4 9,5 9,6 9,7 9,8");
+  // The budget runs out inside the second target's goal walk: target 2's
+  // rows stand, and nothing is matched after the abort.
+  EngineOptions O;
+  O.WorkBudget = 25;
+  QueryEngine Budgeted(G, O);
+  EXPECT_EQ(runSummary(Budgeted, Text), "2|26|1|5|3 2,0 2,1");
+  ResultSet R = Budgeted.run(Text);
+  EXPECT_TRUE(R.TimedOut);
+  // Three steps walk target 2's set {0, 1, 2}; target 9's walk aborts on
+  // its fourth.
+  EXPECT_EQ(R.GoalWork, 7u);
+}
+
+TEST(QueryGoalSetTest, AbsentRelationshipPropertyEmptiesTheMandatoryPlan) {
+  PropertyGraph G = makeFixture();
+  QueryEngine E(G);
+  const std::string Text = "MATCH (a)-[:P {name: 'y'}*1..]->(b) RETURN b";
+  EXPECT_EQ(runSummary(E, Text), "0|0|0|0|0");
+  QueryProfile P;
+  std::string Error;
+  ResultSet R = E.run(Text, &Error, &P);
+  ASSERT_TRUE(Error.empty()) << Error;
+  EXPECT_TRUE(R.EmptyPlan);
+  EXPECT_EQ(P.EmptyPlan, "step 1: 'y' is absent from the store");
+  EXPECT_NE(renderProfile(P).find("empty plan: step 1: 'y'"),
+            std::string::npos);
+  E.run("MATCH (a)-[:NOPE|NADA]->(b) RETURN b", &Error, &P);
+  EXPECT_EQ(P.EmptyPlan,
+            "step 1: every type of :NOPE|NADA is absent from the store");
+  // A `*0..` segment is optional: every start node is still a row.
+  ResultSet Zero = E.run("MATCH (a)-[:P {name: 'y'}*0..]->(b) RETURN b");
+  EXPECT_FALSE(Zero.EmptyPlan);
+  EXPECT_EQ(Zero.Rows.size(), 4u);
 }

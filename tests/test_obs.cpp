@@ -25,9 +25,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -550,6 +552,83 @@ TEST(MetricsTest, WritePrometheusFileIsAtomicAndReadable) {
   EXPECT_NE(Page.find("graphjs_scan_attempts 1"), std::string::npos);
   EXPECT_EQ(slurp(Path + ".tmp"), "") << "temp file must not linger";
   std::remove(Path.c_str());
+}
+
+namespace {
+
+/// The writer temp files (`.<name>.tmp.<pid>.<n>`) left in \p Dir.
+std::vector<std::string> tempFilesIn(const std::string &Dir) {
+  std::vector<std::string> Out;
+  for (const auto &E : std::filesystem::recursive_directory_iterator(Dir))
+    if (E.path().filename().string().find(".tmp") != std::string::npos)
+      Out.push_back(E.path().string());
+  return Out;
+}
+
+/// A counter page of \p N counters all set to \p Value.
+obs::CounterSnapshot bigPage(int N, uint64_t Value) {
+  obs::CounterSnapshot C;
+  for (int I = 0; I < N; ++I)
+    C["race.c" + std::to_string(I)] = Value;
+  return C;
+}
+
+} // namespace
+
+TEST(MetricsTest, FailedPrometheusWriteLeavesNoTempFile) {
+  std::string Dir = ::testing::TempDir() + "gjs_metrics_fail";
+  std::filesystem::remove_all(Dir);
+  // The final name is a non-empty directory, so the rename fails after the
+  // temp file was written and synced.
+  std::filesystem::create_directories(Dir + "/page.prom/inside");
+  obs::CounterSnapshot Counters = bigPage(3, 1);
+  EXPECT_FALSE(obs::writePrometheusFile(Dir + "/page.prom", Counters, {}, {}));
+  EXPECT_TRUE(std::filesystem::is_directory(Dir + "/page.prom"));
+  EXPECT_EQ(tempFilesIn(Dir), std::vector<std::string>());
+  // The parent directory is missing: not even a temp file is created.
+  EXPECT_FALSE(
+      obs::writePrometheusFile(Dir + "/missing/page.prom", Counters, {}, {}));
+  EXPECT_EQ(tempFilesIn(Dir), std::vector<std::string>());
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(MetricsTest, ConcurrentPrometheusWritersNeverLeaveATornFile) {
+  std::string Dir = ::testing::TempDir() + "gjs_metrics_race";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  const std::string Path = Dir + "/page.prom";
+  // Two distinct pages of about 60 KB: a torn or interleaved write shows.
+  const obs::CounterSnapshot A = bigPage(2000, 1), B = bigPage(2000, 2);
+  const std::string TextA = obs::renderPrometheus(A, {}, {});
+  const std::string TextB = obs::renderPrometheus(B, {}, {});
+  ASSERT_TRUE(obs::writePrometheusFile(Path, A, {}, {}));
+
+  std::atomic<bool> Done{false};
+  std::atomic<int> Torn{0}, Failed{0};
+  std::thread Reader([&] {
+    while (!Done) {
+      std::string Page = slurp(Path);
+      if (Page != TextA && Page != TextB)
+        ++Torn;
+    }
+  });
+  std::vector<std::thread> Writers;
+  for (const obs::CounterSnapshot *C : {&A, &B})
+    Writers.emplace_back([&, C] {
+      for (int I = 0; I < 40; ++I)
+        if (!obs::writePrometheusFile(Path, *C, {}, {}))
+          ++Failed;
+    });
+  for (std::thread &W : Writers)
+    W.join();
+  Done = true;
+  Reader.join();
+  EXPECT_EQ(Failed.load(), 0);
+  EXPECT_EQ(Torn.load(), 0);
+  std::string Final = slurp(Path);
+  EXPECT_TRUE(Final == TextA || Final == TextB);
+  EXPECT_EQ(tempFilesIn(Dir), std::vector<std::string>());
+  std::filesystem::remove_all(Dir);
 }
 
 //===----------------------------------------------------------------------===//

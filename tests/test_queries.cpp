@@ -521,32 +521,61 @@ TEST(BuiltinQueryTest, ConcurrentScansShareTheMemo) {
 
 //===----------------------------------------------------------------------===//
 // Golden query identity: every built-in query run over the golden corpus
-// (tests/GoldenCorpus.h), digesting per query its projected rows, node
-// bindings, matcher steps, timeout flag and the query.bindings,
-// query.backtracks and query.rows counter deltas. Any change to which
-// rows the engine finds, in which order, or to how many steps it takes
-// changes a digest; budgets and the degradation ladder depend on both.
+// (tests/GoldenCorpus.h). Two digests per input keep results and cost
+// apart. The results digest covers each query's name, error, timeout
+// flag, projected rows, node bindings and path bindings (nodes and
+// relationships); any change to which rows the engine finds, or in which
+// order, changes it. The cost digest covers matcher steps and the
+// query.bindings, query.backtracks and query.rows counter deltas: it moves
+// when the engine takes a different number of steps for the same rows.
+// Budgets and the degradation ladder depend on both, so cost may only
+// fall: each input's total steps are checked against a recorded ceiling.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-uint64_t queryDigestOf(const golden::Input &In) {
+/// Digests of one input's built-in query runs, and their total steps.
+struct GoldenRun {
+  uint64_t Results = 0;
+  uint64_t Cost = 0;
+  uint64_t Work = 0;
+};
+
+GoldenRun goldenRunOf(const golden::Input &In) {
+  GoldenRun Run;
   analysis::BuildResult Build;
   if (!golden::build(In, Build))
-    return 0;
+    return Run;
   SinkConfig Config = SinkConfig::defaults();
   GraphDBRunner Runner(Build);
   bool WasOn = obs::setCountersEnabled(true);
-  uint64_t H = golden::fnv1a("");
+  Run.Results = Run.Cost = golden::fnv1a("");
   for (const auto &[Name, Text] : GraphDBRunner::builtinQueries(Config)) {
     uint64_t Bindings = obs::counters::QueryBindings.value();
     uint64_t Backtracks = obs::counters::QueryBacktracks.value();
     uint64_t Rows = obs::counters::QueryRows.value();
     std::string Error;
     graphdb::ResultSet R = Runner.runQuery(Text, &Error);
-    std::string D = Name + "|" + Error + "|work=" + std::to_string(R.Work) +
-                    "|timeout=" + std::to_string(R.TimedOut) +
-                    "|bindings=" +
+    std::string D =
+        Name + "|" + Error + "|timeout=" + std::to_string(R.TimedOut);
+    for (const graphdb::ResultRow &Row : R.Rows) {
+      D += "\n";
+      for (const std::string &V : Row.Values)
+        D += V + ",";
+      for (const auto &[Var, Node] : Row.NodeBindings)
+        D += Var + "=" + std::to_string(Node) + ";";
+      for (const auto &[Var, P] : Row.PathBindings) {
+        D += Var + "=";
+        for (graphdb::NodeHandle N : P.Nodes)
+          D += std::to_string(N) + " ";
+        D += "/";
+        for (graphdb::RelHandle E : P.Rels)
+          D += " " + std::to_string(E);
+        D += ";";
+      }
+    }
+    Run.Results = golden::fnv1a(D, Run.Results);
+    std::string C = Name + "|work=" + std::to_string(R.Work) + "|bindings=" +
                     std::to_string(obs::counters::QueryBindings.value() -
                                    Bindings) +
                     "|backtracks=" +
@@ -554,105 +583,279 @@ uint64_t queryDigestOf(const golden::Input &In) {
                                    Backtracks) +
                     "|rows=" +
                     std::to_string(obs::counters::QueryRows.value() - Rows);
-    for (const graphdb::ResultRow &Row : R.Rows) {
-      D += "\n";
-      for (const std::string &V : Row.Values)
-        D += V + ",";
-      for (const auto &[Var, Node] : Row.NodeBindings)
-        D += Var + "=" + std::to_string(Node) + ";";
-    }
-    H = golden::fnv1a(D, H);
+    Run.Cost = golden::fnv1a(C, Run.Cost);
+    Run.Work += R.Work;
   }
   obs::setCountersEnabled(WasOn);
-  return H;
+  return Run;
 }
 
+/// Every golden input's run, in corpus order (computed once per binary).
+const std::vector<std::pair<std::string, GoldenRun>> &goldenRuns() {
+  static const std::vector<std::pair<std::string, GoldenRun>> Runs = [] {
+    std::vector<std::pair<std::string, GoldenRun>> Out;
+    for (const golden::Input &In : golden::corpus())
+      Out.emplace_back(In.Name, goldenRunOf(In));
+    return Out;
+  }();
+  return Runs;
+}
+
+/// Checks one recorded figure per input: equal to the table's entry, or
+/// at most it when \p Ceiling. On failure prints the table entry for the
+/// current value (paste it when a change is intended; each table says
+/// when that is allowed).
+void checkRecorded(const std::map<std::string, uint64_t> &Table,
+                   uint64_t GoldenRun::*Field, const char *Format,
+                   bool Ceiling = false) {
+  EXPECT_EQ(goldenRuns().size(), Table.size());
+  for (const auto &[Name, Run] : goldenRuns()) {
+    const uint64_t Now = Run.*Field;
+    char Entry[160];
+    std::snprintf(Entry, sizeof(Entry), Format, Name.c_str(),
+                  static_cast<unsigned long long>(Now));
+    auto It = Table.find(Name);
+    if (It == Table.end())
+      ADD_FAILURE() << "nothing recorded; entry:\n" << Entry;
+    else
+      EXPECT_TRUE(Ceiling ? Now <= It->second : Now == It->second)
+          << Name << ": recorded " << It->second << "; new entry:\n"
+          << Entry;
+  }
+}
+
+const char *HexEntry = "    {\"%s\", 0x%016llxULL},";
+
+// Results digests. Recorded before goal-set pruning and empty-plan proofs
+// were added: those must not change a row, so never re-record these for
+// an engine optimisation.
 // clang-format off
-const std::map<std::string, uint64_t> QueryGoldenDigests = {
-    {"snippet/0", 0x45adeb8ec07afdd7ULL},
-    {"snippet/1", 0x80393a6184d7bfa9ULL},
-    {"snippet/2", 0xdf77434289a633f4ULL},
-    {"snippet/3", 0x41a3401208a1d38cULL},
-    {"snippet/4", 0x92638d4f2165b89eULL},
-    {"snippet/5", 0xa4e281f917798c8eULL},
-    {"examples/clean_utils.js", 0x371caf99f019624fULL},
-    {"examples/figure1.js", 0xf4b29093bcb21b63ULL},
-    {"examples/promise_chain.js", 0xf0a25863ae2debf8ULL},
-    {"examples/set_value.js", 0x3232fbab9afa2307ULL},
-    {"table3/0/path-0", 0x3fd94fec1268c70dULL},
-    {"table3/1/path-1", 0xa636d8cbd8fb5f96ULL},
-    {"table3/2/path-2", 0xfe22869593789b28ULL},
-    {"table3/3/path-3", 0xced35fc87d590b6dULL},
-    {"table3/4/cmd-4", 0x9b1a522a9a000540ULL},
-    {"table3/5/cmd-5", 0x7c48160539f85a80ULL},
-    {"table3/6/cmd-6", 0x896d404f724460d6ULL},
-    {"table3/7/cmd-7", 0x99234d692d5c753cULL},
-    {"table3/8/cmd-8", 0xd0db46ac4deeeb17ULL},
-    {"table3/9/cmd-9", 0xe0718d4940da1371ULL},
-    {"table3/10/code-10", 0x4b601e8937c0c034ULL},
-    {"table3/11/code-11", 0x8e4927bf9aef6dafULL},
-    {"table3/12/code-12", 0xf68462b4f5401e9aULL},
-    {"table3/13/code-13", 0xdc2785dbfaebce7dULL},
-    {"table3/14/proto-14", 0x3588612553190546ULL},
-    {"table3/15/proto-15", 0x6734ead6b4a30053ULL},
-    {"table3/16/proto-16", 0xb92309a68872b78dULL},
-    {"table3/17/proto-17", 0xfb2e019d409db67bULL},
-    {"table3/18/proto-18", 0x6d500f90b00bee33ULL},
-    {"table3/19/proto-19", 0x3931ebd686b74882ULL},
-    {"deptree/chain/0/1", 0x0ea9a9591754fbf8ULL},
-    {"deptree/chain/0/2", 0xee2a4c2c9672875cULL},
-    {"deptree/chain/0/3", 0x078c5e14362b3e63ULL},
-    {"deptree/benign/0", 0xa2676b201572cebeULL},
-    {"deptree/cyclic/0", 0x98578fdad663c849ULL},
-    {"deptree/missing/0", 0x7cf9b48c2c8d3394ULL},
-    {"deptree/broken/0", 0x7cf9b48c2c8d3394ULL},
-    {"deptree/chain/1/1", 0xbd7b8e4be4cbb7bbULL},
-    {"deptree/chain/1/2", 0x2634b81f23ae0455ULL},
-    {"deptree/chain/1/3", 0x35124c648ed38787ULL},
-    {"deptree/benign/1", 0x5929eb56da8fd6e2ULL},
-    {"deptree/cyclic/1", 0x6b8dc0a9ebc435efULL},
-    {"deptree/missing/1", 0x7cf9b48c2c8d3394ULL},
-    {"deptree/broken/1", 0x7cf9b48c2c8d3394ULL},
-    {"deptree/chain/2/1", 0x120ce8f8ec20e7a4ULL},
-    {"deptree/chain/2/2", 0x56bff982834b4745ULL},
-    {"deptree/chain/2/3", 0x8889b99758b3fff2ULL},
-    {"deptree/benign/2", 0xb9173a9940de3276ULL},
-    {"deptree/cyclic/2", 0x376fe19661ec3933ULL},
-    {"deptree/missing/2", 0x7cf9b48c2c8d3394ULL},
-    {"deptree/broken/2", 0x7cf9b48c2c8d3394ULL},
-    {"deptree/chain/3/1", 0xe0b61f7262308888ULL},
-    {"deptree/chain/3/2", 0x96cdca23c7250789ULL},
-    {"deptree/chain/3/3", 0x1abac4ab61c71e5bULL},
-    {"deptree/benign/3", 0xb771408085ee9501ULL},
-    {"deptree/cyclic/3", 0xf0ce529745437144ULL},
-    {"deptree/missing/3", 0xda663fed1b9f8625ULL},
-    {"deptree/broken/3", 0xda663fed1b9f8625ULL},
-    {"async/vulnerable/await", 0xc8870218e1237ff2ULL},
-    {"async/benign/await", 0x7388e3a0dc27f674ULL},
-    {"async/vulnerable/then-chain", 0xfa60f13408599f3bULL},
-    {"async/benign/then-chain", 0x5125aa59c51c9dbcULL},
-    {"async/vulnerable/promise-executor", 0x84861a0fb4b1e916ULL},
-    {"async/benign/promise-executor", 0x120ceb527d35e2a4ULL},
-    {"async/vulnerable/error-first-callback", 0xf45dbead71ca0576ULL},
-    {"async/benign/error-first-callback", 0xf5ed594120d3398fULL},
+const std::map<std::string, uint64_t> QueryGoldenResults = {
+    {"snippet/0", 0xa069832d5ec345cfULL},
+    {"snippet/1", 0x983017644768e457ULL},
+    {"snippet/2", 0x3382e404a70061ffULL},
+    {"snippet/3", 0x594ac7a058c0169eULL},
+    {"snippet/4", 0x3896f078ec8f165dULL},
+    {"snippet/5", 0x983017644768e457ULL},
+    {"examples/clean_utils.js", 0x983017644768e457ULL},
+    {"examples/figure1.js", 0x5963b1448977ad0bULL},
+    {"examples/promise_chain.js", 0x2cbd05c545976fb7ULL},
+    {"examples/set_value.js", 0xc7e3089c75b02927ULL},
+    {"table3/0/path-0", 0x0e6943d309b77a66ULL},
+    {"table3/1/path-1", 0x254aeb580ba0d48eULL},
+    {"table3/2/path-2", 0x8656ab95b9d61dd6ULL},
+    {"table3/3/path-3", 0xf13e979bba637912ULL},
+    {"table3/4/cmd-4", 0x2366752556fe32bdULL},
+    {"table3/5/cmd-5", 0xc8da386b6ac09a81ULL},
+    {"table3/6/cmd-6", 0x087b7e4d6b71b56cULL},
+    {"table3/7/cmd-7", 0xe42b9e3402f6a293ULL},
+    {"table3/8/cmd-8", 0x9c4a8e187d467d86ULL},
+    {"table3/9/cmd-9", 0x4a3672cdd39c4301ULL},
+    {"table3/10/code-10", 0x983017644768e457ULL},
+    {"table3/11/code-11", 0xab4ec08da94714d0ULL},
+    {"table3/12/code-12", 0x3a1a498b9739feafULL},
+    {"table3/13/code-13", 0x983017644768e457ULL},
+    {"table3/14/proto-14", 0x43ecc3a437cafeb7ULL},
+    {"table3/15/proto-15", 0x983017644768e457ULL},
+    {"table3/16/proto-16", 0x7dfc3a838d715c4bULL},
+    {"table3/17/proto-17", 0xa8a6d4a113b05a5fULL},
+    {"table3/18/proto-18", 0xd74e2657ff166c1fULL},
+    {"table3/19/proto-19", 0x983017644768e457ULL},
+    {"deptree/chain/0/1", 0xc20177702e7ce9e5ULL},
+    {"deptree/chain/0/2", 0x632d294956424755ULL},
+    {"deptree/chain/0/3", 0x01f2d169ec5f4d99ULL},
+    {"deptree/benign/0", 0x1146194d0c31755bULL},
+    {"deptree/cyclic/0", 0x8254879b2cd8db81ULL},
+    {"deptree/missing/0", 0x983017644768e457ULL},
+    {"deptree/broken/0", 0x983017644768e457ULL},
+    {"deptree/chain/1/1", 0xd418bc38872e21b6ULL},
+    {"deptree/chain/1/2", 0xe4e228add7986ca3ULL},
+    {"deptree/chain/1/3", 0xdfa70ee8571ceca6ULL},
+    {"deptree/benign/1", 0x983017644768e457ULL},
+    {"deptree/cyclic/1", 0x9533ea913ceef188ULL},
+    {"deptree/missing/1", 0x983017644768e457ULL},
+    {"deptree/broken/1", 0x983017644768e457ULL},
+    {"deptree/chain/2/1", 0xfea139cdf72abc64ULL},
+    {"deptree/chain/2/2", 0x726257c486c9edc8ULL},
+    {"deptree/chain/2/3", 0xda11feacc86890aeULL},
+    {"deptree/benign/2", 0x38d787ee27eb9743ULL},
+    {"deptree/cyclic/2", 0xc994473ed7362e24ULL},
+    {"deptree/missing/2", 0x983017644768e457ULL},
+    {"deptree/broken/2", 0x983017644768e457ULL},
+    {"deptree/chain/3/1", 0x6194850f8a369d97ULL},
+    {"deptree/chain/3/2", 0xe6a156ef02713107ULL},
+    {"deptree/chain/3/3", 0xfae2e61e6631e197ULL},
+    {"deptree/benign/3", 0x983017644768e457ULL},
+    {"deptree/cyclic/3", 0xdf96d28f728ad73fULL},
+    {"deptree/missing/3", 0x983017644768e457ULL},
+    {"deptree/broken/3", 0x983017644768e457ULL},
+    {"async/vulnerable/await", 0x2b9bd34a8d8445f5ULL},
+    {"async/benign/await", 0x40bbbbf1da4aeb7dULL},
+    {"async/vulnerable/then-chain", 0x55a7f792731c7595ULL},
+    {"async/benign/then-chain", 0x3e8c26cd3e59f52dULL},
+    {"async/vulnerable/promise-executor", 0xc76dc2e03d48c12fULL},
+    {"async/benign/promise-executor", 0xfba99f0d87601f15ULL},
+    {"async/vulnerable/error-first-callback", 0xaa95a421fe95c63aULL},
+    {"async/benign/error-first-callback", 0x1b8fc3e50e95a229ULL},
+};
+// clang-format on
+
+// Cost digests: re-record when the engine's step accounting changes.
+// clang-format off
+const std::map<std::string, uint64_t> QueryGoldenCosts = {
+    {"snippet/0", 0x334bf01eb674ff08ULL},
+    {"snippet/1", 0x66dcc7cca65b65ddULL},
+    {"snippet/2", 0xc628b078c6d02377ULL},
+    {"snippet/3", 0x6ff48106e3800554ULL},
+    {"snippet/4", 0xe2794f14c5280033ULL},
+    {"snippet/5", 0x502a6a0a0dbd5f98ULL},
+    {"examples/clean_utils.js", 0x38eaff65706c9637ULL},
+    {"examples/figure1.js", 0xd11fb437be12d8b4ULL},
+    {"examples/promise_chain.js", 0x621644e9fa05099eULL},
+    {"examples/set_value.js", 0x3e5d16bede74a35bULL},
+    {"table3/0/path-0", 0xe46e0701ad0ebc34ULL},
+    {"table3/1/path-1", 0xda571335a143883aULL},
+    {"table3/2/path-2", 0x09250271b0f74209ULL},
+    {"table3/3/path-3", 0x096fc9d021fc6337ULL},
+    {"table3/4/cmd-4", 0xc82375de07f80066ULL},
+    {"table3/5/cmd-5", 0x121711e0408c27d4ULL},
+    {"table3/6/cmd-6", 0x2a222607ed526216ULL},
+    {"table3/7/cmd-7", 0xe3c3f59fe5eb3739ULL},
+    {"table3/8/cmd-8", 0xd3f46decbfe9f046ULL},
+    {"table3/9/cmd-9", 0x63f48aad05622f83ULL},
+    {"table3/10/code-10", 0xe65343cd273cc4afULL},
+    {"table3/11/code-11", 0x0327d616467f7b0aULL},
+    {"table3/12/code-12", 0x2b0b6d02ae477e32ULL},
+    {"table3/13/code-13", 0x4862540714db89cbULL},
+    {"table3/14/proto-14", 0xfa8cee7ef41b6dacULL},
+    {"table3/15/proto-15", 0x2a3c162a4cd547a0ULL},
+    {"table3/16/proto-16", 0x20fc3fb47b5bf859ULL},
+    {"table3/17/proto-17", 0xe648e82881e9b2f8ULL},
+    {"table3/18/proto-18", 0x1078e8988fda2253ULL},
+    {"table3/19/proto-19", 0x5a8cff6a8099e29aULL},
+    {"deptree/chain/0/1", 0xda1644d2ade2d824ULL},
+    {"deptree/chain/0/2", 0x856e6e6b35cf66caULL},
+    {"deptree/chain/0/3", 0x67f6b473de33201dULL},
+    {"deptree/benign/0", 0xeaae8feec96a984aULL},
+    {"deptree/cyclic/0", 0xc554813adf1ec8f9ULL},
+    {"deptree/missing/0", 0xf64bdeedac856d74ULL},
+    {"deptree/broken/0", 0xf64bdeedac856d74ULL},
+    {"deptree/chain/1/1", 0x0bd417bc8f599c02ULL},
+    {"deptree/chain/1/2", 0xc5de921908f32325ULL},
+    {"deptree/chain/1/3", 0x13e5a2655a280632ULL},
+    {"deptree/benign/1", 0x1ee3bf74db4a9c60ULL},
+    {"deptree/cyclic/1", 0xad0b049cb117c008ULL},
+    {"deptree/missing/1", 0xf64bdeedac856d74ULL},
+    {"deptree/broken/1", 0xf64bdeedac856d74ULL},
+    {"deptree/chain/2/1", 0xd311a7f8e8fc2225ULL},
+    {"deptree/chain/2/2", 0xb373889948a42c0eULL},
+    {"deptree/chain/2/3", 0x72191c693da49fa9ULL},
+    {"deptree/benign/2", 0xa107eef410375332ULL},
+    {"deptree/cyclic/2", 0xc05f1798a841c976ULL},
+    {"deptree/missing/2", 0xf64bdeedac856d74ULL},
+    {"deptree/broken/2", 0xf64bdeedac856d74ULL},
+    {"deptree/chain/3/1", 0x60ad10a317082304ULL},
+    {"deptree/chain/3/2", 0x7ec8663f15426b92ULL},
+    {"deptree/chain/3/3", 0x372a2260af8136f1ULL},
+    {"deptree/benign/3", 0x9752a8c7b376c569ULL},
+    {"deptree/cyclic/3", 0x98ed7788a9e72543ULL},
+    {"deptree/missing/3", 0x21df2bb201b41f1fULL},
+    {"deptree/broken/3", 0x21df2bb201b41f1fULL},
+    {"async/vulnerable/await", 0x6eaee1846e8db482ULL},
+    {"async/benign/await", 0x0d25177647b3156cULL},
+    {"async/vulnerable/then-chain", 0xd507ac1f68ae407fULL},
+    {"async/benign/then-chain", 0xcedd85375b36e224ULL},
+    {"async/vulnerable/promise-executor", 0x6b745390609495f8ULL},
+    {"async/benign/promise-executor", 0x70cb9c55fe560c18ULL},
+    {"async/vulnerable/error-first-callback", 0x607bbf3e6a7aeabeULL},
+    {"async/benign/error-first-callback", 0xbcfbcdef6f72b5f7ULL},
+};
+// clang-format on
+
+// Total matcher steps per input, recorded before goal-set pruning and
+// empty-plan proofs were added: a ceiling no later engine may exceed.
+// clang-format off
+const std::map<std::string, uint64_t> QueryGoldenWorkCeilings = {
+    {"snippet/0", 968},
+    {"snippet/1", 928},
+    {"snippet/2", 10712},
+    {"snippet/3", 1356},
+    {"snippet/4", 11784},
+    {"snippet/5", 778},
+    {"examples/clean_utils.js", 2688},
+    {"examples/figure1.js", 3962},
+    {"examples/promise_chain.js", 3182},
+    {"examples/set_value.js", 3868},
+    {"table3/0/path-0", 24474},
+    {"table3/1/path-1", 11564},
+    {"table3/2/path-2", 669572},
+    {"table3/3/path-3", 991422},
+    {"table3/4/cmd-4", 3846756},
+    {"table3/5/cmd-5", 1377094},
+    {"table3/6/cmd-6", 162807},
+    {"table3/7/cmd-7", 30210},
+    {"table3/8/cmd-8", 183657},
+    {"table3/9/cmd-9", 2014},
+    {"table3/10/code-10", 932},
+    {"table3/11/code-11", 169416},
+    {"table3/12/code-12", 262374},
+    {"table3/13/code-13", 19369718},
+    {"table3/14/proto-14", 2513686},
+    {"table3/15/proto-15", 2495146},
+    {"table3/16/proto-16", 50328},
+    {"table3/17/proto-17", 282224},
+    {"table3/18/proto-18", 1014912},
+    {"table3/19/proto-19", 3745608},
+    {"deptree/chain/0/1", 2700},
+    {"deptree/chain/0/2", 4500},
+    {"deptree/chain/0/3", 6832},
+    {"deptree/benign/0", 3664},
+    {"deptree/cyclic/0", 7180},
+    {"deptree/missing/0", 2468},
+    {"deptree/broken/0", 2468},
+    {"deptree/chain/1/1", 1896},
+    {"deptree/chain/1/2", 3468},
+    {"deptree/chain/1/3", 5686},
+    {"deptree/benign/1", 2632},
+    {"deptree/cyclic/1", 5960},
+    {"deptree/missing/1", 2468},
+    {"deptree/broken/1", 2468},
+    {"deptree/chain/2/1", 2700},
+    {"deptree/chain/2/2", 4500},
+    {"deptree/chain/2/3", 6832},
+    {"deptree/benign/2", 3664},
+    {"deptree/cyclic/2", 6684},
+    {"deptree/missing/2", 2468},
+    {"deptree/broken/2", 2468},
+    {"deptree/chain/3/1", 4394},
+    {"deptree/chain/3/2", 5746},
+    {"deptree/chain/3/3", 7098},
+    {"deptree/benign/3", 2516},
+    {"deptree/cyclic/3", 17468},
+    {"deptree/missing/3", 2124},
+    {"deptree/broken/3", 2124},
+    {"async/vulnerable/await", 2292},
+    {"async/benign/await", 1264},
+    {"async/vulnerable/then-chain", 2800},
+    {"async/benign/then-chain", 1544},
+    {"async/vulnerable/promise-executor", 3386},
+    {"async/benign/promise-executor", 1904},
+    {"async/vulnerable/error-first-callback", 1818},
+    {"async/benign/error-first-callback", 864},
 };
 // clang-format on
 
 } // namespace
 
 TEST(QueryGoldenTest, BuiltinQueriesMatchRecordedDigests) {
-  std::vector<golden::Input> Inputs = golden::corpus();
-  EXPECT_EQ(Inputs.size(), QueryGoldenDigests.size());
-  for (const golden::Input &In : Inputs) {
-    uint64_t Digest = queryDigestOf(In);
-    char Entry[160];
-    std::snprintf(Entry, sizeof(Entry), "    {\"%s\", 0x%016llxULL},",
-                  In.Name.c_str(), static_cast<unsigned long long>(Digest));
-    auto It = QueryGoldenDigests.find(In.Name);
-    if (It == QueryGoldenDigests.end())
-      ADD_FAILURE() << "no recorded digest; entry:\n" << Entry;
-    else
-      EXPECT_EQ(It->second, Digest) << "query results changed; new entry:\n"
-                                    << Entry;
-  }
+  checkRecorded(QueryGoldenResults, &GoldenRun::Results, HexEntry);
+}
+
+TEST(QueryGoldenTest, BuiltinQueryCostsMatchRecordedDigests) {
+  checkRecorded(QueryGoldenCosts, &GoldenRun::Cost, HexEntry);
+}
+
+TEST(QueryGoldenTest, NoInputTakesMoreStepsThanRecorded) {
+  checkRecorded(QueryGoldenWorkCeilings, &GoldenRun::Work,
+                "    {\"%s\", %llu},", /*Ceiling=*/true);
 }

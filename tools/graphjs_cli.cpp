@@ -125,6 +125,7 @@
 #include "graphdb/QueryEngine.h"
 #include "graphdb/SchemaLint.h"
 #include "lint/PassManager.h"
+#include "obs/AtomicFile.h"
 #include "obs/Counters.h"
 #include "obs/Histogram.h"
 #include "obs/Trace.h"
@@ -569,12 +570,11 @@ bool emitPackageSummaries(const analysis::PackageGraph &G,
     std::replace(Base.begin(), Base.end(), '/', '_');
     std::filesystem::path Out =
         std::filesystem::path(Dir) / (Base + ".summary.json");
-    std::ofstream OS(Out);
-    if (!OS) {
+    if (!obs::writeFileAtomic(Out.string(),
+                              analysis::packageSummaryToJSON(PS) + "\n")) {
       std::fprintf(stderr, "error: cannot write %s\n", Out.string().c_str());
       return false;
     }
-    OS << analysis::packageSummaryToJSON(PS) << '\n';
   }
   std::fprintf(stderr, "wrote %zu package summar%s to %s\n", Slices.size(),
                Slices.size() == 1 ? "y" : "ies", Dir.c_str());
