@@ -6,18 +6,16 @@
 // costs: the same generated workload corpus scanned
 //
 //   - in-process (`graphjs batch`, jobs=1 — the baseline),
-//   - through the fork-per-package pool at jobs=1/2/4, and
-//   - through the persistent worker pool (--persistent) at jobs=1/2/4,
-//     where each worker drains a pipe-fed job queue and the fork cost is
-//     paid per worker, not per package.
+//   - through the resident worker pool (`--jobs N`) at jobs=1/2/4, where
+//     each worker drains a pipe-fed job queue and the fork cost is paid
+//     per worker, not per package, and
+//   - through the pool at maximum isolation (`--jobs N --recycle-after 1`,
+//     a fresh process image per package) at jobs=1/4.
 //
 // Reported per mode: best-of-N wall-clock (N runs per mode; the minimum
 // is the least-disturbed run on a shared host), summed per-package CPU,
-// wall-clock throughput, speedup over in-process, and — for persistent
-// modes — speedup over the fork-per-package pool at the same job count,
-// which is the ratio the persistent design actually controls and the one
-// that holds regardless of host core count. Speedup over *in-process*
-// additionally needs real hardware parallelism: on a 1-core host every
+// wall-clock throughput, and speedup over in-process. Speedup over
+// in-process needs real hardware parallelism: on a 1-core host every
 // multi-process mode is capped at ~1.0x by physics (same total CPU, plus
 // fork and IPC), so the JSON records host_cores alongside the numbers.
 //
@@ -52,7 +50,7 @@ namespace {
 struct Mode {
   std::string Name;
   unsigned Jobs; // 0 = in-process BatchDriver.
-  bool Persistent = false;
+  unsigned RecycleAfter = 0;
 };
 
 struct Measured {
@@ -69,7 +67,7 @@ Measured runMode(const Mode &M, const std::vector<driver::BatchInput> &Inputs) {
     driver::PoolOptions PO;
     PO.Batch = BO;
     PO.Jobs = M.Jobs;
-    PO.Persistent = M.Persistent;
+    PO.RecycleAfter = M.RecycleAfter;
     Out.Summary = driver::ProcessPool(PO).run(Inputs);
   }
   for (const driver::BatchOutcome &O : Out.Summary.Outcomes)
@@ -83,9 +81,9 @@ int main() {
   printHeader("Multi-process batch scanning: pool overhead and speedup",
               "docs/ROBUSTNESS.md");
 
-  // A benign-heavy npm-like mix of *small* packages — the regime the
-  // persistent pool exists for: scans of a few milliseconds, where a
-  // per-package fork is a large fraction of the work it ships.
+  // A benign-heavy npm-like mix of *small* packages — the regime resident
+  // workers exist for: scans of a few milliseconds, where a per-package
+  // fork is a large fraction of the work it ships.
   std::vector<driver::BatchInput> Inputs;
   workload::PackageGenerator Gen(2024);
   for (size_t I = 0; I < scaled(32); ++I) {
@@ -98,21 +96,17 @@ int main() {
   }
 
   const std::vector<Mode> Modes = {
-      {"inproc_jobs1", 0},          {"pool_jobs1", 1},
-      {"pool_jobs2", 2},            {"pool_jobs4", 4},
-      {"persistent_jobs1", 1, true}, {"persistent_jobs2", 2, true},
-      {"persistent_jobs4", 4, true}};
+      {"inproc_jobs1", 0},     {"persistent_jobs1", 1},
+      {"persistent_jobs2", 2}, {"persistent_jobs4", 4},
+      {"isolated_jobs1", 1, 1}, {"isolated_jobs4", 4, 1}};
 
   Report Rep("batch");
   TablePrinter Table({"mode", "#pkg", "wall", "cpu", "pkg/s", "speedup",
-                      "vs_pool", "p50", "p95", "p99", "reports"});
+                      "p50", "p95", "p99", "reports"});
   bool Neutral = true;
   double BaselineWall = 0;
   size_t BaselineReports = 0;
   std::vector<driver::BatchStatus> BaselineStatus;
-  // Fork-per-package wall at the same job count, for the persistent-mode
-  // "what did residency buy" ratio.
-  std::map<unsigned, double> PoolWallByJobs;
 
   const int Repeats = 3;
   std::map<std::string, double> SpeedupByMode;
@@ -167,22 +161,15 @@ int main() {
 
     if (M.Jobs == 0)
       BaselineWall = Wall;
-    else if (!M.Persistent)
-      PoolWallByJobs[M.Jobs] = Wall;
 
     double Speedup = Wall > 0 ? BaselineWall / Wall : 0;
     SpeedupByMode[M.Name] = Speedup;
-    double VsPool = 0;
-    if (M.Persistent && PoolWallByJobs.count(M.Jobs) && Wall > 0)
-      VsPool = PoolWallByJobs[M.Jobs] / Wall;
     Rep.series(M.Name + ".package_seconds", R.PerPackageSeconds);
     Rep.scalar(M.Name + ".wall_seconds", Wall);
     Rep.scalar(M.Name + ".cpu_seconds", S.TotalSeconds);
     Rep.scalar(M.Name + ".packages_per_second",
                Wall > 0 ? double(S.Scanned) / Wall : 0);
     Rep.scalar(M.Name + ".speedup", Speedup);
-    if (VsPool > 0)
-      Rep.scalar(M.Name + ".speedup_vs_pool", VsPool);
     Rep.scalar(M.Name + ".scan_p50_ms", P50Ms);
     Rep.scalar(M.Name + ".scan_p95_ms", P95Ms);
     Rep.scalar(M.Name + ".scan_p99_ms", P99Ms);
@@ -193,7 +180,6 @@ int main() {
                   TablePrinter::fmt(S.TotalSeconds * 1000.0, 2) + "ms",
                   TablePrinter::fmt(Wall > 0 ? double(S.Scanned) / Wall : 0, 2),
                   TablePrinter::fmtRatio(Speedup),
-                  VsPool > 0 ? TablePrinter::fmtRatio(VsPool) : "-",
                   TablePrinter::fmt(P50Ms, 2) + "ms",
                   TablePrinter::fmt(P95Ms, 2) + "ms",
                   TablePrinter::fmt(P99Ms, 2) + "ms",
@@ -219,7 +205,7 @@ int main() {
     SO.Ledger.Dir = Dir;
     SO.Ledger.ShardSize = 4;
     SO.Ledger.SupervisorId = "bench-sup0";
-    SO.Batch.Quiet = true;
+    SO.Pool.Batch.Quiet = true;
     Timer T;
     Subprocess Second;
     if (Supervisors > 1) {
@@ -278,7 +264,7 @@ int main() {
                   TablePrinter::fmt(L.Wall * 1000.0, 2) + "ms", "-",
                   TablePrinter::fmt(
                       L.Wall > 0 ? double(Inputs.size()) / L.Wall : 0, 2),
-                  TablePrinter::fmtRatio(Speedup), "-", "-", "-", "-",
+                  TablePrinter::fmtRatio(Speedup), "-", "-", "-",
                   std::to_string(L.Reports)});
   }
 
@@ -303,8 +289,8 @@ int main() {
         SpeedupOk = false;
       }
     };
-    Floor("pool_jobs4", 0.3);
     Floor("persistent_jobs4", 0.5);
+    Floor("isolated_jobs4", 0.3);
   } else {
     std::printf("speedup assertions skipped: host_cores <= 1\n");
   }

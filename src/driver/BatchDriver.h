@@ -172,7 +172,7 @@ struct BatchSummary {
   size_t OomKilled = 0;
   size_t DeadlineKilled = 0;
   size_t Retried = 0;
-  /// Planned persistent-worker replacements (recycle quota or memory
+  /// Planned worker replacements (recycle quota or memory
   /// watermark) — worker hygiene, not failures.
   size_t Recycled = 0;
   /// Shared-ledger mode: packages the quarantine circuit breaker wrote off

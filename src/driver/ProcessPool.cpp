@@ -14,12 +14,8 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
-#include <exception>
 #include <fstream>
 #include <optional>
 #include <set>
@@ -75,29 +71,9 @@ struct Slot {
   bool Complete = false;
 };
 
-/// One live fork-per-package worker process.
-struct LiveWorker {
-  Subprocess Proc;
-  size_t WorkIdx = 0;
-  Timer Started;
-  bool KillSent = false;
-  bool IsRetry = false;
-  std::string LinePath;
-  /// Telemetry frame reassembly off the (otherwise idle) socketpair. The
-  /// supervisor pumps this on *live* workers too: a worker blocked on a
-  /// full socket buffer mid-frame would otherwise never exit, while the
-  /// supervisor's poll() spins hot on the readable fd.
-  FrameReader Reader;
-  /// The worker's decoded telemetry frame, stashed until reap merges it.
-  WorkerResponse Telemetry;
-  bool HasTelemetry = false;
-  /// Supervisor-recorder timestamp at launch (scheduling span start).
-  double TraceStartUs = 0;
-};
-
-/// One live persistent worker: a forked image draining job frames off its
-/// socketpair until crash, kill, or recycle.
-struct PersistentWorker {
+/// One live worker: a forked image draining job frames off its socketpair
+/// until crash, kill, or recycle.
+struct PoolWorker {
   Subprocess Proc;
   FrameReader Reader;
   /// A job is in flight; its verdict is either a response frame or, if the
@@ -117,47 +93,6 @@ struct PersistentWorker {
   double TraceStartUs = 0;
 };
 
-/// The fork-per-package worker body: scan one package, write the journal
-/// line to a private file, and report success purely through the exit code.
-/// The socketpair (FD), unused for the verdict, carries one optional
-/// telemetry frame back: counter/histogram deltas and (on request) the
-/// job's span tree rebased onto the supervisor's trace epoch.
-int scanInWorker(const driver::BatchInput &Input, scanner::ScanOptions Scan,
-                 bool EnableCounters, const std::string &LinePath, int FD,
-                 bool WantTrace, uint64_t TraceEpochUs) {
-  installOomExitHandler();
-  if (EnableCounters) {
-    obs::setCountersEnabled(true);
-    obs::resetCounters();
-  }
-  obs::CounterSnapshot CtrBefore = obs::snapshotCounters();
-  obs::HistogramSnapshotMap HistBefore = obs::snapshotHistograms();
-  obs::TraceRecorder Recorder;
-  if (WantTrace)
-    Scan.Trace = &Recorder;
-  BatchOutcome Out = scanPackageIsolated(Input, Scan);
-  if (EnableCounters || WantTrace) {
-    WorkerResponse Telemetry;
-    if (EnableCounters) {
-      Telemetry.CounterDelta =
-          obs::counterDelta(CtrBefore, obs::snapshotCounters());
-      Telemetry.HistDelta =
-          obs::histogramDelta(HistBefore, obs::snapshotHistograms());
-    }
-    if (WantTrace)
-      Telemetry.Spans = rebasedSpans(Recorder, TraceEpochUs);
-    // Best-effort: a hung-up supervisor costs the telemetry, never the
-    // verdict (which travels via LinePath + exit code).
-    writeFrame(FD, Telemetry.encode());
-  }
-  std::ofstream F(LinePath, std::ios::out | std::ios::trunc);
-  if (!F)
-    return 120; // No way to report a result; the supervisor sees Crashed.
-  F << BatchDriver::journalLine(Out) << '\n';
-  F.flush();
-  return F.good() ? 0 : 120;
-}
-
 /// Sleeps until one of the workers' comm channels stirs — a response frame,
 /// or the EOF hang-up its death leaves behind — or \p TimeoutMs passes.
 /// Replaces timer polling: the supervisor contributes zero CPU while the
@@ -176,89 +111,6 @@ void waitForWorkerActivity(const std::vector<int> &FDs, int TimeoutMs) {
     ::usleep(static_cast<unsigned>(TimeoutMs) * 1000);
   else
     ::poll(PFDs.data(), PFDs.size(), TimeoutMs); // EINTR = a signal; fine.
-}
-
-/// Reads the single journal line a worker left behind ("" when the worker
-/// died before writing it).
-std::string readWorkerLine(const std::string &Path) {
-  std::ifstream In(Path);
-  std::string Line;
-  if (In)
-    std::getline(In, Line);
-  return Line;
-}
-
-/// The persistent worker body: drain job frames until the supervisor says
-/// exit (or hangs up), answering each with the package's journal line.
-/// Exits WorkerRecycleExit after announcing a recycle in its final
-/// response; any other death is the supervisor's to attribute.
-int persistentWorkerMain(int FD, const std::vector<driver::BatchInput> &Inputs,
-                         const std::vector<WorkItem> &Plan,
-                         const scanner::ScanOptions &BaseScan,
-                         bool EnableCounters, unsigned RecycleAfter,
-                         size_t RecycleRssMB) {
-  installOomExitHandler();
-  if (EnableCounters) {
-    obs::setCountersEnabled(true);
-    obs::resetCounters();
-  }
-  unsigned Done = 0;
-  std::string Text;
-  while (readFrame(FD, Text)) {
-    WorkerRequest Req;
-    if (!WorkerRequest::decode(Text, Req))
-      return 121; // Protocol corruption: die visibly, never guess a job.
-    if (Req.Kind == WorkerRequest::Op::Exit)
-      return 0;
-    if (Req.Kind == WorkerRequest::Op::Ping) {
-      WorkerResponse Resp;
-      Resp.JobId = Req.JobId;
-      Resp.Pong = true;
-      if (!writeFrame(FD, Resp.encode()))
-        return 122;
-      continue;
-    }
-    if (!Req.HasPlanIndex || Req.PlanIndex >= Plan.size())
-      return 121;
-    const WorkItem &W = Plan[Req.PlanIndex];
-    scanner::ScanOptions Scan = BaseScan;
-    Scan.Fault = Req.IsRetry ? std::nullopt : W.Fault;
-    if (Req.IsRetry && Scan.Deadline.WallSeconds > 0)
-      Scan.Deadline.WallSeconds /= 2; // Retry at reduced budget.
-    // Per-job telemetry: deltas bracket exactly this scan, so the
-    // supervisor can merge them without double-counting earlier jobs.
-    obs::CounterSnapshot CtrBefore;
-    obs::HistogramSnapshotMap HistBefore;
-    if (EnableCounters) {
-      CtrBefore = obs::snapshotCounters();
-      HistBefore = obs::snapshotHistograms();
-    }
-    obs::TraceRecorder Recorder;
-    if (Req.WantTrace)
-      Scan.Trace = &Recorder;
-    WorkerResponse Resp;
-    Resp.JobId = Req.JobId;
-    Resp.Line = BatchDriver::journalLine(
-        scanPackageIsolated(Inputs[W.InputIndex], Scan));
-    if (EnableCounters) {
-      Resp.CounterDelta = obs::counterDelta(CtrBefore, obs::snapshotCounters());
-      Resp.HistDelta =
-          obs::histogramDelta(HistBefore, obs::snapshotHistograms());
-    }
-    if (Req.WantTrace)
-      Resp.Spans = rebasedSpans(Recorder, Req.TraceEpochUs);
-    ++Done;
-    // A recycle is announced in the response *before* exiting, so the
-    // supervisor never mistakes the planned death for a crash and never
-    // assigns this worker another job it would silently drop.
-    Resp.Recycle = (RecycleAfter && Done >= RecycleAfter) ||
-                   (RecycleRssMB && currentRssMB() > RecycleRssMB);
-    if (!writeFrame(FD, Resp.encode()))
-      return 122;
-    if (Resp.Recycle)
-      return WorkerRecycleExit;
-  }
-  return 0; // Supervisor hung up: orderly drain.
 }
 
 } // namespace
@@ -282,22 +134,6 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
   std::set<std::string> Done;
   if (Batch.Resume && !Batch.JournalPath.empty())
     Done = BatchDriver::journaledPackages(Batch.JournalPath);
-
-  // Per-worker journal-line files (fork-per-package mode) live in a private
-  // temp dir; the merge deletes them as it goes. If we cannot get one, fall
-  // back to the in-process driver (containment lost, batch still runs).
-  std::string TmpDir;
-  {
-    const char *T = std::getenv("TMPDIR");
-    std::string Tmpl =
-        std::string(T && *T ? T : "/tmp") + "/gjs-pool-XXXXXX";
-    std::vector<char> Buf(Tmpl.begin(), Tmpl.end());
-    Buf.push_back('\0');
-    if (::mkdtemp(Buf.data()))
-      TmpDir = Buf.data();
-  }
-  if (TmpDir.empty())
-    return BatchDriver(Batch).run(Inputs);
 
   // Plan: input order, resume skips prefilled complete, scanned packages
   // numbered by the same sequence a single in-process Scanner would count
@@ -388,10 +224,15 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
   const double KillAfter = effectiveKillAfter(Options);
   SubprocessLimits Limits;
   Limits.MemLimitMB = Options.MemLimitMB;
-  if (KillAfter > 0)
-    // CPU rlimit backstop above the supervisor's wall-clock killer: it only
-    // matters if the supervisor itself dies with a spinning worker behind.
-    Limits.CpuSeconds = static_cast<unsigned>(KillAfter) + 2;
+  // RLIMIT_CPU is a backstop above the supervisor's wall-clock killer (it
+  // only matters if the supervisor itself dies with a spinning worker
+  // behind) and counts the worker's whole lifetime, not one job. With a
+  // recycle quota the lifetime is bounded and the backstop scales with it;
+  // without one there is no meaningful per-process cap, and the per-job
+  // wall-clock killer is the whole ladder.
+  if (KillAfter > 0 && Options.RecycleAfter > 0)
+    Limits.CpuSeconds =
+        static_cast<unsigned>(KillAfter * Options.RecycleAfter) + 2;
 
   size_t MergeCursor = 0;
 
@@ -459,478 +300,286 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
     return Out;
   };
 
-  /// Maps a dead worker's wait status onto an outcome via the kill ladder:
-  /// OOM exit code, supervisor kill, RLIMIT_CPU, unexplained SIGKILL
-  /// (kernel OOM killer), any other signal, then "exited without a result".
-  /// Shared by both scheduling modes so attribution is identical.
-  auto ladderVerdict = [&](const WorkItem &W, const WaitStatus &WS,
-                           bool KillSent, double Seconds) {
-    if (WS.exitedWith(WorkerOomExit)) {
-      obs::counters::WorkerOomKilled.add();
-      ++Summary.OomKilled;
-      return synthFailure(W, scanner::ScanErrorKind::KilledOom,
-                          "worker allocation failed under memory cap (" +
-                              WS.str() + ")",
-                          Seconds);
-    }
-    if (KillSent) {
-      obs::counters::WorkerDeadlineKilled.add();
-      ++Summary.DeadlineKilled;
-      return synthFailure(W, scanner::ScanErrorKind::KilledDeadline,
-                          "supervisor killed worker after hard deadline (" +
-                              WS.str() + ")",
-                          Seconds);
-    }
-    if (WS.signaled() && WS.Signal == SIGXCPU) {
-      obs::counters::WorkerDeadlineKilled.add();
-      ++Summary.DeadlineKilled;
-      return synthFailure(W, scanner::ScanErrorKind::KilledDeadline,
-                          "worker hit RLIMIT_CPU (" + WS.str() + ")",
-                          Seconds);
-    }
-    if (WS.signaled() && WS.Signal == SIGKILL) {
-      // We did not send it: the kernel OOM killer is the usual suspect.
-      obs::counters::WorkerOomKilled.add();
-      ++Summary.OomKilled;
-      return synthFailure(W, scanner::ScanErrorKind::KilledOom,
-                          "worker got an unexplained SIGKILL (kernel OOM "
-                          "killer?)",
-                          Seconds);
-    }
-    if (WS.signaled()) {
-      obs::counters::WorkerCrashed.add();
-      ++Summary.Crashed;
-      return synthFailure(W, scanner::ScanErrorKind::Crashed,
-                          "worker died on " + WS.str(), Seconds);
-    }
-    obs::counters::WorkerCrashed.add();
-    ++Summary.Crashed;
-    return synthFailure(W, scanner::ScanErrorKind::Crashed,
-                        "worker produced no result (" + WS.str() + ")",
-                        Seconds);
+  // Supervisor writes to workers that may die at any moment: EPIPE must
+  // be an error return on the write, never a fatal SIGPIPE.
+  ScopedSigpipeIgnore NoSigpipe;
+
+  // {plan index, is-retry}; retries go to the front so a replacement
+  // worker re-attempts the afflicted package before draining the rest.
+  std::deque<std::pair<size_t, bool>> Queue;
+  for (size_t I = 0; I < Plan.size(); ++I)
+    Queue.emplace_back(I, false);
+
+  std::vector<PoolWorker> Workers;
+  uint64_t NextJobId = 1;
+  // Consecutive worker deaths without a job in hand (e.g. dying before
+  // the first frame): backstop against a fork/requeue livelock when the
+  // environment is broken.
+  unsigned IdleDeaths = 0;
+
+  // The job source: a request names a plan entry the worker inherited at
+  // fork. A retry drops the injected fault and halves the wall-clock
+  // budget (the transient-failure model).
+  WorkerLoopOptions Loop;
+  Loop.EnableCounters = Batch.EnableCounters;
+  Loop.RecycleAfter = Options.RecycleAfter;
+  Loop.RecycleRssMB = Options.RecycleRssMB;
+  auto scanPlanned = [&](const WorkerRequest &Req, obs::TraceRecorder *Trace,
+                         BatchOutcome &Out) {
+    if (!Req.HasPlanIndex || Req.PlanIndex >= Plan.size())
+      return false;
+    const WorkItem &W = Plan[Req.PlanIndex];
+    scanner::ScanOptions Scan = Batch.Scan;
+    Scan.Fault = Req.IsRetry ? std::nullopt : W.Fault;
+    if (Req.IsRetry && Scan.Deadline.WallSeconds > 0)
+      Scan.Deadline.WallSeconds /= 2;
+    Scan.Trace = Trace;
+    Out = scanPackageIsolated(Inputs[W.InputIndex], Scan);
+    return true;
   };
 
-  if (!Options.Persistent) {
-    // ----- Fork-per-package scheduling (PR 5) -----
-    std::vector<LiveWorker> Live;
-    size_t NextLaunch = 0;
+  auto spawnWorker = [&]() -> bool {
+    Subprocess P;
+    std::string Err;
+    bool OK = Subprocess::forkWorker(
+        [&](int FD) { return runWorkerLoop(FD, Loop, scanPlanned); }, P, &Err,
+        Limits);
+    if (!OK)
+      return false;
+    // The supervisor multiplexes many workers; reads must never block.
+    ::fcntl(P.commFD(), F_SETFL, ::fcntl(P.commFD(), F_GETFL, 0) | O_NONBLOCK);
+    obs::counters::WorkerSpawned.add();
+    PoolWorker W;
+    W.Proc = std::move(P);
+    Workers.push_back(std::move(W));
+    return true;
+  };
 
-    std::function<void(size_t, bool)> launch = [&](size_t PlanIdx,
-                                                   bool IsRetry) {
-      const WorkItem &W = Plan[PlanIdx];
-      const BatchInput &In = Inputs[W.InputIndex];
-      // Every dispatch attempt (retries included) is announced before the
-      // fork: the shared ledger's start record must hit disk before any
-      // work that could kill the supervisor begins.
-      if (Batch.OnPackageStart)
-        Batch.OnPackageStart(In.Name);
-      scanner::ScanOptions Scan = Batch.Scan;
-      Scan.Fault = IsRetry ? std::nullopt : W.Fault;
-      if (IsRetry && Scan.Deadline.WallSeconds > 0)
-        Scan.Deadline.WallSeconds /= 2; // Retry at reduced budget.
-      std::string LinePath =
-          TmpDir + "/" + std::to_string(PlanIdx) + ".jsonl";
-      bool EnableCounters = Batch.EnableCounters;
-      Subprocess P;
-      std::string Err;
-      // Stamp the scheduling-span start before the fork: the child can be
-      // scheduled (and open its own spans) before the parent resumes, and
-      // the job: span must enclose the worker's rebased spans.
-      double StartUs = WantTrace ? Options.Trace->nowUs() : 0;
-      // The socketpair pulls double duty: its EOF on worker death wakes
-      // the supervisor's poll(), and the worker sends one telemetry frame
-      // over it before writing its line file.
-      bool OK = Subprocess::forkWorker(
-          [&](int FD) {
-            return scanInWorker(In, Scan, EnableCounters, LinePath, FD,
-                                WantTrace, TraceEpochUs);
-          },
-          P, &Err, Limits);
-      if (!OK) {
-        completeSlot(W.SlotIndex,
-                     synthFailure(W, scanner::ScanErrorKind::Crashed,
-                                  "worker launch failed: " + Err, 0));
-        return;
-      }
-      // FrameReader::pump must never block the supervisor.
-      ::fcntl(P.commFD(), F_SETFL,
-              ::fcntl(P.commFD(), F_GETFL, 0) | O_NONBLOCK);
-      obs::counters::WorkerSpawned.add();
-      LiveWorker L;
-      L.Proc = std::move(P);
-      L.WorkIdx = PlanIdx;
-      L.IsRetry = IsRetry;
-      L.LinePath = std::move(LinePath);
-      L.TraceStartUs = StartUs;
-      Live.push_back(std::move(L));
-    };
-
-    // Decodes and stashes whatever telemetry frames a worker has flushed
-    // so far (the last decodable frame wins; workers send exactly one).
-    auto pumpTelemetry = [&](LiveWorker &L) {
-      if (L.Reader.dead())
-        return;
-      L.Reader.pump(L.Proc.commFD());
-      std::string Text;
-      while (L.Reader.next(Text)) {
-        WorkerResponse T;
-        if (WorkerResponse::decode(Text, T) && T.hasTelemetry()) {
-          L.Telemetry = std::move(T);
-          L.HasTelemetry = true;
-        }
-      }
-    };
-
-    // Maps a reaped worker onto an outcome. Exit 0 + a parseable line is
-    // the worker's own verdict; anything else gets a supervisor verdict
-    // from the wait status and the kill ladder.
-    auto reap = [&](LiveWorker &L, const WaitStatus &WS) {
-      const WorkItem &W = Plan[L.WorkIdx];
-      double Seconds = L.Started.elapsedSeconds();
-      // Last telemetry drain: frames the worker flushed before dying are
-      // still in the socket buffer.
-      pumpTelemetry(L);
-      if (L.HasTelemetry)
-        mergeTelemetry(L.Telemetry, L.Proc.pid());
-      obs::hists::WorkerJob.recordSeconds(Seconds);
-      if (WantTrace)
-        Options.Trace->addCompletedSpan(
-            "job:" + Inputs[W.InputIndex].Name, L.TraceStartUs,
-            Options.Trace->nowUs() - L.TraceStartUs);
-      std::string Line = readWorkerLine(L.LinePath);
-      ::unlink(L.LinePath.c_str());
-
-      BatchOutcome Out;
-      bool WorkerDied = true;
-      if (WS.exitedWith(0) && !Line.empty() &&
-          BatchDriver::parseJournalLine(Line, Out)) {
-        Out.RawJournalLine = Line;
-        WorkerDied = false;
-      } else {
-        Out = ladderVerdict(W, WS, L.KillSent, Seconds);
-      }
-
-      if (WorkerDied && Options.RetryCrashed && !L.IsRetry) {
-        obs::counters::WorkerRetried.add();
-        ++Summary.Retried;
-        launch(L.WorkIdx, /*IsRetry=*/true);
-        return;
-      }
-      completeSlot(W.SlotIndex, std::move(Out));
-    };
-
-    while (true) {
-      // The tick hook (lease heartbeat in shared-ledger mode) demotes a
-      // fenced supervisor to the same drain path as SIGINT: finish what is
-      // in flight, assign nothing new.
-      if (Batch.OnTick && !Batch.OnTick())
-        PoolStopRequested = 1;
-      while (!PoolStopRequested && Live.size() < Options.Jobs &&
-             NextLaunch < Plan.size())
-        launch(NextLaunch++, /*IsRetry=*/false);
-
-      if (Live.empty() && (NextLaunch >= Plan.size() || PoolStopRequested))
-        break;
-
-      bool Reaped = false;
-      for (size_t I = 0; I < Live.size();) {
-        WaitStatus WS;
-        if (Live[I].Proc.poll(WS)) {
-          // reap() may relaunch (retry), appending to Live; erase by index
-          // stays valid.
-          LiveWorker L = std::move(Live[I]);
-          Live.erase(Live.begin() + static_cast<long>(I));
-          reap(L, WS);
-          Reaped = true;
-        } else {
-          // Pump live workers too: a telemetry frame bigger than the
-          // socket buffer would otherwise wedge the worker mid-write
-          // while the supervisor's poll() spins hot on the readable fd.
-          pumpTelemetry(Live[I]);
-          if (KillAfter > 0 && !Live[I].KillSent &&
-              Live[I].Started.elapsedSeconds() > KillAfter) {
-            Live[I].Proc.kill(SIGKILL);
-            Live[I].KillSent = true;
-          }
-          ++I;
-        }
-      }
-      maybeWriteMetrics();
-      if (!Reaped) {
-        std::vector<int> FDs;
-        FDs.reserve(Live.size());
-        for (const LiveWorker &L : Live)
-          // A consumed EOF would report POLLIN forever; let Proc.poll()
-          // reap the death on the next sweep instead of spinning on it.
-          FDs.push_back(L.Reader.dead() ? -1 : L.Proc.commFD());
-        waitForWorkerActivity(FDs, 50);
-      }
+  auto assignJob = [&](PoolWorker &W) {
+    auto [PlanIdx, IsRetry] = Queue.front();
+    if (Batch.OnPackageStart)
+      Batch.OnPackageStart(Inputs[Plan[PlanIdx].InputIndex].Name);
+    WorkerRequest Req;
+    Req.Kind = WorkerRequest::Op::Scan;
+    Req.JobId = NextJobId++;
+    Req.HasPlanIndex = true;
+    Req.PlanIndex = PlanIdx;
+    Req.IsRetry = IsRetry;
+    Req.WantTrace = WantTrace;
+    Req.TraceEpochUs = TraceEpochUs;
+    // Stamped before the frame goes out: the worker may pick the job up
+    // before the parent returns from write().
+    if (WantTrace)
+      W.TraceStartUs = Options.Trace->nowUs();
+    if (!writeFrame(W.Proc.commFD(), Req.encode())) {
+      // The worker died between jobs; the job never started and stays
+      // queued. Make the death certain and let the reap pass handle it.
+      W.Proc.kill(SIGKILL);
+      return;
     }
-  } else {
-    // ----- Persistent-worker scheduling -----
-    // Supervisor writes to workers that may die at any moment: EPIPE must
-    // be an error return on the write, never a fatal SIGPIPE.
-    ScopedSigpipeIgnore NoSigpipe;
+    Queue.pop_front();
+    W.Busy = true;
+    W.WorkIdx = PlanIdx;
+    W.IsRetry = IsRetry;
+    W.JobId = Req.JobId;
+    W.JobStarted = Timer();
+    W.KillSent = false;
+  };
 
-    SubprocessLimits PLimits = Limits;
-    // RLIMIT_CPU counts the worker's whole lifetime, not one job. With a
-    // recycle quota the lifetime is bounded and the backstop scales with
-    // it; without one there is no meaningful per-process cap, and the
-    // supervisor's per-job wall-clock killer is the whole ladder.
-    if (KillAfter > 0 && Options.RecycleAfter > 0)
-      PLimits.CpuSeconds =
-          static_cast<unsigned>(KillAfter * Options.RecycleAfter) + 2;
+  auto handleFrame = [&](PoolWorker &W, const std::string &Text) {
+    WorkerResponse Resp;
+    if (!WorkerResponse::decode(Text, Resp))
+      return; // Corrupt frame; the ladder attributes whatever follows.
+    if (Resp.Pong)
+      return;
+    if (!W.Busy || Resp.JobId != W.JobId)
+      return; // Stale or duplicate response: first verdict wins.
+    IdleDeaths = 0;
+    W.Busy = false;
+    // A response that raced the kill ladder still counts — the job DID
+    // complete — but the worker is dying; treat the exit as planned.
+    if (Resp.Recycle || W.KillSent)
+      W.Retiring = true;
+    mergeTelemetry(Resp, W.Proc.pid());
+    obs::hists::WorkerJob.recordSeconds(W.JobStarted.elapsedSeconds());
+    const WorkItem &Wk = Plan[W.WorkIdx];
+    if (WantTrace)
+      Options.Trace->addCompletedSpan(
+          "job:" + Inputs[Wk.InputIndex].Name, W.TraceStartUs,
+          Options.Trace->nowUs() - W.TraceStartUs);
+    BatchOutcome Out;
+    if (!Resp.Line.empty() &&
+        BatchDriver::parseJournalLine(Resp.Line, Out)) {
+      Out.RawJournalLine = Resp.Line;
+      completeSlot(Wk.SlotIndex, std::move(Out));
+    } else {
+      obs::counters::WorkerCrashed.add();
+      ++Summary.Crashed;
+      completeSlot(Wk.SlotIndex,
+                   synthFailure(Wk, scanner::ScanErrorKind::Crashed,
+                                "worker sent an unparseable result",
+                                W.JobStarted.elapsedSeconds()));
+    }
+  };
+
+  auto reapWorker = [&](PoolWorker &W, const WaitStatus &WS) {
+    // Drain frames the worker flushed before dying: a completed response
+    // beats a racing kill or crash (the scan finished; use its verdict).
+    W.Reader.pump(W.Proc.commFD());
+    std::string Text;
+    while (W.Reader.next(Text))
+      handleFrame(W, Text);
+
+    if (WS.exitedWith(WorkerRecycleExit)) {
+      obs::counters::WorkerRecycled.add();
+      ++Summary.Recycled;
+    }
+    if (!W.Busy) {
+      // No job in hand: nothing to attribute. An unplanned idle death
+      // still counts against the livelock backstop.
+      bool Planned =
+          WS.exitedWith(0) || WS.exitedWith(WorkerRecycleExit) || W.Retiring;
+      if (!Planned)
+        ++IdleDeaths;
+      return;
+    }
+    // Job in hand and no response: the wait status is the verdict.
+    const WorkItem &Wk = Plan[W.WorkIdx];
+    WorkerDeath Death = attributeWorkerDeath(WS, W.KillSent);
+    if (Death.Kind == scanner::ScanErrorKind::KilledOom)
+      ++Summary.OomKilled;
+    else if (Death.Kind == scanner::ScanErrorKind::KilledDeadline)
+      ++Summary.DeadlineKilled;
     else
-      PLimits.CpuSeconds = 0;
+      ++Summary.Crashed;
+    BatchOutcome Out = synthFailure(Wk, Death.Kind, std::move(Death.Detail),
+                                    W.JobStarted.elapsedSeconds());
+    if (Options.RetryCrashed && !W.IsRetry) {
+      obs::counters::WorkerRetried.add();
+      ++Summary.Retried;
+      Queue.emplace_front(W.WorkIdx, /*IsRetry=*/true);
+      return;
+    }
+    completeSlot(Wk.SlotIndex, std::move(Out));
+  };
 
-    // {plan index, is-retry}; retries go to the front so a replacement
-    // worker re-attempts the afflicted package before draining the rest.
-    std::deque<std::pair<size_t, bool>> Queue;
-    for (size_t I = 0; I < Plan.size(); ++I)
-      Queue.emplace_back(I, false);
+  while (true) {
+    if (Batch.OnTick && !Batch.OnTick())
+      PoolStopRequested = 1;
+    size_t BusyCount = static_cast<size_t>(
+        std::count_if(Workers.begin(), Workers.end(),
+                      [](const PoolWorker &W) { return W.Busy; }));
 
-    std::vector<PersistentWorker> Workers;
-    uint64_t NextJobId = 1;
-    // Consecutive worker deaths without a job in hand (e.g. dying before
-    // the first frame): backstop against a fork/requeue livelock when the
-    // environment is broken.
-    unsigned IdleDeaths = 0;
-
-    auto spawnWorker = [&]() -> bool {
-      Subprocess P;
-      std::string Err;
-      bool OK = Subprocess::forkWorker(
-          [&](int FD) {
-            return persistentWorkerMain(FD, Inputs, Plan, Batch.Scan,
-                                        Batch.EnableCounters,
-                                        Options.RecycleAfter,
-                                        Options.RecycleRssMB);
-          },
-          P, &Err, PLimits);
-      if (!OK)
-        return false;
-      // The supervisor multiplexes many workers; reads must never block.
-      ::fcntl(P.commFD(), F_SETFL, ::fcntl(P.commFD(), F_GETFL, 0) | O_NONBLOCK);
-      obs::counters::WorkerSpawned.add();
-      PersistentWorker W;
-      W.Proc = std::move(P);
-      Workers.push_back(std::move(W));
-      return true;
-    };
-
-    auto assignJob = [&](PersistentWorker &W) {
-      auto [PlanIdx, IsRetry] = Queue.front();
-      if (Batch.OnPackageStart)
-        Batch.OnPackageStart(Inputs[Plan[PlanIdx].InputIndex].Name);
-      WorkerRequest Req;
-      Req.Kind = WorkerRequest::Op::Scan;
-      Req.JobId = NextJobId++;
-      Req.HasPlanIndex = true;
-      Req.PlanIndex = PlanIdx;
-      Req.IsRetry = IsRetry;
-      Req.WantTrace = WantTrace;
-      Req.TraceEpochUs = TraceEpochUs;
-      // Stamped before the frame goes out: the worker may pick the job up
-      // before the parent returns from write().
-      if (WantTrace)
-        W.TraceStartUs = Options.Trace->nowUs();
-      if (!writeFrame(W.Proc.commFD(), Req.encode())) {
-        // The worker died between jobs; the job never started and stays
-        // queued. Make the death certain and let the reap pass handle it.
-        W.Proc.kill(SIGKILL);
-        return;
+    if (!PoolStopRequested) {
+      // Keep just enough workers alive for the outstanding work. A
+      // retiring worker has answered its last job and is exiting: it holds
+      // no slot, so its replacement is forked now, not after the reap.
+      size_t Want = std::min<size_t>(std::max(1u, Options.Jobs),
+                                     Queue.size() + BusyCount);
+      size_t Serving = static_cast<size_t>(
+          std::count_if(Workers.begin(), Workers.end(),
+                        [](const PoolWorker &W) { return !W.Retiring; }));
+      while (Serving < Want) {
+        if (spawnWorker()) {
+          ++Serving;
+          continue;
+        }
+        if (Workers.empty()) {
+          // Nothing can run: fail the whole queue rather than spin.
+          while (!Queue.empty()) {
+            const WorkItem &Wk = Plan[Queue.front().first];
+            Queue.pop_front();
+            obs::counters::WorkerCrashed.add();
+            ++Summary.Crashed;
+            completeSlot(Wk.SlotIndex,
+                         synthFailure(Wk, scanner::ScanErrorKind::Crashed,
+                                      "worker launch failed", 0));
+          }
+        }
+        break;
       }
-      Queue.pop_front();
-      W.Busy = true;
-      W.WorkIdx = PlanIdx;
-      W.IsRetry = IsRetry;
-      W.JobId = Req.JobId;
-      W.JobStarted = Timer();
-      W.KillSent = false;
-    };
-
-    auto handleFrame = [&](PersistentWorker &W, const std::string &Text) {
-      WorkerResponse Resp;
-      if (!WorkerResponse::decode(Text, Resp))
-        return; // Corrupt frame; the ladder attributes whatever follows.
-      if (Resp.Pong)
-        return;
-      if (!W.Busy || Resp.JobId != W.JobId)
-        return; // Stale or duplicate response: first verdict wins.
-      IdleDeaths = 0;
-      W.Busy = false;
-      // A response that raced the kill ladder still counts — the job DID
-      // complete — but the worker is dying; treat the exit as planned.
-      if (Resp.Recycle || W.KillSent)
-        W.Retiring = true;
-      mergeTelemetry(Resp, W.Proc.pid());
-      obs::hists::WorkerJob.recordSeconds(W.JobStarted.elapsedSeconds());
-      const WorkItem &Wk = Plan[W.WorkIdx];
-      if (WantTrace)
-        Options.Trace->addCompletedSpan(
-            "job:" + Inputs[Wk.InputIndex].Name, W.TraceStartUs,
-            Options.Trace->nowUs() - W.TraceStartUs);
-      BatchOutcome Out;
-      if (!Resp.Line.empty() &&
-          BatchDriver::parseJournalLine(Resp.Line, Out)) {
-        Out.RawJournalLine = Resp.Line;
-        completeSlot(Wk.SlotIndex, std::move(Out));
-      } else {
+      if (IdleDeaths >= 3 && !Queue.empty()) {
+        // Workers keep dying before accepting work; fail one job per
+        // strike-out so the run always makes forward progress.
+        const WorkItem &Wk = Plan[Queue.front().first];
+        Queue.pop_front();
         obs::counters::WorkerCrashed.add();
         ++Summary.Crashed;
         completeSlot(Wk.SlotIndex,
                      synthFailure(Wk, scanner::ScanErrorKind::Crashed,
-                                  "worker sent an unparseable result",
-                                  W.JobStarted.elapsedSeconds()));
+                                  "worker died repeatedly before accepting "
+                                  "work",
+                                  0));
+        IdleDeaths = 0;
       }
-    };
-
-    auto reapWorker = [&](PersistentWorker &W, const WaitStatus &WS) {
-      // Drain frames the worker flushed before dying: a completed response
-      // beats a racing kill or crash (the scan finished; use its verdict).
-      W.Reader.pump(W.Proc.commFD());
-      std::string Text;
-      while (W.Reader.next(Text))
-        handleFrame(W, Text);
-
-      if (WS.exitedWith(WorkerRecycleExit)) {
-        obs::counters::WorkerRecycled.add();
-        ++Summary.Recycled;
-      }
-      if (!W.Busy) {
-        // No job in hand: nothing to attribute. An unplanned idle death
-        // still counts against the livelock backstop.
-        bool Planned =
-            WS.exitedWith(0) || WS.exitedWith(WorkerRecycleExit) || W.Retiring;
-        if (!Planned)
-          ++IdleDeaths;
-        return;
-      }
-      // Job in hand and no response: the wait status is the verdict.
-      const WorkItem &Wk = Plan[W.WorkIdx];
-      BatchOutcome Out =
-          ladderVerdict(Wk, WS, W.KillSent, W.JobStarted.elapsedSeconds());
-      if (Options.RetryCrashed && !W.IsRetry) {
-        obs::counters::WorkerRetried.add();
-        ++Summary.Retried;
-        Queue.emplace_front(W.WorkIdx, /*IsRetry=*/true);
-        return;
-      }
-      completeSlot(Wk.SlotIndex, std::move(Out));
-    };
-
-    while (true) {
-      if (Batch.OnTick && !Batch.OnTick())
-        PoolStopRequested = 1;
-      size_t BusyCount = static_cast<size_t>(
-          std::count_if(Workers.begin(), Workers.end(),
-                        [](const PersistentWorker &W) { return W.Busy; }));
-
-      if (!PoolStopRequested) {
-        // Keep just enough workers alive for the outstanding work.
-        size_t Want = std::min<size_t>(std::max(1u, Options.Jobs),
-                                       Queue.size() + BusyCount);
-        while (Workers.size() < Want) {
-          if (spawnWorker())
-            continue;
-          if (Workers.empty()) {
-            // Nothing can run: fail the whole queue rather than spin.
-            while (!Queue.empty()) {
-              const WorkItem &Wk = Plan[Queue.front().first];
-              Queue.pop_front();
-              obs::counters::WorkerCrashed.add();
-              ++Summary.Crashed;
-              completeSlot(Wk.SlotIndex,
-                           synthFailure(Wk, scanner::ScanErrorKind::Crashed,
-                                        "worker launch failed", 0));
-            }
-          }
+      for (PoolWorker &W : Workers) {
+        if (Queue.empty())
           break;
-        }
-        if (IdleDeaths >= 3 && !Queue.empty()) {
-          // Workers keep dying before accepting work; fail one job per
-          // strike-out so the run always makes forward progress.
-          const WorkItem &Wk = Plan[Queue.front().first];
-          Queue.pop_front();
-          obs::counters::WorkerCrashed.add();
-          ++Summary.Crashed;
-          completeSlot(Wk.SlotIndex,
-                       synthFailure(Wk, scanner::ScanErrorKind::Crashed,
-                                    "worker died repeatedly before accepting "
-                                    "work",
-                                    0));
-          IdleDeaths = 0;
-        }
-        for (PersistentWorker &W : Workers) {
-          if (Queue.empty())
-            break;
-          if (!W.Busy && !W.Retiring && !W.Reader.dead())
-            assignJob(W);
-        }
-        BusyCount = static_cast<size_t>(
-            std::count_if(Workers.begin(), Workers.end(),
-                          [](const PersistentWorker &W) { return W.Busy; }));
+        if (!W.Busy && !W.Retiring && !W.Reader.dead())
+          assignJob(W);
       }
+      BusyCount = static_cast<size_t>(
+          std::count_if(Workers.begin(), Workers.end(),
+                        [](const PoolWorker &W) { return W.Busy; }));
+    }
 
-      if (BusyCount == 0 && (Queue.empty() || PoolStopRequested))
-        break;
+    if (BusyCount == 0 && (Queue.empty() || PoolStopRequested))
+      break;
 
-      bool Activity = false;
-      for (size_t I = 0; I < Workers.size();) {
-        PersistentWorker &W = Workers[I];
-        if (!W.Reader.dead()) {
-          W.Reader.pump(W.Proc.commFD());
-          std::string Text;
-          while (W.Reader.next(Text)) {
-            handleFrame(W, Text);
-            Activity = true;
-          }
-        }
-        WaitStatus WS;
-        if (W.Proc.poll(WS)) {
-          PersistentWorker Dead = std::move(W);
-          Workers.erase(Workers.begin() + static_cast<long>(I));
-          reapWorker(Dead, WS);
+    bool Activity = false;
+    for (size_t I = 0; I < Workers.size();) {
+      PoolWorker &W = Workers[I];
+      if (!W.Reader.dead()) {
+        W.Reader.pump(W.Proc.commFD());
+        std::string Text;
+        while (W.Reader.next(Text)) {
+          handleFrame(W, Text);
           Activity = true;
-          continue;
         }
-        if (W.Busy && !W.KillSent && KillAfter > 0 &&
-            W.JobStarted.elapsedSeconds() > KillAfter) {
-          W.Proc.kill(SIGKILL);
-          W.KillSent = true;
-        }
-        ++I;
       }
-      maybeWriteMetrics();
-      if (!Activity) {
-        std::vector<int> FDs;
-        FDs.reserve(Workers.size());
-        for (const PersistentWorker &W : Workers)
-          // A dead reader's fd may have pending bytes we will never read;
-          // polling it would spin hot. The kill ladder owns that worker.
-          FDs.push_back(W.Reader.dead() ? -1 : W.Proc.commFD());
-        waitForWorkerActivity(FDs, 50);
-      }
-    }
-
-    // Orderly drain: ask every surviving worker to exit, then reap them
-    // all (a worker blocked in readFrame gets the Exit frame; a recycle
-    // that raced the shutdown is still counted by reapWorker).
-    for (PersistentWorker &W : Workers) {
       WaitStatus WS;
-      if (W.Proc.poll(WS))
+      if (W.Proc.poll(WS)) {
+        PoolWorker Dead = std::move(W);
+        Workers.erase(Workers.begin() + static_cast<long>(I));
+        reapWorker(Dead, WS);
+        Activity = true;
         continue;
-      WorkerRequest Req;
-      Req.Kind = WorkerRequest::Op::Exit;
-      writeFrame(W.Proc.commFD(), Req.encode());
+      }
+      if (W.Busy && !W.KillSent && KillAfter > 0 &&
+          W.JobStarted.elapsedSeconds() > KillAfter) {
+        W.Proc.kill(SIGKILL);
+        W.KillSent = true;
+      }
+      ++I;
     }
-    for (PersistentWorker &W : Workers)
-      reapWorker(W, W.Proc.wait());
+    maybeWriteMetrics();
+    if (!Activity) {
+      std::vector<int> FDs;
+      FDs.reserve(Workers.size());
+      for (const PoolWorker &W : Workers)
+        // A dead reader's fd may have pending bytes we will never read;
+        // polling it would spin hot. The kill ladder owns that worker.
+        FDs.push_back(W.Reader.dead() ? -1 : W.Proc.commFD());
+      waitForWorkerActivity(FDs, 50);
+    }
   }
+
+  // Orderly drain: ask every surviving worker to exit, then reap them
+  // all (a worker blocked in readFrame gets the Exit frame; a recycle
+  // that raced the shutdown is still counted by reapWorker).
+  for (PoolWorker &W : Workers) {
+    WaitStatus WS;
+    if (W.Proc.poll(WS))
+      continue;
+    WorkerRequest Req;
+    Req.Kind = WorkerRequest::Op::Exit;
+    writeFrame(W.Proc.commFD(), Req.encode());
+  }
+  for (PoolWorker &W : Workers)
+    reapWorker(W, W.Proc.wait());
 
   flushCursor();
   Progress.finish();
-  ::rmdir(TmpDir.c_str());
   // Final snapshot regardless of cadence; the supervisor registries are
   // cumulative here (workers reset their own, the supervisor never does).
   if (!Batch.MetricsPath.empty())

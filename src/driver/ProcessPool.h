@@ -13,29 +13,28 @@
 /// the paper's 20k-npm corpus scale (§5.6) that single-package blast radius
 /// is unacceptable; the pool reduces it to one worker.
 ///
-/// Two scheduling modes share the same contract:
+/// Each forked worker is resident: it drains a pipe-fed queue of jobs
+/// (length-prefixed frames over a socketpair, driver/WorkerProtocol.h),
+/// amortizing the fork across packages. A worker is re-forked only after a
+/// crash, a kill, or a *recycle* — a planned exit after RecycleAfter
+/// packages or when its resident set passes the RecycleRssMB watermark,
+/// bounding leak/fragmentation accumulation. RecycleAfter = 1 is the
+/// maximum-isolation setting: a fresh process image per package. A retiring
+/// worker holds no slot, so its replacement is forked as soon as the last
+/// response arrives.
 ///
-///  - **Fork-per-package** (the PR 5 default): one expendable fork() per
-///    package. Maximum isolation, but the fork dominates sub-10ms scans —
-///    BENCH_batch measured ~0.84x vs in-process on small packages.
-///  - **Persistent workers** (PoolOptions::Persistent): each forked worker
-///    drains a pipe-fed queue of jobs (length-prefixed frames over a
-///    socketpair, driver/WorkerProtocol.h), amortizing the fork. A worker
-///    is re-forked only after a crash, a kill, or a *recycle* — a planned
-///    exit after RecycleAfter packages or when its resident set passes the
-///    RecycleRssMB watermark, bounding leak/fragmentation accumulation.
-///
-/// Both modes preserve:
+/// The pool preserves:
 ///
 ///  - **Crash containment**: a worker that dies on a signal or exits
 ///    without a result fails only the package it was scanning (Crashed /
 ///    KilledOom / KilledDeadline, attributed from the wait status and the
-///    kill ladder); in persistent mode the replacement worker drains the
-///    rest of the queue. Accounting is per *job*, not per process —
-///    exactly-once per package regardless of how many workers died.
+///    kill ladder); the replacement worker drains the rest of the queue.
+///    Accounting is per *job*, not per process — exactly-once per package
+///    regardless of how many workers died.
 ///  - **Kill ladder**: cooperative Deadline inside the worker, then the
 ///    supervisor's per-job wall-clock kill (SIGKILL), then RLIMIT_CPU as
-///    the backstop (sized per worker lifetime in persistent mode).
+///    the backstop (sized per worker lifetime, so only with a recycle
+///    quota).
 ///  - **Deterministic journal**: per-worker lines merge into the main
 ///    journal in *input order* regardless of completion order, and healthy
 ///    packages' lines are the worker's bytes verbatim.
@@ -60,20 +59,23 @@ struct PoolOptions {
   /// MaxPackages, progress cadence). BatchOptions::Scan::Fault is ignored
   /// here — the pool takes its (possibly multiple) faults via Faults.
   BatchOptions Batch;
-  /// Concurrent worker processes. 1 still forks (containment without
-  /// parallelism); the CLI routes jobs<=1 without faults to BatchDriver.
+  /// Concurrent resident worker processes. 1 still forks (containment
+  /// without parallelism); the CLI routes a batch without --jobs to
+  /// BatchDriver instead.
   unsigned Jobs = 2;
-  /// Persistent workers: each worker drains a queue of jobs over a
-  /// socketpair instead of dying after one package, and is re-forked only
-  /// on crash, kill, or recycle. False = fork-per-package (PR 5).
+  /// Read by no code: every pool runs resident workers (RecycleAfter = 1
+  /// for a fresh process per package). Kept only because the benchmark
+  /// harness (perfbench), which changes only together with the benchmark,
+  /// still assigns it; drop the field with that assignment.
   bool Persistent = false;
-  /// Persistent mode: planned worker recycle after this many scanned
-  /// packages (0 = unlimited). The worker answers its last job, exits
-  /// WorkerRecycleExit, and the supervisor re-forks a fresh image.
+  /// Planned worker recycle after this many scanned packages (0 =
+  /// unlimited; 1 = a fresh process image per package). The worker answers
+  /// its last job, exits WorkerRecycleExit, and the supervisor forks a
+  /// fresh image.
   unsigned RecycleAfter = 0;
-  /// Persistent mode: recycle a worker whose resident set exceeds this
-  /// many MiB after a job (0 = off; measured from /proc/self/statm, a
-  /// no-op on systems without it).
+  /// Recycle a worker whose resident set exceeds this many MiB after a job
+  /// (0 = off; measured from /proc/self/statm, a no-op on systems without
+  /// it).
   size_t RecycleRssMB = 0;
   /// RLIMIT_AS per worker in MiB (0 = uncapped; ignored under ASan).
   size_t MemLimitMB = 0;

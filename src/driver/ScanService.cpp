@@ -63,97 +63,45 @@ struct ServeSignalGuard {
   }
 };
 
-/// The serve-mode worker body: like the pool's persistent worker, but the
-/// package spec (name + file paths) rides in on each request — jobs arrive
-/// from the network after the worker was forked, so nothing can be
-/// inherited through the memory image.
-int serveWorkerMain(int FD, const scanner::ScanOptions &BaseScan,
-                    unsigned RecycleAfter, size_t RecycleRssMB) {
-  // Shed every inherited supervisor fd (listening socket, client
-  // connections, journal): a worker holding the listen socket would keep
-  // the address alive past daemon shutdown, and one holding a client fd
-  // would mask that client's EOF.
-  for (int I = 3; I < 1024; ++I)
-    if (I != FD)
-      ::close(I);
-  installOomExitHandler();
-  // Workers record their own scan telemetry; each response carries the
-  // job's deltas so the daemon's registries (and its `metrics` op) cover
-  // work done in worker processes, not just supervisor bookkeeping.
-  obs::setCountersEnabled(true);
-  obs::resetCounters();
-  unsigned Done = 0;
-  std::string Text;
-  while (readFrame(FD, Text)) {
-    WorkerRequest Req;
-    if (!WorkerRequest::decode(Text, Req))
-      return 121; // Protocol corruption: die visibly, never guess a job.
-    if (Req.Kind == WorkerRequest::Op::Exit)
-      return 0;
-    if (Req.Kind == WorkerRequest::Op::Ping) {
-      WorkerResponse Resp;
-      Resp.JobId = Req.JobId;
-      Resp.Pong = true;
-      if (!writeFrame(FD, Resp.encode()))
-        return 122;
+/// The serve-mode job source: the package spec (name + file paths) rides
+/// in on each request — jobs arrive from the network after the worker was
+/// forked, so nothing can be inherited through the memory image. An
+/// unreadable file degrades the package instead of failing the request.
+BatchOutcome scanRequested(const WorkerRequest &Req, obs::TraceRecorder *Trace,
+                           const scanner::ScanOptions &BaseScan) {
+  BatchInput In;
+  In.Name = Req.Name;
+  std::vector<std::string> Unreadable;
+  for (const std::string &Path : Req.Paths) {
+    std::ifstream F(Path, std::ios::binary);
+    if (!F) {
+      Unreadable.push_back(Path);
       continue;
     }
-
-    BatchInput In;
-    In.Name = Req.Name;
-    std::vector<std::string> Unreadable;
-    for (const std::string &Path : Req.Paths) {
-      std::ifstream F(Path, std::ios::binary);
-      if (!F) {
-        Unreadable.push_back(Path);
-        continue;
-      }
-      std::ostringstream SS;
-      SS << F.rdbuf();
-      In.Files.push_back({Path, SS.str()});
-    }
-
-    scanner::ScanOptions Scan = BaseScan;
-    if (Req.DeadlineSeconds > 0)
-      Scan.Deadline.WallSeconds = Req.DeadlineSeconds;
-    if (!Req.FaultSpec.empty()) {
-      scanner::FaultPlan Plan;
-      if (scanner::FaultPlan::parse(Req.FaultSpec, Plan)) {
-        Plan.Package = 0; // Each request is this worker's package 0.
-        Scan.Fault = Plan;
-      }
-    }
-
-    obs::CounterSnapshot CtrBefore = obs::snapshotCounters();
-    obs::HistogramSnapshotMap HistBefore = obs::snapshotHistograms();
-    obs::TraceRecorder Recorder;
-    if (Req.WantTrace)
-      Scan.Trace = &Recorder;
-    BatchOutcome Out = scanPackageIsolated(In, Scan);
-    for (const std::string &Path : Unreadable)
-      Out.Result.Errors.push_back({scanner::ScanPhase::Driver,
-                                   scanner::ScanErrorKind::Internal,
-                                   "unreadable file: " + Path, Path});
-    if (!Unreadable.empty() && Out.Status == BatchStatus::Ok)
-      Out.Status = BatchStatus::Degraded;
-
-    WorkerResponse Resp;
-    Resp.JobId = Req.JobId;
-    Resp.Line = BatchDriver::journalLine(Out);
-    Resp.CounterDelta = obs::counterDelta(CtrBefore, obs::snapshotCounters());
-    Resp.HistDelta =
-        obs::histogramDelta(HistBefore, obs::snapshotHistograms());
-    if (Req.WantTrace)
-      Resp.Spans = rebasedSpans(Recorder, Req.TraceEpochUs);
-    ++Done;
-    Resp.Recycle = (RecycleAfter && Done >= RecycleAfter) ||
-                   (RecycleRssMB && currentRssMB() > RecycleRssMB);
-    if (!writeFrame(FD, Resp.encode()))
-      return 122;
-    if (Resp.Recycle)
-      return WorkerRecycleExit;
+    std::ostringstream SS;
+    SS << F.rdbuf();
+    In.Files.push_back({Path, SS.str()});
   }
-  return 0; // Supervisor hung up: orderly drain.
+
+  scanner::ScanOptions Scan = BaseScan;
+  if (Req.DeadlineSeconds > 0)
+    Scan.Deadline.WallSeconds = Req.DeadlineSeconds;
+  if (!Req.FaultSpec.empty()) {
+    scanner::FaultPlan Plan;
+    if (scanner::FaultPlan::parse(Req.FaultSpec, Plan)) {
+      Plan.Package = 0; // Each request is this worker's package 0.
+      Scan.Fault = Plan;
+    }
+  }
+  Scan.Trace = Trace;
+  BatchOutcome Out = scanPackageIsolated(In, Scan);
+  for (const std::string &Path : Unreadable)
+    Out.Result.Errors.push_back({scanner::ScanPhase::Driver,
+                                 scanner::ScanErrorKind::Internal,
+                                 "unreadable file: " + Path, Path});
+  if (!Unreadable.empty() && Out.Status == BatchStatus::Ok)
+    Out.Status = BatchStatus::Degraded;
+  return Out;
 }
 
 /// One admitted scan request waiting for (or on) a worker.
@@ -258,7 +206,7 @@ int ScanService::run() {
   SubprocessLimits Limits;
   Limits.MemLimitMB = Options.MemLimitMB;
   // RLIMIT_CPU counts a worker's whole lifetime; only meaningful when the
-  // recycle quota bounds that lifetime (see ProcessPool persistent mode).
+  // recycle quota bounds that lifetime (same policy as ProcessPool).
   if (Options.KillAfterSeconds > 0 && Options.RecycleAfter > 0)
     Limits.CpuSeconds = static_cast<unsigned>(Options.KillAfterSeconds *
                                               Options.RecycleAfter) +
@@ -334,15 +282,33 @@ int ScanService::run() {
     return LastDeath.elapsedSeconds() >= Delay;
   };
 
+  // Workers record their own scan telemetry; each response carries the
+  // job's deltas so the daemon's registries (and its `metrics` op) cover
+  // work done in worker processes, not just supervisor bookkeeping.
+  WorkerLoopOptions Loop;
+  Loop.RecycleAfter = Options.RecycleAfter;
+  Loop.RecycleRssMB = Options.RecycleRssMB;
+  auto workerMain = [&](int FD) {
+    // Shed every inherited supervisor fd (listening socket, client
+    // connections, journal): a worker holding the listen socket would keep
+    // the address alive past daemon shutdown, and one holding a client fd
+    // would mask that client's EOF.
+    for (int I = 3; I < 1024; ++I)
+      if (I != FD)
+        ::close(I);
+    return runWorkerLoop(
+        FD, Loop,
+        [&](const WorkerRequest &Req, obs::TraceRecorder *Trace,
+            BatchOutcome &Out) {
+          Out = scanRequested(Req, Trace, Options.Scan);
+          return true;
+        });
+  };
+
   auto spawnWorker = [&]() -> bool {
     Subprocess P;
     std::string Err;
-    bool OK = Subprocess::forkWorker(
-        [&](int FD) {
-          return serveWorkerMain(FD, Options.Scan, Options.RecycleAfter,
-                                 Options.RecycleRssMB);
-        },
-        P, &Err, Limits);
+    bool OK = Subprocess::forkWorker(workerMain, P, &Err, Limits);
     if (!OK) {
       log("worker fork failed: " + Err);
       ++ConsecutiveDeaths;
@@ -434,37 +400,12 @@ int ScanService::run() {
     if (W.Busy && W.Job) {
       // The job died with the worker: wait-status attribution, same kill
       // ladder as the batch pool.
-      scanner::ScanErrorKind Kind = scanner::ScanErrorKind::Crashed;
-      std::string Detail;
-      if (WS.exitedWith(WorkerOomExit)) {
-        Kind = scanner::ScanErrorKind::KilledOom;
-        Detail = "worker allocation failed under memory cap (" + WS.str() +
-                 ")";
-        obs::counters::WorkerOomKilled.add();
-      } else if (W.KillSent) {
-        Kind = scanner::ScanErrorKind::KilledDeadline;
-        Detail = "supervisor killed worker after hard deadline (" +
-                 WS.str() + ")";
-        obs::counters::WorkerDeadlineKilled.add();
-      } else if (WS.signaled() && WS.Signal == SIGXCPU) {
-        Kind = scanner::ScanErrorKind::KilledDeadline;
-        Detail = "worker hit RLIMIT_CPU (" + WS.str() + ")";
-        obs::counters::WorkerDeadlineKilled.add();
-      } else if (WS.signaled() && WS.Signal == SIGKILL) {
-        Kind = scanner::ScanErrorKind::KilledOom;
-        Detail = "worker got an unexplained SIGKILL (kernel OOM killer?)";
-        obs::counters::WorkerOomKilled.add();
-      } else if (WS.signaled()) {
-        Detail = "worker died on " + WS.str();
-        obs::counters::WorkerCrashed.add();
-      } else {
-        Detail = "worker produced no result (" + WS.str() + ")";
-        obs::counters::WorkerCrashed.add();
-      }
+      WorkerDeath Death = attributeWorkerDeath(WS, W.KillSent);
       PendingScan Job = std::move(*W.Job);
       W.Job.reset();
       W.Busy = false;
-      finishScan(Job, synthLine(Job, Kind, Detail), BatchStatus::Failed);
+      finishScan(Job, synthLine(Job, Death.Kind, Death.Detail),
+                 BatchStatus::Failed);
       log("worker " + std::to_string(W.Proc.pid()) + " died mid-job (" +
           WS.str() + "), job " + Job.Req.Name + " failed");
     } else if (!Planned) {
@@ -650,13 +591,16 @@ int ScanService::run() {
     size_t BusyCount = static_cast<size_t>(
         std::count_if(Workers.begin(), Workers.end(),
                       [](const ServeWorker &W) { return W.Busy; }));
+    // A retiring worker has answered its last job and holds no slot: its
+    // replacement is forked now, not after the reap.
     size_t Want = std::max<size_t>(1, Options.Jobs);
     if (ShuttingDown)
       Want = std::min(Want, Queue.size() + BusyCount);
-    while (Workers.size() < Want && spawnAllowed()) {
-      if (!spawnWorker())
-        break;
-    }
+    size_t Serving = static_cast<size_t>(
+        std::count_if(Workers.begin(), Workers.end(),
+                      [](const ServeWorker &W) { return !W.Retiring; }));
+    while (Serving < Want && spawnAllowed() && spawnWorker())
+      ++Serving;
 
     for (ServeWorker &W : Workers) {
       if (Queue.empty())

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// `graphjs serve`: a long-lived scan daemon with warm persistent workers.
+/// `graphjs serve`: a long-lived scan daemon with warm resident workers.
 /// The batch pool amortizes fork cost across one run; the service amortizes
 /// it across *runs* — CI bots, editor integrations, and registry monitors
 /// pay worker startup once and then get crash-contained scans on demand.
@@ -23,10 +23,11 @@
 ///    is rejected immediately with `{"ok":false,"error":"overloaded"}` —
 ///    explicit backpressure instead of unbounded buffering — and a queued
 ///    request that outwaits its own deadline is rejected with `"deadline"`.
-///  - **Workers**: the same persistent-worker machinery as the pool
-///    (driver/WorkerProtocol.h): frames over socketpairs, the kill ladder
-///    for wedged jobs, crash/oom/deadline attribution, recycling on a
-///    package quota or RSS watermark. A dead worker is re-forked under
+///  - **Workers**: the same resident-worker machinery as the pool
+///    (driver/WorkerProtocol.h): frames over socketpairs, one shared worker
+///    frame loop, the kill ladder for wedged jobs, one crash/oom/deadline
+///    attribution, recycling on a package quota or RSS watermark (a
+///    retiring worker's replacement is forked at once). A dead worker is re-forked under
 ///    exponential backoff (a worker that dies on arrival must not turn the
 ///    daemon into a fork bomb), and idle workers answer heartbeat pings so
 ///    a wedged-while-idle worker is detected before a job lands on it.
@@ -53,7 +54,7 @@ struct ServiceOptions {
   /// Base scan settings for every request (per-request deadline_s and
   /// fault override Deadline.WallSeconds / Fault).
   scanner::ScanOptions Scan;
-  /// Warm persistent workers kept forked and waiting.
+  /// Warm resident workers kept forked and waiting.
   unsigned Jobs = 2;
   /// Admission bound: scans beyond this many queued requests are rejected
   /// with "overloaded".

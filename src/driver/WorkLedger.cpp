@@ -630,7 +630,7 @@ SharedBatchResult driver::runSharedBatch(const SharedBatchOptions &Options,
       for (size_t P = 0; P < ShardInputs.size(); ++P) {
         if (DoneSet.count(ShardInputs[P].Name))
           continue;
-        for (const scanner::FaultPlan &F : Options.Faults) {
+        for (const scanner::FaultPlan &F : Options.Pool.Faults) {
           bool Match = F.PackageName.empty()
                            ? F.Package == CorpusIndex[P]
                            : F.PackageName == ShardInputs[P].Name;
@@ -645,7 +645,7 @@ SharedBatchResult driver::runSharedBatch(const SharedBatchOptions &Options,
       }
     }
 
-    BatchOptions BO = Options.Batch;
+    BatchOptions BO = Options.Pool.Batch;
     BO.JournalPath = Ledger.shardJournalPath(L);
     BO.Resume = true; // Appends after the quarantine records above.
     BO.FramedJournal = true;
@@ -678,18 +678,10 @@ SharedBatchResult driver::runSharedBatch(const SharedBatchOptions &Options,
     };
 
     BatchSummary Sub;
-    if (Options.Jobs > 0) {
-      PoolOptions PO;
+    if (Options.Pool.Jobs > 0) {
+      PoolOptions PO = Options.Pool;
       PO.Batch = BO;
-      PO.Jobs = Options.Jobs;
-      PO.Persistent = Options.Persistent;
-      PO.RecycleAfter = static_cast<unsigned>(Options.RecycleAfter);
-      PO.RecycleRssMB = Options.RecycleRssMB;
-      PO.MemLimitMB = Options.MemLimitMB;
-      PO.KillAfterSeconds = Options.KillAfterSeconds;
-      PO.RetryCrashed = Options.RetryCrashed;
       PO.Faults = ShardFaults;
-      PO.Trace = Options.Trace;
       Sub = ProcessPool(PO).run(ShardInputs);
     } else {
       // In-process drain: a process-fatal fault here kills this whole
@@ -756,15 +748,15 @@ SharedBatchResult driver::runSharedBatch(const SharedBatchOptions &Options,
     R.MergedJournal = Ledger.corpusJournalPath();
     // --journal in shared mode: a private copy of the merged corpus
     // journal, so downstream tooling keeps one well-known path.
-    if (!Options.Batch.JournalPath.empty()) {
+    if (!Options.Pool.Batch.JournalPath.empty()) {
       std::error_code EC;
-      fs::copy_file(Ledger.corpusJournalPath(), Options.Batch.JournalPath,
+      fs::copy_file(Ledger.corpusJournalPath(), Options.Pool.Batch.JournalPath,
                     fs::copy_options::overwrite_existing, EC);
     }
   }
 
   R.Summary.WallSeconds = Wall.elapsedSeconds();
-  if (!Options.Batch.MetricsPath.empty())
-    obs::writePrometheusFile(Options.Batch.MetricsPath);
+  if (!Options.Pool.Batch.MetricsPath.empty())
+    obs::writePrometheusFile(Options.Pool.Batch.MetricsPath);
   return R;
 }

@@ -178,26 +178,18 @@ private:
 
 /// Options for one supervisor's shared-ledger drain.
 struct SharedBatchOptions {
+  SharedBatchOptions() { Pool.Jobs = 0; }
+
   LedgerOptions Ledger;
-  /// Scan settings, progress cadence, metrics path. JournalPath, when set,
-  /// receives a copy of the merged corpus journal after convergence;
-  /// per-shard journaling always goes through the ledger.
-  BatchOptions Batch;
-  /// Per-shard scheduling: 0 drains shards in-process (BatchDriver), N > 0
-  /// uses the worker pool.
-  unsigned Jobs = 0;
-  bool Persistent = false;
-  size_t RecycleAfter = 0;
-  size_t RecycleRssMB = 0;
-  size_t MemLimitMB = 0;
-  double KillAfterSeconds = 0;
-  bool RetryCrashed = false;
-  /// Corpus-global fault plans (index = corpus scan order, or `@name`);
-  /// rebased per shard before dispatch. Process-fatal faults with Jobs == 0
-  /// kill this supervisor — exactly the crash loop the quarantine breaker
-  /// exists for.
-  std::vector<scanner::FaultPlan> Faults;
-  obs::TraceRecorder *Trace = nullptr;
+  /// Per-shard scheduling and scan settings. Pool.Jobs == 0 (the default
+  /// here) drains shards in-process (BatchDriver); N > 0 uses the worker
+  /// pool. Pool.Batch.JournalPath, when set, receives a copy of the merged
+  /// corpus journal after convergence; per-shard journaling always goes
+  /// through the ledger. Pool.Faults are corpus-global (index = corpus scan
+  /// order, or `@name`) and rebased per shard before dispatch.
+  /// Process-fatal faults with Pool.Jobs == 0 kill this supervisor —
+  /// exactly the crash loop the quarantine breaker exists for.
+  PoolOptions Pool;
   /// Chaos harness: when N > 0, raise(SIGKILL) immediately after appending
   /// the start record of the (N+1)-th package this supervisor dispatches.
   /// Deterministic supervisor-death injection for the distributed tests.

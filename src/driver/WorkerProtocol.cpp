@@ -9,6 +9,7 @@
 #include "support/JSON.h"
 
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 
 #include <sys/socket.h>
@@ -376,4 +377,89 @@ bool WorkerResponse::decode(const std::string &Text, WorkerResponse &Out) {
     }
   }
   return true;
+}
+
+int driver::runWorkerLoop(int FD, const WorkerLoopOptions &Options,
+                          const WorkerJobSource &Source) {
+  installOomExitHandler();
+  if (Options.EnableCounters) {
+    obs::setCountersEnabled(true);
+    obs::resetCounters();
+  }
+  unsigned Done = 0;
+  std::string Text;
+  while (readFrame(FD, Text)) {
+    WorkerRequest Req;
+    if (!WorkerRequest::decode(Text, Req))
+      return 121; // Protocol corruption: die visibly, never guess a job.
+    if (Req.Kind == WorkerRequest::Op::Exit)
+      return 0;
+    WorkerResponse Resp;
+    Resp.JobId = Req.JobId;
+    if (Req.Kind == WorkerRequest::Op::Ping) {
+      Resp.Pong = true;
+      if (!writeFrame(FD, Resp.encode()))
+        return 122;
+      continue;
+    }
+    // Per-job telemetry: deltas bracket exactly this scan, so the
+    // supervisor can merge them without double-counting earlier jobs.
+    obs::CounterSnapshot CtrBefore;
+    obs::HistogramSnapshotMap HistBefore;
+    if (Options.EnableCounters) {
+      CtrBefore = obs::snapshotCounters();
+      HistBefore = obs::snapshotHistograms();
+    }
+    obs::TraceRecorder Recorder;
+    BatchOutcome Out;
+    if (!Source(Req, Req.WantTrace ? &Recorder : nullptr, Out))
+      return 121;
+    Resp.Line = BatchDriver::journalLine(Out);
+    if (Options.EnableCounters) {
+      Resp.CounterDelta = obs::counterDelta(CtrBefore, obs::snapshotCounters());
+      Resp.HistDelta =
+          obs::histogramDelta(HistBefore, obs::snapshotHistograms());
+    }
+    if (Req.WantTrace)
+      Resp.Spans = rebasedSpans(Recorder, Req.TraceEpochUs);
+    ++Done;
+    Resp.Recycle =
+        (Options.RecycleAfter && Done >= Options.RecycleAfter) ||
+        (Options.RecycleRssMB && currentRssMB() > Options.RecycleRssMB);
+    if (!writeFrame(FD, Resp.encode()))
+      return 122;
+    if (Resp.Recycle)
+      return WorkerRecycleExit;
+  }
+  return 0; // Supervisor hung up: orderly drain.
+}
+
+WorkerDeath driver::attributeWorkerDeath(const WaitStatus &WS, bool KillSent) {
+  using scanner::ScanErrorKind;
+  if (WS.exitedWith(WorkerOomExit)) {
+    obs::counters::WorkerOomKilled.add();
+    return {ScanErrorKind::KilledOom,
+            "worker allocation failed under memory cap (" + WS.str() + ")"};
+  }
+  if (KillSent) {
+    obs::counters::WorkerDeadlineKilled.add();
+    return {ScanErrorKind::KilledDeadline,
+            "supervisor killed worker after hard deadline (" + WS.str() + ")"};
+  }
+  if (WS.signaled() && WS.Signal == SIGXCPU) {
+    obs::counters::WorkerDeadlineKilled.add();
+    return {ScanErrorKind::KilledDeadline,
+            "worker hit RLIMIT_CPU (" + WS.str() + ")"};
+  }
+  if (WS.signaled() && WS.Signal == SIGKILL) {
+    // We did not send it: the kernel OOM killer is the usual suspect.
+    obs::counters::WorkerOomKilled.add();
+    return {ScanErrorKind::KilledOom,
+            "worker got an unexplained SIGKILL (kernel OOM killer?)"};
+  }
+  obs::counters::WorkerCrashed.add();
+  if (WS.signaled())
+    return {ScanErrorKind::Crashed, "worker died on " + WS.str()};
+  return {ScanErrorKind::Crashed,
+          "worker produced no result (" + WS.str() + ")"};
 }

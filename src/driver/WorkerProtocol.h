@@ -5,19 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The wire protocol between a supervisor and its persistent workers: JSON
-/// request/response messages in length-prefixed frames over a socketpair.
+/// The wire protocol between a supervisor and its resident workers: JSON
+/// request/response messages in length-prefixed frames over a socketpair,
+/// plus the two pieces both supervisors share on either side of it — the
+/// worker's frame loop (runWorkerLoop) and the attribution of a worker
+/// that died with a job in hand (attributeWorkerDeath).
 ///
-/// Fork-per-package workers (PR 5) needed no protocol — the package rode in
-/// on the fork()ed memory image and the verdict rode out in a temp file plus
-/// an exit code. A *persistent* worker drains many jobs over its lifetime,
-/// so each job needs an explicit request (which package, retry or not,
-/// per-request deadline) and an explicit response (the journal line, plus
-/// whether the worker is about to recycle itself). The same messages serve
-/// two supervisors:
+/// A resident worker drains many jobs over its lifetime, so each job needs
+/// an explicit request (which package, retry or not, per-request deadline)
+/// and an explicit response (the journal line, plus whether the worker is
+/// about to recycle itself). The same messages serve two supervisors:
 ///
-///  - driver::ProcessPool in persistent mode, where a request names an
-///    index into the in-memory work plan the worker inherited at fork; and
+///  - driver::ProcessPool, where a request names an index into the
+///    in-memory work plan the worker inherited at fork; and
 ///  - driver::ScanService (`graphjs serve`), where a request carries the
 ///    package spec itself (name + file paths) because jobs arrive from the
 ///    network after the worker was forked.
@@ -32,19 +32,22 @@
 #ifndef GJS_DRIVER_WORKERPROTOCOL_H
 #define GJS_DRIVER_WORKERPROTOCOL_H
 
+#include "driver/BatchDriver.h"
 #include "obs/Counters.h"
 #include "obs/Histogram.h"
 #include "obs/Trace.h"
+#include "support/Subprocess.h"
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 namespace gjs {
 namespace driver {
 
-/// Exit code a persistent worker uses for a *planned* death: it finished
+/// Exit code a resident worker uses for a *planned* death: it finished
 /// its recycle quota (or tripped the memory watermark), answered its last
 /// job, and exited so the supervisor re-forks a fresh image. Distinct from
 /// crash codes and from WorkerOomExit (86).
@@ -156,6 +159,51 @@ struct WorkerResponse {
 /// WorkerResponse::Spans. Spans still open serialize with zero duration.
 std::vector<obs::SpanRecord>
 rebasedSpans(const obs::TraceRecorder &Recorder, uint64_t SupervisorEpochUs);
+
+/// What a resident worker does beyond scanning, the same for every caller.
+struct WorkerLoopOptions {
+  /// Turn counters on in the worker and ship each job's counter and
+  /// histogram deltas in its response.
+  bool EnableCounters = true;
+  /// Planned recycle after this many jobs (0 = unlimited)…
+  unsigned RecycleAfter = 0;
+  /// …or once the resident set exceeds this many MiB after a job (0 = off).
+  size_t RecycleRssMB = 0;
+};
+
+/// The per-caller half of a worker: turns one Scan request into an
+/// outcome, scanning with \p Trace as its recorder (null unless the
+/// request asked for spans). False means the request names no job the
+/// worker can run — protocol corruption.
+using WorkerJobSource = std::function<bool(
+    const WorkerRequest &Req, obs::TraceRecorder *Trace, BatchOutcome &Out)>;
+
+/// The resident worker body shared by driver::ProcessPool and
+/// driver::ScanService. Drains request frames off \p FD until the
+/// supervisor says exit or hangs up: answers pings, scans each job through
+/// \p Source with its telemetry deltas bracketed around exactly that scan
+/// and its span tree rebased onto the supervisor's epoch, and announces a
+/// recycle in the last response before exiting WorkerRecycleExit — so the
+/// supervisor never mistakes the planned death for a crash nor assigns the
+/// worker a job it would silently drop. Returns the exit code: 0 on an
+/// orderly drain, 121 on protocol corruption, 122 when a response cannot
+/// be written.
+int runWorkerLoop(int FD, const WorkerLoopOptions &Options,
+                  const WorkerJobSource &Source);
+
+/// A worker's death, attributed to the job it had in hand.
+struct WorkerDeath {
+  scanner::ScanErrorKind Kind = scanner::ScanErrorKind::Crashed;
+  std::string Detail;
+};
+
+/// Maps the wait status of a worker that died mid-job onto a failure via
+/// the kill ladder: OOM exit code, supervisor kill (\p KillSent),
+/// RLIMIT_CPU, unexplained SIGKILL (the kernel OOM killer), any other
+/// signal, then "exited without a result". Bumps the matching worker.*
+/// counter. Shared by the pool and the scan service so attribution is
+/// identical.
+WorkerDeath attributeWorkerDeath(const WaitStatus &WS, bool KillSent);
 
 } // namespace driver
 } // namespace gjs

@@ -38,8 +38,8 @@ struct HarnessOptions {
 };
 
 /// Runs Graph.js on every package. With Jobs > 1 the scans go through the
-/// supervised worker pool (driver::ProcessPool): one forked process per
-/// package, OS-level crash containment, same outcome shape.
+/// supervised worker pool (driver::ProcessPool): Jobs resident worker
+/// processes, OS-level crash containment, same outcome shape.
 std::vector<PackageOutcome>
 runGraphJS(const std::vector<workload::Package> &Packages,
            const scanner::ScanOptions &Options, unsigned Jobs = 1);

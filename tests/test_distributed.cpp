@@ -533,7 +533,7 @@ TEST(SharedBatchTest, SingleSupervisorDrainsAndMerges) {
   std::string Dir = tempDir("shared_single");
   driver::SharedBatchOptions SO;
   SO.Ledger = ledgerOpts(Dir, 2, 10.0, "solo");
-  SO.Batch.Quiet = true;
+  SO.Pool.Batch.Quiet = true;
   std::vector<driver::BatchInput> Inputs = fourInputs();
 
   driver::SharedBatchResult R = driver::runSharedBatch(SO, Inputs);
@@ -564,8 +564,8 @@ TEST(SharedBatchTest, CopiesMergedJournalToBatchJournalPath) {
   std::string Dir = tempDir("shared_copy");
   driver::SharedBatchOptions SO;
   SO.Ledger = ledgerOpts(Dir, 4, 10.0, "solo");
-  SO.Batch.Quiet = true;
-  SO.Batch.JournalPath = Dir + "/copy.jsonl";
+  SO.Pool.Batch.Quiet = true;
+  SO.Pool.Batch.JournalPath = Dir + "/copy.jsonl";
   driver::SharedBatchResult R = driver::runSharedBatch(SO, fourInputs());
   ASSERT_TRUE(R.Merged);
   EXPECT_EQ(readLines(Dir + "/copy.jsonl").size(), 4u);
@@ -596,7 +596,7 @@ TEST(SharedBatchTest, QuarantinesPackageWithStrikeHistory) {
   driver::SharedBatchOptions SO;
   SO.Ledger = ledgerOpts(Dir, 4, 0.1, "medic");
   SO.Ledger.QuarantineAfter = 3;
-  SO.Batch.Quiet = true;
+  SO.Pool.Batch.Quiet = true;
   driver::SharedBatchResult R = driver::runSharedBatch(SO, Inputs);
 
   EXPECT_EQ(R.Summary.Quarantined, 1u);
@@ -618,7 +618,7 @@ TEST(SharedBatchTest, InitMismatchFailsEveryPackage) {
   std::string Dir = tempDir("shared_mismatch");
   driver::SharedBatchOptions SO;
   SO.Ledger = ledgerOpts(Dir, 2, 10.0, "a");
-  SO.Batch.Quiet = true;
+  SO.Pool.Batch.Quiet = true;
   driver::SharedBatchResult R1 = driver::runSharedBatch(SO, fourInputs());
   ASSERT_TRUE(R1.Merged);
 

@@ -37,6 +37,8 @@
 #include <string>
 #include <thread>
 
+#include <sys/wait.h>
+
 using namespace gjs;
 using obs::Span;
 using obs::SpanRecord;
@@ -928,6 +930,33 @@ TEST(ObsCLITest, ScanTraceOutWritesChromeLoadableJSON) {
   for (const char *Phase :
        {"lex", "parse", "normalize", "build", "import", "query"})
     EXPECT_TRUE(Names.count(Phase)) << "missing phase in trace: " << Phase;
+}
+
+TEST(ObsCLITest, TraceOutIntoMissingDirectoryFailsWithoutTempFile) {
+  std::string Dir = ::testing::TempDir() + "gjs_obs_trace_fail";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir + "/taken.json/inside");
+  std::string Example =
+      std::string(GJS_EXAMPLES_JS_DIR) + "/clean_utils.js > /dev/null 2>&1";
+  for (const char *Mode : {"scan", "batch --quiet"}) {
+    SCOPED_TRACE(Mode);
+    // The parent directory is missing: the trace cannot be published.
+    std::string Cmd = std::string(GRAPHJS_BIN) + " " + Mode +
+                      " --trace-out " + Dir + "/missing/t.json " + Example;
+    int RC = std::system(Cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(RC));
+    EXPECT_EQ(WEXITSTATUS(RC), 1);
+    EXPECT_FALSE(std::filesystem::exists(Dir + "/missing"));
+    // The final name is a non-empty directory: the rename fails after the
+    // temp file was written, and the temp file goes with it.
+    Cmd = std::string(GRAPHJS_BIN) + " " + Mode + " --trace-out " + Dir +
+          "/taken.json " + Example;
+    RC = std::system(Cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(RC));
+    EXPECT_EQ(WEXITSTATUS(RC), 1);
+    EXPECT_EQ(tempFilesIn(Dir), std::vector<std::string>());
+  }
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(ObsCLITest, QueryExplainPrintsBuiltinPlans) {

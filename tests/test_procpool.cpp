@@ -21,10 +21,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -356,68 +359,149 @@ TEST(ProcessPoolTest, HealthyBatchMatchesInProcessDriver) {
   }
 }
 
-TEST(ProcessPoolTest, CrashIsContainedAndAttributed) {
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 1));
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
+namespace {
 
-  EXPECT_EQ(S.Scanned, 4u);
-  EXPECT_EQ(S.Failed, 1u);
-  EXPECT_EQ(S.Ok, 3u);
-  EXPECT_EQ(S.Crashed, 1u);
-  ASSERT_EQ(S.Outcomes.size(), 4u);
-  EXPECT_EQ(S.Outcomes[1].Status, driver::BatchStatus::Failed);
-  EXPECT_EQ(failureKind(S.Outcomes[1]), ScanErrorKind::Crashed);
-  // SIGABRT shows up in the detail string.
-  EXPECT_NE(S.Outcomes[1].Result.Errors[0].Detail.find("SIGABRT"),
-            std::string::npos)
-      << S.Outcomes[1].Result.Errors[0].Detail;
+/// The two ends of the pool's isolation range: a fresh worker process per
+/// package (RecycleAfter = 1) and workers that live for the whole run (0).
+/// Every containment and merge assertion must hold at both.
+constexpr unsigned RecycleSettings[] = {1, 0};
+
+/// A journal line with its wall-clock fields ("seconds", "graph_seconds",
+/// "query_seconds", also inside the attempt log) zeroed: everything else a
+/// scan journals is deterministic.
+std::string withoutTimings(const std::string &Line) {
+  static const std::regex Timing("(\"[a-z_]*seconds\"):[-+.eE0-9]+");
+  return std::regex_replace(Line, Timing, "$1:0");
+}
+
+} // namespace
+
+TEST(ProcessPoolTest, RecycleAfterOneMatchesResidentWorkers) {
+  std::vector<driver::BatchInput> Inputs = healthyInputs(6);
+  std::map<unsigned, driver::BatchSummary> ByRecycle;
+  std::map<unsigned, std::vector<std::string>> Journals;
+  for (unsigned RecycleAfter : RecycleSettings) {
+    std::string Journal = testing::TempDir() + "procpool_recycle" +
+                          std::to_string(RecycleAfter) + "_" +
+                          std::to_string(::getpid()) + ".jsonl";
+    driver::PoolOptions PO;
+    PO.Jobs = 3;
+    PO.RecycleAfter = RecycleAfter;
+    PO.Batch.JournalPath = Journal;
+    ByRecycle[RecycleAfter] = driver::ProcessPool(PO).run(Inputs);
+    for (const std::string &Line : readLines(Journal))
+      Journals[RecycleAfter].push_back(withoutTimings(Line));
+    std::remove(Journal.c_str());
+  }
+  const driver::BatchSummary &Isolated = ByRecycle[1];
+  const driver::BatchSummary &Resident = ByRecycle[0];
+
+  EXPECT_EQ(Isolated.Scanned, 6u);
+  EXPECT_EQ(Isolated.Failed, 0u);
+  EXPECT_EQ(Isolated.Recycled, 6u);
+  EXPECT_EQ(Resident.Recycled, 0u);
+  EXPECT_EQ(Isolated.Ok, Resident.Ok);
+  EXPECT_EQ(Isolated.TotalReports, Resident.TotalReports);
+  ASSERT_EQ(Isolated.Outcomes.size(), Resident.Outcomes.size());
+  for (size_t I = 0; I < Isolated.Outcomes.size(); ++I) {
+    EXPECT_EQ(Isolated.Outcomes[I].Package, Inputs[I].Name);
+    EXPECT_EQ(Isolated.Outcomes[I].Status, Resident.Outcomes[I].Status);
+    const auto &IR = Isolated.Outcomes[I].Result.Reports;
+    const auto &RR = Resident.Outcomes[I].Result.Reports;
+    ASSERT_EQ(IR.size(), RR.size()) << Inputs[I].Name;
+    for (size_t J = 0; J < IR.size(); ++J) {
+      EXPECT_EQ(IR[J].Type, RR[J].Type);
+      EXPECT_EQ(IR[J].SinkLoc.Line, RR[J].SinkLoc.Line);
+      EXPECT_EQ(IR[J].SinkName, RR[J].SinkName);
+    }
+  }
+  // Same journal bytes apart from wall-clock timings.
+  ASSERT_EQ(Journals[1].size(), 6u);
+  EXPECT_EQ(Journals[1], Journals[0]);
+}
+
+TEST(ProcessPoolTest, CrashIsContainedAndAttributed) {
+  for (unsigned RecycleAfter : RecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    driver::PoolOptions PO;
+    PO.Jobs = 2;
+    PO.RecycleAfter = RecycleAfter;
+    PO.Faults.push_back(
+        makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 1));
+    driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
+
+    EXPECT_EQ(S.Scanned, 4u);
+    EXPECT_EQ(S.Failed, 1u);
+    EXPECT_EQ(S.Ok, 3u);
+    EXPECT_EQ(S.Crashed, 1u);
+    ASSERT_EQ(S.Outcomes.size(), 4u);
+    EXPECT_EQ(S.Outcomes[1].Status, driver::BatchStatus::Failed);
+    EXPECT_EQ(failureKind(S.Outcomes[1]), ScanErrorKind::Crashed);
+    // SIGABRT shows up in the detail string.
+    EXPECT_NE(S.Outcomes[1].Result.Errors[0].Detail.find("SIGABRT"),
+              std::string::npos)
+        << S.Outcomes[1].Result.Errors[0].Detail;
+  }
 }
 
 TEST(ProcessPoolTest, OomIsContainedAndAttributed) {
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.MemLimitMB = 128;
-  PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Oom, 0));
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
+  for (unsigned RecycleAfter : RecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    driver::PoolOptions PO;
+    PO.Jobs = 2;
+    PO.RecycleAfter = RecycleAfter;
+    PO.MemLimitMB = 128;
+    PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Oom, 0));
+    driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
 
-  EXPECT_EQ(S.Failed, 1u);
-  EXPECT_EQ(S.OomKilled, 1u);
-  EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Failed);
-  EXPECT_EQ(failureKind(S.Outcomes[0]), ScanErrorKind::KilledOom);
-  EXPECT_EQ(S.Ok, 2u);
+    EXPECT_EQ(S.Failed, 1u);
+    EXPECT_EQ(S.OomKilled, 1u);
+    EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Failed);
+    EXPECT_EQ(failureKind(S.Outcomes[0]), ScanErrorKind::KilledOom);
+    EXPECT_EQ(S.Ok, 2u);
+  }
 }
 
 TEST(ProcessPoolTest, HangIsKilledAtSupervisorDeadline) {
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.KillAfterSeconds = 1.0;
-  PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Hang, 0));
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
+  for (unsigned RecycleAfter : RecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    driver::PoolOptions PO;
+    PO.Jobs = 2;
+    PO.RecycleAfter = RecycleAfter;
+    PO.KillAfterSeconds = 1.0;
+    PO.Faults.push_back(
+        makeFault(ScanPhase::Build, FaultPlan::Action::Hang, 0));
+    driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
 
-  EXPECT_EQ(S.Failed, 1u);
-  EXPECT_EQ(S.DeadlineKilled, 1u);
-  EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Failed);
-  EXPECT_EQ(failureKind(S.Outcomes[0]), ScanErrorKind::KilledDeadline);
-  // The healthy packages finished despite the spinning worker.
-  EXPECT_EQ(S.Ok, 2u);
+    EXPECT_EQ(S.Failed, 1u);
+    EXPECT_EQ(S.DeadlineKilled, 1u);
+    EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Failed);
+    EXPECT_EQ(failureKind(S.Outcomes[0]), ScanErrorKind::KilledDeadline);
+    // The healthy packages finished despite the spinning worker, and its
+    // replacement drained the rest of the queue.
+    EXPECT_EQ(S.Ok, 3u);
+  }
 }
 
 TEST(ProcessPoolTest, RetryCrashedRecoversTransientFault) {
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.RetryCrashed = true;
-  PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 0));
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
+  for (unsigned RecycleAfter : RecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    driver::PoolOptions PO;
+    PO.Jobs = 2;
+    PO.RecycleAfter = RecycleAfter;
+    PO.RetryCrashed = true;
+    PO.Faults.push_back(
+        makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 0));
+    driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
 
-  // The fault is dropped on retry (one-shot transient semantics), so the
-  // package recovers; the death is still on the books.
-  EXPECT_EQ(S.Retried, 1u);
-  EXPECT_EQ(S.Crashed, 1u);
-  EXPECT_EQ(S.Failed, 0u);
-  EXPECT_EQ(S.Ok, 3u);
-  EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Ok);
+    // The fault is dropped on retry (one-shot transient semantics), so the
+    // package recovers; the death is still on the books.
+    EXPECT_EQ(S.Retried, 1u);
+    EXPECT_EQ(S.Crashed, 1u);
+    EXPECT_EQ(S.Failed, 0u);
+    EXPECT_EQ(S.Ok, 3u);
+    EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Ok);
+  }
 }
 
 TEST(ProcessPoolTest, EffectiveKillAfterDerivesFromDeadline) {
@@ -430,79 +514,52 @@ TEST(ProcessPoolTest, EffectiveKillAfterDerivesFromDeadline) {
 }
 
 TEST(ProcessPoolTest, JournalMergeIsInputOrderAndResumable) {
-  std::string Journal =
-      testing::TempDir() + "procpool_resume_" +
-      std::to_string(::getpid()) + ".jsonl";
-  std::remove(Journal.c_str());
-  std::vector<driver::BatchInput> Inputs = healthyInputs(6);
+  for (unsigned RecycleAfter : RecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    std::string Journal = testing::TempDir() + "procpool_resume_" +
+                          std::to_string(::getpid()) + ".jsonl";
+    std::remove(Journal.c_str());
+    std::vector<driver::BatchInput> Inputs = healthyInputs(6);
 
-  // Shard 1: scan the first three packages only.
-  driver::PoolOptions PO;
-  PO.Jobs = 3;
-  PO.Batch.JournalPath = Journal;
-  PO.Batch.MaxPackages = 3;
-  driver::BatchSummary First = driver::ProcessPool(PO).run(Inputs);
-  EXPECT_EQ(First.Scanned, 3u);
+    // Shard 1: scan the first three packages only.
+    driver::PoolOptions PO;
+    PO.Jobs = 3;
+    PO.RecycleAfter = RecycleAfter;
+    PO.Batch.JournalPath = Journal;
+    PO.Batch.MaxPackages = 3;
+    driver::BatchSummary First = driver::ProcessPool(PO).run(Inputs);
+    EXPECT_EQ(First.Scanned, 3u);
 
-  std::vector<std::string> Lines = readLines(Journal);
-  ASSERT_EQ(Lines.size(), 3u);
-  for (size_t I = 0; I < Lines.size(); ++I) {
-    driver::BatchOutcome O;
-    ASSERT_TRUE(driver::BatchDriver::parseJournalLine(Lines[I], O));
-    EXPECT_EQ(O.Package, Inputs[I].Name); // Input order, not finish order.
-  }
-
-  // Shard 2: resume scans only the unjournaled half.
-  PO.Batch.MaxPackages = 0;
-  PO.Batch.Resume = true;
-  driver::BatchSummary Second = driver::ProcessPool(PO).run(Inputs);
-  EXPECT_EQ(Second.SkippedResumed, 3u);
-  EXPECT_EQ(Second.Scanned, 3u);
-
-  std::set<std::string> Seen;
-  for (const std::string &Line : readLines(Journal)) {
-    driver::BatchOutcome O;
-    ASSERT_TRUE(driver::BatchDriver::parseJournalLine(Line, O));
-    EXPECT_TRUE(Seen.insert(O.Package).second)
-        << O.Package << " journaled twice";
-  }
-  EXPECT_EQ(Seen.size(), 6u);
-  std::remove(Journal.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// ProcessPool persistent mode
-//===----------------------------------------------------------------------===//
-
-TEST(PersistentPoolTest, HealthyBatchMatchesForkPerPackage) {
-  std::vector<driver::BatchInput> Inputs = healthyInputs(6);
-
-  driver::PoolOptions Fork;
-  Fork.Jobs = 3;
-  driver::BatchSummary PerFork = driver::ProcessPool(Fork).run(Inputs);
-
-  driver::PoolOptions Pers = Fork;
-  Pers.Persistent = true;
-  driver::BatchSummary P = driver::ProcessPool(Pers).run(Inputs);
-
-  EXPECT_EQ(P.Scanned, 6u);
-  EXPECT_EQ(P.Ok, PerFork.Ok);
-  EXPECT_EQ(P.Failed, 0u);
-  EXPECT_EQ(P.TotalReports, PerFork.TotalReports);
-  ASSERT_EQ(P.Outcomes.size(), PerFork.Outcomes.size());
-  for (size_t I = 0; I < P.Outcomes.size(); ++I) {
-    EXPECT_EQ(P.Outcomes[I].Package, Inputs[I].Name);
-    EXPECT_EQ(P.Outcomes[I].Status, PerFork.Outcomes[I].Status);
-    const auto &PR = P.Outcomes[I].Result.Reports;
-    const auto &FR = PerFork.Outcomes[I].Result.Reports;
-    ASSERT_EQ(PR.size(), FR.size()) << Inputs[I].Name;
-    for (size_t J = 0; J < PR.size(); ++J) {
-      EXPECT_EQ(PR[J].Type, FR[J].Type);
-      EXPECT_EQ(PR[J].SinkLoc.Line, FR[J].SinkLoc.Line);
-      EXPECT_EQ(PR[J].SinkName, FR[J].SinkName);
+    std::vector<std::string> Lines = readLines(Journal);
+    ASSERT_EQ(Lines.size(), 3u);
+    for (size_t I = 0; I < Lines.size(); ++I) {
+      driver::BatchOutcome O;
+      ASSERT_TRUE(driver::BatchDriver::parseJournalLine(Lines[I], O));
+      EXPECT_EQ(O.Package, Inputs[I].Name); // Input order, not finish order.
     }
+
+    // Shard 2: resume scans only the unjournaled half.
+    PO.Batch.MaxPackages = 0;
+    PO.Batch.Resume = true;
+    driver::BatchSummary Second = driver::ProcessPool(PO).run(Inputs);
+    EXPECT_EQ(Second.SkippedResumed, 3u);
+    EXPECT_EQ(Second.Scanned, 3u);
+
+    std::set<std::string> Seen;
+    for (const std::string &Line : readLines(Journal)) {
+      driver::BatchOutcome O;
+      ASSERT_TRUE(driver::BatchDriver::parseJournalLine(Line, O));
+      EXPECT_TRUE(Seen.insert(O.Package).second)
+          << O.Package << " journaled twice";
+    }
+    EXPECT_EQ(Seen.size(), 6u);
+    std::remove(Journal.c_str());
   }
 }
+
+//===----------------------------------------------------------------------===//
+// ProcessPool worker lifecycle
+//===----------------------------------------------------------------------===//
 
 TEST(PersistentPoolTest, CrashMidQueueFailsOnlyItsPackage) {
   // One worker draining a six-package queue; the crash on package 2 must
@@ -510,7 +567,6 @@ TEST(PersistentPoolTest, CrashMidQueueFailsOnlyItsPackage) {
   // everything after it.
   driver::PoolOptions PO;
   PO.Jobs = 1;
-  PO.Persistent = true;
   PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 2));
   driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(6));
 
@@ -528,7 +584,6 @@ TEST(PersistentPoolTest, CrashMidQueueFailsOnlyItsPackage) {
 TEST(PersistentPoolTest, RecycleQuotaRetiresAndReplacesWorkers) {
   driver::PoolOptions PO;
   PO.Jobs = 1;
-  PO.Persistent = true;
   PO.RecycleAfter = 2;
   driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(6));
 
@@ -540,88 +595,39 @@ TEST(PersistentPoolTest, RecycleQuotaRetiresAndReplacesWorkers) {
   EXPECT_EQ(S.Crashed, 0u);
 }
 
-TEST(PersistentPoolTest, HangIsKilledAndReplacementDrainsQueue) {
+TEST(ProcessPoolTest, RecycleAfterOneDoesNotWaitForTheTick) {
+  // A retiring worker has answered its last job and holds no slot: its
+  // replacement is forked as soon as the response arrives. Were it to keep
+  // the slot until reaped, the supervisor — its EOF already consumed, no
+  // fd left to poll — would sleep out the 50 ms activity tick between
+  // every two packages.
+  obs::TraceRecorder TR;
   driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.Persistent = true;
-  PO.KillAfterSeconds = 1.0;
-  PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Hang, 0));
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
+  PO.Jobs = 1;
+  PO.RecycleAfter = 1;
+  PO.Trace = &TR;
+  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(16));
+  ASSERT_EQ(S.Ok, 16u);
+  EXPECT_EQ(S.Recycled, 16u);
 
-  EXPECT_EQ(S.Failed, 1u);
-  EXPECT_EQ(S.DeadlineKilled, 1u);
-  EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Failed);
-  EXPECT_EQ(failureKind(S.Outcomes[0]), ScanErrorKind::KilledDeadline);
-  EXPECT_EQ(S.Ok, 3u);
-}
-
-TEST(PersistentPoolTest, OomIsContainedAndAttributed) {
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.Persistent = true;
-  PO.MemLimitMB = 128;
-  PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Oom, 0));
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
-
-  EXPECT_EQ(S.Failed, 1u);
-  EXPECT_EQ(S.OomKilled, 1u);
-  EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Failed);
-  EXPECT_EQ(failureKind(S.Outcomes[0]), ScanErrorKind::KilledOom);
-  EXPECT_EQ(S.Ok, 2u);
-}
-
-TEST(PersistentPoolTest, RetryCrashedRecoversTransientFault) {
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.Persistent = true;
-  PO.RetryCrashed = true;
-  PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 0));
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
-
-  EXPECT_EQ(S.Retried, 1u);
-  EXPECT_EQ(S.Crashed, 1u);
-  EXPECT_EQ(S.Failed, 0u);
-  EXPECT_EQ(S.Ok, 3u);
-  EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Ok);
-}
-
-TEST(PersistentPoolTest, JournalMergeIsInputOrderAndResumable) {
-  std::string Journal = testing::TempDir() + "persistent_resume_" +
-                        std::to_string(::getpid()) + ".jsonl";
-  std::remove(Journal.c_str());
-  std::vector<driver::BatchInput> Inputs = healthyInputs(6);
-
-  driver::PoolOptions PO;
-  PO.Jobs = 3;
-  PO.Persistent = true;
-  PO.Batch.JournalPath = Journal;
-  PO.Batch.MaxPackages = 3;
-  driver::BatchSummary First = driver::ProcessPool(PO).run(Inputs);
-  EXPECT_EQ(First.Scanned, 3u);
-
-  std::vector<std::string> Lines = readLines(Journal);
-  ASSERT_EQ(Lines.size(), 3u);
-  for (size_t I = 0; I < Lines.size(); ++I) {
-    driver::BatchOutcome O;
-    ASSERT_TRUE(driver::BatchDriver::parseJournalLine(Lines[I], O));
-    EXPECT_EQ(O.Package, Inputs[I].Name); // Input order, not finish order.
-  }
-
-  PO.Batch.MaxPackages = 0;
-  PO.Batch.Resume = true;
-  driver::BatchSummary Second = driver::ProcessPool(PO).run(Inputs);
-  EXPECT_EQ(Second.SkippedResumed, 3u);
-  EXPECT_EQ(Second.Scanned, 3u);
-
-  std::set<std::string> Seen;
-  for (const std::string &Line : readLines(Journal)) {
-    driver::BatchOutcome O;
-    ASSERT_TRUE(driver::BatchDriver::parseJournalLine(Line, O));
-    EXPECT_TRUE(Seen.insert(O.Package).second)
-        << O.Package << " journaled twice";
-  }
-  EXPECT_EQ(Seen.size(), 6u);
-  std::remove(Journal.c_str());
+  std::vector<const obs::SpanRecord *> Jobs;
+  for (const obs::SpanRecord &Span : TR.spans())
+    if (Span.Name.rfind("job:", 0) == 0)
+      Jobs.push_back(&Span);
+  ASSERT_EQ(Jobs.size(), 16u);
+  std::sort(Jobs.begin(), Jobs.end(),
+            [](const obs::SpanRecord *A, const obs::SpanRecord *B) {
+              return A->StartUs < B->StartUs;
+            });
+  std::vector<double> GapsUs;
+  for (size_t I = 1; I < Jobs.size(); ++I)
+    GapsUs.push_back(Jobs[I]->StartUs -
+                     (Jobs[I - 1]->StartUs + Jobs[I - 1]->DurUs));
+  // The median keeps the bound stable under a loaded parallel test run.
+  std::nth_element(GapsUs.begin(), GapsUs.begin() + GapsUs.size() / 2,
+                   GapsUs.end());
+  EXPECT_LT(GapsUs[GapsUs.size() / 2], 25000.0)
+      << "median gap between consecutive jobs, us";
 }
 
 //===----------------------------------------------------------------------===//
@@ -679,29 +685,22 @@ void checkStitchedTrace(const obs::TraceRecorder &TR, size_t Packages) {
 } // namespace
 
 TEST(ProcessPoolTest, TraceStitchesWorkerSpansOntoPidLanes) {
-  obs::TraceRecorder TR;
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.Trace = &TR;
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
-  EXPECT_EQ(S.Ok, 4u);
-  checkStitchedTrace(TR, 4);
-  // The Chrome export carries one lane label per process.
-  std::string JSON = TR.toChromeJSON();
-  EXPECT_NE(JSON.find("process_name"), std::string::npos);
-  EXPECT_NE(JSON.find("supervisor"), std::string::npos);
-  EXPECT_NE(JSON.find("worker "), std::string::npos);
-}
-
-TEST(PersistentPoolTest, TraceStitchesWorkerSpansOntoPidLanes) {
-  obs::TraceRecorder TR;
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.Persistent = true;
-  PO.Trace = &TR;
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
-  EXPECT_EQ(S.Ok, 4u);
-  checkStitchedTrace(TR, 4);
+  for (unsigned RecycleAfter : RecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    obs::TraceRecorder TR;
+    driver::PoolOptions PO;
+    PO.Jobs = 2;
+    PO.RecycleAfter = RecycleAfter;
+    PO.Trace = &TR;
+    driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
+    EXPECT_EQ(S.Ok, 4u);
+    checkStitchedTrace(TR, 4);
+    // The Chrome export carries one lane label per process.
+    std::string JSON = TR.toChromeJSON();
+    EXPECT_NE(JSON.find("process_name"), std::string::npos);
+    EXPECT_NE(JSON.find("supervisor"), std::string::npos);
+    EXPECT_NE(JSON.find("worker "), std::string::npos);
+  }
 }
 
 TEST(ProcessPoolTest, WorkerCounterDeltasMergeIntoSupervisor) {
@@ -709,53 +708,39 @@ TEST(ProcessPoolTest, WorkerCounterDeltasMergeIntoSupervisor) {
   // supervisor's registry blind to all scan-pipeline work (it happened in
   // children). Merged totals must now equal the per-outcome journal sums.
   CounterGate Gate(true);
-  obs::resetCounters();
-  obs::resetHistograms();
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
-  ASSERT_EQ(S.Ok, 3u);
+  for (unsigned RecycleAfter : RecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    obs::resetCounters();
+    obs::resetHistograms();
+    driver::PoolOptions PO;
+    PO.Jobs = 2;
+    PO.RecycleAfter = RecycleAfter;
+    driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
+    ASSERT_EQ(S.Ok, 4u);
 
-  uint64_t JournalTokens = 0;
-  for (const driver::BatchOutcome &O : S.Outcomes) {
-    auto It = O.Result.Counters.find("lex.tokens");
-    ASSERT_NE(It, O.Result.Counters.end()) << O.Package;
-    JournalTokens += It->second;
+    uint64_t JournalTokens = 0, JournalNodes = 0;
+    for (const driver::BatchOutcome &O : S.Outcomes) {
+      auto It = O.Result.Counters.find("lex.tokens");
+      ASSERT_NE(It, O.Result.Counters.end()) << O.Package;
+      JournalTokens += It->second;
+      JournalNodes += O.Result.Counters.count("build.mdg_nodes")
+                          ? O.Result.Counters.at("build.mdg_nodes")
+                          : 0;
+    }
+    obs::CounterSnapshot Snap = obs::snapshotCounters();
+    EXPECT_GT(JournalTokens, 0u);
+    EXPECT_EQ(Snap.at("lex.tokens"), JournalTokens);
+    EXPECT_GT(JournalNodes, 0u);
+    EXPECT_EQ(Snap.at("build.mdg_nodes"), JournalNodes);
+    EXPECT_EQ(Snap.at("scan.attempts"), 4u);
+
+    // Histogram deltas rode the same frames: one scan-latency sample per
+    // package, plus the supervisor's own per-job turnaround clock.
+    obs::HistogramSnapshotMap Hists = obs::snapshotHistograms();
+    EXPECT_EQ(Hists.at("scan.latency_us").count(), 4u);
+    EXPECT_EQ(Hists.at("worker.job_us").count(), 4u);
+    EXPECT_GT(Hists.at("phase.parse_us").count(), 0u);
   }
-  obs::CounterSnapshot Snap = obs::snapshotCounters();
-  EXPECT_GT(JournalTokens, 0u);
-  EXPECT_EQ(Snap.at("lex.tokens"), JournalTokens);
-  EXPECT_EQ(Snap.at("scan.attempts"), 3u);
-
-  // Histogram deltas rode the same frames: one scan-latency sample per
-  // package, plus the supervisor's own per-job turnaround clock.
-  obs::HistogramSnapshotMap Hists = obs::snapshotHistograms();
-  EXPECT_EQ(Hists.at("scan.latency_us").count(), 3u);
-  EXPECT_EQ(Hists.at("worker.job_us").count(), 3u);
-  EXPECT_GT(Hists.at("phase.parse_us").count(), 0u);
-  obs::resetCounters();
-  obs::resetHistograms();
-}
-
-TEST(PersistentPoolTest, WorkerCounterDeltasMergeIntoSupervisor) {
-  CounterGate Gate(true);
-  obs::resetCounters();
-  obs::resetHistograms();
-  driver::PoolOptions PO;
-  PO.Jobs = 2;
-  PO.Persistent = true;
-  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
-  ASSERT_EQ(S.Ok, 4u);
-
-  uint64_t JournalNodes = 0;
-  for (const driver::BatchOutcome &O : S.Outcomes)
-    JournalNodes += O.Result.Counters.count("build.mdg_nodes")
-                        ? O.Result.Counters.at("build.mdg_nodes")
-                        : 0;
-  obs::CounterSnapshot Snap = obs::snapshotCounters();
-  EXPECT_GT(JournalNodes, 0u);
-  EXPECT_EQ(Snap.at("build.mdg_nodes"), JournalNodes);
-  EXPECT_EQ(obs::snapshotHistograms().at("scan.latency_us").count(), 4u);
   obs::resetCounters();
   obs::resetHistograms();
 }
@@ -842,8 +827,10 @@ TEST(ProcessPoolCLITest, JobsFourContainsCrashAndHang) {
                    " > /dev/null 2>&1"),
             0);
   // Crash package 1, hang package 3; the hang dies at the supervisor's
-  // kill deadline.
-  int RC = runCLI(Bin + " batch --quiet --jobs 4 --journal " + J4 +
+  // kill deadline. A fresh worker per package: the maximum-isolation end of
+  // the pool (PersistentContainsCrashAndMatchesReports covers the other).
+  int RC = runCLI(Bin + " batch --quiet --jobs 4 --recycle-after 1"
+                  " --journal " + J4 +
                   " --inject-fault build:crash:1"
                   " --inject-fault build:hang:3"
                   " --kill-after-ms 2000 " +
@@ -890,15 +877,15 @@ TEST(ProcessPoolCLITest, PoolOnlyFlagsRequireJobs) {
   EXPECT_NE(runCLI(Bin + " batch --quiet --retry-crashed " + Dir +
                    " > /dev/null 2>&1"),
             0);
-  // --persistent is a pool mode; recycling is a persistent-worker policy.
-  EXPECT_NE(runCLI(Bin + " batch --quiet --persistent " + Dir +
+  // Recycling is a worker policy: it needs workers.
+  EXPECT_NE(runCLI(Bin + " batch --quiet --recycle-after 1 " + Dir +
                    " > /dev/null 2>&1"),
             0);
-  EXPECT_NE(runCLI(Bin + " batch --quiet --jobs 2 --recycle-after 1 " + Dir +
+  EXPECT_NE(runCLI(Bin + " batch --quiet --recycle-mem-mb 64 " + Dir +
                    " > /dev/null 2>&1"),
             0);
-  EXPECT_NE(runCLI(Bin + " batch --quiet --jobs 2 --recycle-mem-mb 64 " +
-                   Dir + " > /dev/null 2>&1"),
+  EXPECT_EQ(runCLI(Bin + " batch --quiet --jobs 2 --recycle-after 1 " + Dir +
+                   " > /dev/null 2>&1"),
             0);
   std::filesystem::remove_all(Dir);
 }
@@ -912,7 +899,7 @@ TEST(ProcessPoolCLITest, PersistentContainsCrashAndMatchesReports) {
   ASSERT_EQ(runCLI(Bin + " batch --quiet --journal " + J1 + " " + Dir +
                    " > /dev/null 2>&1"),
             0);
-  int RC = runCLI(Bin + " batch --quiet --jobs 2 --persistent"
+  int RC = runCLI(Bin + " batch --quiet --jobs 2"
                   " --recycle-after 2 --journal " + JP +
                   " --inject-fault build:crash:1 " + Dir +
                   " > /dev/null 2>&1");
@@ -932,7 +919,7 @@ TEST(ProcessPoolCLITest, PersistentContainsCrashAndMatchesReports) {
   EXPECT_EQ(FailedPkgs, std::set<std::string>{"pkg001.js"});
 
   // Healthy-package report sets identical between in-process and
-  // persistent-pool scans (detection neutrality across execution modes).
+  // resident-worker scans (detection neutrality across execution modes).
   std::map<std::string, std::string> R1 = reportsByPackage(J1);
   std::map<std::string, std::string> RP = reportsByPackage(JP);
   for (const auto &[Pkg, Reports] : RP)
@@ -944,7 +931,7 @@ TEST(ProcessPoolCLITest, PersistentContainsCrashAndMatchesReports) {
 }
 
 TEST(ProcessPoolCLITest, PersistentResumeAfterSupervisorSigkill) {
-  // The persistent-mode variant of the exactly-once guarantee: SIGKILL
+  // The resident-worker variant of the exactly-once guarantee: SIGKILL
   // the supervisor mid-run (workers see EOF on their job pipe and exit),
   // then --resume must rescan only unjournaled packages.
   std::string Dir = writeCorpus(40, 401);
@@ -955,7 +942,7 @@ TEST(ProcessPoolCLITest, PersistentResumeAfterSupervisorSigkill) {
   std::string Error;
   ASSERT_TRUE(Subprocess::spawn(
       {"/bin/sh", "-c",
-       "exec " + Bin + " batch --quiet --jobs 2 --persistent --journal " +
+       "exec " + Bin + " batch --quiet --jobs 2 --journal " +
            Journal + " " + Dir + " > /dev/null 2>&1"},
       P, &Error))
       << Error;
@@ -980,7 +967,7 @@ TEST(ProcessPoolCLITest, PersistentResumeAfterSupervisorSigkill) {
   size_t Journaled = readLines(Journal).size();
   ASSERT_GE(Journaled, 1u);
 
-  ASSERT_EQ(runCLI(Bin + " batch --quiet --jobs 2 --persistent --resume"
+  ASSERT_EQ(runCLI(Bin + " batch --quiet --jobs 2 --resume"
                    " --journal " + Journal + " " + Dir +
                    " > /dev/null 2>&1"),
             0);
@@ -1000,7 +987,9 @@ TEST(ProcessPoolCLITest, PersistentResumeAfterSupervisorSigkill) {
 
 TEST(ProcessPoolCLITest, ResumeAfterSupervisorSigkill) {
   // A corpus big enough that jobs=2 takes a while: SIGKILL the supervisor
-  // mid-run, then --resume must rescan only unjournaled packages.
+  // mid-run, then --resume must rescan only unjournaled packages. Runs at
+  // maximum isolation (a fresh worker per package); the resident-worker
+  // variant is PersistentResumeAfterSupervisorSigkill.
   std::string Dir = writeCorpus(40, 400);
   std::string Journal = Dir + "/kill.jsonl";
   std::string Bin = GRAPHJS_BIN;
@@ -1010,13 +999,13 @@ TEST(ProcessPoolCLITest, ResumeAfterSupervisorSigkill) {
   // `exec` so P.pid() IS the supervisor, not an sh wrapper around it.
   ASSERT_TRUE(Subprocess::spawn(
       {"/bin/sh", "-c",
-       "exec " + Bin + " batch --quiet --jobs 2 --journal " + Journal + " " +
-           Dir + " > /dev/null 2>&1"},
+       "exec " + Bin + " batch --quiet --jobs 2 --recycle-after 1 --journal " +
+           Journal + " " + Dir + " > /dev/null 2>&1"},
       P, &Error))
       << Error;
 
   // Wait for a valid journal prefix, then SIGKILL the supervisor
-  // (orphaned workers finish their line files and _exit on their own).
+  // (orphaned workers see EOF on their job pipe and exit on their own).
   WaitStatus WS;
   bool SelfFinished = false;
   for (int Spin = 0; Spin < 2000; ++Spin) {
@@ -1038,8 +1027,9 @@ TEST(ProcessPoolCLITest, ResumeAfterSupervisorSigkill) {
   size_t Journaled = readLines(Journal).size();
   ASSERT_GE(Journaled, 1u);
 
-  ASSERT_EQ(runCLI(Bin + " batch --quiet --jobs 2 --resume --journal " +
-                   Journal + " " + Dir + " > /dev/null 2>&1"),
+  ASSERT_EQ(runCLI(Bin + " batch --quiet --jobs 2 --recycle-after 1"
+                   " --resume --journal " + Journal + " " + Dir +
+                   " > /dev/null 2>&1"),
             0);
 
   // Every package exactly once across both runs.

@@ -23,8 +23,9 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 # exception unwinding in the driver).
 "$BUILD_DIR/tests/test_faults"
 
-# The multi-process fault suite: the fork-per-package worker pool under
-# injected crash/hang/oom faults, the kill ladder, journal merge, resume
+# The multi-process fault suite: the resident worker pool (recycled
+# after every package and never) under injected crash/hang/oom faults,
+# the kill ladder, journal merge, resume
 # across a SIGKILLed supervisor, and the cross-process telemetry merge
 # (worker counter/histogram deltas and span stitching decode frames the
 # supervisor received off a socket — prime sanitizer territory). ASan caveats the suite is built

@@ -21,21 +21,19 @@
 //   --max-degradation <n>   degradation-ladder depth (default 2)
 //   --inject-fault <spec>   deterministic fault (repeatable with --jobs):
 //                           <phase>:<fail|stall|crash|hang|oom>[:<n>]
-//   --jobs <n>              supervised worker pool: fork one process per
-//                           package, n at a time (OS-level containment)
+//   --jobs <n>              supervised worker pool: n resident worker
+//                           processes draining a job queue (OS-level
+//                           containment)
 //   --mem-limit-mb <n>      per-worker RLIMIT_AS cap (needs --jobs)
 //   --kill-after-ms <n>     supervisor SIGKILLs workers past this wall
 //                           budget (needs --jobs; default 2*deadline+1s)
 //   --retry-crashed         retry a crashed/killed package once at half
 //                           budget (needs --jobs)
-//   --persistent            keep workers alive across packages (needs
-//                           --jobs): a pipe-fed job queue instead of one
-//                           fork per package — same kill ladder, same
-//                           journal bytes, amortized fork cost
-//   --recycle-after <n>     retire a persistent worker after n packages
-//                           (needs --persistent)
-//   --recycle-mem-mb <n>    retire a persistent worker whose RSS exceeds
-//                           n MiB after a job (needs --persistent)
+//   --recycle-after <n>     retire a worker after n packages (needs
+//                           --jobs); 1 = a fresh process per package, the
+//                           maximum-isolation setting
+//   --recycle-mem-mb <n>    retire a worker whose RSS exceeds n MiB after
+//                           a job (needs --jobs)
 //   --quiet                 suppress the stderr progress line
 //   --trace-out <t.json>    Chrome trace of the run; with --jobs the
 //                           supervisor stitches worker span trees onto
@@ -55,17 +53,18 @@
 //   --supervisor-id <id>    stable id in lease records (default pid-hex)
 //   --chaos-kill-after <n>  test harness: SIGKILL this supervisor right
 //                           after its (n+1)-th start record
-//   --native / --summary / --sinks also apply
+//   --summary and the scan flags (--sinks, --native, --no-prune,
+//   --no-async-lower) also apply
 //
 // Serve options (graphjs serve):
 //   --socket <path>         Unix-domain socket to bind (required)
-//   --jobs <n>              warm persistent workers (default 2)
+//   --jobs <n>              warm resident workers (default 2)
 //   --queue-max <n>         admission bound: scans beyond this many queued
 //                           are rejected "overloaded" (default 64)
 //   --journal <out.jsonl>   append-mode journal of completed scans
 //   --deadline-ms <n>       default per-scan budget (requests override)
 //   --kill-after-ms, --recycle-after, --recycle-mem-mb, --mem-limit-mb
-//                           same worker policy knobs as batch --persistent
+//                           same worker policy knobs as batch --jobs
 //   --heartbeat-ms <n>      idle-worker ping cadence (default 5000; 0 off)
 //   --metrics-out <m.prom>  periodically rewritten Prometheus text
 //                           snapshot (counters, percentiles, gauges)
@@ -95,6 +94,8 @@
 //                           summary JSON files into <dir>
 //   --self-check            run the MDG well-formedness checker too
 //   --no-prune              disable summary-based pre-query pruning
+//   --no-async-lower        disable async lowering (await, promise
+//                           reactions)
 //
 // Callgraph options:
 //   --dot                   GraphViz dot instead of text
@@ -165,15 +166,16 @@ int usage() {
       "       graphjs batch [--journal out.jsonl] [--resume] [--stats]\n"
       "                     [--deadline-ms n] [--work n] [--max n]\n"
       "                     [--max-degradation n] [--inject-fault spec]\n"
-      "                     [--jobs n] [--persistent] [--recycle-after n]\n"
+      "                     [--jobs n] [--recycle-after n]\n"
       "                     [--recycle-mem-mb n] [--mem-limit-mb n]\n"
       "                     [--kill-after-ms n] [--retry-crashed] [--quiet]\n"
       "                     [--trace-out t.json] [--metrics-out m.prom]\n"
       "                     [--shared dir] [--shard-size n]\n"
       "                     [--lease-expiry-ms n] [--quarantine-after n]\n"
       "                     [--supervisor-id id] [--chaos-kill-after n]\n"
-      "                     [--native] [--summary] [--no-prune]\n"
-      "                     [--no-async-lower] <dir|list.txt|file.js>...\n"
+      "                     [--sinks cfg.json] [--native] [--summary]\n"
+      "                     [--no-prune] [--no-async-lower]\n"
+      "                     <dir|list.txt|file.js>...\n"
       "       graphjs serve --socket path [--jobs n] [--queue-max n]\n"
       "                     [--journal out.jsonl] [--deadline-ms n]\n"
       "                     [--kill-after-ms n] [--recycle-after n]\n"
@@ -199,15 +201,14 @@ void dumpCounters(FILE *To) {
                    static_cast<unsigned long long>(Value));
 }
 
-/// Writes the recorder's Chrome trace_event JSON to \p Path.
+/// Publishes the recorder's Chrome trace_event JSON at \p Path atomically:
+/// a reader sees the whole trace or none, and a failed write leaves no
+/// temp file behind.
 bool writeTrace(const obs::TraceRecorder &TR, const std::string &Path) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write trace to %s\n", Path.c_str());
-    return false;
-  }
-  Out << TR.toChromeJSON() << '\n';
-  return true;
+  if (obs::writeFileAtomic(Path, TR.toChromeJSON() + '\n'))
+    return true;
+  std::fprintf(stderr, "error: cannot write trace to %s\n", Path.c_str());
+  return false;
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
@@ -220,26 +221,51 @@ bool readFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-int runScan(const std::vector<std::string> &Files, bool Native, bool Confirm,
-            bool DumpCore, bool DumpMDG, bool DumpDot, bool Summary,
-            bool SelfCheck, bool Prune, bool AsyncLower,
-            const std::string &SinksFile, obs::TraceRecorder *TR) {
-  queries::SinkConfig Sinks = queries::SinkConfig::defaults();
-  if (!SinksFile.empty()) {
-    std::string Text;
-    if (!readFile(SinksFile, Text)) {
-      std::fprintf(stderr, "error: cannot open sink config %s\n",
-                   SinksFile.c_str());
-      return 1;
-    }
-    queries::SinkConfig Custom;
-    std::string Error;
-    if (!queries::SinkConfig::fromJSON(Text, Custom, &Error)) {
-      std::fprintf(stderr, "error: bad sink config: %s\n", Error.c_str());
-      return 1;
-    }
-    Sinks = Custom;
+/// Loads a custom sink configuration (§4) into \p Sinks. Prints the error
+/// and returns false when the file cannot be read or parsed.
+bool loadSinkConfig(const std::string &Path, queries::SinkConfig &Sinks) {
+  std::string Text, Error;
+  queries::SinkConfig Custom;
+  if (!readFile(Path, Text) ||
+      !queries::SinkConfig::fromJSON(Text, Custom, &Error)) {
+    std::fprintf(stderr, "error: bad sink config %s: %s\n", Path.c_str(),
+                 Error.empty() ? "cannot open" : Error.c_str());
+    return false;
   }
+  Sinks = std::move(Custom);
+  return true;
+}
+
+/// What parseScanFlag made of one argument.
+enum class ScanFlag { None, Parsed, BadSinks };
+
+/// Parses one of the scan flags `scan`, `batch` and `serve` share —
+/// --native, --no-prune, --no-async-lower and --sinks cfg.json, whose
+/// config is loaded here — at argv[I] into \p Scan, advancing I past a
+/// flag value.
+ScanFlag parseScanFlag(int Argc, char **Argv, int &I,
+                       scanner::ScanOptions &Scan) {
+  std::string Arg = Argv[I];
+  if (Arg == "--native")
+    Scan.Backend = scanner::QueryBackend::Native;
+  else if (Arg == "--no-prune")
+    Scan.Prune = false;
+  else if (Arg == "--no-async-lower")
+    Scan.AsyncLower = false;
+  else if (Arg == "--sinks" && I + 1 < Argc)
+    return loadSinkConfig(Argv[++I], Scan.Sinks) ? ScanFlag::Parsed
+                                                  : ScanFlag::BadSinks;
+  else
+    return ScanFlag::None;
+  return ScanFlag::Parsed;
+}
+
+int runScan(const std::vector<std::string> &Files,
+            const scanner::ScanOptions &Scan, bool Confirm, bool DumpCore,
+            bool DumpMDG, bool DumpDot, bool Summary) {
+  const queries::SinkConfig &Sinks = Scan.Sinks;
+  const bool Native = Scan.Backend == scanner::QueryBackend::Native;
+  obs::TraceRecorder *TR = Scan.Trace;
 
   // Fail fast: a malformed built-in query would otherwise just match
   // nothing and the scan would look vacuously clean.
@@ -285,7 +311,7 @@ int runScan(const std::vector<std::string> &Files, bool Native, bool Confirm,
       ExitCode = 1;
       continue;
     }
-    if (AsyncLower) {
+    if (Scan.AsyncLower) {
       obs::Span LowerSpan(TR, "lower");
       Timer LowerTimer;
       core::AsyncLowerStats AS = core::lowerAsync(*Program);
@@ -305,7 +331,7 @@ int runScan(const std::vector<std::string> &Files, bool Native, bool Confirm,
     // runs): classes the exported API provably cannot reach are skipped.
     std::array<bool, queries::NumVulnTypes> Enabled;
     Enabled.fill(true);
-    if (Prune) {
+    if (Scan.Prune) {
       obs::Span PruneSpan(TR, "prune");
       std::vector<const core::Program *> Mods{Program.get()};
       analysis::CallGraph CG = analysis::CallGraph::build(Mods, {""});
@@ -334,7 +360,7 @@ int runScan(const std::vector<std::string> &Files, bool Native, bool Confirm,
     BuildSpan.arg("store_vars_peak",
                   static_cast<uint64_t>(Build.StoreVarsPeak));
     BuildSpan.close();
-    if (SelfCheck) {
+    if (Scan.SelfCheck) {
       lint::PassManager PM;
       PM.addPass(lint::createMDGCheckPass());
       lint::LintContext Ctx;
@@ -422,29 +448,8 @@ int runScan(const std::vector<std::string> &Files, bool Native, bool Confirm,
 
 /// Linked multi-file scan: one MDG for all inputs (local requires
 /// resolve across files).
-int runPackageScan(const std::vector<std::string> &Files, bool Native,
-                   bool Summary, bool SelfCheck, bool Prune, bool AsyncLower,
-                   const std::string &SinksFile, obs::TraceRecorder *TR) {
-  scanner::ScanOptions O;
-  O.SelfCheck = SelfCheck;
-  O.Prune = Prune;
-  O.AsyncLower = AsyncLower;
-  O.Trace = TR;
-  if (!SinksFile.empty()) {
-    std::string Text;
-    queries::SinkConfig Custom;
-    std::string Error;
-    if (!readFile(SinksFile, Text) ||
-        !queries::SinkConfig::fromJSON(Text, Custom, &Error)) {
-      std::fprintf(stderr, "error: bad sink config %s: %s\n",
-                   SinksFile.c_str(), Error.c_str());
-      return 1;
-    }
-    O.Sinks = Custom;
-  }
-  if (Native)
-    O.Backend = scanner::QueryBackend::Native;
-
+int runPackageScan(const std::vector<std::string> &Files,
+                   const scanner::ScanOptions &O, bool Summary) {
   std::vector<scanner::SourceFile> Sources;
   for (const std::string &Path : Files) {
     std::string Text;
@@ -585,36 +590,14 @@ bool emitPackageSummaries(const analysis::PackageGraph &G,
 /// tree and scans it as one linked unit — taint flows that cross package
 /// boundaries (a sink buried levels deep in node_modules) are visible,
 /// unlike an isolated per-package scan.
-int runDepsScan(const std::string &RootDir, bool Native, bool Summary,
-                bool SelfCheck, bool Prune, bool AsyncLower,
-                const std::string &SinksFile,
-                const std::string &EmitSummariesDir, obs::TraceRecorder *TR) {
+int runDepsScan(const std::string &RootDir, const scanner::ScanOptions &O,
+                bool Summary, const std::string &EmitSummariesDir) {
   analysis::PackageGraph G;
   std::string Error;
   if (!analysis::PackageGraph::discover(RootDir, G, &Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
-
-  scanner::ScanOptions O;
-  O.SelfCheck = SelfCheck;
-  O.Prune = Prune;
-  O.AsyncLower = AsyncLower;
-  O.Trace = TR;
-  if (!SinksFile.empty()) {
-    std::string Text;
-    queries::SinkConfig Custom;
-    std::string SinkError;
-    if (!readFile(SinksFile, Text) ||
-        !queries::SinkConfig::fromJSON(Text, Custom, &SinkError)) {
-      std::fprintf(stderr, "error: bad sink config %s: %s\n",
-                   SinksFile.c_str(), SinkError.c_str());
-      return 1;
-    }
-    O.Sinks = Custom;
-  }
-  if (Native)
-    O.Backend = scanner::QueryBackend::Native;
 
   scanner::Scanner S(O);
   scanner::ScanResult R = S.scanDependencyTree(G);
@@ -658,18 +641,8 @@ int runDepsScan(const std::string &RootDir, bool Native, bool Summary,
 int runPackagesCallGraph(const std::string &RootDir, bool Dot, bool Summaries,
                          const std::string &SinksFile) {
   queries::SinkConfig Sinks = queries::SinkConfig::defaults();
-  if (!SinksFile.empty()) {
-    std::string Text;
-    queries::SinkConfig Custom;
-    std::string Error;
-    if (!readFile(SinksFile, Text) ||
-        !queries::SinkConfig::fromJSON(Text, Custom, &Error)) {
-      std::fprintf(stderr, "error: bad sink config %s: %s\n",
-                   SinksFile.c_str(), Error.c_str());
-      return 1;
-    }
-    Sinks = Custom;
-  }
+  if (!SinksFile.empty() && !loadSinkConfig(SinksFile, Sinks))
+    return 1;
 
   analysis::PackageGraph G;
   std::string Error;
@@ -731,18 +704,8 @@ int runPackagesCallGraph(const std::string &RootDir, bool Dot, bool Summaries,
 int runCallGraph(const std::vector<std::string> &Files, bool Dot,
                  bool Summaries, const std::string &SinksFile) {
   queries::SinkConfig Sinks = queries::SinkConfig::defaults();
-  if (!SinksFile.empty()) {
-    std::string Text;
-    queries::SinkConfig Custom;
-    std::string Error;
-    if (!readFile(SinksFile, Text) ||
-        !queries::SinkConfig::fromJSON(Text, Custom, &Error)) {
-      std::fprintf(stderr, "error: bad sink config %s: %s\n",
-                   SinksFile.c_str(), Error.c_str());
-      return 1;
-    }
-    Sinks = Custom;
-  }
+  if (!SinksFile.empty() && !loadSinkConfig(SinksFile, Sinks))
+    return 1;
 
   // Same per-module name prefixing as the package scanner, so the graph
   // matches what the pruning stage sees.
@@ -895,17 +858,10 @@ int runBatch(const std::vector<std::string> &Args, driver::PoolOptions O,
     // Distributed drain: the ledger under Shared->Ledger.Dir coordinates
     // this supervisor with any concurrent ones; scan/pool settings carry
     // over per shard.
-    Shared->Batch = O.Batch;
-    Shared->Jobs = Jobs;
-    Shared->Persistent = O.Persistent;
-    Shared->RecycleAfter = O.RecycleAfter;
-    Shared->RecycleRssMB = O.RecycleRssMB;
-    Shared->MemLimitMB = O.MemLimitMB;
-    Shared->KillAfterSeconds = O.KillAfterSeconds;
-    Shared->RetryCrashed = O.RetryCrashed;
-    Shared->Faults = O.Faults;
+    Shared->Pool = O;
+    Shared->Pool.Jobs = Jobs;
     if (WantTrace)
-      Shared->Trace = &Recorder;
+      Shared->Pool.Trace = &Recorder;
     driver::SharedBatchResult R = driver::runSharedBatch(*Shared, Inputs);
     S = std::move(R.Summary);
     SharedMerged = R.Merged;
@@ -1195,19 +1151,18 @@ int main(int argc, char **argv) {
     driver::PoolOptions O;
     unsigned Jobs = 0; // 0 = in-process BatchDriver; >=1 = worker pool.
     bool Summary = false, Stats = false, Quiet = false;
-    std::string SinksFile, TraceOut;
+    std::string TraceOut;
     driver::SharedBatchOptions Shared; // Live iff Shared.Ledger.Dir set.
     const char *SharedOnlyFlag = nullptr;
     std::vector<std::string> Inputs;
     for (int I = 2; I < argc; ++I) {
+      ScanFlag SF = parseScanFlag(argc, argv, I, O.Batch.Scan);
+      if (SF == ScanFlag::BadSinks)
+        return 1;
+      if (SF == ScanFlag::Parsed)
+        continue;
       std::string Arg = argv[I];
-      if (Arg == "--native")
-        O.Batch.Scan.Backend = scanner::QueryBackend::Native;
-      else if (Arg == "--no-prune")
-        O.Batch.Scan.Prune = false;
-      else if (Arg == "--no-async-lower")
-        O.Batch.Scan.AsyncLower = false;
-      else if (Arg == "--summary")
+      if (Arg == "--summary")
         Summary = true;
       else if (Arg == "--stats")
         Stats = true;
@@ -1217,16 +1172,12 @@ int main(int argc, char **argv) {
         O.Batch.Resume = true;
       else if (Arg == "--retry-crashed")
         O.RetryCrashed = true;
-      else if (Arg == "--persistent")
-        O.Persistent = true;
       else if (Arg == "--recycle-after" && I + 1 < argc)
         O.RecycleAfter = static_cast<unsigned>(std::stoul(argv[++I]));
       else if (Arg == "--recycle-mem-mb" && I + 1 < argc)
         O.RecycleRssMB = std::stoul(argv[++I]);
       else if (Arg == "--journal" && I + 1 < argc)
         O.Batch.JournalPath = argv[++I];
-      else if (Arg == "--sinks" && I + 1 < argc)
-        SinksFile = argv[++I];
       else if (Arg == "--deadline-ms" && I + 1 < argc)
         O.Batch.Scan.Deadline.WallSeconds = std::stod(argv[++I]) / 1000.0;
       else if (Arg == "--work" && I + 1 < argc)
@@ -1298,8 +1249,10 @@ int main(int argc, char **argv) {
         Needs = "--kill-after-ms";
       else if (O.RetryCrashed)
         Needs = "--retry-crashed";
-      else if (O.Persistent)
-        Needs = "--persistent";
+      else if (O.RecycleAfter)
+        Needs = "--recycle-after";
+      else if (O.RecycleRssMB)
+        Needs = "--recycle-mem-mb";
       else if (!IsShared && O.Faults.size() > 1)
         Needs = "multiple --inject-fault";
       else if (!IsShared && !O.Faults.empty() &&
@@ -1310,39 +1263,27 @@ int main(int argc, char **argv) {
         return 2;
       }
     }
-    if (!O.Persistent && (O.RecycleAfter || O.RecycleRssMB)) {
-      std::fprintf(stderr, "error: %s requires --persistent\n",
-                   O.RecycleAfter ? "--recycle-after" : "--recycle-mem-mb");
-      return 2;
-    }
     // Cadences say how often progress prints; Quiet says the user asked
     // for silence. Both are always set so --quiet suppresses structurally
     // rather than by zeroing the cadence.
     O.Batch.Quiet = Quiet;
     O.Batch.ProgressEveryPackages = 25;
     O.Batch.ProgressEverySeconds = 2.0;
-    if (!SinksFile.empty()) {
-      std::string Text;
-      queries::SinkConfig Custom;
-      std::string Error;
-      if (!readFile(SinksFile, Text) ||
-          !queries::SinkConfig::fromJSON(Text, Custom, &Error)) {
-        std::fprintf(stderr, "error: bad sink config %s: %s\n",
-                     SinksFile.c_str(), Error.c_str());
-        return 1;
-      }
-      O.Batch.Scan.Sinks = Custom;
-    }
     return runBatch(Inputs, std::move(O), Jobs, Summary, Stats, TraceOut,
                     !Shared.Ledger.Dir.empty() ? &Shared : nullptr);
   }
 
   if (Mode == "serve") {
     driver::ServiceOptions O;
-    std::string SinksFile, ClientLine;
+    std::string ClientLine;
     bool Client = false;
     double RetryBudgetMs = 0;
     for (int I = 2; I < argc; ++I) {
+      ScanFlag SF = parseScanFlag(argc, argv, I, O.Scan);
+      if (SF == ScanFlag::BadSinks)
+        return 1;
+      if (SF == ScanFlag::Parsed)
+        continue;
       std::string Arg = argv[I];
       if (Arg == "--socket" && I + 1 < argc)
         O.SocketPath = argv[++I];
@@ -1366,16 +1307,8 @@ int main(int argc, char **argv) {
         O.HeartbeatSeconds = std::stod(argv[++I]) / 1000.0;
       else if (Arg == "--metrics-out" && I + 1 < argc)
         O.MetricsPath = argv[++I];
-      else if (Arg == "--native")
-        O.Scan.Backend = scanner::QueryBackend::Native;
-      else if (Arg == "--no-prune")
-        O.Scan.Prune = false;
-      else if (Arg == "--no-async-lower")
-        O.Scan.AsyncLower = false;
       else if (Arg == "--quiet")
         O.Quiet = true;
-      else if (Arg == "--sinks" && I + 1 < argc)
-        SinksFile = argv[++I];
       else if (Arg == "--client" && I + 1 < argc) {
         Client = true;
         ClientLine = argv[++I];
@@ -1404,18 +1337,6 @@ int main(int argc, char **argv) {
     if (RetryBudgetMs > 0) {
       std::fprintf(stderr, "error: --retry-budget-ms requires --client\n");
       return 2;
-    }
-    if (!SinksFile.empty()) {
-      std::string Text;
-      queries::SinkConfig Custom;
-      std::string Error;
-      if (!readFile(SinksFile, Text) ||
-          !queries::SinkConfig::fromJSON(Text, Custom, &Error)) {
-        std::fprintf(stderr, "error: bad sink config %s: %s\n",
-                     SinksFile.c_str(), Error.c_str());
-        return 1;
-      }
-      O.Scan.Sinks = Custom;
     }
     return driver::ScanService(std::move(O)).run();
   }
@@ -1453,17 +1374,19 @@ int main(int argc, char **argv) {
   if (Mode != "scan")
     return usage();
 
-  bool Native = false, Confirm = false, DumpCore = false, DumpMDG = false,
-       DumpDot = false, Summary = false, AsPackage = false,
-       WithDeps = false, SelfCheck = false, Trace = false, Prune = true,
-       AsyncLower = true;
-  std::string SinksFile, TraceOut, EmitSummariesDir;
+  scanner::ScanOptions Scan;
+  bool Confirm = false, DumpCore = false, DumpMDG = false, DumpDot = false,
+       Summary = false, AsPackage = false, WithDeps = false, Trace = false;
+  std::string TraceOut, EmitSummariesDir;
   std::vector<std::string> Files;
   for (int I = 2; I < argc; ++I) {
+    ScanFlag SF = parseScanFlag(argc, argv, I, Scan);
+    if (SF == ScanFlag::BadSinks)
+      return 1;
+    if (SF == ScanFlag::Parsed)
+      continue;
     std::string Arg = argv[I];
-    if (Arg == "--native")
-      Native = true;
-    else if (Arg == "--confirm")
+    if (Arg == "--confirm")
       Confirm = true;
     else if (Arg == "--dump-core")
       DumpCore = true;
@@ -1480,17 +1403,11 @@ int main(int argc, char **argv) {
     else if (Arg == "--emit-summaries" && I + 1 < argc)
       EmitSummariesDir = argv[++I];
     else if (Arg == "--self-check")
-      SelfCheck = true;
-    else if (Arg == "--no-prune")
-      Prune = false;
-    else if (Arg == "--no-async-lower")
-      AsyncLower = false;
+      Scan.SelfCheck = true;
     else if (Arg == "--trace")
       Trace = true;
     else if (Arg == "--trace-out" && I + 1 < argc)
       TraceOut = argv[++I];
-    else if (Arg == "--sinks" && I + 1 < argc)
-      SinksFile = argv[++I];
     else if (Arg.rfind("--", 0) == 0)
       return usage();
     else
@@ -1504,6 +1421,7 @@ int main(int argc, char **argv) {
   // Counters ride along: enabled while tracing, dumped next to the tree.
   obs::TraceRecorder Recorder;
   obs::TraceRecorder *TR = (Trace || !TraceOut.empty()) ? &Recorder : nullptr;
+  Scan.Trace = TR;
   if (TR)
     obs::setCountersEnabled(true);
 
@@ -1513,14 +1431,11 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "error: --with-deps takes one root directory\n");
       return usage();
     }
-    Code = runDepsScan(Files[0], Native, Summary, SelfCheck, Prune, AsyncLower,
-                       SinksFile, EmitSummariesDir, TR);
+    Code = runDepsScan(Files[0], Scan, Summary, EmitSummariesDir);
   } else if (AsPackage) {
-    Code = runPackageScan(Files, Native, Summary, SelfCheck, Prune, AsyncLower,
-                          SinksFile, TR);
+    Code = runPackageScan(Files, Scan, Summary);
   } else {
-    Code = runScan(Files, Native, Confirm, DumpCore, DumpMDG, DumpDot, Summary,
-                   SelfCheck, Prune, AsyncLower, SinksFile, TR);
+    Code = runScan(Files, Scan, Confirm, DumpCore, DumpMDG, DumpDot, Summary);
   }
   if (TR) {
     if (Trace) {
