@@ -1,32 +1,21 @@
-//===- bench/bench_pruning.cpp - Summary-based pruning speedup ------------==//
+//===- bench/bench_pruning.cpp - Linking and lowering detection deltas ----==//
 //
 // Part of graphjs-cpp (PLDI 2024 MDG reproduction).
 //
-// Measures what the call-graph + taint-summary pruning stage
-// (docs/CALLGRAPH.md) buys: full scans with and without pruning over
+// Measures what two front-half analyses buy in detection, with timing:
 //
-//   A. the examples/js inputs,
-//   B. a benign-heavy workload corpus (the realistic npm mix: most
-//      packages never route input to a sink), and
-//   C. synthetic deep-call-chain packages — a benign chain whose scan
-//      collapses to the summary stage, and a vulnerable twin paying the
-//      summary overhead on top of the full pipeline (the worst case),
+//   - cross-package linking (docs/DEPENDENCIES.md): dependency trees with
+//     the sink buried 1–4 levels below the scan root, scanned linked
+//     (scanDependencyTree) vs isolated (root package only — what
+//     per-package batch scanning sees). The linked scan must find every
+//     buried sink, the isolated scan none of them;
+//   - async lowering (docs/ASYNC.md): the promise-carried workload shapes
+//     scanned with lowering on vs off. Every promise-carried sink must be
+//     found only with lowering, and the benign twins stay clean.
 //
-// plus a cross-package section (docs/DEPENDENCIES.md): dependency trees
-// with the sink buried 1–4 levels below the scan root, scanned linked
-// (scanDependencyTree) vs isolated (root package only — what per-package
-// batch scanning sees). The detection delta is the payoff of the linker
-// and is asserted: the linked scan must find every buried sink, the
-// isolated scan must find none of them.
-//
-// An async section (docs/ASYNC.md) does the same for the async lowering:
-// the promise-carried workload shapes scanned with lowering on vs off.
-// The asserted detection delta — every promise-carried sink found only
-// with lowering — plus async prune neutrality land in BENCH_pruning.json.
-//
-// Detection neutrality is asserted inline: any corpus where the pruned
-// and unpruned report multisets differ (including the linked tree and
-// async scans) fails the binary.
+// Both deltas are asserted: a miss fails the binary. The file keeps its
+// historical name; the summary-based query pruning it once measured was
+// retired from the scan path (docs/CALLGRAPH.md).
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,151 +26,13 @@
 #include "support/Timer.h"
 #include "workload/DepTrees.h"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 using namespace gjs;
 using namespace gjs::bench;
 
-namespace {
-
-struct Corpus {
-  std::string Name;
-  std::vector<std::vector<scanner::SourceFile>> Packages;
-};
-
-std::vector<scanner::SourceFile> loadFile(const std::filesystem::path &P) {
-  std::ifstream In(P);
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return {{P.filename().string(), SS.str()}};
-}
-
-/// A call chain of Depth helper functions; the innermost either reaches
-/// a command-injection sink or is pure.
-std::vector<scanner::SourceFile> deepChain(int Depth, bool Vulnerable) {
-  std::string S = "var cp = require('child_process');\n";
-  S += Vulnerable ? "function f0(a) { cp.exec(a); return a; }\n"
-                  : "function f0(a) { var x = a + 1; return x; }\n";
-  for (int I = 1; I < Depth; ++I)
-    S += "function f" + std::to_string(I) + "(a) { return f" +
-         std::to_string(I - 1) + "(a); }\n";
-  S += "module.exports = f" + std::to_string(Depth - 1) + ";\n";
-  return {{Vulnerable ? "chain_vuln.js" : "chain_benign.js", std::move(S)}};
-}
-
-struct Measured {
-  std::vector<double> Seconds;
-  size_t Reports = 0;
-  size_t PrunedQueries = 0;
-  size_t SkippedImports = 0;
-};
-
-Measured scanAll(const Corpus &C, bool Prune) {
-  Measured M;
-  scanner::ScanOptions O;
-  O.Prune = Prune;
-  scanner::Scanner S(O);
-  for (const auto &Files : C.Packages) {
-    Timer T;
-    scanner::ScanResult R = S.scanPackage(Files);
-    M.Seconds.push_back(T.elapsedSeconds());
-    M.Reports += R.Reports.size();
-    M.PrunedQueries += R.PrunedQueries;
-    M.SkippedImports += R.PruneSkippedImport ? 1 : 0;
-  }
-  return M;
-}
-
-double sum(const std::vector<double> &V) {
-  double S = 0;
-  for (double X : V)
-    S += X;
-  return S;
-}
-
-} // namespace
-
 int main() {
-  printHeader("Summary-based query pruning: cost and payoff",
-              "docs/CALLGRAPH.md");
-
-  std::vector<Corpus> Corpora;
-
-  // A: the checked-in examples (when run from anywhere inside the repo).
-  Corpus Examples{"examples", {}};
-  std::error_code EC;
-  for (const auto &E :
-       std::filesystem::directory_iterator(GJS_EXAMPLES_JS_DIR, EC))
-    if (E.path().extension() == ".js")
-      Examples.Packages.push_back(loadFile(E.path()));
-  if (!Examples.Packages.empty())
-    Corpora.push_back(std::move(Examples));
-
-  // B: benign-heavy mix — per 10 packages: 6 benign, 2 with safe sinks,
-  // 1 dynamic-require, 1 genuinely vulnerable.
-  Corpus Mix{"benign_heavy", {}};
-  workload::PackageGenerator Gen(2024);
-  for (size_t I = 0; I < scaled(40); ++I) {
-    workload::Package P;
-    switch (I % 10) {
-    case 6:
-    case 7:
-      P = Gen.benignWithSafeSinks(40);
-      break;
-    case 8:
-      P = Gen.dynamicRequire(40);
-      break;
-    case 9:
-      P = Gen.vulnerable(queries::VulnType::CommandInjection,
-                         workload::Complexity::Wrapped,
-                         workload::VariantKind::Plain);
-      break;
-    default:
-      P = Gen.benign(40);
-    }
-    Mix.Packages.push_back(std::move(P.Files));
-  }
-  Corpora.push_back(std::move(Mix));
-
-  // C: deep call chains, benign and vulnerable twins.
-  Corpus Chains{"deep_chains", {}};
-  for (int Depth : {20, 60, 120}) {
-    Chains.Packages.push_back(deepChain(Depth, /*Vulnerable=*/false));
-    Chains.Packages.push_back(deepChain(Depth, /*Vulnerable=*/true));
-  }
-  Corpora.push_back(std::move(Chains));
-
+  printHeader("Cross-package linking and async lowering: detection deltas",
+              "docs/DEPENDENCIES.md, docs/ASYNC.md");
   Report Rep("pruning");
-  TablePrinter Table({"corpus", "#pkg", "pruned", "full", "speedup",
-                      "q skipped", "imports skipped"});
-  bool Neutral = true;
-
-  for (const Corpus &C : Corpora) {
-    Measured With = scanAll(C, /*Prune=*/true);
-    Measured Without = scanAll(C, /*Prune=*/false);
-    if (With.Reports != Without.Reports) {
-      std::fprintf(stderr,
-                   "FAIL: %s: pruning changed the report count (%zu vs %zu)\n",
-                   C.Name.c_str(), With.Reports, Without.Reports);
-      Neutral = false;
-    }
-    double TW = sum(With.Seconds), TO = sum(Without.Seconds);
-    Rep.series(C.Name + ".pruned_seconds", With.Seconds);
-    Rep.series(C.Name + ".full_seconds", Without.Seconds);
-    Rep.scalar(C.Name + ".speedup", TW > 0 ? TO / TW : 0);
-    Rep.scalar(C.Name + ".queries_skipped", double(With.PrunedQueries));
-    Rep.scalar(C.Name + ".imports_skipped", double(With.SkippedImports));
-    Rep.scalar(C.Name + ".reports", double(With.Reports));
-    Table.addRow({C.Name, std::to_string(C.Packages.size()),
-                  TablePrinter::fmt(TW * 1000.0, 2) + "ms",
-                  TablePrinter::fmt(TO * 1000.0, 2) + "ms",
-                  TablePrinter::fmtRatio(TW > 0 ? TO / TW : 0),
-                  std::to_string(With.PrunedQueries),
-                  std::to_string(With.SkippedImports)});
-  }
-  std::printf("%s\n", Table.str().c_str());
 
   // Cross-package: linked dependency-tree scans vs the isolated baseline.
   workload::DepTreeGenerator TreeGen(77);
@@ -206,18 +57,6 @@ int main() {
     Timer TL;
     scanner::ScanResult RL = Linked.scanDependencyTree(T.Graph);
     LinkedSecs.push_back(TL.elapsedSeconds());
-
-    scanner::ScanOptions NP;
-    NP.Prune = false;
-    scanner::Scanner Unpruned(NP);
-    scanner::ScanResult RU = Unpruned.scanDependencyTree(T.Graph);
-    if (RL.Reports.size() != RU.Reports.size()) {
-      std::fprintf(stderr,
-                   "FAIL: linked tree scan: pruning changed the report "
-                   "count (%zu vs %zu)\n",
-                   RL.Reports.size(), RU.Reports.size());
-      Neutral = false;
-    }
 
     std::vector<scanner::SourceFile> RootFiles;
     for (const analysis::PackageFile &F :
@@ -269,8 +108,7 @@ int main() {
 
   // Async: the promise-carried workload shapes (taint crossing an await,
   // a .then() chain, or a promise executor) scanned with the lowering on
-  // vs off. The detection delta is the lowering's payoff; pruning must
-  // stay neutral over the lowered corpus.
+  // vs off. The detection delta is the lowering's payoff.
   workload::PackageGenerator AsyncGen(4242);
   const workload::AsyncForm AsyncForms[] = {workload::AsyncForm::Await,
                                             workload::AsyncForm::ThenChain,
@@ -317,18 +155,6 @@ int main() {
       AsyncOk = false;
     }
 
-    // Prune neutrality over the lowered async packages.
-    scanner::ScanOptions NP;
-    NP.Prune = false;
-    scanner::Scanner Unpruned(NP);
-    if (Unpruned.scanPackage(VP.Files).Reports.size() != RV.Reports.size() ||
-        Unpruned.scanPackage(BP.Files).Reports.size() != RB.Reports.size()) {
-      std::fprintf(stderr,
-                   "FAIL: pruning changed reports on the async %s corpus\n",
-                   workload::asyncFormName(F));
-      Neutral = false;
-    }
-
     LoweredHits += RV.Reports.size();
     UnloweredHits += UV.Reports.size();
     ATable.addRow({workload::asyncFormName(F),
@@ -349,7 +175,6 @@ int main() {
   Rep.scalar("async.detection_delta", double(LoweredHits - UnloweredHits));
   Rep.scalar("async.delta_ok", AsyncOk ? 1 : 0);
 
-  Rep.scalar("neutral", Neutral ? 1 : 0);
   Rep.write();
-  return Neutral && DeltaOk && AsyncOk ? 0 : 1;
+  return DeltaOk && AsyncOk ? 0 : 1;
 }

@@ -38,9 +38,9 @@ gjs_add_bench(bench_fig7_cdf)
 gjs_add_bench(bench_fig9_casestudy)
 gjs_add_bench(bench_ablation_fixpoint)
 
+# Cross-package linking and async lowering detection deltas
+# (BENCH_pruning.json).
 gjs_add_bench(bench_pruning)
-target_compile_definitions(bench_pruning PRIVATE
-  GJS_EXAMPLES_JS_DIR="${CMAKE_SOURCE_DIR}/examples/js")
 
 # jobs=1 in-process vs jobs=N worker-pool throughput (BENCH_batch.json).
 gjs_add_bench(bench_batch)

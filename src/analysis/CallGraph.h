@@ -10,8 +10,8 @@
 /// calls through locally function-bound variables, copy chains, and
 /// cross-module calls through sibling `module.exports` objects resolve
 /// to definitions; everything the builder *could* resolve but this pass
-/// cannot lands in an explicit `Unresolved` bucket so the summary-based
-/// pruning stage (TaintSummary.h) stays sound. Calls into host builtins
+/// cannot lands in an explicit `Unresolved` bucket so the taint summaries
+/// and pruning decision (TaintSummary.h) stay sound. Calls into host builtins
 /// and non-sibling requires are `External`: the builder models them as
 /// unknown calls whose result depends only on their inputs.
 ///

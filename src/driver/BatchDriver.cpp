@@ -190,11 +190,6 @@ std::string BatchDriver::journalLine(const BatchOutcome &Outcome) {
   O["query_seconds"] = json::Value(CT.Query);
   O["nodes"] = json::Value(static_cast<unsigned long>(Outcome.Result.MDGNodes));
   O["edges"] = json::Value(static_cast<unsigned long>(Outcome.Result.MDGEdges));
-  O["pruned_queries"] = json::Value(Outcome.Result.PrunedQueries);
-  if (!Outcome.Result.PruneReason.empty())
-    O["prune_reason"] = json::Value(Outcome.Result.PruneReason);
-  if (Outcome.Result.PruneSkippedImport)
-    O["prune_skipped_import"] = json::Value(true);
   if (Outcome.Result.LinkedPackages)
     O["linked_packages"] = json::Value(Outcome.Result.LinkedPackages);
   if (!Outcome.Result.MissingDeps.empty()) {
@@ -308,14 +303,6 @@ bool BatchDriver::parseJournalLine(const std::string &Line, BatchOutcome &Out) {
     Out.Result.MDGNodes = static_cast<size_t>(D);
   if (Num("edges", D))
     Out.Result.MDGEdges = static_cast<size_t>(D);
-  if (Num("pruned_queries", D))
-    Out.Result.PrunedQueries = static_cast<unsigned>(D);
-  Str("prune_reason", Out.Result.PruneReason);
-  {
-    auto It = O.find("prune_skipped_import");
-    if (It != O.end() && It->second.isBool())
-      Out.Result.PruneSkippedImport = It->second.asBool();
-  }
   if (Num("linked_packages", D))
     Out.Result.LinkedPackages = static_cast<unsigned>(D);
   {
@@ -650,27 +637,12 @@ std::string driver::batchStatsText(const BatchSummary &Summary) {
                         static_cast<double>(Scanned.size())));
   Out += Buf;
 
-  size_t PrunedPackages = 0, PrunedQueries = 0, SkippedImports = 0;
   size_t LinkedScans = 0, MissingDeps = 0;
   for (const BatchOutcome *O : Scanned) {
-    if (O->Result.PrunedQueries) {
-      ++PrunedPackages;
-      PrunedQueries += O->Result.PrunedQueries;
-    }
-    if (O->Result.PruneSkippedImport)
-      ++SkippedImports;
     if (O->Result.LinkedPackages)
       ++LinkedScans;
     MissingDeps += O->Result.MissingDeps.size();
   }
-  std::snprintf(Buf, sizeof(Buf),
-                "pruning: %zu packages (%.1f%%), %zu queries skipped, %zu "
-                "imports skipped\n",
-                PrunedPackages,
-                safePct(static_cast<double>(PrunedPackages),
-                        static_cast<double>(Scanned.size())),
-                PrunedQueries, SkippedImports);
-  Out += Buf;
   if (LinkedScans || MissingDeps) {
     std::snprintf(Buf, sizeof(Buf),
                   "linking: %zu dependency-tree scans, %zu missing deps\n",

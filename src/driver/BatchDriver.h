@@ -251,8 +251,10 @@ public:
 
   /// Parses a journal line back into an outcome (the supervisor reads
   /// worker journals with this; lossy inverse of journalLine — only the
-  /// fields the summary and CLI output need are reconstructed). False on
-  /// malformed input.
+  /// fields the summary and CLI output need are reconstructed). Unknown
+  /// keys are ignored, so lines from older writers (e.g. the retired
+  /// `pruned_queries`/`prune_reason`/`prune_skipped_import` fields) still
+  /// parse. False on malformed input.
   static bool parseJournalLine(const std::string &Line, BatchOutcome &Out);
 
 private:

@@ -68,8 +68,6 @@ eval::runGraphJS(const std::vector<Package> &Packages,
     O.QueryTimedOut = R.timedOutIn(scanner::ScanPhase::Query);
     O.Degradation = R.Degradation;
     O.Retries = R.Retries;
-    O.PrunedQueries = R.PrunedQueries;
-    O.PruneReason = R.PruneReason;
     // Cumulative across the degradation ladder: a retried package's cost
     // includes the attempts that failed, not just the one that won.
     O.Seconds = R.CumulativeTimes.total();

@@ -70,10 +70,6 @@ struct PackageOutcome {
   size_t GraphNodes = 0;
   size_t GraphEdges = 0;
   bool GraphBuilt = true;   ///< False when construction timed out.
-  /// Pre-query pruning outcome (Graph.js only): vulnerability classes
-  /// skipped by the summary stage and the per-class decision string.
-  unsigned PrunedQueries = 0;
-  std::string PruneReason;
 };
 
 /// Sums each counter across packages (the harness-level aggregate that

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Validates the summary-based pruning stage's two artifacts against each
+// Validates the static call graph and the taint summaries against each
 // other and against the built MDG:
 //
 //   callgraph.dead-target  — a resolved call edge (or callback edge) whose
@@ -22,7 +22,7 @@
 //
 // The pass rebuilds the call graph and summaries from LintContext::Programs
 // (falling back to the single Program), so `graphjs lint` and the scanner's
-// --self-check mode exercise the same construction the pruning stage uses.
+// --self-check mode exercise the same construction `graphjs callgraph` uses.
 //
 //===----------------------------------------------------------------------===//
 

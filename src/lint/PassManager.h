@@ -31,7 +31,7 @@
 ///    (`graphdb::mdgSchema()`): unknown labels/relationship types/property
 ///    keys, unsatisfiable hop bounds, unused bindings, unbound variables.
 ///
-///  - **callgraph** — the summary-based pruning stage's own invariants:
+///  - **callgraph** — the call graph's and taint summaries' invariants:
 ///    resolved call edges target live functions (cross-checked against the
 ///    MDG's function nodes), summary masks stay inside each function's
 ///    parameter bits, and the SCC order is a valid reverse-topological

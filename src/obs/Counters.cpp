@@ -94,11 +94,6 @@ Counter ScanRetries("scan.retries");
 Counter AsyncAwaitsLowered("async.awaits_lowered");
 Counter AsyncReactionsLinked("async.reactions_linked");
 Counter AsyncCallbacksUnresolved("async.callbacks_unresolved");
-Counter SummariesComputed("summaries.computed");
-Counter CallGraphEdgesResolved("callgraph.edges_resolved");
-Counter CallGraphEdgesUnresolved("callgraph.edges_unresolved");
-Counter PruneQueriesSkipped("prune.queries_skipped");
-Counter PruneImportsSkipped("prune.imports_skipped");
 Counter WorkerSpawned("worker.spawned");
 Counter WorkerCrashed("worker.crashed");
 Counter WorkerOomKilled("worker.oom_killed");

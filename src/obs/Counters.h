@@ -128,11 +128,6 @@ extern Counter AsyncReactionsLinked;    ///< async.reactions_linked — promise
 extern Counter AsyncCallbacksUnresolved; ///< async.callbacks_unresolved —
                                         ///< handlers left to the soundness
                                         ///< valve (dynamic callee).
-extern Counter SummariesComputed;       ///< summaries.computed — fn summaries.
-extern Counter CallGraphEdgesResolved;  ///< callgraph.edges_resolved.
-extern Counter CallGraphEdgesUnresolved; ///< callgraph.edges_unresolved.
-extern Counter PruneQueriesSkipped;     ///< prune.queries_skipped.
-extern Counter PruneImportsSkipped;     ///< prune.imports_skipped.
 extern Counter WorkerSpawned;        ///< worker.spawned — pool forks.
 extern Counter WorkerCrashed;        ///< worker.crashed — signal/bad exit.
 extern Counter WorkerOomKilled;      ///< worker.oom_killed — memory deaths.

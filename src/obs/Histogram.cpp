@@ -173,7 +173,6 @@ Histogram ScanLatency("scan.latency_us", "us");
 Histogram PhaseParse("phase.parse_us", "us");
 Histogram PhaseLower("phase.lower_us", "us");
 Histogram PhaseNormalize("phase.normalize_us", "us");
-Histogram PhasePrune("phase.prune_us", "us");
 Histogram PhaseBuild("phase.build_us", "us");
 Histogram PhaseImport("phase.import_us", "us");
 Histogram PhaseQuery("phase.query_us", "us");

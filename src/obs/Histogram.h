@@ -174,7 +174,6 @@ extern Histogram PhaseParse;  ///< phase.parse_us — parse+normalize (CFG) time
 extern Histogram PhaseLower;  ///< phase.lower_us — async lowering time.
 extern Histogram PhaseNormalize; ///< phase.normalize_us — Core IR
                                  ///< normalization (part of phase.parse_us).
-extern Histogram PhasePrune;  ///< phase.prune_us — call graph + summaries.
 extern Histogram PhaseBuild;  ///< phase.build_us — MDG construction time.
 extern Histogram PhaseImport; ///< phase.import_us — graphdb import time.
 extern Histogram PhaseQuery;  ///< phase.query_us — query matching time.

@@ -312,26 +312,14 @@ GraphDBRunner::profileBuiltins(const SinkConfig &Config) {
 
 std::vector<VulnReport> GraphDBRunner::detect(const SinkConfig &Config,
                                               DetectStats *Stats) {
-  std::array<bool, NumVulnTypes> All;
-  All.fill(true);
-  return detect(Config, Stats, All);
-}
-
-std::vector<VulnReport>
-GraphDBRunner::detect(const SinkConfig &Config, DetectStats *Stats,
-                      const std::array<bool, NumVulnTypes> &Enabled) {
   std::vector<VulnReport> All;
   for (VulnType T : {VulnType::CommandInjection, VulnType::CodeInjection,
                      VulnType::PathTraversal}) {
-    if (!Enabled[static_cast<int>(T)])
-      continue;
     std::vector<VulnReport> R = detectTaintStyle(T, Config, Stats);
     All.insert(All.end(), R.begin(), R.end());
   }
-  if (Enabled[static_cast<int>(VulnType::PrototypePollution)]) {
-    std::vector<VulnReport> PP = detectPrototypePollution(Stats);
-    All.insert(All.end(), PP.begin(), PP.end());
-  }
+  std::vector<VulnReport> PP = detectPrototypePollution(Stats);
+  All.insert(All.end(), PP.begin(), PP.end());
   return All;
 }
 

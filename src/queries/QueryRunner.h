@@ -54,11 +54,6 @@ public:
   std::vector<VulnReport> detect(const SinkConfig &Config,
                                  DetectStats *Stats = nullptr);
 
-  /// Detects only the classes whose Enabled[int(VulnType)] flag is true
-  /// (the scanner's pre-query pruning mask).
-  std::vector<VulnReport> detect(const SinkConfig &Config, DetectStats *Stats,
-                                 const std::array<bool, NumVulnTypes> &Enabled);
-
   /// Runs one taint-style class only.
   std::vector<VulnReport> detectTaintStyle(VulnType T,
                                            const SinkConfig &Config,
@@ -115,7 +110,8 @@ private:
 std::vector<VulnReport> detectNative(const analysis::BuildResult &Build,
                                      const SinkConfig &Config);
 
-/// Class-masked native detection (pre-query pruning mask).
+/// Native detection of only the classes whose Enabled[int(VulnType)] flag
+/// is true (the benchmark replica's class mask).
 std::vector<VulnReport>
 detectNative(const analysis::BuildResult &Build, const SinkConfig &Config,
              const std::array<bool, NumVulnTypes> &Enabled);

@@ -8,7 +8,6 @@
 
 #include "analysis/CallGraph.h"
 #include "analysis/PackageGraph.h"
-#include "analysis/TaintSummary.h"
 #include "core/AsyncLower.h"
 #include "core/Normalizer.h"
 #include "frontend/Parser.h"
@@ -21,7 +20,6 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <functional>
 
@@ -412,17 +410,11 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   noteDeadline(ScanPhase::Normalize);
   Out.Times.Parse = Phase.elapsedSeconds() - Out.Times.Lower;
 
-  // Pre-query pruning (summary stage): a static call graph plus
-  // bottom-up per-function taint summaries over the normalized Core IR
-  // decide, per vulnerability class, whether the exported API can reach
-  // any matching sink at all. A pruned class's query is skipped; when
-  // every class is pruned under the GraphDB backend the database import
-  // itself is skipped. Soundness: the summaries over-approximate the MDG
-  // detectors (any unresolved callee on a relevant path blocks pruning),
-  // so the report set is identical with and without pruning — asserted
-  // by the detection-neutrality test in tests/test_summaries.cpp.
-  std::vector<const core::Program *> PruneMods;
-  std::vector<std::string> PruneStems;
+  // The parsed modules in file order (the self-check's inputs; the link
+  // map's module indices), and for dependency-tree scans the cross-package
+  // link map the builder resolves requires through.
+  std::vector<const core::Program *> Mods;
+  std::vector<std::string> ModStems;
   analysis::ModuleLinkInfo TreeLink;
   if (Link) {
     // The cross-package soundness valve: missing/unparseable dependencies,
@@ -441,38 +433,11 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
         TreeLink.PkgOf.push_back(Link->PkgOf[I]);
         if (Link->IsMain[I] &&
             !TreeLink.ForceUnresolved.count(Link->PkgOf[I]))
-          TreeLink.MainModuleOf.emplace(Link->PkgOf[I], PruneMods.size());
+          TreeLink.MainModuleOf.emplace(Link->PkgOf[I], Mods.size());
       }
-      PruneMods.push_back(Programs[I].get());
-      PruneStems.push_back(Stems[I]);
+      Mods.push_back(Programs[I].get());
+      ModStems.push_back(Stems[I]);
     }
-  std::array<bool, queries::NumVulnTypes> Enabled;
-  Enabled.fill(true);
-  if (Cfg.Prune) {
-    obs::Span PruneSpan(TR, "prune");
-    Timer PruneTimer;
-    if (!PruneMods.empty()) {
-      analysis::CallGraph CG = analysis::CallGraph::build(
-          PruneMods, PruneStems, Cfg.Builder.FallbackAllFunctionsExported,
-          Link ? &TreeLink : nullptr);
-      analysis::SummarySet Sums = analysis::computeSummaries(
-          CG, PruneMods, queries::toSinkTable(Cfg.Sinks));
-      analysis::PruneDecision PD = analysis::decidePruning(
-          CG, Sums, Link && !TreeLink.ForceUnresolved.empty());
-      Out.PrunedQueries = PD.numPruned();
-      Out.PruneReason = PD.str();
-      for (int C = 0; C < queries::NumVulnTypes; ++C)
-        Enabled[C] = !PD.Prunable[C];
-      obs::counters::SummariesComputed.add(Sums.Summaries.size());
-      obs::counters::CallGraphEdgesResolved.add(CG.numResolvedEdges());
-      obs::counters::CallGraphEdgesUnresolved.add(CG.numUnresolvedSites());
-      obs::counters::PruneQueriesSkipped.add(PD.numPruned());
-      PruneSpan.arg("functions", static_cast<uint64_t>(CG.functions().size()));
-      PruneSpan.arg("pruned", static_cast<uint64_t>(PD.numPruned()));
-      PruneSpan.arg("decision", PD.str());
-    }
-    Out.Times.Prune = PruneTimer.elapsedSeconds();
-  }
 
   // Phase 3: MDG construction over all parsed modules, deps first.
   // Configured sanitizers become builder-level taint barriers (§6).
@@ -526,7 +491,7 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
                               ""});
       if (Cfg.SelfCheck)
         Out.SelfCheckFindings =
-            runSelfCheck(Build, PruneMods, PruneStems, Cfg.Sinks,
+            runSelfCheck(Build, Mods, ModStems, Cfg.Sinks,
                          Link ? Link->Packages : nullptr);
     }
   }
@@ -536,18 +501,9 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   // Phases 4+5: import into the database and run the queries. The built-in
   // queries are schema-validated first: a malformed query must fail the
   // scan loudly, not return an empty (vacuously clean) report set.
-  bool AllPruned = true;
-  for (bool En : Enabled)
-    AllPruned = AllPruned && !En;
   if (HaveGraph) {
     if (Cfg.Backend == QueryBackend::GraphDB) {
-      if (AllPruned) {
-        // Every class was pruned: the summary stage proved the detectors
-        // cannot report anything, so the schema validation, database
-        // import, and query phases are all skipped.
-        Out.PruneSkippedImport = true;
-        obs::counters::PruneImportsSkipped.add();
-      } else if (!queries::GraphDBRunner::validateBuiltinQueries(
+      if (!queries::GraphDBRunner::validateBuiltinQueries(
                      Cfg.Sinks, &Out.SchemaError)) {
         Out.Errors.push_back({ScanPhase::Query, ScanErrorKind::Schema,
                               Out.SchemaError, ""});
@@ -570,7 +526,7 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
           Phase.reset();
           obs::Span QuerySpan(TR, "query");
           queries::DetectStats Stats;
-          Out.Reports = Runner.detect(Cfg.Sinks, &Stats, Enabled);
+          Out.Reports = Runner.detect(Cfg.Sinks, &Stats);
           QuerySpan.arg("reports", static_cast<uint64_t>(Out.Reports.size()));
           QuerySpan.arg("work", Stats.QueryWork);
           QuerySpan.close();
@@ -591,19 +547,19 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
       // §5.2): when the deadline killed the DB-side phases before any
       // report came back, still query the in-memory partial MDG with the
       // native traversals, which are bounded by the (partial) graph size.
-      if (!AllPruned && D.expired() && Out.Reports.empty()) {
+      if (D.expired() && Out.Reports.empty()) {
         Phase.reset();
         obs::Span NativeSpan(TR, "native-query");
         NativeSpan.arg("fallback", "partial-results");
-        Out.Reports = queries::detectNative(Build, Cfg.Sinks, Enabled);
+        Out.Reports = queries::detectNative(Build, Cfg.Sinks);
         NativeSpan.arg("reports", static_cast<uint64_t>(Out.Reports.size()));
         NativeSpan.close();
         Out.Times.Query += Phase.elapsedSeconds();
       }
-    } else if (!AllPruned && !inject(ScanPhase::Query)) {
+    } else if (!inject(ScanPhase::Query)) {
       Phase.reset();
       obs::Span NativeSpan(TR, "native-query");
-      Out.Reports = queries::detectNative(Build, Cfg.Sinks, Enabled);
+      Out.Reports = queries::detectNative(Build, Cfg.Sinks);
       NativeSpan.arg("reports", static_cast<uint64_t>(Out.Reports.size()));
       NativeSpan.close();
       Out.Times.Query = Phase.elapsedSeconds();
@@ -733,7 +689,6 @@ ScanResult Scanner::scanWithLadder(const std::vector<SourceFile> &Files,
   obs::hists::PhaseParse.recordSeconds(Out.CumulativeTimes.Parse);
   obs::hists::PhaseLower.recordSeconds(Out.CumulativeTimes.Lower);
   obs::hists::PhaseNormalize.recordSeconds(Out.CumulativeTimes.Normalize);
-  obs::hists::PhasePrune.recordSeconds(Out.CumulativeTimes.Prune);
   obs::hists::PhaseBuild.recordSeconds(Out.CumulativeTimes.GraphBuild);
   obs::hists::PhaseImport.recordSeconds(Out.CumulativeTimes.DbImport);
   obs::hists::PhaseQuery.recordSeconds(Out.CumulativeTimes.Query);

@@ -136,12 +136,10 @@ struct ScanOptions {
   DeadlineBudget Deadline;
   /// Deterministic fault injection (tests/CI).
   std::optional<FaultPlan> Fault;
-  /// Pre-query pruning: build the static call graph + per-function taint
-  /// summaries after normalization and skip queries (or the whole graphdb
-  /// import) for classes the exported API provably cannot reach. Sound by
-  /// construction: any unresolved callee on a relevant path falls back to
-  /// the full pipeline. `graphjs scan --no-prune` clears this.
-  bool Prune = true;
+  /// Unread by the scanner, which runs every query class on every package.
+  /// Only the benchmark's layer-by-layer replica reads it (to skip its
+  /// call-graph + summary step); it goes when that replica changes.
+  bool Prune = false;
   /// Async lowering (core/AsyncLower.h): desugar await, promise reactions
   /// (`.then/.catch/.finally`), `new Promise(executor)`, and the Promise.*
   /// statics into Core JS call/return structure right after normalization,
@@ -167,11 +165,8 @@ struct PhaseTimes {
   double GraphBuild = 0;
   double DbImport = 0;
   double Query = 0;
-  /// Breakdowns outside total(): Normalize is the Core IR lowering share
-  /// of Parse; Prune (call graph + taint summaries) runs between Parse and
-  /// GraphBuild and is not counted in any of the Table 6 phases.
+  /// Breakdown outside total(): the Core IR lowering share of Parse.
   double Normalize = 0;
-  double Prune = 0;
   double total() const {
     return Parse + Lower + GraphBuild + DbImport + Query;
   }
@@ -179,7 +174,6 @@ struct PhaseTimes {
     Parse += O.Parse;
     Lower += O.Lower;
     Normalize += O.Normalize;
-    Prune += O.Prune;
     GraphBuild += O.GraphBuild;
     DbImport += O.DbImport;
     Query += O.Query;
@@ -235,15 +229,6 @@ struct ScanResult {
   std::string SchemaError;
   /// MDG checker findings (populated when ScanOptions::SelfCheck is set).
   std::vector<lint::Finding> SelfCheckFindings;
-  /// Pre-query pruning outcome: how many of the four vulnerability
-  /// classes were skipped, and the per-class decision string
-  /// ("CWE-78:pruned(no-sink-callsites),..."). Empty when pruning is
-  /// disabled or never ran (e.g. parse-only failures).
-  unsigned PrunedQueries = 0;
-  std::string PruneReason;
-  /// True when pruning removed all four classes under the GraphDB
-  /// backend, so the database import itself was skipped.
-  bool PruneSkippedImport = false;
   /// Dependency-tree scans: how many packages were linked into the
   /// flattened build (0 for single-package scans).
   unsigned LinkedPackages = 0;
@@ -301,10 +286,10 @@ public:
 
   /// Scans a whole dependency tree as one linked unit: the tree is
   /// flattened bottom-up (PackageGraph::flatten), inter-package requires
-  /// resolve to the exporting package's code, and taint summaries compose
-  /// transitively across package boundaries — a sink buried N dependency
+  /// resolve to the exporting package's code, and taint flows through the
+  /// linked MDG across package boundaries — a sink buried N dependency
   /// levels deep is reachable from the root's exported API. Missing or
-  /// unparseable dependencies force unresolved callees (never pruned).
+  /// unparseable dependencies force unresolved callees.
   ScanResult scanDependencyTree(const analysis::PackageGraph &G);
 
   const ScanOptions &options() const { return Options; }

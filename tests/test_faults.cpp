@@ -554,4 +554,102 @@ TEST(BatchCLITest, ResumeAfterKillRescansOnlyUnjournaled) {
   EXPECT_EQ(Names.size(), 4u);
 }
 
+TEST(BatchCLITest, ResumeSkipsJournalLinesWithRetiredPruneFields) {
+  // Lines written while scans still pruned queries carry the
+  // pruned_queries/prune_reason/prune_skipped_import fields and the
+  // prune.*, summaries.computed and callgraph.edges_* counters. A resume
+  // across the change must treat those packages as done: skipped, neither
+  // rescanned nor rejected as malformed.
+  std::string Journal = ::testing::TempDir() + "gjs_cli_old_journal.jsonl";
+  std::string Out = ::testing::TempDir() + "gjs_cli_old_journal.out";
+  const std::vector<std::string> Old = {
+      R"J({"attempts":1,"counters":{"callgraph.edges_resolved":0,)J"
+      R"J("callgraph.edges_unresolved":0,"prune.imports_skipped":1,)J"
+      R"J("prune.queries_skipped":4,"scan.attempts":1,)J"
+      R"J("summaries.computed":3},)J"
+      R"J("degradation":0,"edges":33,"errors":[],"graph_seconds":0.0003,)J"
+      R"J("nodes":32,"package":"clean_utils.js","prune_reason":)J"
+      R"J("CWE-78:pruned(no-sink-callsites),CWE-94:pruned(no-sink-callsites),)J"
+      R"J(CWE-22:pruned(no-sink-callsites),)J"
+      R"J(CWE-1321:pruned(no-dynamic-writes)",)J"
+      R"J("prune_skipped_import":true,"pruned_queries":4,"query_seconds":0,)J"
+      R"J("reports":[],"retries":0,"seconds":0.0004,"status":"ok"})J",
+      R"J({"attempts":1,"counters":{"prune.queries_skipped":2,)J"
+      R"J("scan.attempts":1,"summaries.computed":4},"degradation":0,)J"
+      R"J("edges":61,"errors":[],"graph_seconds":0.0005,"nodes":48,)J"
+      R"J("package":"figure1.js","prune_reason":"CWE-78:kept,)J"
+      R"J(CWE-94:pruned(no-sink-callsites),CWE-22:pruned(no-sink-callsites),)J"
+      R"J(CWE-1321:kept","pruned_queries":2,"query_seconds":0.0001,)J"
+      R"J("reports":[{"cwe":"CWE-78","line":10,"sink":"exec",)J"
+      R"J("type":"command-injection"},{"cwe":"CWE-1321","line":8,)J"
+      R"J("type":"prototype-pollution"}],"retries":0,"seconds":0.0007,)J"
+      R"J("status":"ok"})J"};
+  {
+    std::ofstream J(Journal, std::ios::trunc);
+    for (const std::string &L : Old)
+      J << L << "\n";
+  }
+  size_t Dropped = 0;
+  EXPECT_EQ(driver::BatchDriver::journaledPackages(Journal, &Dropped),
+            (std::set<std::string>{"clean_utils.js", "figure1.js"}));
+  EXPECT_EQ(Dropped, 0u);
+  for (const std::string &L : Old) {
+    driver::BatchOutcome O;
+    EXPECT_TRUE(driver::BatchDriver::parseJournalLine(L, O)) << L;
+  }
+
+  std::string Cmd = std::string(GRAPHJS_BIN) +
+                    " batch --native --summary --resume --journal " + Journal +
+                    " " + GJS_EXAMPLES_JS_DIR + " > " + Out + " 2>/dev/null";
+  EXPECT_EQ(std::system(Cmd.c_str()), 0);
+  std::vector<std::string> Printed = readLines(Out);
+  auto printedFor = [&](const std::string &Pkg) {
+    for (const std::string &L : Printed)
+      if (L.compare(0, Pkg.size() + 1, Pkg + " ") == 0)
+        return L;
+    return std::string();
+  };
+  EXPECT_NE(printedFor("clean_utils.js").find("skipped (journaled)"),
+            std::string::npos);
+  EXPECT_NE(printedFor("figure1.js").find("skipped (journaled)"),
+            std::string::npos);
+  EXPECT_EQ(printedFor("promise_chain.js").find("skipped"), std::string::npos);
+  EXPECT_NE(printedFor("batch:").find("2 scanned"), std::string::npos);
+  EXPECT_NE(printedFor("batch:").find("2 resumed"), std::string::npos);
+
+  // The old lines stay as written; only the two other examples are added.
+  std::vector<std::string> Lines = readLines(Journal);
+  ASSERT_EQ(Lines.size(), 4u);
+  EXPECT_EQ(Lines[0], Old[0]);
+  EXPECT_EQ(Lines[1], Old[1]);
+  std::set<std::string> Added = {parseLine(Lines[2]).at("package").asString(),
+                                 parseLine(Lines[3]).at("package").asString()};
+  EXPECT_EQ(Added,
+            (std::set<std::string>{"promise_chain.js", "set_value.js"}));
+}
+
+TEST(BatchCLITest, JournalLinesCarryNoPruneFields) {
+  // Every scan runs all four query classes, so journal lines no longer
+  // record a pruning outcome, nor the counters of the retired stage.
+  std::string Journal = ::testing::TempDir() + "gjs_cli_no_prune.jsonl";
+  std::remove(Journal.c_str());
+  std::string Cmd = std::string(GRAPHJS_BIN) + " batch --journal " + Journal +
+                    " " + GJS_EXAMPLES_JS_DIR + " > /dev/null 2>&1";
+  EXPECT_EQ(std::system(Cmd.c_str()), 0);
+  std::vector<std::string> Lines = readLines(Journal);
+  ASSERT_EQ(Lines.size(), 4u);
+  for (const std::string &L : Lines) {
+    json::Object O = parseLine(L);
+    for (const char *Key :
+         {"pruned_queries", "prune_reason", "prune_skipped_import"})
+      EXPECT_EQ(O.count(Key), 0u) << Key << " in " << L;
+    ASSERT_TRUE(O.count("counters")) << L;
+    for (const auto &[Name, Value] : O.at("counters").asObject()) {
+      (void)Value;
+      for (const char *Retired : {"prune.", "summaries.", "callgraph."})
+        EXPECT_NE(Name.rfind(Retired, 0), 0u) << Name << " in " << L;
+    }
+  }
+}
+
 #endif // GRAPHJS_BIN && GJS_EXAMPLES_JS_DIR

@@ -498,9 +498,8 @@ TEST(HistogramTest, WiredCatalogIsRegistered) {
   obs::HistogramSnapshotMap Snap = obs::snapshotHistograms();
   for (const char *Name :
        {"scan.latency_us", "phase.parse_us", "phase.normalize_us",
-        "phase.prune_us", "phase.build_us", "phase.import_us",
-        "phase.query_us", "queue.wait_us", "worker.job_us",
-        "proto.frame_bytes"})
+        "phase.build_us", "phase.import_us", "phase.query_us",
+        "queue.wait_us", "worker.job_us", "proto.frame_bytes"})
     EXPECT_TRUE(Snap.count(Name)) << Name;
 }
 
@@ -746,10 +745,10 @@ TEST(ScanObsTest, BuildSpanAndCountersShowWhereTheBuildIterates) {
   EXPECT_EQ(Args["store_vars_peak"],
             std::to_string(R.Counters.at("build.store_vars_peak")));
 
-  // Normalize and prune get their own latency distributions.
+  // Normalize gets its own latency distribution.
   obs::HistogramSnapshotMap After = obs::snapshotHistograms();
-  for (const char *Name : {"phase.normalize_us", "phase.prune_us"})
-    EXPECT_EQ(After.at(Name).count(), Before.at(Name).count() + 1) << Name;
+  EXPECT_EQ(After.at("phase.normalize_us").count(),
+            Before.at("phase.normalize_us").count() + 1);
 }
 
 TEST(ScanObsTest, NativeBackendTracesNativeQuerySpan) {
@@ -913,9 +912,9 @@ TEST(ProfilerTest, RenderProfileListsStepsAndTotals) {
 TEST(ObsCLITest, ScanTraceOutWritesChromeLoadableJSON) {
   std::string TracePath = ::testing::TempDir() + "gjs_obs_trace.json";
   std::remove(TracePath.c_str());
-  // --no-prune: the clean example would otherwise prune all four classes
-  // and skip the import/query phases this test asserts spans for.
-  std::string Cmd = std::string(GRAPHJS_BIN) + " scan --no-prune --trace-out " +
+  // The clean example has no sink, yet every scan imports and queries its
+  // MDG: the import and query spans must appear.
+  std::string Cmd = std::string(GRAPHJS_BIN) + " scan --trace-out " +
                     TracePath + " " + GJS_EXAMPLES_JS_DIR +
                     "/clean_utils.js > /dev/null 2>&1";
   EXPECT_EQ(std::system(Cmd.c_str()), 0);

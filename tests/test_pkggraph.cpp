@@ -9,9 +9,11 @@
 //  - a sink buried 3–4 dependency levels below the scan root is detected by
 //    the linked scan and missed by an isolated root-only scan, in BOTH
 //    query backends;
-//  - a missing or unparseable dependency trips the soundness valve: no
-//    query touching it is pruned, and the report set with and without
-//    pruning is identical, in BOTH backends;
+//  - a missing or unparseable dependency trips the soundness valve: the
+//    linked call graph keeps every class whose flow leads into it (no
+//    pruning decision through code we cannot see), and the linked scans
+//    reproduce the report sets recorded with the retired scan-path
+//    pruning stage on, in BOTH backends;
 //  - per-package summary JSON round-trips, and a schema-version mismatch is
 //    an error, not a silent degradation;
 //  - the pkggraph lint pass reports dangling deps, cycles, and summary
@@ -37,6 +39,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -47,10 +50,8 @@ using workload::DepTreeGenerator;
 
 namespace {
 
-scanner::ScanResult scanTree(const analysis::PackageGraph &G, bool Native,
-                             bool Prune = true) {
+scanner::ScanResult scanTree(const analysis::PackageGraph &G, bool Native) {
   scanner::ScanOptions O;
-  O.Prune = Prune;
   if (Native)
     O.Backend = scanner::QueryBackend::Native;
   scanner::Scanner S(O);
@@ -70,6 +71,53 @@ scanner::ScanResult scanRootOnly(const analysis::PackageGraph &G,
     O.Backend = scanner::QueryBackend::Native;
   scanner::Scanner S(O);
   return S.scanPackage(Files);
+}
+
+/// Parses + normalizes a flattened tree with the scanner's `<pkg>$<stem>$`
+/// prefixing and builds the ModuleLinkInfo for it (test-local mirror of
+/// the CLI/scanner front half).
+struct LinkedBuild {
+  analysis::PackageGraph::FlatPlan Plan;
+  std::vector<std::unique_ptr<core::Program>> Programs;
+  std::vector<const core::Program *> Mods;
+  std::vector<std::string> Stems;
+  analysis::ModuleLinkInfo Link;
+};
+
+void buildLinked(const analysis::PackageGraph &G, LinkedBuild &B) {
+  B.Plan = G.flatten();
+  B.Link.ForceUnresolved = B.Plan.MissingDeps;
+  // A module that does not parse is left out, and its package and stem
+  // classify as unresolved (the scanner's soundness valve).
+  std::vector<std::unique_ptr<ast::Program>> ASTs;
+  for (const auto &M : B.Plan.Modules) {
+    DiagnosticEngine Diags;
+    ASTs.push_back(parseJS(*M.Contents, Diags));
+    if (Diags.hasErrors()) {
+      ASTs.back() = nullptr;
+      B.Link.ForceUnresolved.insert(M.Pkg);
+      B.Link.ForceUnresolved.insert(
+          std::filesystem::path(M.Path).stem().string());
+    }
+  }
+  core::StmtIndex NextIndex = 1;
+  for (size_t I = 0; I < ASTs.size(); ++I) {
+    if (!ASTs[I])
+      continue;
+    const auto &M = B.Plan.Modules[I];
+    DiagnosticEngine Diags;
+    std::string Stem = std::filesystem::path(M.Path).stem().string();
+    core::Normalizer Norm(Diags, M.Pkg + "$" + Stem + "$", NextIndex);
+    auto Program = Norm.normalize(*ASTs[I]);
+    ASSERT_FALSE(Diags.hasErrors()) << M.Path;
+    NextIndex = Program->NumIndices + 1;
+    B.Link.PkgOf.push_back(M.Pkg);
+    if (M.IsMain && !B.Link.ForceUnresolved.count(M.Pkg))
+      B.Link.MainModuleOf.emplace(M.Pkg, B.Mods.size());
+    B.Programs.push_back(std::move(Program));
+    B.Mods.push_back(B.Programs.back().get());
+    B.Stems.push_back(std::move(Stem));
+  }
 }
 
 std::string uniqueTempDir(const std::string &Tag) {
@@ -297,21 +345,27 @@ TEST(CrossPackageDetection, CyclicTreeDetectedBothBackends) {
 }
 
 TEST(CrossPackageDetection, PruningIsDetectionNeutralOnTrees) {
-  // Linked scans with pruning on and off report the same findings, across
-  // vulnerable, benign, and cyclic trees (both backends).
+  // Linked scans of vulnerable, benign, and cyclic trees reproduce, in
+  // both backends, the findings recorded with the retired scan-path
+  // pruning stage on (which matched the unpruned scans then).
   DepTreeGenerator Gen(50);
   std::vector<DepTree> Trees;
   Trees.push_back(Gen.chain(VulnType::CommandInjection, 2, true));
   Trees.push_back(Gen.chain(VulnType::PathTraversal, 3, true));
   Trees.push_back(Gen.chain(VulnType::CodeInjection, 3, false));
   Trees.push_back(Gen.cyclic(VulnType::PrototypePollution, true));
-  for (const DepTree &T : Trees) {
+  // "CWE@line[:sink]" per report, one entry per tree.
+  const std::vector<std::set<std::string>> Want = {
+      {"CWE-78@4:exec"}, {"CWE-22@4:readFile"}, {}, {"CWE-1321@7"}};
+  for (size_t I = 0; I < Trees.size(); ++I) {
     for (bool Native : {false, true}) {
-      scanner::ScanResult Pruned = scanTree(T.Graph, Native, /*Prune=*/true);
-      scanner::ScanResult Full = scanTree(T.Graph, Native, /*Prune=*/false);
-      EXPECT_EQ(scanner::reportsToJSON(Pruned.Reports),
-                scanner::reportsToJSON(Full.Reports))
-          << "native=" << Native;
+      std::set<std::string> Got;
+      for (const queries::VulnReport &R :
+           scanTree(Trees[I].Graph, Native).Reports)
+        Got.insert(std::string(queries::cweOf(R.Type)) + "@" +
+                   std::to_string(R.SinkLoc.Line) +
+                   (R.SinkName.empty() ? "" : ":" + R.SinkName));
+      EXPECT_EQ(Got, Want[I]) << "tree " << I << " native=" << Native;
     }
   }
 }
@@ -323,19 +377,23 @@ TEST(CrossPackageDetection, PruningIsDetectionNeutralOnTrees) {
 namespace {
 
 void expectValveHolds(const DepTree &T, VulnType Type, bool Native) {
-  scanner::ScanResult Pruned = scanTree(T.Graph, Native, /*Prune=*/true);
-  scanner::ScanResult Full = scanTree(T.Graph, Native, /*Prune=*/false);
-
   // The class whose flow leads into the invisible dependency must never be
   // pruned: its sink (if any) lives in code we cannot see.
+  LinkedBuild B;
+  buildLinked(T.Graph, B);
+  analysis::CallGraph CG =
+      analysis::CallGraph::build(B.Mods, B.Stems, true, &B.Link);
+  analysis::SummarySet Sums = analysis::computeSummaries(
+      CG, B.Mods, queries::toSinkTable(queries::SinkConfig::defaults()));
+  std::string Decision =
+      analysis::decidePruning(CG, Sums, !B.Link.ForceUnresolved.empty()).str();
   std::string Cwe = queries::cweOf(Type);
-  EXPECT_EQ(Pruned.PruneReason.find(Cwe + ":pruned"), std::string::npos)
-      << "native=" << Native << " pruned a query through the valve: "
-      << Pruned.PruneReason;
+  EXPECT_EQ(Decision.find(Cwe + ":pruned"), std::string::npos)
+      << "pruned a query through the valve: " << Decision;
 
-  // And pruning changes nothing observable.
-  EXPECT_EQ(scanner::reportsToJSON(Pruned.Reports),
-            scanner::reportsToJSON(Full.Reports))
+  // The linked scan reports nothing, as recorded when the scanner still
+  // pruned: the sink is not in the code it analyzed.
+  EXPECT_TRUE(scanTree(T.Graph, Native).Reports.empty())
       << "native=" << Native;
 }
 
@@ -370,43 +428,6 @@ TEST(SoundnessValve, MissingDepSurfacesInScanResult) {
 //===----------------------------------------------------------------------===//
 // Per-package summary JSON
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Parses + normalizes a flattened tree with the scanner's `<pkg>$<stem>$`
-/// prefixing and builds the ModuleLinkInfo for it (test-local mirror of
-/// the CLI/scanner front half).
-struct LinkedBuild {
-  analysis::PackageGraph::FlatPlan Plan;
-  std::vector<std::unique_ptr<core::Program>> Programs;
-  std::vector<const core::Program *> Mods;
-  std::vector<std::string> Stems;
-  analysis::ModuleLinkInfo Link;
-};
-
-void buildLinked(const analysis::PackageGraph &G, LinkedBuild &B) {
-  B.Plan = G.flatten();
-  B.Link.ForceUnresolved = B.Plan.MissingDeps;
-  core::StmtIndex NextIndex = 1;
-  for (const auto &M : B.Plan.Modules) {
-    DiagnosticEngine Diags;
-    auto Module = parseJS(*M.Contents, Diags);
-    ASSERT_FALSE(Diags.hasErrors()) << M.Path;
-    std::string Stem = std::filesystem::path(M.Path).stem().string();
-    core::Normalizer Norm(Diags, M.Pkg + "$" + Stem + "$", NextIndex);
-    auto Program = Norm.normalize(*Module);
-    ASSERT_FALSE(Diags.hasErrors()) << M.Path;
-    NextIndex = Program->NumIndices + 1;
-    B.Link.PkgOf.push_back(M.Pkg);
-    if (M.IsMain)
-      B.Link.MainModuleOf.emplace(M.Pkg, B.Mods.size());
-    B.Programs.push_back(std::move(Program));
-    B.Mods.push_back(B.Programs.back().get());
-    B.Stems.push_back(std::move(Stem));
-  }
-}
-
-} // namespace
 
 TEST(PackageSummaries, SliceAndRoundTrip) {
   DepTreeGenerator Gen(90);

@@ -2,13 +2,15 @@
 //
 // Part of graphjs-cpp (PLDI 2024 MDG reproduction).
 //
-// The summary-based pruning stage: static call-graph construction, the
-// bottom-up per-function taint summaries, the pruning decision and its
-// soundness guardrails (an unresolved callee on a relevant path blocks
-// pruning), the SinkConfig error paths, the summary JSON round trip, and
-// — the acceptance bar — detection neutrality: the confirmed report set
-// with and without pruning is byte-identical over examples/js and a
-// generated workload corpus, in both query backends.
+// The call graph and taint summaries behind `graphjs callgraph
+// --summaries`, `--emit-summaries` and the lint `callgraph` pass: static
+// call-graph construction, the bottom-up per-function taint summaries,
+// the per-class pruning decision and its soundness guardrails (an
+// unresolved callee on a relevant path blocks pruning), the SinkConfig
+// error paths, the summary JSON round trip, and detection over the corpora
+// the retired scan-path pruning stage was checked on: the scanner, which
+// runs every class, reproduces the report sets recorded with pruning on,
+// in both query backends.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +18,6 @@
 #include "analysis/MDGBuilder.h"
 #include "analysis/TaintSummary.h"
 #include "core/Normalizer.h"
-#include "obs/Counters.h"
 #include "lint/PassManager.h"
 #include "queries/SinkConfig.h"
 #include "scanner/Scanner.h"
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 using namespace gjs;
@@ -317,47 +319,6 @@ TEST(PruneTest, PollutionKeptOnlyWithDynamicWrites) {
 }
 
 //===----------------------------------------------------------------------===//
-// Scanner integration
-//===----------------------------------------------------------------------===//
-
-TEST(ScannerPruneTest, BenignSourceSkipsImportAndRecordsDecision) {
-  scanner::Scanner S{scanner::ScanOptions{}};
-  scanner::ScanResult R =
-      S.scanSource("function add(a, b) { return a + b; }\n"
-                   "module.exports = add;\n");
-  EXPECT_TRUE(R.Reports.empty());
-  EXPECT_EQ(R.PrunedQueries, 4u);
-  EXPECT_TRUE(R.PruneSkippedImport);
-  EXPECT_NE(R.PruneReason.find("CWE-78:pruned"), std::string::npos)
-      << R.PruneReason;
-}
-
-TEST(ScannerPruneTest, NoPruneOptionDisablesTheStage) {
-  scanner::ScanOptions O;
-  O.Prune = false;
-  scanner::Scanner S(O);
-  scanner::ScanResult R =
-      S.scanSource("function add(a, b) { return a + b; }\n"
-                   "module.exports = add;\n");
-  EXPECT_EQ(R.PrunedQueries, 0u);
-  EXPECT_TRUE(R.PruneReason.empty());
-  EXPECT_FALSE(R.PruneSkippedImport);
-}
-
-TEST(ScannerPruneTest, PruneCountersAreRecorded) {
-  bool Prev = obs::setCountersEnabled(true);
-  obs::CounterSnapshot Before = obs::snapshotCounters();
-  scanner::Scanner S{scanner::ScanOptions{}};
-  S.scanSource("function add(a, b) { return a + b; }\nmodule.exports = add;\n");
-  obs::CounterSnapshot Delta =
-      obs::counterDelta(Before, obs::snapshotCounters());
-  EXPECT_EQ(Delta["prune.queries_skipped"], 4u);
-  EXPECT_EQ(Delta["prune.imports_skipped"], 1u);
-  EXPECT_GE(Delta["summaries.computed"], 2u); // add + toplevel
-  obs::setCountersEnabled(Prev);
-}
-
-//===----------------------------------------------------------------------===//
 // Lint pass
 //===----------------------------------------------------------------------===//
 
@@ -389,31 +350,36 @@ TEST(CallGraphLintTest, StandardPipelineIncludesCallGraphPass) {
 }
 
 //===----------------------------------------------------------------------===//
-// Detection neutrality — the acceptance bar: pruning must never change
-// the confirmed report set, in either backend.
+// Detection neutrality. The expected report sets were recorded with the
+// retired scan-path pruning stage on (and matched the unpruned scans
+// then); the scanner, which now runs every class on every package, must
+// reproduce them in both backends.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-std::string scanReports(const std::vector<scanner::SourceFile> &Files,
-                        bool Prune, scanner::QueryBackend Backend) {
-  scanner::ScanOptions O;
-  O.Prune = Prune;
-  O.Backend = Backend;
-  scanner::Scanner S(O);
-  return scanner::reportsToJSON(S.scanPackage(Files).Reports);
+/// A report set: "CWE@line[:sink]" per report.
+std::set<std::string>
+reportSet(const std::vector<queries::VulnReport> &Reports) {
+  std::set<std::string> Items;
+  for (const queries::VulnReport &R : Reports)
+    Items.insert(std::string(queries::cweOf(R.Type)) + "@" +
+                 std::to_string(R.SinkLoc.Line) +
+                 (R.SinkName.empty() ? "" : ":" + R.SinkName));
+  return Items;
 }
 
-void expectNeutral(const std::string &Name,
-                   const std::vector<scanner::SourceFile> &Files) {
+void expectReports(const std::string &Name,
+                   const std::vector<scanner::SourceFile> &Files,
+                   const std::set<std::string> &Want) {
   for (scanner::QueryBackend B :
        {scanner::QueryBackend::GraphDB, scanner::QueryBackend::Native}) {
-    std::string With = scanReports(Files, true, B);
-    std::string Without = scanReports(Files, false, B);
-    EXPECT_EQ(With, Without)
+    scanner::ScanOptions O;
+    O.Backend = B;
+    EXPECT_EQ(reportSet(scanner::Scanner(O).scanPackage(Files).Reports), Want)
         << Name << " ("
         << (B == scanner::QueryBackend::GraphDB ? "graphdb" : "native")
-        << " backend): pruning changed the report set";
+        << " backend)";
   }
 }
 
@@ -422,26 +388,37 @@ void expectNeutral(const std::string &Name,
 #ifdef GJS_EXAMPLES_JS_DIR
 TEST(NeutralityTest, ExamplesScanIdenticallyWithAndWithoutPruning) {
   namespace fs = std::filesystem;
+  const std::map<std::string, std::set<std::string>> Want = {
+      {"clean_utils.js", {}},
+      {"figure1.js", {"CWE-1321@8", "CWE-78@10:exec"}},
+      {"promise_chain.js", {"CWE-78@18:exec"}},
+      {"set_value.js", {"CWE-1321@11"}},
+  };
   size_t Seen = 0;
   for (const fs::directory_entry &E :
        fs::directory_iterator(GJS_EXAMPLES_JS_DIR)) {
     if (E.path().extension() != ".js")
       continue;
+    std::string Name = E.path().filename().string();
+    auto It = Want.find(Name);
+    if (It == Want.end()) {
+      ADD_FAILURE() << Name << " has no recorded report set";
+      continue;
+    }
     std::ifstream In(E.path());
     std::ostringstream SS;
     SS << In.rdbuf();
-    expectNeutral(E.path().filename().string(),
-                  {{E.path().string(), SS.str()}});
+    expectReports(Name, {{E.path().string(), SS.str()}}, It->second);
     ++Seen;
   }
-  EXPECT_GE(Seen, 3u);
+  EXPECT_EQ(Seen, Want.size());
 }
 #endif
 
 TEST(NeutralityTest, WorkloadCorpusScansIdenticallyWithAndWithoutPruning) {
   // A mixed corpus covering every class, complexity tier, and variant the
   // generator produces, plus the benign/safe-sink/dynamic-require shapes
-  // whose pruning matters most.
+  // whose pruning mattered most.
   std::vector<workload::Package> Corpus =
       workload::makeDataset(1234, {3, 3, 3, 3});
   workload::PackageGenerator Gen(99);
@@ -455,13 +432,35 @@ TEST(NeutralityTest, WorkloadCorpusScansIdenticallyWithAndWithoutPruning) {
     Corpus.push_back(Gen.vulnerable(T, workload::Complexity::Recursive,
                                     workload::VariantKind::Sanitized));
 
-  for (const workload::Package &P : Corpus)
-    expectNeutral(P.Name, P.Files);
+  const std::vector<std::set<std::string>> Want = {
+      {"CWE-22@11:unlinkSync", "CWE-22@7:readFile"}, // path-0
+      {"CWE-22@12:readFileSync"},                    // path-1
+      {"CWE-22@11:unlinkSync", "CWE-22@7:readFile"}, // path-2
+      {"CWE-1321@7", "CWE-78@15:exec"},              // cmd-3
+      {"CWE-78@4:exec"},                             // cmd-4
+      {"CWE-78@11:exec", "CWE-78@5:exec"},           // cmd-5
+      {"CWE-94@12:eval", "CWE-94@16:eval"},          // code-6
+      {"CWE-94@12:eval"},                            // code-7
+      {"CWE-94@12:Function"},                        // code-8
+      {},                                            // proto-9
+      {},                                            // proto-10
+      {"CWE-1321@5", "CWE-1321@8"},                  // proto-11
+      {},                                            // benign
+      {},                                            // safe sinks only
+      {"CWE-94@2:require"},                          // dynamic require
+      {"CWE-78@8:exec"},     // sanitized + recursive, per class
+      {"CWE-94@7:eval"},
+      {"CWE-22@8:readFile"},
+      {},
+  };
+  ASSERT_EQ(Corpus.size(), Want.size());
+  for (size_t I = 0; I < Corpus.size(); ++I)
+    expectReports(Corpus[I].Name, Corpus[I].Files, Want[I]);
 }
 
 TEST(NeutralityTest, PruningKeepsAnnotatedVulnerabilitiesDetected) {
-  // Sanity on top of neutrality: with pruning on, a known-vulnerable
-  // package still yields its annotated report.
+  // Sanity on top of neutrality: a known-vulnerable package yields its
+  // annotated report.
   workload::PackageGenerator Gen(7);
   workload::Package P =
       Gen.vulnerable(queries::VulnType::CommandInjection,
@@ -473,5 +472,5 @@ TEST(NeutralityTest, PruningKeepsAnnotatedVulnerabilitiesDetected) {
   for (const queries::VulnReport &Rep : R.Reports)
     for (const workload::Annotation &A : P.Annotations)
       Found |= Rep.Type == A.Type && Rep.SinkLoc.Line == A.SinkLine;
-  EXPECT_TRUE(Found) << "pruning lost the annotated finding";
+  EXPECT_TRUE(Found) << "the scan lost the annotated finding";
 }

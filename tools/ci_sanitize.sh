@@ -59,9 +59,10 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 # trips.
 "$BUILD_DIR/tests/test_obs"
 
-# The pruning suite: call-graph + taint-summary bit manipulation (the
-# origin-mask shifts UBSan vets) and the detection-neutrality sweep over
-# both query backends.
+# The call-graph + summary suite: taint-summary bit manipulation (the
+# origin-mask shifts UBSan vets), the pruning decisions `graphjs callgraph
+# --summaries` prints, and the recorded report-set sweep over both query
+# backends.
 "$BUILD_DIR/tests/test_summaries"
 
 # The cross-package suite: package-graph discovery walks real directory

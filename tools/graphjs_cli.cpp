@@ -53,8 +53,8 @@
 //   --supervisor-id <id>    stable id in lease records (default pid-hex)
 //   --chaos-kill-after <n>  test harness: SIGKILL this supervisor right
 //                           after its (n+1)-th start record
-//   --summary and the scan flags (--sinks, --native, --no-prune,
-//   --no-async-lower) also apply
+//   --summary and the scan flags (--sinks, --native, --no-async-lower)
+//   also apply
 //
 // Serve options (graphjs serve):
 //   --socket <path>         Unix-domain socket to bind (required)
@@ -93,7 +93,6 @@
 //   --emit-summaries <dir>  with --with-deps: write per-package taint
 //                           summary JSON files into <dir>
 //   --self-check            run the MDG well-formedness checker too
-//   --no-prune              disable summary-based pre-query pruning
 //   --no-async-lower        disable async lowering (await, promise
 //                           reactions)
 //
@@ -155,7 +154,7 @@ int usage() {
       stderr,
       "usage: graphjs scan [--sinks cfg.json] [--native] [--confirm]\n"
       "                    [--dump-core] [--dump-mdg] [--summary]\n"
-      "                    [--self-check] [--no-prune] [--no-async-lower]\n"
+      "                    [--self-check] [--no-async-lower]\n"
       "                    [--trace] [--trace-out t.json] [--package]\n"
       "                    <file.js>...\n"
       "       graphjs scan --with-deps [--emit-summaries dir] [options]\n"
@@ -174,14 +173,14 @@ int usage() {
       "                     [--lease-expiry-ms n] [--quarantine-after n]\n"
       "                     [--supervisor-id id] [--chaos-kill-after n]\n"
       "                     [--sinks cfg.json] [--native] [--summary]\n"
-      "                     [--no-prune] [--no-async-lower]\n"
+      "                     [--no-async-lower]\n"
       "                     <dir|list.txt|file.js>...\n"
       "       graphjs serve --socket path [--jobs n] [--queue-max n]\n"
       "                     [--journal out.jsonl] [--deadline-ms n]\n"
       "                     [--kill-after-ms n] [--recycle-after n]\n"
       "                     [--recycle-mem-mb n] [--mem-limit-mb n]\n"
       "                     [--heartbeat-ms n] [--sinks cfg.json]\n"
-      "                     [--metrics-out m.prom] [--native] [--no-prune]\n"
+      "                     [--metrics-out m.prom] [--native]\n"
       "                     [--no-async-lower] [--quiet]\n"
       "                     [--client '<json-request>']\n"
       "                     [--retry-budget-ms n]\n"
@@ -240,7 +239,7 @@ bool loadSinkConfig(const std::string &Path, queries::SinkConfig &Sinks) {
 enum class ScanFlag { None, Parsed, BadSinks };
 
 /// Parses one of the scan flags `scan`, `batch` and `serve` share —
-/// --native, --no-prune, --no-async-lower and --sinks cfg.json, whose
+/// --native, --no-async-lower and --sinks cfg.json, whose
 /// config is loaded here — at argv[I] into \p Scan, advancing I past a
 /// flag value.
 ScanFlag parseScanFlag(int Argc, char **Argv, int &I,
@@ -248,8 +247,6 @@ ScanFlag parseScanFlag(int Argc, char **Argv, int &I,
   std::string Arg = Argv[I];
   if (Arg == "--native")
     Scan.Backend = scanner::QueryBackend::Native;
-  else if (Arg == "--no-prune")
-    Scan.Prune = false;
   else if (Arg == "--no-async-lower")
     Scan.AsyncLower = false;
   else if (Arg == "--sinks" && I + 1 < Argc)
@@ -327,30 +324,6 @@ int runScan(const std::vector<std::string> &Files,
       std::printf("== %s: Core JavaScript ==\n%s\n", Path.c_str(),
                   core::dump(*Program).c_str());
 
-    // Summary-based pre-query pruning (same stage the package scanner
-    // runs): classes the exported API provably cannot reach are skipped.
-    std::array<bool, queries::NumVulnTypes> Enabled;
-    Enabled.fill(true);
-    if (Scan.Prune) {
-      obs::Span PruneSpan(TR, "prune");
-      std::vector<const core::Program *> Mods{Program.get()};
-      analysis::CallGraph CG = analysis::CallGraph::build(Mods, {""});
-      analysis::SummarySet Sums =
-          analysis::computeSummaries(CG, Mods, queries::toSinkTable(Sinks));
-      analysis::PruneDecision PD = analysis::decidePruning(CG, Sums);
-      for (int C = 0; C < queries::NumVulnTypes; ++C)
-        Enabled[C] = !PD.Prunable[C];
-      obs::counters::SummariesComputed.add(Sums.Summaries.size());
-      obs::counters::CallGraphEdgesResolved.add(CG.numResolvedEdges());
-      obs::counters::CallGraphEdgesUnresolved.add(CG.numUnresolvedSites());
-      obs::counters::PruneQueriesSkipped.add(PD.numPruned());
-      PruneSpan.arg("pruned", static_cast<uint64_t>(PD.numPruned()));
-      PruneSpan.arg("decision", PD.str());
-    }
-    bool AllPruned = true;
-    for (bool En : Enabled)
-      AllPruned = AllPruned && !En;
-
     obs::Span BuildSpan(TR, "build");
     analysis::BuildResult Build = analysis::buildMDG(*Program);
     BuildSpan.arg("mdg_nodes", static_cast<uint64_t>(Build.Graph.numNodes()));
@@ -380,12 +353,9 @@ int runScan(const std::vector<std::string> &Files,
       std::printf("%s", Build.Graph.toDot(Build.Props).c_str());
 
     std::vector<queries::VulnReport> Reports;
-    if (AllPruned) {
-      // Every class pruned: the import and query phases are skipped.
-      obs::counters::PruneImportsSkipped.add();
-    } else if (Native) {
+    if (Native) {
       obs::Span NativeSpan(TR, "native-query");
-      Reports = queries::detectNative(Build, Sinks, Enabled);
+      Reports = queries::detectNative(Build, Sinks);
       NativeSpan.arg("reports", static_cast<uint64_t>(Reports.size()));
     } else {
       graphdb::EngineOptions EO;
@@ -394,7 +364,7 @@ int runScan(const std::vector<std::string> &Files,
       queries::GraphDBRunner Runner(Build, EO);
       ImportSpan.close();
       obs::Span QuerySpan(TR, "query");
-      Reports = Runner.detect(Sinks, nullptr, Enabled);
+      Reports = Runner.detect(Sinks);
       QuerySpan.arg("reports", static_cast<uint64_t>(Reports.size()));
     }
 
@@ -472,11 +442,6 @@ int runPackageScan(const std::vector<std::string> &Files,
   if (Summary) {
     std::printf("package (%zu files): %zu finding(s)\n", Sources.size(),
                 R.Reports.size());
-    if (R.PrunedQueries)
-      std::printf("  pruned %u quer%s%s (%s)\n", R.PrunedQueries,
-                  R.PrunedQueries == 1 ? "y" : "ies",
-                  R.PruneSkippedImport ? " + import" : "",
-                  R.PruneReason.c_str());
     for (const queries::VulnReport &Rep : R.Reports)
       std::printf("  %s\n", Rep.str().c_str());
   } else {
@@ -623,11 +588,6 @@ int runDepsScan(const std::string &RootDir, const scanner::ScanOptions &O,
         std::printf(" %s", Dep.c_str());
       std::printf("\n");
     }
-    if (R.PrunedQueries)
-      std::printf("  pruned %u quer%s%s (%s)\n", R.PrunedQueries,
-                  R.PrunedQueries == 1 ? "y" : "ies",
-                  R.PruneSkippedImport ? " + import" : "",
-                  R.PruneReason.c_str());
     for (const queries::VulnReport &Rep : R.Reports)
       std::printf("  %s\n", Rep.str().c_str());
   } else {
@@ -707,8 +667,8 @@ int runCallGraph(const std::vector<std::string> &Files, bool Dot,
   if (!SinksFile.empty() && !loadSinkConfig(SinksFile, Sinks))
     return 1;
 
-  // Same per-module name prefixing as the package scanner, so the graph
-  // matches what the pruning stage sees.
+  // Same per-module name prefixing as the package scanner, so function
+  // names match the scanner's MDG and self-check.
   bool SingleFile = Files.size() == 1;
   core::StmtIndex NextIndex = 1;
   std::vector<std::unique_ptr<core::Program>> Programs;
