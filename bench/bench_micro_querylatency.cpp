@@ -2,7 +2,7 @@
 //
 // Part of graphjs-cpp (PLDI 2024 MDG reproduction).
 //
-// Microbenchmarks of the two query backends on the same MDG: the
+// Microbenchmarks of the two Table 2 detectors on the same MDG: the
 // interpreted graph-database engine (the paper's Neo4j role) vs. the
 // native Table 1 traversals (ODGen's in-process style). The measured gap
 // is the mechanism behind Table 6's taint-phase contrast.

@@ -14,10 +14,13 @@
 ///    deduplication (the paper's "500 lines of Python").
 ///
 ///  - **detectNative** — the same detectors implemented directly with the
-///    Table 1 traversals. Used as a cross-validation oracle in tests and
-///    as a fast backend; its relative speed vs. the query engine is the
-///    Table 6 phenomenon ("ODGen's queries [are] natively implemented ...
-///    whereas Graph.js relies on Neo4j's query engine, which is slower").
+///    Table 1 traversals. The scanner queries only through the graph DB;
+///    detectNative is the oracle the backend-agreement tests compare it
+///    against and the scanner's partial-results fallback when a deadline
+///    kills the graph-DB phases. Its relative speed vs. the query engine
+///    is the Table 6 phenomenon ("ODGen's queries [are] natively
+///    implemented ... whereas Graph.js relies on Neo4j's query engine,
+///    which is slower").
 ///
 //===----------------------------------------------------------------------===//
 

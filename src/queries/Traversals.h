@@ -21,8 +21,8 @@
 /// subset-subsumption, so the search stays polynomial on real MDGs.
 ///
 /// These native traversals serve three roles: cross-validation oracle for
-/// the query-engine results, the fast query backend, and the reference the
-/// ODGen baseline's traversals are compared against.
+/// the query-engine results, the scanner's partial-results fallback, and
+/// the reference the ODGen baseline's traversals are compared against.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -257,6 +257,13 @@ SourceLocation firstErrorLoc(const DiagnosticEngine &Diags) {
 // Scanner
 //===----------------------------------------------------------------------===//
 
+analysis::BuilderOptions ScanOptions::builderOptions() const {
+  analysis::BuilderOptions BO = Builder;
+  for (const std::string &Name : Sinks.sanitizers())
+    BO.Sanitizers.insert(Name);
+  return BO;
+}
+
 Scanner::Scanner(ScanOptions Options) : Options(std::move(Options)) {}
 
 ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
@@ -268,8 +275,6 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   obs::counters::ScanAttempts.add();
   obs::Span AttemptSpan(TR, "attempt");
   AttemptSpan.arg("level", static_cast<uint64_t>(Level));
-  AttemptSpan.arg("backend",
-                  Cfg.Backend == QueryBackend::GraphDB ? "graphdb" : "native");
 
   // One deadline for the whole attempt, threaded through every phase. An
   // inactive budget yields a never-expiring token, which stall faults can
@@ -440,7 +445,6 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
     }
 
   // Phase 3: MDG construction over all parsed modules, deps first.
-  // Configured sanitizers become builder-level taint barriers (§6).
   Phase.reset();
   std::vector<analysis::PackageModule> Modules;
   if (Link) {
@@ -462,10 +466,8 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   {
     obs::Span BuildSpan(TR, "build");
     if (!inject(ScanPhase::Build) && !Modules.empty()) {
-      analysis::BuilderOptions BO = Cfg.Builder;
+      analysis::BuilderOptions BO = Cfg.builderOptions();
       BO.ScanDeadline = &D;
-      for (const std::string &Name : Cfg.Sinks.sanitizers())
-        BO.Sanitizers.insert(Name);
       if (Files.size() == 1 && !Link) {
         Build = analysis::buildMDG(*Programs[0], BO);
       } else {
@@ -502,68 +504,58 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   // queries are schema-validated first: a malformed query must fail the
   // scan loudly, not return an empty (vacuously clean) report set.
   if (HaveGraph) {
-    if (Cfg.Backend == QueryBackend::GraphDB) {
-      if (!queries::GraphDBRunner::validateBuiltinQueries(
-                     Cfg.Sinks, &Out.SchemaError)) {
-        Out.Errors.push_back({ScanPhase::Query, ScanErrorKind::Schema,
-                              Out.SchemaError, ""});
-      } else if (!inject(ScanPhase::Import)) {
-        Phase.reset();
-        graphdb::EngineOptions EO = Cfg.Engine;
-        EO.ScanDeadline = &D;
-        EO.Trace = TR;
-        obs::Span ImportSpan(TR, "import");
-        queries::GraphDBRunner Runner(Build, EO);
-        ImportSpan.arg("db_nodes",
-                       static_cast<uint64_t>(Runner.database().numNodes()));
-        ImportSpan.arg("db_rels",
-                       static_cast<uint64_t>(Runner.database().numRels()));
-        ImportSpan.close();
-        Out.Times.DbImport = Phase.elapsedSeconds();
-        noteDeadline(ScanPhase::Import);
+    if (!queries::GraphDBRunner::validateBuiltinQueries(Cfg.Sinks,
+                                                        &Out.SchemaError)) {
+      Out.Errors.push_back({ScanPhase::Query, ScanErrorKind::Schema,
+                            Out.SchemaError, ""});
+    } else if (!inject(ScanPhase::Import)) {
+      Phase.reset();
+      graphdb::EngineOptions EO = Cfg.Engine;
+      EO.ScanDeadline = &D;
+      EO.Trace = TR;
+      obs::Span ImportSpan(TR, "import");
+      queries::GraphDBRunner Runner(Build, EO);
+      ImportSpan.arg("db_nodes",
+                     static_cast<uint64_t>(Runner.database().numNodes()));
+      ImportSpan.arg("db_rels",
+                     static_cast<uint64_t>(Runner.database().numRels()));
+      ImportSpan.close();
+      Out.Times.DbImport = Phase.elapsedSeconds();
+      noteDeadline(ScanPhase::Import);
 
-        if (!inject(ScanPhase::Query)) {
-          Phase.reset();
-          obs::Span QuerySpan(TR, "query");
-          queries::DetectStats Stats;
-          Out.Reports = Runner.detect(Cfg.Sinks, &Stats);
-          QuerySpan.arg("reports", static_cast<uint64_t>(Out.Reports.size()));
-          QuerySpan.arg("work", Stats.QueryWork);
-          QuerySpan.close();
-          Out.Times.Query = Phase.elapsedSeconds();
-          Out.QueryWork = Stats.QueryWork;
-          noteDeadline(ScanPhase::Query);
-          // The query engine's own step budget (deadline still live) is a
-          // Query-phase Budget error — distinct from a graph-construction
-          // timeout.
-          if (Stats.TimedOut && !D.expired())
-            Out.Errors.push_back({ScanPhase::Query, ScanErrorKind::Budget,
-                                  "query step budget exhausted (steps=" +
-                                      std::to_string(Stats.QueryWork) + ")",
-                                  ""});
-        }
-      }
-      // Partial-results guarantee (the Graph.js vs. ODGen difference,
-      // §5.2): when the deadline killed the DB-side phases before any
-      // report came back, still query the in-memory partial MDG with the
-      // native traversals, which are bounded by the (partial) graph size.
-      if (D.expired() && Out.Reports.empty()) {
+      if (!inject(ScanPhase::Query)) {
         Phase.reset();
-        obs::Span NativeSpan(TR, "native-query");
-        NativeSpan.arg("fallback", "partial-results");
-        Out.Reports = queries::detectNative(Build, Cfg.Sinks);
-        NativeSpan.arg("reports", static_cast<uint64_t>(Out.Reports.size()));
-        NativeSpan.close();
-        Out.Times.Query += Phase.elapsedSeconds();
+        obs::Span QuerySpan(TR, "query");
+        queries::DetectStats Stats;
+        Out.Reports = Runner.detect(Cfg.Sinks, &Stats);
+        QuerySpan.arg("reports", static_cast<uint64_t>(Out.Reports.size()));
+        QuerySpan.arg("work", Stats.QueryWork);
+        QuerySpan.close();
+        Out.Times.Query = Phase.elapsedSeconds();
+        Out.QueryWork = Stats.QueryWork;
+        noteDeadline(ScanPhase::Query);
+        // The query engine's own step budget (deadline still live) is a
+        // Query-phase Budget error — distinct from a graph-construction
+        // timeout.
+        if (Stats.TimedOut && !D.expired())
+          Out.Errors.push_back({ScanPhase::Query, ScanErrorKind::Budget,
+                                "query step budget exhausted (steps=" +
+                                    std::to_string(Stats.QueryWork) + ")",
+                                ""});
       }
-    } else if (!inject(ScanPhase::Query)) {
+    }
+    // Partial-results guarantee (the Graph.js vs. ODGen difference, §5.2):
+    // when the deadline killed the DB-side phases before any report came
+    // back, still query the in-memory partial MDG with the native
+    // traversals, which are bounded by the (partial) graph size.
+    if (D.expired() && Out.Reports.empty()) {
       Phase.reset();
       obs::Span NativeSpan(TR, "native-query");
+      NativeSpan.arg("fallback", "partial-results");
       Out.Reports = queries::detectNative(Build, Cfg.Sinks);
       NativeSpan.arg("reports", static_cast<uint64_t>(Out.Reports.size()));
       NativeSpan.close();
-      Out.Times.Query = Phase.elapsedSeconds();
-      noteDeadline(ScanPhase::Query);
+      Out.Times.Query += Phase.elapsedSeconds();
     }
   }
 
@@ -591,18 +583,14 @@ bool Scanner::wantsDegradation(const ScanResult &R) {
   return false;
 }
 
-ScanOptions Scanner::degrade(const ScanOptions &Base, unsigned Level) {
+ScanOptions Scanner::degrade(const ScanOptions &Base) {
+  // Level 1: cheapen MDG construction (half the builder budget, shallower
+  // inlining, fewer fixpoint iterations); the graph DB still queries.
   ScanOptions Cfg = Base;
-  // Level 1: drop the graph database; run the Table 2 detectors as native
-  // traversals (no import phase, no query-engine steps).
-  Cfg.Backend = QueryBackend::Native;
-  if (Level >= 2) {
-    // Level 2: also cheapen MDG construction itself.
-    if (Cfg.Builder.WorkBudget)
-      Cfg.Builder.WorkBudget = std::max<uint64_t>(1, Cfg.Builder.WorkBudget / 2);
-    Cfg.Builder.MaxInlineDepth = std::min(Cfg.Builder.MaxInlineDepth, 2u);
-    Cfg.Builder.MaxFixpointIters = std::min(Cfg.Builder.MaxFixpointIters, 8u);
-  }
+  if (Cfg.Builder.WorkBudget)
+    Cfg.Builder.WorkBudget = std::max<uint64_t>(1, Cfg.Builder.WorkBudget / 2);
+  Cfg.Builder.MaxInlineDepth = std::min(Cfg.Builder.MaxInlineDepth, 2u);
+  Cfg.Builder.MaxFixpointIters = std::min(Cfg.Builder.MaxFixpointIters, 8u);
   return Cfg;
 }
 
@@ -659,22 +647,19 @@ ScanResult Scanner::scanWithLadder(const std::vector<SourceFile> &Files,
   Out.CumulativeTimes = Out.Times;
   Out.AttemptLog.push_back(recordOf(Out, 0));
 
-  // Degradation ladder: a containable failure gets retried with cheaper
-  // settings (a fresh deadline each attempt). Errors accumulate across
-  // attempts; the final attempt's reports and metrics win, but
-  // CumulativeTimes and AttemptLog keep every attempt's cost.
-  unsigned Level = 0;
-  while (wantsDegradation(Out) && Level < Options.MaxDegradation) {
-    ++Level;
+  // Degradation ladder: a containable failure gets one retry with a
+  // cheaper builder (and a fresh deadline). Errors accumulate across
+  // attempts; the retry's reports and metrics win, but CumulativeTimes and
+  // AttemptLog keep both attempts' cost.
+  if (wantsDegradation(Out) && Options.MaxDegradation > 0) {
     obs::counters::ScanRetries.add();
-    ScanResult Retry = runAttempt(Files, degrade(Options, Level), Armed(),
-                                  Level, Link);
-    AttemptRecord Rec = recordOf(Retry, Level);
+    ScanResult Retry = runAttempt(Files, degrade(Options), Armed(), 1, Link);
+    AttemptRecord Rec = recordOf(Retry, 1);
     Retry.Errors.insert(Retry.Errors.begin(), Out.Errors.begin(),
                         Out.Errors.end());
-    Retry.Attempts = Out.Attempts + 1;
-    Retry.Retries = Level;
-    Retry.Degradation = Level;
+    Retry.Attempts = 2;
+    Retry.Retries = 1;
+    Retry.Degradation = 1;
     Retry.CumulativeTimes = Out.CumulativeTimes;
     Retry.CumulativeTimes.accumulate(Retry.Times);
     Retry.AttemptLog = std::move(Out.AttemptLog);

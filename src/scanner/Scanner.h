@@ -23,10 +23,11 @@
 ///    any phase on the Nth scanned package — how tests prove that every
 ///    phase's failure is contained.
 ///
-///  - A degradation ladder retries a failed package with cheaper settings
-///    (GraphDB backend → native traversals → reduced builder budget) and
-///    always queries the partial MDG, reproducing Graph.js's
-///    partial-results behavior vs. ODGen's all-or-nothing (§5.2, §5.5).
+///  - A degradation ladder retries a failed package once with a cheaper
+///    MDG builder, and a deadline that kills the graph-DB phases still
+///    queries the partial MDG with the native traversals, reproducing
+///    Graph.js's partial-results behavior vs. ODGen's all-or-nothing
+///    (§5.2, §5.5).
 ///
 /// Per-phase wall-clock times and graph sizes are recorded for the
 /// Table 6 / Table 7 / Figure 7 benchmarks.
@@ -63,12 +64,6 @@ class PackageGraph;
 
 namespace gjs {
 namespace scanner {
-
-/// Which query backend executes Table 2.
-enum class QueryBackend {
-  GraphDB, ///< Graph database + query language (the paper's pipeline).
-  Native,  ///< Direct Table 1 traversals.
-};
 
 /// The per-package budget: wall-clock seconds for production batches,
 /// abstract work units for deterministic tests/benches. Either may be 0
@@ -127,7 +122,6 @@ struct ScanOptions {
   queries::SinkConfig Sinks = queries::SinkConfig::defaults();
   analysis::BuilderOptions Builder;
   graphdb::EngineOptions Engine;
-  QueryBackend Backend = QueryBackend::GraphDB;
   /// Runs the MDG well-formedness checker over the freshly built graph and
   /// records its findings in ScanResult::SelfCheckFindings.
   bool SelfCheck = false;
@@ -146,16 +140,19 @@ struct ScanOptions {
   /// so taint crossing async boundaries appears in the MDG. `graphjs scan
   /// --no-async-lower` clears this (corpus A/B runs, lowering triage).
   bool AsyncLower = true;
-  /// Degradation-ladder depth: how many times a package whose scan hit a
+  /// Degradation-ladder depth: whether a package whose scan hit a
   /// containable failure (injected fault, deadline, work budget) is retried
-  /// with cheaper settings. 0 disables retries (single attempt, partial
-  /// results only). Level 1 switches GraphDB → native traversals; level 2
-  /// additionally reduces the builder budget.
-  unsigned MaxDegradation = 2;
+  /// once with a cheaper builder (level 1). 0 disables the retry (single
+  /// attempt, partial results only); any value above 1 acts as 1.
+  unsigned MaxDegradation = 1;
   /// Optional span recorder (non-owning, branch-on-null): the scan records
   /// a package → attempt → phase span tree under it, with per-file and
   /// per-query children (`graphjs scan --trace` / `--trace-out`).
   obs::TraceRecorder *Trace = nullptr;
+
+  /// The MDG builder settings a scan uses: Builder, with the sink
+  /// configuration's sanitizers as taint barriers (§6).
+  analysis::BuilderOptions builderOptions() const;
 };
 
 /// Per-phase timing (seconds) — the Table 6 breakdown.
@@ -318,8 +315,8 @@ private:
   /// True when the attempt's errors warrant a cheaper retry.
   static bool wantsDegradation(const ScanResult &R);
 
-  /// Settings for ladder level \p Level (1-based).
-  static ScanOptions degrade(const ScanOptions &Base, unsigned Level);
+  /// Settings for the ladder's one retry (level 1).
+  static ScanOptions degrade(const ScanOptions &Base);
 };
 
 /// Serializes reports as a JSON array (tool output).

@@ -10,15 +10,15 @@
 //    `new Promise(executor)`, Promise statics) rewrites into the documented
 //    suspend/resume/reaction/resolver shape, visible as role markers in the
 //    Core IR dump, with the matching AsyncLowerStats.
-//  - Detection: the workload generator's async shapes are found in BOTH
-//    query backends, at the annotated sink line — and the promise-carried
-//    shapes are provably MISSED when lowering is disabled (the acceptance
-//    criterion that the detection is the lowering's doing).
+//  - Detection: the scanner finds the workload generator's async shapes at
+//    the annotated sink line — and the promise-carried shapes are provably
+//    MISSED when lowering is disabled (the acceptance criterion that the
+//    detection is the lowering's doing). The native traversals agree on
+//    the async twins (BackendDifferentialTest in test_queries.cpp).
 //  - No regressions: error-first callbacks detect with lowering on or off;
 //    benign async twins stay clean in both modes.
-//  - Prune neutrality: the async corpus yields, in either backend, the
-//    report sets recorded when scans still ran the retired summary-based
-//    pruning stage.
+//  - Prune neutrality: the async corpus yields the report sets recorded
+//    when scans still ran the retired summary-based pruning stage.
 //  - The async lint pass accepts the lowering's real output and rejects
 //    hand-broken shapes (orphan suspend/resume/promise).
 //  - Parse errors carry a structured line:column SourceLocation.
@@ -67,10 +67,8 @@ size_t countMarker(const std::string &Dump, const std::string &Role) {
 }
 
 std::vector<queries::VulnReport>
-scan(const std::vector<scanner::SourceFile> &Files, scanner::QueryBackend B,
-     bool AsyncLower) {
+scan(const std::vector<scanner::SourceFile> &Files, bool AsyncLower) {
   scanner::ScanOptions O;
-  O.Backend = B;
   O.AsyncLower = AsyncLower;
   scanner::Scanner S(O);
   return S.scanPackage(Files).Reports;
@@ -83,13 +81,6 @@ bool hasAnnotatedReport(const std::vector<queries::VulnReport> &Reports,
       if (R.Type == A.Type && R.SinkLoc.Line == A.SinkLine)
         return true;
   return false;
-}
-
-const scanner::QueryBackend BothBackends[] = {scanner::QueryBackend::GraphDB,
-                                              scanner::QueryBackend::Native};
-
-const char *backendName(scanner::QueryBackend B) {
-  return B == scanner::QueryBackend::GraphDB ? "graphdb" : "native";
 }
 
 //===----------------------------------------------------------------------===//
@@ -187,7 +178,7 @@ TEST(AsyncLowerTest, LoweringIsIdempotentOnItsOwnOutput) {
 }
 
 //===----------------------------------------------------------------------===//
-// Detection: both backends, plus the asserted miss without lowering
+// Detection, plus the asserted miss without lowering
 //===----------------------------------------------------------------------===//
 
 // The promise-carried shapes: taint reaches the sink only through the
@@ -196,17 +187,16 @@ const workload::AsyncForm PromiseForms[] = {
     workload::AsyncForm::Await, workload::AsyncForm::ThenChain,
     workload::AsyncForm::PromiseExecutor};
 
+// Both backends: the scanner's graph DB here, the native traversals on the
+// same twins through BackendDifferentialTest (test_queries.cpp).
 TEST(AsyncDetectionTest, PromiseFormsDetectedInBothBackends) {
   for (workload::AsyncForm F : PromiseForms) {
     workload::PackageGenerator Gen(7);
     workload::Package P = Gen.asyncVulnerable(F);
     ASSERT_EQ(P.Annotations.size(), 1u);
-    for (scanner::QueryBackend B : BothBackends) {
-      auto Reports = scan(P.Files, B, /*AsyncLower=*/true);
-      EXPECT_TRUE(hasAnnotatedReport(Reports, P))
-          << workload::asyncFormName(F) << " undetected on " << backendName(B)
-          << ":\n" << P.Files[0].Contents;
-    }
+    EXPECT_TRUE(hasAnnotatedReport(scan(P.Files, /*AsyncLower=*/true), P))
+        << workload::asyncFormName(F) << " undetected:\n"
+        << P.Files[0].Contents;
   }
 }
 
@@ -217,12 +207,9 @@ TEST(AsyncDetectionTest, PromiseFormsMissedWithoutLowering) {
   for (workload::AsyncForm F : PromiseForms) {
     workload::PackageGenerator Gen(7);
     workload::Package P = Gen.asyncVulnerable(F);
-    for (scanner::QueryBackend B : BothBackends) {
-      auto Reports = scan(P.Files, B, /*AsyncLower=*/false);
-      EXPECT_FALSE(hasAnnotatedReport(Reports, P))
-          << workload::asyncFormName(F) << " unexpectedly detected without "
-          << "lowering on " << backendName(B);
-    }
+    EXPECT_FALSE(hasAnnotatedReport(scan(P.Files, /*AsyncLower=*/false), P))
+        << workload::asyncFormName(F)
+        << " unexpectedly detected without lowering";
   }
 }
 
@@ -232,10 +219,9 @@ TEST(AsyncDetectionTest, ErrorFirstCallbackDetectedWithAndWithoutLowering) {
   workload::PackageGenerator Gen(7);
   workload::Package P =
       Gen.asyncVulnerable(workload::AsyncForm::ErrorFirstCallback);
-  for (scanner::QueryBackend B : BothBackends)
-    for (bool Lower : {true, false})
-      EXPECT_TRUE(hasAnnotatedReport(scan(P.Files, B, Lower), P))
-          << backendName(B) << " lower=" << Lower;
+  for (bool Lower : {true, false})
+    EXPECT_TRUE(hasAnnotatedReport(scan(P.Files, Lower), P))
+        << "lower=" << Lower;
 }
 
 TEST(AsyncDetectionTest, BenignTwinsStayClean) {
@@ -248,14 +234,12 @@ TEST(AsyncDetectionTest, BenignTwinsStayClean) {
   for (workload::AsyncForm F : AllForms) {
     workload::PackageGenerator Gen(11);
     workload::Package P = Gen.asyncBenign(F);
-    for (scanner::QueryBackend B : BothBackends)
-      for (bool Lower : {true, false}) {
-        auto Reports = scan(P.Files, B, Lower);
-        EXPECT_TRUE(Reports.empty())
-            << workload::asyncFormName(F) << " on " << backendName(B)
-            << " lower=" << Lower << ": "
-            << scanner::reportsToJSON(Reports);
-      }
+    for (bool Lower : {true, false}) {
+      auto Reports = scan(P.Files, Lower);
+      EXPECT_TRUE(Reports.empty())
+          << workload::asyncFormName(F) << " lower=" << Lower << ": "
+          << scanner::reportsToJSON(Reports);
+    }
   }
 }
 
@@ -284,15 +268,14 @@ TEST(AsyncPruneTest, PruningIsDetectionNeutralOnAsyncCorpus) {
       {"CWE-22@4:readFile", "CWE-78@5:exec"}, {}, // error-first callback
   };
   ASSERT_EQ(Corpus.size(), Want.size());
-  for (size_t I = 0; I < Corpus.size(); ++I)
-    for (scanner::QueryBackend B : BothBackends) {
-      std::set<std::string> Got;
-      for (const queries::VulnReport &R :
-           scan(Corpus[I].Files, B, /*AsyncLower=*/true))
-        Got.insert(std::string(queries::cweOf(R.Type)) + "@" +
-                   std::to_string(R.SinkLoc.Line) + ":" + R.SinkName);
-      EXPECT_EQ(Got, Want[I]) << Corpus[I].Name << " on " << backendName(B);
-    }
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    std::set<std::string> Got;
+    for (const queries::VulnReport &R :
+         scan(Corpus[I].Files, /*AsyncLower=*/true))
+      Got.insert(std::string(queries::cweOf(R.Type)) + "@" +
+                 std::to_string(R.SinkLoc.Line) + ":" + R.SinkName);
+    EXPECT_EQ(Got, Want[I]) << Corpus[I].Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -248,17 +248,19 @@ TEST(FaultInjectionTest, FaultTargetsTheNthPackageAndIsOneShot) {
 TEST(DeadlineAttributionTest, MidBuildExpiryIsAttributedToBuild) {
   // Pass 1 (no deadline) measures the deterministic unit sequence: total
   // units T and builder units B. Pass 2 sets the budget to land inside the
-  // build phase (T - B/2). Native backend keeps query units at zero, so
-  // the build phase is the tail of the sequence.
+  // build phase (T - B/2). An import fault in pass 1 keeps import and query
+  // units out of T, so the build phase is the tail of the sequence.
   scanner::ScanOptions Measure;
-  Measure.Backend = scanner::QueryBackend::Native;
   Measure.MaxDegradation = 0;
+  Measure.Fault = FaultPlan{ScanPhase::Import, FaultPlan::Action::Fail, 0};
   ScanResult M = scanner::Scanner(Measure).scanSource(VulnSource);
-  ASSERT_TRUE(M.Errors.empty());
+  ASSERT_EQ(M.Errors.size(), 1u);
+  ASSERT_EQ(M.Errors[0].Kind, ScanErrorKind::InjectedFault);
   ASSERT_GE(M.BuildWork, 4u);
   ASSERT_GT(M.DeadlineWork, M.BuildWork);
 
-  scanner::ScanOptions O = Measure;
+  scanner::ScanOptions O;
+  O.MaxDegradation = 0;
   O.Deadline.WorkUnits = M.DeadlineWork - M.BuildWork / 2;
   ScanResult R = scanner::Scanner(O).scanSource(VulnSource);
   EXPECT_TRUE(R.timedOut());
@@ -270,7 +272,7 @@ TEST(DeadlineAttributionTest, MidBuildExpiryIsAttributedToBuild) {
 }
 
 TEST(DeadlineAttributionTest, MidQueryExpiryIsAttributedToQuery) {
-  // Same two-pass trick on the GraphDB backend: query-engine matcher steps
+  // Same two-pass trick without the fault: query-engine matcher steps
   // are the tail of the unit sequence, so a budget of T - Q/2 expires
   // mid-query — and must be reported as a Query timeout, not Build.
   scanner::ScanOptions Measure;
@@ -298,8 +300,8 @@ TEST(DeadlineAttributionTest, LadderTurnsMidQueryTimeoutIntoResults) {
   scanner::ScanOptions O;
   O.Deadline.WorkUnits = M.DeadlineWork - M.QueryWork / 2;
   ScanResult R = scanner::Scanner(O).scanSource(VulnSource);
-  // Level 1 (native traversals) fits in the same budget: the DB import
-  // and matcher steps are gone.
+  // The level-1 retry times out mid-query again; its reports come from
+  // the partial-results fallback (native traversals over the built MDG).
   EXPECT_TRUE(R.timedOut());
   EXPECT_GE(R.Degradation, 1u);
   EXPECT_TRUE(hasCommandInjection(R));
@@ -395,7 +397,6 @@ TEST(BatchDriverTest, FaultedPackageIsJournaledAndBatchCompletes) {
   std::remove(Journal.c_str());
 
   driver::BatchOptions BO;
-  BO.Scan.Backend = scanner::QueryBackend::Native;
   BO.Scan.Fault = FaultPlan{ScanPhase::Build, FaultPlan::Action::Fail, 1};
   BO.JournalPath = Journal;
   driver::BatchDriver Driver(BO);
@@ -442,7 +443,6 @@ TEST(BatchDriverTest, ResumeSkipsJournaledPackages) {
 
   // First run "dies" after two packages (MaxPackages simulates the kill).
   driver::BatchOptions BO;
-  BO.Scan.Backend = scanner::QueryBackend::Native;
   BO.JournalPath = Journal;
   BO.MaxPackages = 2;
   driver::BatchSummary First = driver::BatchDriver(BO).run(Inputs);
@@ -484,7 +484,6 @@ TEST(BatchDriverTest, TruncatedJournalLineIsIgnoredOnResume) {
 
 TEST(BatchDriverTest, ParseErrorsDegradeButDoNotFailTheBatch) {
   driver::BatchOptions BO;
-  BO.Scan.Backend = scanner::QueryBackend::Native;
   driver::BatchSummary S = driver::BatchDriver(BO).run(
       {makeInput("bad", "function ( { ]"), makeInput("good", VulnSource)});
   EXPECT_EQ(S.Scanned, 2u);
@@ -504,7 +503,7 @@ TEST(BatchCLITest, InjectedFaultBatchCompletesRemainingPackages) {
   std::string Journal = ::testing::TempDir() + "gjs_cli_fault.jsonl";
   std::remove(Journal.c_str());
   std::string Cmd = std::string(GRAPHJS_BIN) +
-                    " batch --native --max-degradation 0" +
+                    " batch --max-degradation 0" +
                     " --inject-fault build:fail:0 --journal " + Journal +
                     " " + GJS_EXAMPLES_JS_DIR + " > /dev/null 2>&1";
   EXPECT_EQ(std::system(Cmd.c_str()), 0)
@@ -531,7 +530,7 @@ TEST(BatchCLITest, InjectedFaultBatchCompletesRemainingPackages) {
 TEST(BatchCLITest, ResumeAfterKillRescansOnlyUnjournaled) {
   std::string Journal = ::testing::TempDir() + "gjs_cli_resume.jsonl";
   std::remove(Journal.c_str());
-  std::string Base = std::string(GRAPHJS_BIN) + " batch --native --journal " +
+  std::string Base = std::string(GRAPHJS_BIN) + " batch --journal " +
                      Journal + " ";
   std::string Dir = GJS_EXAMPLES_JS_DIR;
 
@@ -599,7 +598,7 @@ TEST(BatchCLITest, ResumeSkipsJournalLinesWithRetiredPruneFields) {
   }
 
   std::string Cmd = std::string(GRAPHJS_BIN) +
-                    " batch --native --summary --resume --journal " + Journal +
+                    " batch --summary --resume --journal " + Journal +
                     " " + GJS_EXAMPLES_JS_DIR + " > " + Out + " 2>/dev/null";
   EXPECT_EQ(std::system(Cmd.c_str()), 0);
   std::vector<std::string> Printed = readLines(Out);

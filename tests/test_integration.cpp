@@ -5,8 +5,9 @@
 // Drives the full Graph.js pipeline and the ODGen baseline over generated
 // dataset packages, checking the cross-cutting invariants the evaluation
 // depends on: both tools run on every generated shape without crashing,
-// annotated Plain flows are detected, the two query backends agree on
-// dataset packages, and the harness produces sane outcomes.
+// annotated Plain flows are detected, and the harness produces sane
+// outcomes. (Query-backend agreement on dataset packages is part of
+// BackendDifferentialTest in test_queries.cpp.)
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,8 +15,6 @@
 #include "workload/Datasets.h"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 using namespace gjs;
 using namespace gjs::eval;
@@ -96,24 +95,6 @@ TEST(IntegrationTest, SanitizedDecoysSplitTheTools) {
       << "Graph.js must not report the overwritten decoy";
   EXPECT_GE(OD[0].Reports.size(), 2u)
       << "the unversioned baseline over-taints";
-}
-
-TEST(IntegrationTest, BackendsAgreeAcrossDatasetSample) {
-  auto Packages = smallDataset(202);
-  scanner::ScanOptions NativeOpts;
-  NativeOpts.Backend = scanner::QueryBackend::Native;
-  scanner::ScanOptions DbOpts;
-  for (const Package &P : Packages) {
-    scanner::Scanner DB(DbOpts), Native(NativeOpts);
-    auto RDb = DB.scanPackage(P.Files);
-    auto RNat = Native.scanPackage(P.Files);
-    if (RDb.timedOut() || RNat.timedOut())
-      continue;
-    std::sort(RDb.Reports.begin(), RDb.Reports.end());
-    std::sort(RNat.Reports.begin(), RNat.Reports.end());
-    EXPECT_EQ(RDb.Reports, RNat.Reports)
-        << "backend divergence on " << P.Name;
-  }
 }
 
 TEST(IntegrationTest, CollectedScanFindsPlantedVulnsAndLoaderFPs) {

@@ -751,16 +751,28 @@ TEST(ScanObsTest, BuildSpanAndCountersShowWhereTheBuildIterates) {
             Before.at("phase.normalize_us").count() + 1);
 }
 
-TEST(ScanObsTest, NativeBackendTracesNativeQuerySpan) {
+TEST(ScanObsTest, QueryStallTracesPartialResultsFallback) {
+  // A stalled query with no retry: the scan still reports, through the
+  // native traversals over the built MDG, and the trace says so.
   TraceRecorder TR;
   scanner::ScanOptions O;
   O.Trace = &TR;
-  O.Backend = scanner::QueryBackend::Native;
+  O.MaxDegradation = 0;
+  scanner::FaultPlan Fault;
+  ASSERT_TRUE(scanner::FaultPlan::parse("query:stall:0", Fault));
+  O.Fault = Fault;
   scanner::Scanner S(O);
-  S.scanPackage({{"index.js", VulnSource}});
-  EXPECT_TRUE(spanNames(TR).count("native-query"));
-  EXPECT_FALSE(spanNames(TR).count("import"))
-      << "native backend must skip the graph-database import";
+  scanner::ScanResult R = S.scanPackage({{"index.js", VulnSource}});
+  EXPECT_EQ(R.Attempts, 1u);
+  EXPECT_TRUE(R.timedOutIn(scanner::ScanPhase::Query));
+  ASSERT_FALSE(R.Reports.empty());
+
+  std::map<std::string, std::string> Args;
+  for (const auto &Sp : TR.spans())
+    if (Sp.Name == "native-query")
+      Args.insert(Sp.Args.begin(), Sp.Args.end());
+  EXPECT_EQ(Args["fallback"], "partial-results");
+  EXPECT_EQ(Args["reports"], std::to_string(R.Reports.size()));
 }
 
 TEST(ScanObsTest, ScanResultCarriesPerPackageCounterDeltas) {

@@ -7,13 +7,12 @@
 // linked scan (`scanDependencyTree`) — and the acceptance bars:
 //
 //  - a sink buried 3–4 dependency levels below the scan root is detected by
-//    the linked scan and missed by an isolated root-only scan, in BOTH
-//    query backends;
+//    the linked scan and missed by an isolated root-only scan;
 //  - a missing or unparseable dependency trips the soundness valve: the
 //    linked call graph keeps every class whose flow leads into it (no
 //    pruning decision through code we cannot see), and the linked scans
 //    reproduce the report sets recorded with the retired scan-path
-//    pruning stage on, in BOTH backends;
+//    pruning stage on;
 //  - per-package summary JSON round-trips, and a schema-version mismatch is
 //    an error, not a silent degradation;
 //  - the pkggraph lint pass reports dangling deps, cycles, and summary
@@ -50,26 +49,19 @@ using workload::DepTreeGenerator;
 
 namespace {
 
-scanner::ScanResult scanTree(const analysis::PackageGraph &G, bool Native) {
-  scanner::ScanOptions O;
-  if (Native)
-    O.Backend = scanner::QueryBackend::Native;
-  scanner::Scanner S(O);
+scanner::ScanResult scanTree(const analysis::PackageGraph &G) {
+  scanner::Scanner S;
   return S.scanDependencyTree(G);
 }
 
 /// The isolated baseline: only the scan root's own files, dependencies
 /// invisible (what per-package batch scanning sees).
-scanner::ScanResult scanRootOnly(const analysis::PackageGraph &G,
-                                 bool Native) {
+scanner::ScanResult scanRootOnly(const analysis::PackageGraph &G) {
   const analysis::PackageInfo &Root = G.packages()[G.rootIndex()];
   std::vector<scanner::SourceFile> Files;
   for (const analysis::PackageFile &F : Root.Files)
     Files.push_back({F.Path, F.Contents});
-  scanner::ScanOptions O;
-  if (Native)
-    O.Backend = scanner::QueryBackend::Native;
-  scanner::Scanner S(O);
+  scanner::Scanner S;
   return S.scanPackage(Files);
 }
 
@@ -255,7 +247,7 @@ TEST(PackageGraph, DiscoverNodeModulesLayout) {
   EXPECT_FALSE(G.hasMissing());
 
   // And the linked scan sees the flow through both packages.
-  scanner::ScanResult R = scanTree(G, /*Native=*/false);
+  scanner::ScanResult R = scanTree(G);
   ASSERT_EQ(R.Reports.size(), 1u);
   EXPECT_EQ(R.Reports[0].Type, VulnType::CommandInjection);
   EXPECT_EQ(R.LinkedPackages, 3u);
@@ -271,16 +263,16 @@ TEST(PackageGraph, ManifestSchemaMismatchIsAnError) {
 }
 
 //===----------------------------------------------------------------------===//
-// The acceptance bar: buried sinks, linked vs isolated, both backends
+// The acceptance bar: buried sinks, linked vs isolated
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-void expectBuriedSinkDetected(VulnType Type, unsigned Depth, bool Native) {
+void expectBuriedSinkDetected(VulnType Type, unsigned Depth) {
   DepTreeGenerator Gen(10 + Depth);
   DepTree T = Gen.chain(Type, Depth, /*Vulnerable=*/true);
 
-  scanner::ScanResult Linked = scanTree(T.Graph, Native);
+  scanner::ScanResult Linked = scanTree(T.Graph);
   ASSERT_FALSE(Linked.Reports.empty())
       << "depth-" << Depth << " sink missed by the linked scan";
   EXPECT_EQ(Linked.Reports[0].Type, Type);
@@ -289,7 +281,7 @@ void expectBuriedSinkDetected(VulnType Type, unsigned Depth, bool Native) {
 
   // The isolated root-only scan cannot see the flow: the require of the
   // first dependency is an external call.
-  scanner::ScanResult Isolated = scanRootOnly(T.Graph, Native);
+  scanner::ScanResult Isolated = scanRootOnly(T.Graph);
   EXPECT_TRUE(Isolated.Reports.empty())
       << "isolated scan should miss the buried sink";
 }
@@ -297,57 +289,46 @@ void expectBuriedSinkDetected(VulnType Type, unsigned Depth, bool Native) {
 } // namespace
 
 TEST(CrossPackageDetection, Depth3GraphDB) {
-  expectBuriedSinkDetected(VulnType::CommandInjection, 3, /*Native=*/false);
-}
-
-TEST(CrossPackageDetection, Depth3Native) {
-  expectBuriedSinkDetected(VulnType::CommandInjection, 3, /*Native=*/true);
+  expectBuriedSinkDetected(VulnType::CommandInjection, 3);
 }
 
 TEST(CrossPackageDetection, Depth4GraphDB) {
-  expectBuriedSinkDetected(VulnType::CodeInjection, 4, /*Native=*/false);
-}
-
-TEST(CrossPackageDetection, Depth4Native) {
-  expectBuriedSinkDetected(VulnType::CodeInjection, 4, /*Native=*/true);
+  expectBuriedSinkDetected(VulnType::CodeInjection, 4);
 }
 
 TEST(CrossPackageDetection, Depth1EveryClass) {
-  // Depth 1 (root -> sink package) for all four classes, graph DB backend.
+  // Depth 1 (root -> sink package) for all four classes.
   for (VulnType Type :
        {VulnType::CommandInjection, VulnType::CodeInjection,
         VulnType::PathTraversal, VulnType::PrototypePollution}) {
     DepTreeGenerator Gen(20);
     DepTree T = Gen.chain(Type, 1, true);
-    scanner::ScanResult R = scanTree(T.Graph, /*Native=*/false);
+    scanner::ScanResult R = scanTree(T.Graph);
     ASSERT_FALSE(R.Reports.empty()) << queries::vulnTypeName(Type);
     EXPECT_EQ(R.Reports[0].Type, Type) << queries::vulnTypeName(Type);
   }
 }
 
 TEST(CrossPackageDetection, BenignChainStaysClean) {
-  for (bool Native : {false, true}) {
-    DepTreeGenerator Gen(30);
-    DepTree T = Gen.chain(VulnType::CommandInjection, 3, /*Vulnerable=*/false);
-    scanner::ScanResult R = scanTree(T.Graph, Native);
-    EXPECT_TRUE(R.Reports.empty()) << "native=" << Native;
-  }
+  DepTreeGenerator Gen(30);
+  DepTree T = Gen.chain(VulnType::CommandInjection, 3, /*Vulnerable=*/false);
+  EXPECT_TRUE(scanTree(T.Graph).Reports.empty());
 }
 
 TEST(CrossPackageDetection, CyclicTreeDetectedBothBackends) {
-  for (bool Native : {false, true}) {
-    DepTreeGenerator Gen(40);
-    DepTree T = Gen.cyclic(VulnType::CommandInjection, /*Vulnerable=*/true);
-    scanner::ScanResult R = scanTree(T.Graph, Native);
-    ASSERT_FALSE(R.Reports.empty()) << "native=" << Native;
-    EXPECT_EQ(R.Reports[0].Type, VulnType::CommandInjection);
-  }
+  // The native traversals' side: BackendDifferentialTest (test_queries.cpp)
+  // runs the golden corpus's cyclic trees through both detectors.
+  DepTreeGenerator Gen(40);
+  DepTree T = Gen.cyclic(VulnType::CommandInjection, /*Vulnerable=*/true);
+  scanner::ScanResult R = scanTree(T.Graph);
+  ASSERT_FALSE(R.Reports.empty());
+  EXPECT_EQ(R.Reports[0].Type, VulnType::CommandInjection);
 }
 
 TEST(CrossPackageDetection, PruningIsDetectionNeutralOnTrees) {
-  // Linked scans of vulnerable, benign, and cyclic trees reproduce, in
-  // both backends, the findings recorded with the retired scan-path
-  // pruning stage on (which matched the unpruned scans then).
+  // Linked scans of vulnerable, benign, and cyclic trees reproduce the
+  // findings recorded with the retired scan-path pruning stage on (which
+  // matched the unpruned scans then).
   DepTreeGenerator Gen(50);
   std::vector<DepTree> Trees;
   Trees.push_back(Gen.chain(VulnType::CommandInjection, 2, true));
@@ -358,15 +339,12 @@ TEST(CrossPackageDetection, PruningIsDetectionNeutralOnTrees) {
   const std::vector<std::set<std::string>> Want = {
       {"CWE-78@4:exec"}, {"CWE-22@4:readFile"}, {}, {"CWE-1321@7"}};
   for (size_t I = 0; I < Trees.size(); ++I) {
-    for (bool Native : {false, true}) {
-      std::set<std::string> Got;
-      for (const queries::VulnReport &R :
-           scanTree(Trees[I].Graph, Native).Reports)
-        Got.insert(std::string(queries::cweOf(R.Type)) + "@" +
-                   std::to_string(R.SinkLoc.Line) +
-                   (R.SinkName.empty() ? "" : ":" + R.SinkName));
-      EXPECT_EQ(Got, Want[I]) << "tree " << I << " native=" << Native;
-    }
+    std::set<std::string> Got;
+    for (const queries::VulnReport &R : scanTree(Trees[I].Graph).Reports)
+      Got.insert(std::string(queries::cweOf(R.Type)) + "@" +
+                 std::to_string(R.SinkLoc.Line) +
+                 (R.SinkName.empty() ? "" : ":" + R.SinkName));
+    EXPECT_EQ(Got, Want[I]) << "tree " << I;
   }
 }
 
@@ -376,7 +354,7 @@ TEST(CrossPackageDetection, PruningIsDetectionNeutralOnTrees) {
 
 namespace {
 
-void expectValveHolds(const DepTree &T, VulnType Type, bool Native) {
+void expectValveHolds(const DepTree &T, VulnType Type) {
   // The class whose flow leads into the invisible dependency must never be
   // pruned: its sink (if any) lives in code we cannot see.
   LinkedBuild B;
@@ -393,34 +371,28 @@ void expectValveHolds(const DepTree &T, VulnType Type, bool Native) {
 
   // The linked scan reports nothing, as recorded when the scanner still
   // pruned: the sink is not in the code it analyzed.
-  EXPECT_TRUE(scanTree(T.Graph, Native).Reports.empty())
-      << "native=" << Native;
+  EXPECT_TRUE(scanTree(T.Graph).Reports.empty());
 }
 
 } // namespace
 
 TEST(SoundnessValve, MissingDependencyBlocksPruningBothBackends) {
-  for (bool Native : {false, true}) {
-    DepTreeGenerator Gen(60);
-    DepTree T = Gen.missingDep(VulnType::CommandInjection, 2);
-    scanner::ScanResult R = scanTree(T.Graph, Native);
-    ASSERT_FALSE(R.MissingDeps.empty()) << "native=" << Native;
-    expectValveHolds(T, VulnType::CommandInjection, Native);
-  }
+  DepTreeGenerator Gen(60);
+  DepTree T = Gen.missingDep(VulnType::CommandInjection, 2);
+  ASSERT_FALSE(scanTree(T.Graph).MissingDeps.empty());
+  expectValveHolds(T, VulnType::CommandInjection);
 }
 
 TEST(SoundnessValve, UnparseableDependencyBlocksPruningBothBackends) {
-  for (bool Native : {false, true}) {
-    DepTreeGenerator Gen(70);
-    DepTree T = Gen.brokenDep(VulnType::CodeInjection, 2);
-    expectValveHolds(T, VulnType::CodeInjection, Native);
-  }
+  DepTreeGenerator Gen(70);
+  DepTree T = Gen.brokenDep(VulnType::CodeInjection, 2);
+  expectValveHolds(T, VulnType::CodeInjection);
 }
 
 TEST(SoundnessValve, MissingDepSurfacesInScanResult) {
   DepTreeGenerator Gen(80);
   DepTree T = Gen.missingDep(VulnType::PathTraversal, 3);
-  scanner::ScanResult R = scanTree(T.Graph, /*Native=*/false);
+  scanner::ScanResult R = scanTree(T.Graph);
   ASSERT_EQ(R.MissingDeps.size(), 1u);
   EXPECT_EQ(R.MissingDeps[0], T.Graph.missingNames()[0]);
 }

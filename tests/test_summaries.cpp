@@ -9,8 +9,9 @@
 // unresolved callee on a relevant path blocks pruning), the SinkConfig
 // error paths, the summary JSON round trip, and detection over the corpora
 // the retired scan-path pruning stage was checked on: the scanner, which
-// runs every class, reproduces the report sets recorded with pruning on,
-// in both query backends.
+// runs every class, reproduces the report sets recorded with pruning on.
+// Also the per-file and --package `graphjs scan` paths honoring a sink
+// config's sanitizers alike.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +26,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+
+#include <sys/wait.h>
 
 using namespace gjs;
 
@@ -353,7 +357,7 @@ TEST(CallGraphLintTest, StandardPipelineIncludesCallGraphPass) {
 // Detection neutrality. The expected report sets were recorded with the
 // retired scan-path pruning stage on (and matched the unpruned scans
 // then); the scanner, which now runs every class on every package, must
-// reproduce them in both backends.
+// reproduce them.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -372,15 +376,8 @@ reportSet(const std::vector<queries::VulnReport> &Reports) {
 void expectReports(const std::string &Name,
                    const std::vector<scanner::SourceFile> &Files,
                    const std::set<std::string> &Want) {
-  for (scanner::QueryBackend B :
-       {scanner::QueryBackend::GraphDB, scanner::QueryBackend::Native}) {
-    scanner::ScanOptions O;
-    O.Backend = B;
-    EXPECT_EQ(reportSet(scanner::Scanner(O).scanPackage(Files).Reports), Want)
-        << Name << " ("
-        << (B == scanner::QueryBackend::GraphDB ? "graphdb" : "native")
-        << " backend)";
-  }
+  EXPECT_EQ(reportSet(scanner::Scanner().scanPackage(Files).Reports), Want)
+      << Name;
 }
 
 } // namespace
@@ -474,3 +471,50 @@ TEST(NeutralityTest, PruningKeepsAnnotatedVulnerabilitiesDetected) {
       Found |= Rep.Type == A.Type && Rep.SinkLoc.Line == A.SinkLine;
   EXPECT_TRUE(Found) << "the scan lost the annotated finding";
 }
+
+//===----------------------------------------------------------------------===//
+// `graphjs scan` with a sink config: both scan paths honor its sanitizers
+//===----------------------------------------------------------------------===//
+
+#ifdef GRAPHJS_BIN
+namespace {
+
+/// Writes \p Text to a fresh file under the test temp dir; returns its path.
+std::string writeTemp(const std::string &Name, const std::string &Text) {
+  std::string Path = ::testing::TempDir() + Name;
+  std::ofstream(Path, std::ios::trunc) << Text;
+  return Path;
+}
+
+int scanExitCode(const std::string &Args) {
+  std::string Cmd =
+      std::string(GRAPHJS_BIN) + " scan " + Args + " > /dev/null 2>&1";
+  int RC = std::system(Cmd.c_str());
+  return WIFEXITED(RC) ? WEXITSTATUS(RC) : -1;
+}
+
+} // namespace
+
+TEST(SanitizerCLITest, PerFileAndPackageScansHonorConfiguredSanitizers) {
+  std::string Source = writeTemp("gjs_sanitized_exec.js",
+                                 "var cp = require('child_process');\n"
+                                 "function f(c) {\n"
+                                 "  cp.exec('git ' + escapeShell(c));\n"
+                                 "}\n"
+                                 "module.exports = f;\n");
+  std::string Sinks = " --sinks " + writeTemp("gjs_sanitized_exec.json",
+                                              R"({"command-injection":)"
+                                              R"([{"name":"exec","args":[0]}],)"
+                                              R"("sanitizers":["escapeShell"]})");
+  std::string Unsanitized =
+      " --sinks " + writeTemp("gjs_unsanitized_exec.json",
+                              R"({"command-injection":)"
+                              R"([{"name":"exec","args":[0]}]})");
+  // Control: without the sanitizer the flow is a CWE-78 finding (exit 3).
+  EXPECT_EQ(scanExitCode(Unsanitized + " " + Source), 3);
+  EXPECT_EQ(scanExitCode(Unsanitized + " --package " + Source), 3);
+  // With it, neither scan path reports anything.
+  EXPECT_EQ(scanExitCode(Sinks + " " + Source), 0);
+  EXPECT_EQ(scanExitCode(Sinks + " --package " + Source), 0);
+}
+#endif

@@ -61,8 +61,8 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
 # The call-graph + summary suite: taint-summary bit manipulation (the
 # origin-mask shifts UBSan vets), the pruning decisions `graphjs callgraph
-# --summaries` prints, and the recorded report-set sweep over both query
-# backends.
+# --summaries` prints, and the recorded report-set sweep through the
+# scanner.
 "$BUILD_DIR/tests/test_summaries"
 
 # The cross-package suite: package-graph discovery walks real directory
@@ -73,7 +73,7 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
 # The async suite: the lowering pass rewrites statement blocks in place
 # (move-heavy vector splicing ASan vets), the detection matrix re-runs
-# the full pipeline with lowering on/off across both backends, and the
+# the full pipeline with lowering on and off, and the
 # lint-pass tests feed hand-built malformed IR through the checkers.
 "$BUILD_DIR/tests/test_async"
 

@@ -18,7 +18,8 @@
 //   --deadline-ms <n>       per-package wall-clock budget
 //   --work <n>              per-package abstract work budget
 //   --max <n>               stop after scanning n packages (sharding)
-//   --max-degradation <n>   degradation-ladder depth (default 2)
+//   --max-degradation <n>   degradation-ladder depth: 0 = no retry, 1 =
+//                           one cheaper-builder retry (default 1)
 //   --inject-fault <spec>   deterministic fault (repeatable with --jobs):
 //                           <phase>:<fail|stall|crash|hang|oom>[:<n>]
 //   --jobs <n>              supervised worker pool: n resident worker
@@ -53,8 +54,7 @@
 //   --supervisor-id <id>    stable id in lease records (default pid-hex)
 //   --chaos-kill-after <n>  test harness: SIGKILL this supervisor right
 //                           after its (n+1)-th start record
-//   --summary and the scan flags (--sinks, --native, --no-async-lower)
-//   also apply
+//   --summary and the scan flags (--sinks, --no-async-lower) also apply
 //
 // Serve options (graphjs serve):
 //   --socket <path>         Unix-domain socket to bind (required)
@@ -79,7 +79,6 @@
 //
 // Scan options:
 //   --sinks <config.json>   custom sink configuration (§4)
-//   --native                use native traversals instead of the graph DB
 //   --confirm               confirm findings by concrete witness replay
 //   --dump-core             print the Core JavaScript lowering
 //   --dump-mdg              print the MDG
@@ -152,7 +151,7 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: graphjs scan [--sinks cfg.json] [--native] [--confirm]\n"
+      "usage: graphjs scan [--sinks cfg.json] [--confirm]\n"
       "                    [--dump-core] [--dump-mdg] [--summary]\n"
       "                    [--self-check] [--no-async-lower]\n"
       "                    [--trace] [--trace-out t.json] [--package]\n"
@@ -172,7 +171,7 @@ int usage() {
       "                     [--shared dir] [--shard-size n]\n"
       "                     [--lease-expiry-ms n] [--quarantine-after n]\n"
       "                     [--supervisor-id id] [--chaos-kill-after n]\n"
-      "                     [--sinks cfg.json] [--native] [--summary]\n"
+      "                     [--sinks cfg.json] [--summary]\n"
       "                     [--no-async-lower]\n"
       "                     <dir|list.txt|file.js>...\n"
       "       graphjs serve --socket path [--jobs n] [--queue-max n]\n"
@@ -180,8 +179,8 @@ int usage() {
       "                     [--kill-after-ms n] [--recycle-after n]\n"
       "                     [--recycle-mem-mb n] [--mem-limit-mb n]\n"
       "                     [--heartbeat-ms n] [--sinks cfg.json]\n"
-      "                     [--metrics-out m.prom] [--native]\n"
-      "                     [--no-async-lower] [--quiet]\n"
+      "                     [--metrics-out m.prom] [--no-async-lower]\n"
+      "                     [--quiet]\n"
       "                     [--client '<json-request>']\n"
       "                     [--retry-budget-ms n]\n"
       "       graphjs metrics --socket path [--retry-budget-ms n]\n"
@@ -239,15 +238,12 @@ bool loadSinkConfig(const std::string &Path, queries::SinkConfig &Sinks) {
 enum class ScanFlag { None, Parsed, BadSinks };
 
 /// Parses one of the scan flags `scan`, `batch` and `serve` share —
-/// --native, --no-async-lower and --sinks cfg.json, whose
-/// config is loaded here — at argv[I] into \p Scan, advancing I past a
-/// flag value.
+/// --no-async-lower and --sinks cfg.json, whose config is loaded here — at
+/// argv[I] into \p Scan, advancing I past a flag value.
 ScanFlag parseScanFlag(int Argc, char **Argv, int &I,
                        scanner::ScanOptions &Scan) {
   std::string Arg = Argv[I];
-  if (Arg == "--native")
-    Scan.Backend = scanner::QueryBackend::Native;
-  else if (Arg == "--no-async-lower")
+  if (Arg == "--no-async-lower")
     Scan.AsyncLower = false;
   else if (Arg == "--sinks" && I + 1 < Argc)
     return loadSinkConfig(Argv[++I], Scan.Sinks) ? ScanFlag::Parsed
@@ -261,18 +257,14 @@ int runScan(const std::vector<std::string> &Files,
             const scanner::ScanOptions &Scan, bool Confirm, bool DumpCore,
             bool DumpMDG, bool DumpDot, bool Summary) {
   const queries::SinkConfig &Sinks = Scan.Sinks;
-  const bool Native = Scan.Backend == scanner::QueryBackend::Native;
   obs::TraceRecorder *TR = Scan.Trace;
 
   // Fail fast: a malformed built-in query would otherwise just match
   // nothing and the scan would look vacuously clean.
-  if (!Native) {
-    std::string SchemaError;
-    if (!queries::GraphDBRunner::validateBuiltinQueries(Sinks,
-                                                        &SchemaError)) {
-      std::fprintf(stderr, "error: %s\n", SchemaError.c_str());
-      return 4;
-    }
+  std::string SchemaError;
+  if (!queries::GraphDBRunner::validateBuiltinQueries(Sinks, &SchemaError)) {
+    std::fprintf(stderr, "error: %s\n", SchemaError.c_str());
+    return 4;
   }
 
   int ExitCode = 0;
@@ -325,7 +317,8 @@ int runScan(const std::vector<std::string> &Files,
                   core::dump(*Program).c_str());
 
     obs::Span BuildSpan(TR, "build");
-    analysis::BuildResult Build = analysis::buildMDG(*Program);
+    analysis::BuildResult Build =
+        analysis::buildMDG(*Program, Scan.builderOptions());
     BuildSpan.arg("mdg_nodes", static_cast<uint64_t>(Build.Graph.numNodes()));
     BuildSpan.arg("mdg_edges", static_cast<uint64_t>(Build.Graph.numEdges()));
     BuildSpan.arg("work", Build.WorkDone);
@@ -352,21 +345,15 @@ int runScan(const std::vector<std::string> &Files,
     if (DumpDot)
       std::printf("%s", Build.Graph.toDot(Build.Props).c_str());
 
-    std::vector<queries::VulnReport> Reports;
-    if (Native) {
-      obs::Span NativeSpan(TR, "native-query");
-      Reports = queries::detectNative(Build, Sinks);
-      NativeSpan.arg("reports", static_cast<uint64_t>(Reports.size()));
-    } else {
-      graphdb::EngineOptions EO;
-      EO.Trace = TR;
-      obs::Span ImportSpan(TR, "import");
-      queries::GraphDBRunner Runner(Build, EO);
-      ImportSpan.close();
-      obs::Span QuerySpan(TR, "query");
-      Reports = Runner.detect(Sinks);
-      QuerySpan.arg("reports", static_cast<uint64_t>(Reports.size()));
-    }
+    graphdb::EngineOptions EO;
+    EO.Trace = TR;
+    obs::Span ImportSpan(TR, "import");
+    queries::GraphDBRunner Runner(Build, EO);
+    ImportSpan.close();
+    obs::Span QuerySpan(TR, "query");
+    std::vector<queries::VulnReport> Reports = Runner.detect(Sinks);
+    QuerySpan.arg("reports", static_cast<uint64_t>(Reports.size()));
+    QuerySpan.close();
 
     std::vector<std::string> Witnesses(Reports.size());
     std::vector<bool> Confirmed(Reports.size(), false);
