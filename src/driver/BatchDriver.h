@@ -140,7 +140,9 @@ struct BatchOptions {
   /// Skipped exactly like resumed packages.
   std::set<std::string> AlreadyDone;
   /// Called immediately before each package scan is dispatched (after
-  /// resume/AlreadyDone skips). The shared-ledger driver appends a framed
+  /// resume/AlreadyDone skips); in the worker pool, when the job reaches
+  /// the head of its worker's queue, so a job handed back unstarted
+  /// leaves no record. The shared-ledger driver appends a framed
   /// start record here, so a supervisor SIGKILLed mid-scan leaves a
   /// start-without-terminal strike for the quarantine circuit breaker.
   std::function<void(const std::string &Package)> OnPackageStart;

@@ -71,26 +71,43 @@ struct Slot {
   bool Complete = false;
 };
 
+/// Jobs a worker holds at once: the one it runs and one queued behind it,
+/// so the worker starts its next scan without waiting for the supervisor
+/// to read its last response and answer with a new request.
+constexpr size_t PipelineDepth = 2;
+
+/// One job sent to a worker and not yet settled.
+struct PoolJob {
+  size_t WorkIdx = 0;
+  bool IsRetry = false;
+  uint64_t JobId = 0;
+};
+
 /// One live worker: a forked image draining job frames off its socketpair
 /// until crash, kill, or recycle.
 struct PoolWorker {
   Subprocess Proc;
   FrameReader Reader;
-  /// A job is in flight; its verdict is either a response frame or, if the
-  /// worker dies first, a wait-status attribution — never both (per-job
-  /// exactly-once).
-  bool Busy = false;
+  /// Jobs sent to the worker, in the order it runs them (at most
+  /// PipelineDepth). The head is the running job: its verdict is either a
+  /// response frame or, if the worker dies first, a wait-status
+  /// attribution — never both (per-job exactly-once). Jobs behind the
+  /// head have not started; a death hands them back to the queue.
+  std::deque<PoolJob> Jobs;
   /// The worker's next exit is planned (announced recycle, or a job that
   /// completed after the kill ladder fired): don't assign it work and
   /// don't count its death as a launch failure.
   bool Retiring = false;
-  size_t WorkIdx = 0;
-  bool IsRetry = false;
-  uint64_t JobId = 0;
+  /// Scan requests sent over the worker's lifetime (the recycle quota).
+  unsigned Sent = 0;
+  /// Head-of-line clock: started when the head became the head, never at
+  /// assignment, so a job is not charged (or killed) for its wait behind
+  /// a slow one. Drives the kill ladder, worker.job_us and the job: span.
   Timer JobStarted;
-  bool KillSent = false;
-  /// Supervisor-recorder timestamp at assignment (scheduling span start).
+  /// Supervisor-recorder timestamp of the same moment (job: span start).
   double TraceStartUs = 0;
+  /// The kill ladder fired at the head.
+  bool KillSent = false;
 };
 
 /// Sleeps until one of the workers' comm channels stirs — a response frame,
@@ -199,11 +216,9 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
   }
 
   // Merges one worker's telemetry frame into the supervisor's registries:
-  // counter deltas (the undercount fix for `batch --stats` under --jobs N),
-  // histogram buckets, and the worker's span tree on its own pid lane.
+  // histogram buckets and the worker's span tree on its own pid lane.
+  // Counters ride the journal line and merge with it (handleFrame).
   auto mergeTelemetry = [&](const WorkerResponse &T, int Pid) {
-    if (!T.CounterDelta.empty())
-      obs::mergeCounters(T.CounterDelta);
     if (!T.HistDelta.empty())
       obs::mergeHistograms(T.HistDelta);
     if (WantTrace && !T.Spans.empty()) {
@@ -355,10 +370,41 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
     return true;
   };
 
-  auto assignJob = [&](PoolWorker &W) {
-    auto [PlanIdx, IsRetry] = Queue.front();
+  // A job becomes the head when it is assigned to an empty FIFO or when
+  // the job ahead of it settles. Its clock and its start record begin
+  // here: the worker runs its jobs in order, so this is when it starts.
+  auto startHead = [&](PoolWorker &W, size_t PlanIdx) {
     if (Batch.OnPackageStart)
       Batch.OnPackageStart(Inputs[Plan[PlanIdx].InputIndex].Name);
+    if (WantTrace)
+      W.TraceStartUs = Options.Trace->nowUs();
+    W.JobStarted = Timer();
+    W.KillSent = false;
+  };
+
+  // Jobs queued behind a worker's head never started there: they go back
+  // to the front of the queue in their original order, keeping their
+  // retry flag and injected fault. No verdict, no retry, no strike.
+  auto handBack = [&](PoolWorker &W, size_t Keep) {
+    while (W.Jobs.size() > Keep) {
+      obs::counters::WorkerRequeued.add();
+      Queue.emplace_front(W.Jobs.back().WorkIdx, W.Jobs.back().IsRetry);
+      W.Jobs.pop_back();
+    }
+  };
+
+  auto acceptsWork = [&](const PoolWorker &W) {
+    return !W.Retiring && !W.KillSent && !W.Reader.dead() &&
+           (Options.RecycleAfter == 0 || W.Sent < Options.RecycleAfter);
+  };
+
+  auto assignJob = [&](PoolWorker &W) {
+    auto [PlanIdx, IsRetry] = Queue.front();
+    const bool Head = W.Jobs.empty();
+    // Stamped before the frame goes out: the worker may pick the job up
+    // before the parent returns from write().
+    if (Head)
+      startHead(W, PlanIdx);
     WorkerRequest Req;
     Req.Kind = WorkerRequest::Op::Scan;
     Req.JobId = NextJobId++;
@@ -367,23 +413,19 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
     Req.IsRetry = IsRetry;
     Req.WantTrace = WantTrace;
     Req.TraceEpochUs = TraceEpochUs;
-    // Stamped before the frame goes out: the worker may pick the job up
-    // before the parent returns from write().
-    if (WantTrace)
-      W.TraceStartUs = Options.Trace->nowUs();
     if (!writeFrame(W.Proc.commFD(), Req.encode())) {
-      // The worker died between jobs; the job never started and stays
-      // queued. Make the death certain and let the reap pass handle it.
-      W.Proc.kill(SIGKILL);
+      // The worker died; the job never started and stays queued. An idle
+      // worker is made certainly dead for the reap pass; a busy one keeps
+      // its wait status for the head's verdict and just takes no more.
+      if (Head)
+        W.Proc.kill(SIGKILL);
+      else
+        W.Retiring = true;
       return;
     }
     Queue.pop_front();
-    W.Busy = true;
-    W.WorkIdx = PlanIdx;
-    W.IsRetry = IsRetry;
-    W.JobId = Req.JobId;
-    W.JobStarted = Timer();
-    W.KillSent = false;
+    W.Jobs.push_back({PlanIdx, IsRetry, Req.JobId});
+    ++W.Sent;
   };
 
   auto handleFrame = [&](PoolWorker &W, const std::string &Text) {
@@ -392,25 +434,43 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
       return; // Corrupt frame; the ladder attributes whatever follows.
     if (Resp.Pong)
       return;
-    if (!W.Busy || Resp.JobId != W.JobId)
+    if (W.Jobs.empty() || Resp.JobId != W.Jobs.front().JobId)
       return; // Stale or duplicate response: first verdict wins.
     IdleDeaths = 0;
-    W.Busy = false;
+    const PoolJob Job = W.Jobs.front();
+    W.Jobs.pop_front();
     // A response that raced the kill ladder still counts — the job DID
-    // complete — but the worker is dying; treat the exit as planned.
-    if (Resp.Recycle || W.KillSent)
+    // complete — but the worker is dying; treat the exit as planned. A
+    // recycling worker exits without reading another request. Either way
+    // the job queued behind never starts there.
+    if (Resp.Recycle || W.KillSent) {
       W.Retiring = true;
+      handBack(W, 0);
+    }
     mergeTelemetry(Resp, W.Proc.pid());
-    obs::hists::WorkerJob.recordSeconds(W.JobStarted.elapsedSeconds());
-    const WorkItem &Wk = Plan[W.WorkIdx];
-    if (WantTrace)
-      Options.Trace->addCompletedSpan(
-          "job:" + Inputs[Wk.InputIndex].Name, W.TraceStartUs,
-          Options.Trace->nowUs() - W.TraceStartUs);
+    const double HeadSeconds = W.JobStarted.elapsedSeconds();
+    obs::hists::WorkerJob.recordSeconds(HeadSeconds);
+    const WorkItem &Wk = Plan[Job.WorkIdx];
+    if (WantTrace) {
+      // A queued job starts in the worker as soon as the one ahead is
+      // answered, a little before the supervisor reads that answer: open
+      // the span at the worker's first span if that is earlier, so the
+      // worker's spans nest inside it.
+      double StartUs = W.TraceStartUs;
+      for (const obs::SpanRecord &Span : Resp.Spans)
+        StartUs = std::min(StartUs, Span.StartUs);
+      Options.Trace->addCompletedSpan("job:" + Inputs[Wk.InputIndex].Name,
+                                      StartUs,
+                                      Options.Trace->nowUs() - StartUs);
+    }
     BatchOutcome Out;
     if (!Resp.Line.empty() &&
         BatchDriver::parseJournalLine(Resp.Line, Out)) {
       Out.RawJournalLine = Resp.Line;
+      // The worker's scan counters: the package's delta on its journal
+      // line (the undercount fix for `batch --stats` under --jobs N).
+      if (!Out.Result.Counters.empty())
+        obs::mergeCounters(Out.Result.Counters);
       completeSlot(Wk.SlotIndex, std::move(Out));
     } else {
       obs::counters::WorkerCrashed.add();
@@ -418,8 +478,10 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
       completeSlot(Wk.SlotIndex,
                    synthFailure(Wk, scanner::ScanErrorKind::Crashed,
                                 "worker sent an unparseable result",
-                                W.JobStarted.elapsedSeconds()));
+                                HeadSeconds));
     }
+    if (!W.Jobs.empty())
+      startHead(W, W.Jobs.front().WorkIdx);
   };
 
   auto reapWorker = [&](PoolWorker &W, const WaitStatus &WS) {
@@ -434,7 +496,7 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
       obs::counters::WorkerRecycled.add();
       ++Summary.Recycled;
     }
-    if (!W.Busy) {
+    if (W.Jobs.empty()) {
       // No job in hand: nothing to attribute. An unplanned idle death
       // still counts against the livelock backstop.
       bool Planned =
@@ -443,8 +505,13 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
         ++IdleDeaths;
       return;
     }
-    // Job in hand and no response: the wait status is the verdict.
-    const WorkItem &Wk = Plan[W.WorkIdx];
+    // Head in hand and no response: the wait status is the head's
+    // verdict. The jobs behind it go back first, so a retry lands ahead
+    // of them and the queue keeps input order.
+    handBack(W, 1);
+    const PoolJob Head = W.Jobs.front();
+    W.Jobs.clear();
+    const WorkItem &Wk = Plan[Head.WorkIdx];
     WorkerDeath Death = attributeWorkerDeath(WS, W.KillSent);
     if (Death.Kind == scanner::ScanErrorKind::KilledOom)
       ++Summary.OomKilled;
@@ -454,21 +521,25 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
       ++Summary.Crashed;
     BatchOutcome Out = synthFailure(Wk, Death.Kind, std::move(Death.Detail),
                                     W.JobStarted.elapsedSeconds());
-    if (Options.RetryCrashed && !W.IsRetry) {
+    if (Options.RetryCrashed && !Head.IsRetry) {
       obs::counters::WorkerRetried.add();
       ++Summary.Retried;
-      Queue.emplace_front(W.WorkIdx, /*IsRetry=*/true);
+      Queue.emplace_front(Head.WorkIdx, /*IsRetry=*/true);
       return;
     }
     completeSlot(Wk.SlotIndex, std::move(Out));
   };
 
+  auto busyWorkers = [&]() {
+    return static_cast<size_t>(
+        std::count_if(Workers.begin(), Workers.end(),
+                      [](const PoolWorker &W) { return !W.Jobs.empty(); }));
+  };
+
   while (true) {
     if (Batch.OnTick && !Batch.OnTick())
       PoolStopRequested = 1;
-    size_t BusyCount = static_cast<size_t>(
-        std::count_if(Workers.begin(), Workers.end(),
-                      [](const PoolWorker &W) { return W.Busy; }));
+    size_t BusyCount = busyWorkers();
 
     if (!PoolStopRequested) {
       // Keep just enough workers alive for the outstanding work. A
@@ -512,15 +583,15 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
                                   0));
         IdleDeaths = 0;
       }
-      for (PoolWorker &W : Workers) {
-        if (Queue.empty())
-          break;
-        if (!W.Busy && !W.Retiring && !W.Reader.dead())
-          assignJob(W);
-      }
-      BusyCount = static_cast<size_t>(
-          std::count_if(Workers.begin(), Workers.end(),
-                        [](const PoolWorker &W) { return W.Busy; }));
+      // Depth-first: every worker gets a job before any gets a second.
+      for (size_t Depth = 0; Depth < PipelineDepth; ++Depth)
+        for (PoolWorker &W : Workers) {
+          if (Queue.empty())
+            break;
+          if (W.Jobs.size() == Depth && acceptsWork(W))
+            assignJob(W);
+        }
+      BusyCount = busyWorkers();
     }
 
     if (BusyCount == 0 && (Queue.empty() || PoolStopRequested))
@@ -545,7 +616,7 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
         Activity = true;
         continue;
       }
-      if (W.Busy && !W.KillSent && KillAfter > 0 &&
+      if (!W.Jobs.empty() && !W.KillSent && KillAfter > 0 &&
           W.JobStarted.elapsedSeconds() > KillAfter) {
         W.Proc.kill(SIGKILL);
         W.KillSent = true;

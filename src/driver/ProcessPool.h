@@ -23,6 +23,24 @@
 /// worker holds no slot, so its replacement is forked as soon as the last
 /// response arrives.
 ///
+/// Each worker holds up to two jobs: the one it runs (the *head*) and one
+/// queued behind it, so it starts its next scan without idling through a
+/// supervisor round trip. Assignment is depth-first (every worker gets a
+/// job before any gets a second), and a worker is sent at most
+/// RecycleAfter jobs. The head-of-line rules:
+///
+///  - a response settles the head only if its job id matches; anything
+///    else is stale;
+///  - the head's clock (kill ladder, `worker.job_us`, the `job:` trace
+///    span, the OnPackageStart hook) starts when it becomes the head — at
+///    assignment to an idle worker, else at the previous head's verdict —
+///    so a job waiting behind a slow one is never killed for its wait;
+///  - when a worker dies, only the head takes the wait-status verdict (and
+///    the RetryCrashed retry). Jobs behind it go back to the front of the
+///    queue in their original order: not retries, fault kept, no Crashed
+///    or Retried count. A worker announcing a recycle hands its queued job
+///    back the same way.
+///
 /// The pool preserves:
 ///
 ///  - **Crash containment**: a worker that dies on a signal or exits
@@ -39,7 +57,8 @@
 ///    journal in *input order* regardless of completion order, and healthy
 ///    packages' lines are the worker's bytes verbatim.
 ///  - **Resume / graceful drain**: already-journaled packages are skipped;
-///    SIGINT/SIGTERM stops assigning and drains in-flight jobs, leaving a
+///    SIGINT/SIGTERM stops assigning and drains the jobs already sent
+///    (queued ones included), leaving a
 ///    valid resumable journal prefix — as does SIGKILLing the supervisor
 ///    itself (the merge cursor only writes completed prefixes).
 ///
@@ -69,9 +88,9 @@ struct PoolOptions {
   /// still assigns it; drop the field with that assignment.
   bool Persistent = false;
   /// Planned worker recycle after this many scanned packages (0 =
-  /// unlimited; 1 = a fresh process image per package). The worker answers
-  /// its last job, exits WorkerRecycleExit, and the supervisor forks a
-  /// fresh image.
+  /// unlimited; 1 = a fresh process image per package). The supervisor
+  /// sends a worker at most this many jobs; the worker answers its last
+  /// one, exits WorkerRecycleExit, and the supervisor forks a fresh image.
   unsigned RecycleAfter = 0;
   /// Recycle a worker whose resident set exceeds this many MiB after a job
   /// (0 = off; measured from /proc/self/statm, a no-op on systems without
@@ -79,10 +98,10 @@ struct PoolOptions {
   size_t RecycleRssMB = 0;
   /// RLIMIT_AS per worker in MiB (0 = uncapped; ignored under ASan).
   size_t MemLimitMB = 0;
-  /// Supervisor kill-on-deadline: SIGKILL a worker whose *current job* has
-  /// run longer than this many wall-clock seconds. 0 derives a default
-  /// from the scan deadline (2*wall + 1s) when one is set, else disables
-  /// the killer.
+  /// Supervisor kill-on-deadline: SIGKILL a worker whose *current job* (the
+  /// head, timed from when it became the head) has run longer than this
+  /// many wall-clock seconds. 0 derives a default from the scan deadline
+  /// (2*wall + 1s) when one is set, else disables the killer.
   double KillAfterSeconds = 0;
   /// Retry a crashed/oom/deadline-killed package once, without its
   /// injected fault and at half the wall-clock budget (the transient-

@@ -283,8 +283,9 @@ int ScanService::run() {
   };
 
   // Workers record their own scan telemetry; each response carries the
-  // job's deltas so the daemon's registries (and its `metrics` op) cover
-  // work done in worker processes, not just supervisor bookkeeping.
+  // job's journal line (with its counter delta) and histogram delta, so
+  // the daemon's registries (and its `metrics` op) cover work done in
+  // worker processes, not just supervisor bookkeeping.
   WorkerLoopOptions Loop;
   Loop.RecycleAfter = Options.RecycleAfter;
   Loop.RecycleRssMB = Options.RecycleRssMB;
@@ -363,9 +364,8 @@ int ScanService::run() {
       W.Retiring = true;
     // Stitch the worker's scan telemetry into the daemon's registries:
     // this is what makes the `metrics` op reflect scan-pipeline counters
-    // and latency percentiles, not just supervisor bookkeeping.
-    if (!Resp.CounterDelta.empty())
-      obs::mergeCounters(Resp.CounterDelta);
+    // and latency percentiles, not just supervisor bookkeeping. Counters
+    // ride the journal line; histograms ride the response.
     if (!Resp.HistDelta.empty())
       obs::mergeHistograms(Resp.HistDelta);
     obs::hists::WorkerJob.recordSeconds(W.JobStarted.elapsedSeconds());
@@ -374,13 +374,16 @@ int ScanService::run() {
     W.IdleSince = Timer();
     BatchOutcome Parsed;
     if (!Resp.Line.empty() &&
-        BatchDriver::parseJournalLine(Resp.Line, Parsed))
+        BatchDriver::parseJournalLine(Resp.Line, Parsed)) {
+      if (!Parsed.Result.Counters.empty())
+        obs::mergeCounters(Parsed.Result.Counters);
       finishScan(Job, Resp.Line, Parsed.Status);
-    else
+    } else {
       finishScan(Job,
                  synthLine(Job, scanner::ScanErrorKind::Crashed,
                            "worker sent an unparseable result"),
                  BatchStatus::Failed);
+    }
   };
 
   auto reapWorker = [&](ServeWorker &W, const WaitStatus &WS) {

@@ -87,10 +87,6 @@ bool driver::writeFrame(int FD, const std::string &Payload,
       *Error = "frame too large";
     return false;
   }
-  // Each process records the frames it writes; the stitching merge folds
-  // worker-side recordings into the supervisor, so the supervisor's
-  // distribution covers both directions of every socketpair.
-  obs::hists::FrameBytes.record(Payload.size());
   char Hdr[4];
   putU32LE(Hdr, static_cast<uint32_t>(Payload.size()));
   return fullWrite(FD, Hdr, sizeof(Hdr), Error) &&
@@ -108,7 +104,14 @@ bool driver::readFrame(int FD, std::string &Out, std::string *Error) {
     return false;
   }
   Out.assign(Len, '\0');
-  return Len == 0 || fullRead(FD, Out.data(), Len, Error);
+  if (Len != 0 && !fullRead(FD, Out.data(), Len, Error))
+    return false;
+  // Each frame is recorded once, by its reader: the worker records its
+  // requests here and ships them in its rolling histogram delta, the
+  // supervisor records responses in FrameReader::next, so the supervisor's
+  // distribution covers both directions of every socketpair.
+  obs::hists::FrameBytes.record(Len);
+  return true;
 }
 
 bool FrameReader::pump(int FD) {
@@ -142,6 +145,7 @@ bool FrameReader::next(std::string &Out) {
     return false;
   Out = Buf.substr(4, Len);
   Buf.erase(0, 4 + static_cast<size_t>(Len));
+  obs::hists::FrameBytes.record(Len);
   return true;
 }
 
@@ -252,12 +256,6 @@ std::string WorkerResponse::encode() const {
     O["pong"] = json::Value(true);
   if (Recycle)
     O["recycle"] = json::Value(true);
-  if (!CounterDelta.empty()) {
-    json::Object C;
-    for (const auto &[Name, Value] : CounterDelta)
-      C[Name] = json::Value(static_cast<unsigned long>(Value));
-    O["ctr"] = json::Value(std::move(C));
-  }
   if (!HistDelta.empty()) {
     json::Object H;
     for (const auto &[Name, Snap] : HistDelta) {
@@ -315,10 +313,6 @@ bool WorkerResponse::decode(const std::string &Text, WorkerResponse &Out) {
     Out.Pong = It->second.asBool();
   if ((It = O.find("recycle")) != O.end() && It->second.isBool())
     Out.Recycle = It->second.asBool();
-  if ((It = O.find("ctr")) != O.end() && It->second.isObject())
-    for (const auto &[Name, Value] : It->second.asObject())
-      if (Value.isNumber())
-        Out.CounterDelta[Name] = static_cast<uint64_t>(Value.asNumber());
   if ((It = O.find("hist")) != O.end() && It->second.isObject()) {
     for (const auto &[Name, HV] : It->second.asObject()) {
       if (!HV.isObject())
@@ -386,6 +380,14 @@ int driver::runWorkerLoop(int FD, const WorkerLoopOptions &Options,
     obs::setCountersEnabled(true);
     obs::resetCounters();
   }
+  // Rolling histogram baseline: one snapshot per job, diffed against the
+  // previous job's, so each response carries exactly what was recorded
+  // since the last one (this job's scan plus the request frames read in
+  // between). Counters need no such bracket: the scanner already measures
+  // each package's counter delta into its journal line.
+  obs::HistogramSnapshotMap HistPrev;
+  if (Options.EnableCounters)
+    HistPrev = obs::snapshotHistograms();
   unsigned Done = 0;
   std::string Text;
   while (readFrame(FD, Text)) {
@@ -402,23 +404,15 @@ int driver::runWorkerLoop(int FD, const WorkerLoopOptions &Options,
         return 122;
       continue;
     }
-    // Per-job telemetry: deltas bracket exactly this scan, so the
-    // supervisor can merge them without double-counting earlier jobs.
-    obs::CounterSnapshot CtrBefore;
-    obs::HistogramSnapshotMap HistBefore;
-    if (Options.EnableCounters) {
-      CtrBefore = obs::snapshotCounters();
-      HistBefore = obs::snapshotHistograms();
-    }
     obs::TraceRecorder Recorder;
     BatchOutcome Out;
     if (!Source(Req, Req.WantTrace ? &Recorder : nullptr, Out))
       return 121;
     Resp.Line = BatchDriver::journalLine(Out);
     if (Options.EnableCounters) {
-      Resp.CounterDelta = obs::counterDelta(CtrBefore, obs::snapshotCounters());
-      Resp.HistDelta =
-          obs::histogramDelta(HistBefore, obs::snapshotHistograms());
+      obs::HistogramSnapshotMap HistNow = obs::snapshotHistograms();
+      Resp.HistDelta = obs::histogramDelta(HistPrev, HistNow);
+      HistPrev = std::move(HistNow);
     }
     if (Req.WantTrace)
       Resp.Spans = rebasedSpans(Recorder, Req.TraceEpochUs);

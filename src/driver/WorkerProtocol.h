@@ -63,7 +63,9 @@ bool writeFrame(int FD, const std::string &Payload,
                 std::string *Error = nullptr);
 
 /// Blocking read of one full frame (the worker side of the pipe). Returns
-/// false on EOF (supervisor gone) or a malformed length prefix.
+/// false on EOF (supervisor gone) or a malformed length prefix. Records
+/// the frame in proto.frame_bytes, as FrameReader::next does on the
+/// supervisor side: every frame is counted once, by whoever reads it.
 bool readFrame(int FD, std::string &Out, std::string *Error = nullptr);
 
 /// Supervisor-side incremental frame reassembly over a non-blocking fd.
@@ -136,19 +138,18 @@ struct WorkerResponse {
   /// response: the supervisor must not assign it further work.
   bool Recycle = false;
   /// Worker-side telemetry for this job, merged by the supervisor into its
-  /// own registries (the cross-process stitching payload; all optional —
-  /// empty when the worker ran without counters/tracing):
-  /// counter deltas captured around the scan…
-  obs::CounterSnapshot CounterDelta;
-  /// …histogram bucket deltas captured around the scan…
+  /// own registries (the cross-process stitching payload; both optional —
+  /// empty when the worker ran without counters/tracing). The response
+  /// carries no counters: the journal line already holds the package's
+  /// counter delta (`counters`), and the supervisor merges that.
+  /// Histogram bucket deltas recorded since the worker's previous
+  /// response…
   obs::HistogramSnapshotMap HistDelta;
   /// …and the job's span tree, timestamps already rebased onto the
   /// supervisor epoch from the request.
   std::vector<obs::SpanRecord> Spans;
 
-  bool hasTelemetry() const {
-    return !CounterDelta.empty() || !HistDelta.empty() || !Spans.empty();
-  }
+  bool hasTelemetry() const { return !HistDelta.empty() || !Spans.empty(); }
 
   std::string encode() const;
   static bool decode(const std::string &Text, WorkerResponse &Out);
@@ -162,8 +163,9 @@ rebasedSpans(const obs::TraceRecorder &Recorder, uint64_t SupervisorEpochUs);
 
 /// What a resident worker does beyond scanning, the same for every caller.
 struct WorkerLoopOptions {
-  /// Turn counters on in the worker and ship each job's counter and
-  /// histogram deltas in its response.
+  /// Turn counters and histograms on in the worker (each journal line then
+  /// carries its package's counter delta) and ship each job's histogram
+  /// delta in its response.
   bool EnableCounters = true;
   /// Planned recycle after this many jobs (0 = unlimited)…
   unsigned RecycleAfter = 0;
@@ -181,13 +183,13 @@ using WorkerJobSource = std::function<bool(
 /// The resident worker body shared by driver::ProcessPool and
 /// driver::ScanService. Drains request frames off \p FD until the
 /// supervisor says exit or hangs up: answers pings, scans each job through
-/// \p Source with its telemetry deltas bracketed around exactly that scan
-/// and its span tree rebased onto the supervisor's epoch, and announces a
-/// recycle in the last response before exiting WorkerRecycleExit — so the
-/// supervisor never mistakes the planned death for a crash nor assigns the
-/// worker a job it would silently drop. Returns the exit code: 0 on an
-/// orderly drain, 121 on protocol corruption, 122 when a response cannot
-/// be written.
+/// \p Source, attaches the histogram delta since the previous response
+/// (one snapshot per job) and the span tree rebased onto the supervisor's
+/// epoch, and announces a recycle in the last response before exiting
+/// WorkerRecycleExit — so the supervisor never mistakes the planned death
+/// for a crash nor assigns the worker a job it would silently drop.
+/// Returns the exit code: 0 on an orderly drain, 121 on protocol
+/// corruption, 122 when a response cannot be written.
 int runWorkerLoop(int FD, const WorkerLoopOptions &Options,
                   const WorkerJobSource &Source);
 

@@ -100,6 +100,7 @@ Counter WorkerOomKilled("worker.oom_killed");
 Counter WorkerDeadlineKilled("worker.deadline_killed");
 Counter WorkerRetried("worker.retried");
 Counter WorkerRecycled("worker.recycled");
+Counter WorkerRequeued("worker.requeued");
 Counter ServeAccepted("serve.accepted");
 Counter ServeRejected("serve.rejected");
 Counter ServeInflight("serve.inflight");

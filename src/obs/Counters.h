@@ -134,6 +134,8 @@ extern Counter WorkerOomKilled;      ///< worker.oom_killed — memory deaths.
 extern Counter WorkerDeadlineKilled; ///< worker.deadline_killed — kill ladder.
 extern Counter WorkerRetried;        ///< worker.retried — crashed-retry runs.
 extern Counter WorkerRecycled;       ///< worker.recycled — planned re-forks.
+extern Counter WorkerRequeued;       ///< worker.requeued — queued jobs handed
+                                     ///< back unstarted by a dying worker.
 extern Counter ServeAccepted;        ///< serve.accepted — requests admitted.
 extern Counter ServeRejected;        ///< serve.rejected — overloaded/expired.
 extern Counter ServeInflight;        ///< serve.inflight — jobs dispatched to

@@ -706,7 +706,8 @@ TEST(ProcessPoolTest, TraceStitchesWorkerSpansOntoPidLanes) {
 TEST(ProcessPoolTest, WorkerCounterDeltasMergeIntoSupervisor) {
   // The undercount this fixes: before stitching, a --jobs N run left the
   // supervisor's registry blind to all scan-pipeline work (it happened in
-  // children). Merged totals must now equal the per-outcome journal sums.
+  // children). The supervisor merges each journal line's counter delta, so
+  // its totals equal the per-outcome journal sums.
   CounterGate Gate(true);
   for (unsigned RecycleAfter : RecycleSettings) {
     SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
@@ -772,6 +773,210 @@ TEST(ProcessPoolTest, MetricsOutWritesPrometheusSnapshot) {
   obs::resetHistograms();
 }
 
+TEST(ProcessPoolTest, FrameBytesCountsEachFrameOnceInBothDirections) {
+  // Each frame is recorded by its reader: the scan requests by the workers
+  // (shipped on their histogram deltas), the responses by the supervisor.
+  // Exit frames are read after a worker's last delta and never ship.
+  CounterGate Gate(true);
+  for (unsigned RecycleAfter : {0u, 3u}) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    obs::resetHistograms();
+    driver::PoolOptions PO;
+    PO.Jobs = 2;
+    PO.RecycleAfter = RecycleAfter;
+    driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(6));
+    ASSERT_EQ(S.Ok, 6u);
+    const obs::HistogramSnapshot Frames =
+        obs::snapshotHistograms().at("proto.frame_bytes");
+    EXPECT_EQ(Frames.count(), 12u) << "one request and one response per job";
+    // Every response carries its package's journal line.
+    uint64_t LineBytes = 0;
+    for (const driver::BatchOutcome &O : S.Outcomes)
+      LineBytes += O.RawJournalLine.size();
+    EXPECT_GE(Frames.Sum, LineBytes);
+  }
+  obs::resetHistograms();
+}
+
+//===----------------------------------------------------------------------===//
+// Pipelining: a running job and one queued behind it per worker
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Workers that live for the whole run, and a recycle quota that is not a
+/// multiple of the two-job queue, so a worker's last job is sent alone.
+constexpr unsigned PipelineRecycleSettings[] = {0, 3};
+
+uint64_t counterValue(const std::string &Name) {
+  obs::CounterSnapshot Snap = obs::snapshotCounters();
+  auto It = Snap.find(Name);
+  return It == Snap.end() ? 0 : It->second;
+}
+
+} // namespace
+
+TEST(PipelinedPoolTest, CrashSparesTheJobQueuedBehindIt) {
+  CounterGate Gate(true);
+  for (bool Retry : {false, true})
+    for (unsigned RecycleAfter : PipelineRecycleSettings) {
+      SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter) +
+                   " RetryCrashed=" + std::to_string(Retry));
+      obs::resetCounters();
+      // One worker: the first assignment pass queues pkg1 behind pkg0.
+      // pkg0 is large, so its build (where the crash fires) starts long
+      // after both requests are written.
+      std::vector<driver::BatchInput> Inputs = healthyInputs(4);
+      Inputs[0].Files = workload::PackageGenerator(7).benign(3000).Files;
+      driver::PoolOptions PO;
+      PO.Jobs = 1;
+      PO.RecycleAfter = RecycleAfter;
+      PO.RetryCrashed = Retry;
+      PO.Faults.push_back(
+          makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 0));
+      std::map<std::string, unsigned> Starts;
+      PO.Batch.OnPackageStart = [&](const std::string &Pkg) { ++Starts[Pkg]; };
+      driver::BatchSummary S = driver::ProcessPool(PO).run(Inputs);
+
+      EXPECT_EQ(counterValue("worker.requeued"), 1u)
+          << "pkg1 went back to the queue unstarted";
+      // Sent twice, started once: the start hook (the shared ledger's
+      // strike record) fires only when a job reaches the head.
+      EXPECT_EQ(Starts["pkg0"], Retry ? 2u : 1u);
+      EXPECT_EQ(Starts["pkg1"], 1u);
+      EXPECT_EQ(S.Scanned, 4u);
+      EXPECT_EQ(S.Crashed, 1u);
+      EXPECT_EQ(S.Retried, Retry ? 1u : 0u);
+      EXPECT_EQ(counterValue("worker.crashed"), 1u);
+      EXPECT_EQ(counterValue("worker.retried"), Retry ? 1u : 0u);
+      ASSERT_EQ(S.Outcomes.size(), 4u);
+      EXPECT_EQ(S.Outcomes[1].Status, driver::BatchStatus::Ok);
+      if (Retry) {
+        EXPECT_EQ(S.Ok, 4u);
+      } else {
+        EXPECT_EQ(S.Ok, 3u);
+        EXPECT_EQ(S.Failed, 1u);
+        EXPECT_EQ(failureKind(S.Outcomes[0]), ScanErrorKind::Crashed);
+      }
+    }
+  obs::resetCounters();
+}
+
+TEST(PipelinedPoolTest, HangKillsOnlyTheHungJob) {
+  CounterGate Gate(true);
+  for (unsigned RecycleAfter : PipelineRecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    obs::resetCounters();
+    // One worker: pkg1 becomes the head once pkg0 is answered, and pkg2 is
+    // queued behind it for the whole second the hang lasts.
+    driver::PoolOptions PO;
+    PO.Jobs = 1;
+    PO.RecycleAfter = RecycleAfter;
+    PO.KillAfterSeconds = 1.0;
+    PO.Faults.push_back(
+        makeFault(ScanPhase::Build, FaultPlan::Action::Hang, 1));
+    driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
+
+    EXPECT_EQ(counterValue("worker.requeued"), 1u);
+    EXPECT_EQ(S.DeadlineKilled, 1u);
+    EXPECT_EQ(S.Failed, 1u);
+    EXPECT_EQ(S.Ok, 3u);
+    ASSERT_EQ(S.Outcomes.size(), 4u);
+    EXPECT_EQ(failureKind(S.Outcomes[1]), ScanErrorKind::KilledDeadline);
+    EXPECT_EQ(S.Outcomes[2].Status, driver::BatchStatus::Ok);
+  }
+  obs::resetCounters();
+}
+
+TEST(PipelinedPoolTest, JobClockStartsAtTheHeadOfTheLine) {
+  // One worker runs its jobs back to back. Timed from when each became
+  // the head, the jobs' worker.job_us intervals are disjoint and fit in
+  // the run's wall clock; timed from assignment, every queued job would
+  // also count its wait behind the one ahead, and the sum would approach
+  // twice the wall clock.
+  CounterGate Gate(true);
+  for (unsigned RecycleAfter : PipelineRecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    obs::resetHistograms();
+    driver::PoolOptions PO;
+    PO.Jobs = 1;
+    PO.RecycleAfter = RecycleAfter;
+    driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(8));
+    ASSERT_EQ(S.Ok, 8u);
+    const obs::HistogramSnapshot Jobs =
+        obs::snapshotHistograms().at("worker.job_us");
+    EXPECT_EQ(Jobs.count(), 8u);
+    EXPECT_LE(static_cast<double>(Jobs.Sum), S.WallSeconds * 1e6);
+  }
+  obs::resetHistograms();
+}
+
+TEST(PipelinedPoolTest, RecycleAfterOneSendsEachJobOnce) {
+  // A worker is sent at most its quota: with one job per process nothing
+  // is ever queued behind a job, so nothing is handed back and sent again.
+  CounterGate Gate(true);
+  obs::resetCounters();
+  obs::resetHistograms();
+  driver::PoolOptions PO;
+  PO.Jobs = 2;
+  PO.RecycleAfter = 1;
+  driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(6));
+  ASSERT_EQ(S.Ok, 6u);
+  EXPECT_EQ(S.Recycled, 6u);
+  EXPECT_EQ(counterValue("worker.spawned"), 6u);
+  EXPECT_EQ(counterValue("worker.requeued"), 0u);
+  // Six requests read by workers, six responses read by the supervisor.
+  EXPECT_EQ(obs::snapshotHistograms().at("proto.frame_bytes").count(), 12u);
+  obs::resetCounters();
+  obs::resetHistograms();
+}
+
+TEST(PipelinedPoolTest, SigtermDrainLeavesAResumableInputOrderPrefix) {
+  for (unsigned RecycleAfter : PipelineRecycleSettings) {
+    SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
+    std::string Journal = testing::TempDir() + "procpool_sigterm_" +
+                          std::to_string(::getpid()) + ".jsonl";
+    std::remove(Journal.c_str());
+    std::vector<driver::BatchInput> Inputs = healthyInputs(12);
+
+    // SIGTERM at the third job start, while both workers hold a queued
+    // job: the pool stops assigning and finishes the jobs already sent.
+    driver::PoolOptions PO;
+    PO.Jobs = 2;
+    PO.RecycleAfter = RecycleAfter;
+    PO.Batch.JournalPath = Journal;
+    unsigned Starts = 0;
+    PO.Batch.OnPackageStart = [&](const std::string &) {
+      if (++Starts == 3)
+        ::raise(SIGTERM);
+    };
+    driver::BatchSummary First = driver::ProcessPool(PO).run(Inputs);
+
+    std::vector<std::string> Lines = readLines(Journal);
+    ASSERT_GE(Lines.size(), 3u);
+    ASSERT_LT(Lines.size(), Inputs.size()) << "the drain stopped assigning";
+    EXPECT_EQ(First.Scanned, Lines.size());
+    EXPECT_EQ(First.Failed, 0u);
+
+    // Resume scans exactly the rest; the journal ends up complete, each
+    // package once, in input order.
+    PO.Batch.OnPackageStart = nullptr;
+    PO.Batch.Resume = true;
+    driver::BatchSummary Second = driver::ProcessPool(PO).run(Inputs);
+    EXPECT_EQ(Second.SkippedResumed, Lines.size());
+    EXPECT_EQ(Second.Scanned, Inputs.size() - Lines.size());
+    Lines = readLines(Journal);
+    ASSERT_EQ(Lines.size(), Inputs.size());
+    for (size_t I = 0; I < Lines.size(); ++I) {
+      driver::BatchOutcome O;
+      ASSERT_TRUE(driver::BatchDriver::parseJournalLine(Lines[I], O));
+      EXPECT_EQ(O.Package, Inputs[I].Name);
+      EXPECT_EQ(O.Status, driver::BatchStatus::Ok);
+    }
+    std::remove(Journal.c_str());
+  }
+}
+
 #if defined(GRAPHJS_BIN)
 
 namespace {
@@ -814,6 +1019,22 @@ std::map<std::string, std::string> reportsByPackage(const std::string &Path) {
 }
 
 int runCLI(const std::string &Cmd) { return std::system(Cmd.c_str()); }
+
+/// The non-zero counter series of a Prometheus page, by metric name.
+std::map<std::string, uint64_t> promCounters(const std::string &Path) {
+  std::map<std::string, uint64_t> Out;
+  std::set<std::string> Counters;
+  for (const std::string &Line : readLines(Path)) {
+    std::istringstream In(Line);
+    std::string A, B, C, D;
+    In >> A >> B >> C >> D;
+    if (A == "#" && B == "TYPE" && D == "counter")
+      Counters.insert(C);
+    else if (Counters.count(A) && B != "0")
+      Out[A] = std::stoull(B);
+  }
+  return Out;
+}
 
 } // namespace
 
@@ -862,6 +1083,30 @@ TEST(ProcessPoolCLITest, JobsFourContainsCrashAndHang) {
       ASSERT_EQ(R1.count(Pkg), 1u) << Pkg;
       EXPECT_EQ(Reports, R1[Pkg]) << Pkg;
     }
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ProcessPoolCLITest, WorkerCountersMatchInProcessTotals) {
+  // Worker counters reach the supervisor only on journal lines; every
+  // scan-pipeline total must equal the in-process run's. The worker.*
+  // counters are the pool's own bookkeeping.
+  std::string Dir = writeCorpus(6, 0);
+  std::string InProc = Dir + "/inproc.prom";
+  std::string Pooled = Dir + "/pooled.prom";
+  std::string Bin = GRAPHJS_BIN;
+  ASSERT_EQ(runCLI(Bin + " batch --quiet --metrics-out " + InProc + " " +
+                   Dir + " > /dev/null 2>&1"),
+            0);
+  ASSERT_EQ(runCLI(Bin + " batch --quiet --jobs 2 --metrics-out " + Pooled +
+                   " " + Dir + " > /dev/null 2>&1"),
+            0);
+  std::map<std::string, uint64_t> Want = promCounters(InProc);
+  std::map<std::string, uint64_t> Got = promCounters(Pooled);
+  for (auto It = Got.begin(); It != Got.end();)
+    It = It->first.rfind("graphjs_worker_", 0) == 0 ? Got.erase(It)
+                                                     : std::next(It);
+  EXPECT_TRUE(Want.count("graphjs_lex_tokens"));
+  EXPECT_EQ(Got, Want);
   std::filesystem::remove_all(Dir);
 }
 

@@ -25,10 +25,11 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
 # The multi-process fault suite: the resident worker pool (recycled
 # after every package and never) under injected crash/hang/oom faults,
-# the kill ladder, journal merge, resume
-# across a SIGKILLed supervisor, and the cross-process telemetry merge
-# (worker counter/histogram deltas and span stitching decode frames the
-# supervisor received off a socket — prime sanitizer territory). ASan caveats the suite is built
+# the kill ladder, the two-job worker queue (head-of-line verdicts and
+# requeues), journal merge, resume across a SIGKILLed supervisor, and the
+# cross-process telemetry merge (journal-line counters, worker histogram
+# deltas and span stitching decode frames the supervisor received off a
+# socket — prime sanitizer territory). ASan caveats the suite is built
 # around: fork() from an ASan parent is supported (single-threaded
 # here), but RLIMIT_AS is incompatible with ASan's shadow reservation —
 # Subprocess skips the address-space cap under ASan, and the oom fault
