@@ -20,6 +20,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <functional>
 
@@ -112,9 +113,10 @@ bool FaultPlan::parse(const std::string &Spec, FaultPlan &Out,
       Out.PackageName = N;
       return true;
     }
-    if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos)
+    const char *End = N.data() + N.size();
+    auto [Ptr, Ec] = std::from_chars(N.data(), End, Out.Package);
+    if (N.empty() || Ec != std::errc() || Ptr != End)
       return Fail("bad package index '" + N + "'");
-    Out.Package = static_cast<unsigned>(std::stoul(N));
   }
   return true;
 }
@@ -254,6 +256,165 @@ SourceLocation firstErrorLoc(const DiagnosticEngine &Diags) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
+// The front half: parse → normalize + lower → link → build
+//===----------------------------------------------------------------------===//
+
+PackageLinkSpec PackageLinkSpec::ofTree(const analysis::PackageGraph &G,
+                                        std::vector<SourceFile> &Files,
+                                        std::vector<std::string> *Warnings) {
+  analysis::PackageGraph::FlatPlan Plan = G.flatten();
+  PackageLinkSpec Link;
+  Link.MissingDeps = std::move(Plan.MissingDeps);
+  Link.Packages = &G;
+  for (const analysis::PackageGraph::FlatModule &M : Plan.Modules) {
+    Files.push_back({M.Path, *M.Contents});
+    Link.PkgOf.push_back(M.Pkg);
+    Link.IsMain.push_back(M.IsMain);
+  }
+  if (Warnings)
+    *Warnings = std::move(Plan.Warnings);
+  return Link;
+}
+
+PackageBuild::PackageBuild(const std::vector<SourceFile> &Files)
+    : Stems(Files.size()), ASTs(Files.size()), Programs(Files.size()) {
+  for (size_t I = 0; I < Files.size(); ++I)
+    Stems[I] = stemOf(Files[I].Name);
+}
+
+void PackageBuild::parse(const std::vector<SourceFile> &Files, Deadline &D,
+                         obs::TraceRecorder *TR, ScanResult &Out) {
+  for (size_t I = 0; I < Files.size(); ++I) {
+    if (D.expired())
+      break; // Remaining files stay unparsed.
+    obs::Span FileSpan(TR, "file");
+    FileSpan.arg("name", Files[I].Name.empty() ? "<source>" : Files[I].Name);
+    DiagnosticEngine Diags;
+    auto Module = parseJS(Files[I].Contents, Diags, &D, TR);
+    if (Diags.hasErrors()) {
+      Out.Errors.push_back({ScanPhase::Parse, ScanErrorKind::ParseError,
+                            firstErrorMessage(Diags), Files[I].Name,
+                            firstErrorLoc(Diags)});
+      FileSpan.arg("error", "parse failed");
+      continue;
+    }
+    size_t Nodes = ast::countNodes(*Module);
+    Out.ASTNodes += Nodes;
+    obs::counters::AstNodes.add(Nodes);
+    FileSpan.arg("ast_nodes", static_cast<uint64_t>(Nodes));
+    ASTs[I] = std::move(Module);
+  }
+}
+
+void PackageBuild::normalize(const PackageLinkSpec *Spec, bool AsyncLower,
+                             Deadline &D, obs::TraceRecorder *TR,
+                             ScanResult &Out) {
+  core::StmtIndex NextIndex = 1;
+  // The single-file form keeps unprefixed names (the documented scanSource
+  // behavior tests and examples rely on).
+  bool SingleFile = ASTs.size() == 1 && !Spec;
+  for (size_t I = 0; I < ASTs.size(); ++I) {
+    if (!ASTs[I])
+      continue;
+    if (D.expired())
+      break;
+    DiagnosticEngine Diags;
+    // Dependency-tree scans qualify the prefix with the owning package: two
+    // packages both shipping a `lib.js` must not collide in the
+    // function-name namespace (it keys call-graph and allocation maps).
+    std::string Prefix = SingleFile ? ""
+                         : Spec     ? Spec->PkgOf[I] + "$" + Stems[I] + "$"
+                                    : Stems[I] + "$";
+    core::Normalizer Norm(Diags, Prefix, NextIndex, &D);
+    Programs[I] = Norm.normalize(*ASTs[I]);
+    // Async lowering extends this module's statement-index range, so it
+    // must run before the next module's range is carved out.
+    if (AsyncLower) {
+      obs::Span LowerSpan(TR, "lower");
+      Timer LowerTimer;
+      core::AsyncLowerStats AS = core::lowerAsync(*Programs[I], Prefix, &D);
+      Out.Times.Lower += LowerTimer.elapsedSeconds();
+      obs::counters::AsyncAwaitsLowered.add(AS.AwaitsLowered);
+      obs::counters::AsyncReactionsLinked.add(AS.ReactionsLinked);
+      obs::counters::AsyncCallbacksUnresolved.add(AS.CallbacksUnresolved);
+      LowerSpan.arg("awaits_lowered", AS.AwaitsLowered);
+      LowerSpan.arg("reactions_linked", AS.ReactionsLinked);
+      LowerSpan.arg("callbacks_unresolved", AS.CallbacksUnresolved);
+    }
+    NextIndex = Programs[I]->NumIndices + 1;
+    size_t Stmts = core::countStmts(Programs[I]->TopLevel);
+    for (const auto &[Name, Fn] : Programs[I]->Functions)
+      Stmts += core::countStmts(Fn->Body);
+    Out.CoreStmts += Stmts;
+    obs::counters::CoreStmts.add(Stmts);
+  }
+}
+
+void PackageBuild::link(const PackageLinkSpec *Spec) {
+  if (Spec) {
+    // The cross-package soundness valve: missing/unparseable dependencies,
+    // plus every file that failed to parse (or was skipped by the
+    // deadline) — its package name and stem must classify as unresolved.
+    Link.ForceUnresolved = Spec->MissingDeps;
+    for (size_t I = 0; I < Programs.size(); ++I)
+      if (!Programs[I]) {
+        Link.ForceUnresolved.insert(Spec->PkgOf[I]);
+        Link.ForceUnresolved.insert(Stems[I]);
+      }
+  }
+  for (size_t I = 0; I < Programs.size(); ++I)
+    if (Programs[I]) {
+      if (Spec) {
+        Link.PkgOf.push_back(Spec->PkgOf[I]);
+        if (Spec->IsMain[I] && !Link.ForceUnresolved.count(Spec->PkgOf[I]))
+          Link.MainModuleOf.emplace(Spec->PkgOf[I], Mods.size());
+      }
+      Mods.push_back(Programs[I].get());
+      ModStems.push_back(Stems[I]);
+    }
+}
+
+void PackageBuild::build(const std::vector<SourceFile> &Files,
+                         const PackageLinkSpec *Spec,
+                         const analysis::BuilderOptions &BO) {
+  Built = true;
+  if (Files.size() == 1 && !Spec) {
+    Build = analysis::buildMDG(*Programs[0], BO);
+    return;
+  }
+  std::vector<analysis::PackageModule> Modules;
+  if (Spec) {
+    // A flattened dependency tree arrives in bottom-up link order already
+    // (PackageGraph::flatten); the builder's second pass closes any
+    // remaining (cyclic) links.
+    for (size_t I = 0; I < Programs.size(); ++I)
+      if (Programs[I])
+        Modules.push_back({Files[I].Name, Programs[I].get(), Spec->PkgOf[I],
+                           static_cast<bool>(Spec->IsMain[I])});
+  } else {
+    for (size_t I : topoOrder(Programs, Stems))
+      if (Programs[I])
+        Modules.push_back({Files[I].Name, Programs[I].get()});
+  }
+  analysis::MDGBuilder Builder(BO);
+  Build = Builder.buildPackage(Modules, Spec ? &Link : nullptr);
+}
+
+std::vector<ScanError> scanner::runFrontHalf(
+    const std::vector<SourceFile> &Files, const ScanOptions &Cfg,
+    PackageBuild &Pkg, bool WithBuild, const PackageLinkSpec *Link) {
+  ScanResult Out;
+  Deadline D;
+  Pkg = PackageBuild(Files);
+  Pkg.parse(Files, D, nullptr, Out);
+  Pkg.normalize(Link, Cfg.AsyncLower, D, nullptr, Out);
+  Pkg.link(Link);
+  if (WithBuild && !Pkg.Mods.empty())
+    Pkg.build(Files, Link, Cfg.builderOptions());
+  return std::move(Out.Errors);
+}
+
+//===----------------------------------------------------------------------===//
 // Scanner
 //===----------------------------------------------------------------------===//
 
@@ -268,7 +429,8 @@ Scanner::Scanner(ScanOptions Options) : Options(std::move(Options)) {}
 
 ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
                                const ScanOptions &Cfg, bool FaultArmed,
-                               unsigned Level, const PackageLinkSpec *Link) {
+                               unsigned Level, const PackageLinkSpec *Link,
+                               PackageBuild *Kept) {
   ScanResult Out;
   Timer Phase;
   obs::TraceRecorder *TR = Cfg.Trace;
@@ -330,151 +492,37 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
 
   // Phase 1: parse. A file that fails to parse is skipped with a per-file
   // error; the rest of the package is still scanned and linked.
-  std::vector<std::string> Stems(Files.size());
-  std::vector<std::unique_ptr<ast::Program>> ASTs(Files.size());
+  PackageBuild Pkg(Files);
   {
     obs::Span ParseSpan(TR, "parse");
-    if (!inject(ScanPhase::Parse)) {
-      for (size_t I = 0; I < Files.size(); ++I) {
-        Stems[I] = stemOf(Files[I].Name);
-        if (D.expired())
-          break; // Remaining files stay unparsed; attributed below.
-        obs::Span FileSpan(TR, "file");
-        FileSpan.arg("name", Files[I].Name.empty() ? "<source>"
-                                                   : Files[I].Name);
-        DiagnosticEngine Diags;
-        auto Module = parseJS(Files[I].Contents, Diags, &D, TR);
-        if (Diags.hasErrors()) {
-          Out.Errors.push_back({ScanPhase::Parse, ScanErrorKind::ParseError,
-                                firstErrorMessage(Diags), Files[I].Name,
-                                firstErrorLoc(Diags)});
-          FileSpan.arg("error", "parse failed");
-          continue;
-        }
-        size_t Nodes = ast::countNodes(*Module);
-        Out.ASTNodes += Nodes;
-        obs::counters::AstNodes.add(Nodes);
-        FileSpan.arg("ast_nodes", static_cast<uint64_t>(Nodes));
-        ASTs[I] = std::move(Module);
-      }
-    }
+    if (!inject(ScanPhase::Parse))
+      Pkg.parse(Files, D, TR, Out);
     ParseSpan.arg("files", static_cast<uint64_t>(Files.size()));
   }
   noteDeadline(ScanPhase::Parse);
 
-  // Phase 2: normalize to Core JavaScript. Function names and statement
-  // indices get per-module disjoint ranges (they are allocation keys); the
-  // single-file form keeps unprefixed names (the documented scanSource
-  // behavior tests and examples rely on).
-  std::vector<std::unique_ptr<core::Program>> Programs(Files.size());
+  // Phase 2: normalize to Core JavaScript (and lower async forms).
   {
     obs::Span NormSpan(TR, "normalize");
     Timer NormTimer;
-    if (!inject(ScanPhase::Normalize) && !D.expired()) {
-      core::StmtIndex NextIndex = 1;
-      bool SingleFile = Files.size() == 1 && !Link;
-      for (size_t I = 0; I < Files.size(); ++I) {
-        if (!ASTs[I])
-          continue;
-        if (D.expired())
-          break;
-        DiagnosticEngine Diags;
-        // Dependency-tree scans qualify the prefix with the owning package:
-        // two packages both shipping a `lib.js` must not collide in the
-        // function-name namespace (it keys call-graph and allocation maps).
-        std::string Prefix = SingleFile ? ""
-                             : Link ? Link->PkgOf[I] + "$" + Stems[I] + "$"
-                                    : Stems[I] + "$";
-        core::Normalizer Norm(Diags, Prefix, NextIndex, &D);
-        Programs[I] = Norm.normalize(*ASTs[I]);
-        // Async lowering extends this module's statement-index range, so it
-        // must run before the next module's range is carved out.
-        if (Cfg.AsyncLower) {
-          obs::Span LowerSpan(TR, "lower");
-          Timer LowerTimer;
-          core::AsyncLowerStats AS = core::lowerAsync(*Programs[I], Prefix, &D);
-          Out.Times.Lower += LowerTimer.elapsedSeconds();
-          obs::counters::AsyncAwaitsLowered.add(AS.AwaitsLowered);
-          obs::counters::AsyncReactionsLinked.add(AS.ReactionsLinked);
-          obs::counters::AsyncCallbacksUnresolved.add(AS.CallbacksUnresolved);
-          LowerSpan.arg("awaits_lowered", AS.AwaitsLowered);
-          LowerSpan.arg("reactions_linked", AS.ReactionsLinked);
-          LowerSpan.arg("callbacks_unresolved", AS.CallbacksUnresolved);
-        }
-        NextIndex = Programs[I]->NumIndices + 1;
-        size_t Stmts = core::countStmts(Programs[I]->TopLevel);
-        for (const auto &[Name, Fn] : Programs[I]->Functions)
-          Stmts += core::countStmts(Fn->Body);
-        Out.CoreStmts += Stmts;
-        obs::counters::CoreStmts.add(Stmts);
-      }
-    }
+    if (!inject(ScanPhase::Normalize) && !D.expired())
+      Pkg.normalize(Link, Cfg.AsyncLower, D, TR, Out);
     NormSpan.arg("core_stmts", static_cast<uint64_t>(Out.CoreStmts));
     Out.Times.Normalize = NormTimer.elapsedSeconds() - Out.Times.Lower;
   }
   noteDeadline(ScanPhase::Normalize);
   Out.Times.Parse = Phase.elapsedSeconds() - Out.Times.Lower;
-
-  // The parsed modules in file order (the self-check's inputs; the link
-  // map's module indices), and for dependency-tree scans the cross-package
-  // link map the builder resolves requires through.
-  std::vector<const core::Program *> Mods;
-  std::vector<std::string> ModStems;
-  analysis::ModuleLinkInfo TreeLink;
-  if (Link) {
-    // The cross-package soundness valve: missing/unparseable dependencies,
-    // plus every file that failed to parse (or was skipped by the
-    // deadline) — its package name and stem must classify as unresolved.
-    TreeLink.ForceUnresolved = Link->MissingDeps;
-    for (size_t I = 0; I < Files.size(); ++I)
-      if (!Programs[I]) {
-        TreeLink.ForceUnresolved.insert(Link->PkgOf[I]);
-        TreeLink.ForceUnresolved.insert(Stems[I]);
-      }
-  }
-  for (size_t I = 0; I < Programs.size(); ++I)
-    if (Programs[I]) {
-      if (Link) {
-        TreeLink.PkgOf.push_back(Link->PkgOf[I]);
-        if (Link->IsMain[I] &&
-            !TreeLink.ForceUnresolved.count(Link->PkgOf[I]))
-          TreeLink.MainModuleOf.emplace(Link->PkgOf[I], Mods.size());
-      }
-      Mods.push_back(Programs[I].get());
-      ModStems.push_back(Stems[I]);
-    }
+  Pkg.link(Link);
 
   // Phase 3: MDG construction over all parsed modules, deps first.
   Phase.reset();
-  std::vector<analysis::PackageModule> Modules;
-  if (Link) {
-    // A flattened dependency tree arrives in bottom-up link order already
-    // (PackageGraph::flatten); the builder's second pass closes any
-    // remaining (cyclic) links.
-    for (size_t I = 0; I < Programs.size(); ++I)
-      if (Programs[I])
-        Modules.push_back({Files[I].Name, Programs[I].get(), Link->PkgOf[I],
-                           static_cast<bool>(Link->IsMain[I])});
-  } else {
-    for (size_t I : topoOrder(Programs, Stems))
-      if (Programs[I])
-        Modules.push_back({Files[I].Name, Programs[I].get()});
-  }
-
-  analysis::BuildResult Build;
-  bool HaveGraph = false;
   {
     obs::Span BuildSpan(TR, "build");
-    if (!inject(ScanPhase::Build) && !Modules.empty()) {
+    if (!inject(ScanPhase::Build) && !Pkg.Mods.empty()) {
       analysis::BuilderOptions BO = Cfg.builderOptions();
       BO.ScanDeadline = &D;
-      if (Files.size() == 1 && !Link) {
-        Build = analysis::buildMDG(*Programs[0], BO);
-      } else {
-        analysis::MDGBuilder Builder(BO);
-        Build = Builder.buildPackage(Modules, Link ? &TreeLink : nullptr);
-      }
-      HaveGraph = true;
+      Pkg.build(Files, Link, BO);
+      const analysis::BuildResult &Build = Pkg.Build;
       Out.MDGNodes = Build.Graph.numNodes();
       Out.MDGEdges = Build.Graph.numEdges();
       Out.BuildWork = Build.WorkDone;
@@ -493,7 +541,7 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
                               ""});
       if (Cfg.SelfCheck)
         Out.SelfCheckFindings =
-            runSelfCheck(Build, Mods, ModStems, Cfg.Sinks,
+            runSelfCheck(Build, Pkg.Mods, Pkg.ModStems, Cfg.Sinks,
                          Link ? Link->Packages : nullptr);
     }
   }
@@ -503,7 +551,8 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   // Phases 4+5: import into the database and run the queries. The built-in
   // queries are schema-validated first: a malformed query must fail the
   // scan loudly, not return an empty (vacuously clean) report set.
-  if (HaveGraph) {
+  if (Pkg.Built) {
+    const analysis::BuildResult &Build = Pkg.Build;
     if (!queries::GraphDBRunner::validateBuiltinQueries(Cfg.Sinks,
                                                         &Out.SchemaError)) {
       Out.Errors.push_back({ScanPhase::Query, ScanErrorKind::Schema,
@@ -560,16 +609,16 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   }
 
   if (Link) {
-    std::set<std::string> LinkedPkgs;
-    for (size_t I = 0; I < Programs.size(); ++I)
-      if (Programs[I])
-        LinkedPkgs.insert(Link->PkgOf[I]);
+    std::set<std::string> LinkedPkgs(Pkg.Link.PkgOf.begin(),
+                                     Pkg.Link.PkgOf.end());
     Out.LinkedPackages = static_cast<unsigned>(LinkedPkgs.size());
     Out.MissingDeps.assign(Link->MissingDeps.begin(),
                            Link->MissingDeps.end());
   }
   Out.DeadlineWork = D.workDone();
   obs::counters::DeadlineUnits.add(Out.DeadlineWork);
+  if (Kept)
+    *Kept = std::move(Pkg);
   return Out;
 }
 
@@ -594,31 +643,26 @@ ScanOptions Scanner::degrade(const ScanOptions &Base) {
   return Cfg;
 }
 
-ScanResult Scanner::scanPackage(const std::vector<SourceFile> &Files) {
-  return scanWithLadder(Files, nullptr);
+ScanResult Scanner::scanPackage(const std::vector<SourceFile> &Files,
+                                PackageBuild *Kept) {
+  return scanWithLadder(Files, nullptr, Kept);
 }
 
-ScanResult Scanner::scanDependencyTree(const analysis::PackageGraph &G) {
-  analysis::PackageGraph::FlatPlan Plan = G.flatten();
+ScanResult Scanner::scanDependencyTree(const analysis::PackageGraph &G,
+                                       PackageBuild *Kept) {
   std::vector<SourceFile> Files;
-  PackageLinkSpec Link;
-  Link.MissingDeps = Plan.MissingDeps;
-  Link.Packages = &G;
-  for (const analysis::PackageGraph::FlatModule &M : Plan.Modules) {
-    Files.push_back({M.Path, *M.Contents});
-    Link.PkgOf.push_back(M.Pkg);
-    Link.IsMain.push_back(M.IsMain);
-  }
-  ScanResult Out = scanWithLadder(Files, &Link);
+  PackageLinkSpec Link = PackageLinkSpec::ofTree(G, Files);
+  ScanResult Out = scanWithLadder(Files, &Link, Kept);
   // An empty tree (every package missing) never reaches runAttempt's
   // accounting; report the missing names regardless.
-  if (Out.MissingDeps.empty() && !Plan.MissingDeps.empty())
-    Out.MissingDeps.assign(Plan.MissingDeps.begin(), Plan.MissingDeps.end());
+  if (Out.MissingDeps.empty() && !Link.MissingDeps.empty())
+    Out.MissingDeps.assign(Link.MissingDeps.begin(), Link.MissingDeps.end());
   return Out;
 }
 
 ScanResult Scanner::scanWithLadder(const std::vector<SourceFile> &Files,
-                                   const PackageLinkSpec *Link) {
+                                   const PackageLinkSpec *Link,
+                                   PackageBuild *Kept) {
   unsigned Seq = ScansDone++;
   auto Armed = [&] {
     return Options.Fault && !FaultSpent && Options.Fault->Package == Seq;
@@ -643,7 +687,7 @@ ScanResult Scanner::scanWithLadder(const std::vector<SourceFile> &Files,
     return Rec;
   };
 
-  ScanResult Out = runAttempt(Files, Options, Armed(), 0, Link);
+  ScanResult Out = runAttempt(Files, Options, Armed(), 0, Link, Kept);
   Out.CumulativeTimes = Out.Times;
   Out.AttemptLog.push_back(recordOf(Out, 0));
 
@@ -653,7 +697,8 @@ ScanResult Scanner::scanWithLadder(const std::vector<SourceFile> &Files,
   // AttemptLog keep both attempts' cost.
   if (wantsDegradation(Out) && Options.MaxDegradation > 0) {
     obs::counters::ScanRetries.add();
-    ScanResult Retry = runAttempt(Files, degrade(Options), Armed(), 1, Link);
+    ScanResult Retry =
+        runAttempt(Files, degrade(Options), Armed(), 1, Link, Kept);
     AttemptRecord Rec = recordOf(Retry, 1);
     Retry.Errors.insert(Retry.Errors.begin(), Out.Errors.begin(),
                         Out.Errors.end());

@@ -37,7 +37,9 @@
 #ifndef GJS_SCANNER_SCANNER_H
 #define GJS_SCANNER_SCANNER_H
 
+#include "analysis/CallGraph.h"
 #include "analysis/MDGBuilder.h"
+#include "frontend/AST.h"
 #include "graphdb/QueryEngine.h"
 #include "lint/Finding.h"
 #include "obs/Counters.h"
@@ -51,12 +53,10 @@
 #include <vector>
 
 namespace gjs {
+class Deadline;
 namespace obs {
 class TraceRecorder;
 }
-} // namespace gjs
-
-namespace gjs {
 namespace analysis {
 class PackageGraph;
 }
@@ -265,7 +265,63 @@ struct PackageLinkSpec {
   std::set<std::string> MissingDeps;
   /// The discovered tree (non-owning), for the pkggraph self-check pass.
   const analysis::PackageGraph *Packages = nullptr;
+
+  /// Flattens \p G (PackageGraph::flatten): appends its modules to \p Files
+  /// in link order, returns their link request, and hands the flattening's
+  /// warnings to \p Warnings when given.
+  static PackageLinkSpec ofTree(const analysis::PackageGraph &G,
+                                std::vector<SourceFile> &Files,
+                                std::vector<std::string> *Warnings = nullptr);
 };
+
+/// One package on its way through the pipeline's front half (§4: parse →
+/// Core JavaScript → MDG). Scanner::runAttempt runs the steps in order
+/// between its fault points and deadline checks; `graphjs query`, `lint`
+/// and `callgraph` run the same steps through runFrontHalf. Module stems,
+/// function-name prefixes and the cross-package link rules live here once.
+struct PackageBuild {
+  PackageBuild() = default;
+  /// Sizes the per-file vectors for \p Files and takes their stems.
+  explicit PackageBuild(const std::vector<SourceFile> &Files);
+
+  /// Per input file: the module stem, the AST and the Core program (null
+  /// when the file failed to parse or was skipped).
+  std::vector<std::string> Stems;
+  std::vector<std::unique_ptr<ast::Program>> ASTs;
+  std::vector<std::unique_ptr<core::Program>> Programs;
+  /// The normalized modules in file order and their stems (the call graph's
+  /// and the self-check's inputs; Link's module indices).
+  std::vector<const core::Program *> Mods;
+  std::vector<std::string> ModStems;
+  /// Dependency-tree scans: the cross-package link map (empty otherwise).
+  analysis::ModuleLinkInfo Link;
+  /// The MDG; Built is false when the build step did not run.
+  analysis::BuildResult Build;
+  bool Built = false;
+
+  /// Step 1: parses each file; a parse failure is a per-file ScanError.
+  void parse(const std::vector<SourceFile> &Files, Deadline &D,
+             obs::TraceRecorder *TR, ScanResult &Out);
+  /// Step 2: normalizes each parsed file to Core JavaScript and, with
+  /// \p AsyncLower, lowers its async forms. Names get a per-module prefix:
+  /// `<stem>$`, `<pkg>$<stem>$` under \p Spec, none for a lone file.
+  void normalize(const PackageLinkSpec *Spec, bool AsyncLower, Deadline &D,
+                 obs::TraceRecorder *TR, ScanResult &Out);
+  /// Step 3: lists Mods and ModStems and, under \p Spec, fills Link.
+  void link(const PackageLinkSpec *Spec);
+  /// Step 4: builds the MDG over Mods, dependencies first.
+  void build(const std::vector<SourceFile> &Files, const PackageLinkSpec *Spec,
+             const analysis::BuilderOptions &BO);
+};
+
+/// The front half on its own, for tools that want the programs or the graph
+/// rather than reports: a scan's steps under \p Cfg's async-lowering and
+/// builder settings, without deadline, fault, spans or retry; \p WithBuild
+/// false stops before the build. Returns the parse errors.
+std::vector<ScanError> runFrontHalf(const std::vector<SourceFile> &Files,
+                                    const ScanOptions &Cfg, PackageBuild &Pkg,
+                                    bool WithBuild = true,
+                                    const PackageLinkSpec *Link = nullptr);
 
 /// The Graph.js scanner.
 class Scanner {
@@ -278,16 +334,20 @@ public:
   /// Scans a multi-file package: each file is analyzed and the reports are
   /// merged (timings and sizes accumulate). A file that fails to parse is
   /// skipped with a per-file ScanError; the rest of the package is still
-  /// scanned and linked.
-  ScanResult scanPackage(const std::vector<SourceFile> &Files);
+  /// scanned and linked. \p Kept, when given, receives the final attempt's
+  /// front half: the programs and the graph the reports came from.
+  ScanResult scanPackage(const std::vector<SourceFile> &Files,
+                         PackageBuild *Kept = nullptr);
 
   /// Scans a whole dependency tree as one linked unit: the tree is
   /// flattened bottom-up (PackageGraph::flatten), inter-package requires
   /// resolve to the exporting package's code, and taint flows through the
   /// linked MDG across package boundaries — a sink buried N dependency
   /// levels deep is reachable from the root's exported API. Missing or
-  /// unparseable dependencies force unresolved callees.
-  ScanResult scanDependencyTree(const analysis::PackageGraph &G);
+  /// unparseable dependencies force unresolved callees. \p Kept as in
+  /// scanPackage.
+  ScanResult scanDependencyTree(const analysis::PackageGraph &G,
+                                PackageBuild *Kept = nullptr);
 
   const ScanOptions &options() const { return Options; }
 
@@ -303,14 +363,16 @@ private:
 
   /// One pipeline attempt under \p Cfg at ladder level \p Level.
   /// \p FaultArmed gates injection for this package; the attempt appends to
-  /// Out.Errors. \p Link is non-null for dependency-tree scans.
+  /// Out.Errors. \p Link is non-null for dependency-tree scans. \p Kept,
+  /// when given, receives the attempt's front half.
   ScanResult runAttempt(const std::vector<SourceFile> &Files,
                         const ScanOptions &Cfg, bool FaultArmed,
-                        unsigned Level, const PackageLinkSpec *Link = nullptr);
+                        unsigned Level, const PackageLinkSpec *Link,
+                        PackageBuild *Kept);
 
   /// Shared degradation-ladder driver for scanPackage/scanDependencyTree.
   ScanResult scanWithLadder(const std::vector<SourceFile> &Files,
-                            const PackageLinkSpec *Link);
+                            const PackageLinkSpec *Link, PackageBuild *Kept);
 
   /// True when the attempt's errors warrant a cheaper retry.
   static bool wantsDegradation(const ScanResult &R);

@@ -13,6 +13,9 @@
 // reported. Every run uses paths relative to its working directory, so the
 // transcripts do not depend on where the checkout lives.
 //
+// Beside the goldens: `query --builtin` sees flows through async lowering
+// (as `scan` does), and numeric flags reject bad values with a usage error.
+//
 //===----------------------------------------------------------------------===//
 
 #include "workload/DepTrees.h"
@@ -236,4 +239,71 @@ TEST(CLIGoldenTest, BuiltinQueriesOnSynchronousExamples) {
   for (const char *Example : {"figure1.js", "set_value.js", "clean_utils.js"})
     T.run(GJS_EXAMPLES_JS_DIR, std::string("query --builtin ") + Example);
   T.expectGolden("query");
+}
+
+//===----------------------------------------------------------------------===//
+// `graphjs query` runs the scanner's front half, async lowering included
+//===----------------------------------------------------------------------===//
+
+TEST(CLIQueryTest, BuiltinQueryFollowsPromiseExecutorFlow) {
+  std::string Dir = tempDir("async_query");
+  std::ofstream(Dir + "/run.js")
+      << "var cp = require('child_process');\n"
+         "function run(cmd) {\n"
+         "  new Promise(function (resolve) { resolve('git ' + cmd); })"
+         ".then(function (c) {\n"
+         "    cp.exec(c);\n"
+         "  });\n"
+         "}\n"
+         "module.exports = run;\n";
+  EXPECT_EQ(graphjs(Dir, "scan run.js").Exit, 3);
+  CLIRun R = graphjs(Dir, "query --builtin run.js");
+  ASSERT_EQ(R.Exit, 0);
+  const std::string Header = "== run.js: command-injection/exec: ";
+  size_t At = R.Out.find(Header);
+  ASSERT_NE(At, std::string::npos) << R.Out;
+  unsigned long Rows = std::strtoul(R.Out.c_str() + At + Header.size(),
+                                    nullptr, 10);
+  EXPECT_GE(Rows, 1u) << R.Out;
+  fs::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Numeric flags: bad values are usage errors (exit 2), not aborts
+//===----------------------------------------------------------------------===//
+
+TEST(CLIFlagTest, BadNumericValuesAreUsageErrors) {
+  // Runs in a scratch directory, so a flag that slipped through could not
+  // leave a ledger or journal in the source tree.
+  std::string Dir = tempDir("flags");
+  std::string Clean = std::string(" ") + GJS_EXAMPLES_JS_DIR + "/clean_utils.js";
+  for (std::string Args :
+       {"batch --jobs x", "batch --deadline-ms abc", "batch --jobs 2x",
+        "batch --work 1.5", "batch --max -3", "batch --deadline-ms -5",
+        "batch --kill-after-ms nan --jobs 1",
+        "batch --jobs 99999999999999999999",
+        "batch --shared ledger --shard-size ''"}) {
+    Args += Clean;
+    SCOPED_TRACE(Args);
+    EXPECT_EQ(graphjs(Dir, Args).Exit, 2);
+  }
+  // Rejected while parsing argv: no socket is bound, no worker starts.
+  for (const char *Args :
+       {"serve --socket p --jobs x", "serve --socket p --queue-max -1",
+        "serve --socket p --heartbeat-ms 5s",
+        "metrics --socket p --retry-budget-ms x"}) {
+    SCOPED_TRACE(Args);
+    EXPECT_EQ(graphjs(Dir, Args).Exit, 2);
+  }
+  // A negative count must not wrap to 4294967295 workers. The example
+  // directory holds four packages, so no more workers start even if it did.
+  EXPECT_EQ(graphjs(Dir, std::string("batch --jobs -1 ") + GJS_EXAMPLES_JS_DIR)
+                .Exit,
+            2);
+  // Well-formed values still parse, fractional milliseconds included.
+  EXPECT_EQ(graphjs(Dir, "batch --quiet --deadline-ms 60000.5 --max 1 "
+                         "--journal j.jsonl" + Clean)
+                .Exit,
+            0);
+  fs::remove_all(Dir);
 }

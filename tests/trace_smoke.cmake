@@ -23,8 +23,9 @@ if(EVENT_COUNT LESS 1)
   message(FATAL_ERROR "trace has no traceEvents")
 endif()
 
-# Every pipeline phase must appear as a span name.
-set(WANT_PHASES lex parse normalize build import query)
+# Every pipeline phase must appear as a span name, and so must the package
+# and attempt spans the scanner wraps them in.
+set(WANT_PHASES package attempt lex parse normalize build import query)
 set(SEEN_PHASES "")
 math(EXPR LAST "${EVENT_COUNT} - 1")
 foreach(I RANGE 0 ${LAST})

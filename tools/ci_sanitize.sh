@@ -78,6 +78,10 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 # lint-pass tests feed hand-built malformed IR through the checkers.
 "$BUILD_DIR/tests/test_async"
 
+# The CLI suite: every subcommand's stdout goldens and the numeric-flag
+# checks. argv parsing and out-of-range values are sanitizer territory.
+"$BUILD_DIR/tests/test_cli"
+
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # The flake gate: the whole suite three more times under full parallel

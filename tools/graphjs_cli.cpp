@@ -12,6 +12,15 @@
 //   graphjs metrics --socket p               one-shot daemon metrics client
 //   graphjs callgraph [options] <file.js>... static call graph + summaries
 //
+// Every subcommand runs the scanner's one pipeline front half (parse →
+// normalize → async lowering → MDG build, scanner/Scanner.h): `scan` per
+// file and linked through scanner::Scanner itself, which keeps the
+// programs and the graph for --confirm and the dumps; `query`, `lint` and
+// `callgraph` through scanner::runFrontHalf. Module prefixes, stems and
+// link rules are the scanner's, so every subcommand sees the same graph.
+// Numeric flag values must be non-negative decimal numbers; anything else
+// is a usage error (exit 2).
+//
 // Batch options:
 //   --journal <out.jsonl>   incremental per-package outcome journal
 //   --resume                skip packages already in the journal
@@ -110,32 +119,27 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CallGraph.h"
-#include "analysis/MDGBuilder.h"
 #include "analysis/PackageGraph.h"
 #include "analysis/TaintSummary.h"
 #include "cfg/CFG.h"
-#include "core/AsyncLower.h"
-#include "core/Normalizer.h"
 #include "driver/BatchDriver.h"
 #include "driver/ProcessPool.h"
 #include "driver/ScanService.h"
 #include "driver/WorkLedger.h"
-#include "frontend/Parser.h"
 #include "graphdb/QueryEngine.h"
 #include "graphdb/SchemaLint.h"
 #include "lint/PassManager.h"
 #include "obs/AtomicFile.h"
 #include "obs/Counters.h"
-#include "obs/Histogram.h"
 #include "obs/Trace.h"
 #include "queries/QueryRunner.h"
 #include "scanner/Scanner.h"
 #include "scanner/WitnessReplay.h"
 #include "support/JSON.h"
-#include "support/Timer.h"
 
 #include <algorithm>
-#include <array>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -234,6 +238,43 @@ bool loadSinkConfig(const std::string &Path, queries::SinkConfig &Sinks) {
   return true;
 }
 
+/// Reads numeric flag values: counts are non-negative integers that fit
+/// their target, milliseconds non-negative decimals. Anything else (a sign,
+/// a non-number, trailing characters, an out-of-range count) prints an
+/// error and sets Bad; the caller finishes argv and exits 2.
+struct NumericFlags {
+  char **Argv;
+  bool Bad = false;
+
+  /// Parses the count after the flag at Argv[I] into \p Out, advancing I.
+  template <typename T> void count(int &I, T &Out) {
+    const char *Text = Argv[I + 1];
+    check(I, std::from_chars(Text, Text + std::strlen(Text), Out),
+          "a non-negative integer");
+  }
+
+  /// The millisecond value after the flag at Argv[I], advancing I.
+  double millis(int &I) {
+    const char *Text = Argv[I + 1];
+    double Ms = 0;
+    // A leading digit rules out signs, "inf" and "nan".
+    if (!std::isdigit(static_cast<unsigned char>(*Text)))
+      Text = "";
+    check(I, std::from_chars(Text, Text + std::strlen(Text), Ms),
+          "a non-negative number of milliseconds");
+    return Ms;
+  }
+
+private:
+  void check(int &I, std::from_chars_result R, const char *Want) {
+    const char *Flag = Argv[I], *Text = Argv[++I];
+    if (R.ec == std::errc() && *R.ptr == '\0')
+      return;
+    std::fprintf(stderr, "error: %s expects %s, got '%s'\n", Flag, Want, Text);
+    Bad = true;
+  }
+};
+
 /// What parseScanFlag made of one argument.
 enum class ScanFlag { None, Parsed, BadSinks };
 
@@ -253,91 +294,79 @@ ScanFlag parseScanFlag(int Argc, char **Argv, int &I,
   return ScanFlag::Parsed;
 }
 
+/// Reads \p Paths as scan inputs. Prints the error and returns false when a
+/// file cannot be read.
+bool readSources(const std::vector<std::string> &Paths,
+                 std::vector<scanner::SourceFile> &Out) {
+  for (const std::string &Path : Paths) {
+    std::string Text;
+    if (!readFile(Path, Text)) {
+      std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+      return false;
+    }
+    Out.push_back({Path, std::move(Text)});
+  }
+  return true;
+}
+
+/// Prints scan errors as `warning: <error>` lines. True when a file failed
+/// to parse.
+bool printErrors(const std::vector<scanner::ScanError> &Errors) {
+  bool ParseFailed = false;
+  for (const scanner::ScanError &E : Errors) {
+    std::fprintf(stderr, "warning: %s\n", E.str().c_str());
+    ParseFailed |= E.Kind == scanner::ScanErrorKind::ParseError;
+  }
+  return ParseFailed;
+}
+
+/// Reads one input and runs the scanner's front half over it, async
+/// lowering included, so its graph is the one a scan queries. Prints the
+/// errors; false when the file cannot be read or does not parse.
+bool frontHalfOf(const std::string &Path, const scanner::ScanOptions &Cfg,
+                 scanner::PackageBuild &Pkg) {
+  std::vector<scanner::SourceFile> Source;
+  return readSources({Path}, Source) &&
+         !printErrors(scanner::runFrontHalf(Source, Cfg, Pkg));
+}
+
+/// Per-file scan: each input is its own package. The dumps and --confirm
+/// read the front half the scanner kept, i.e. the graph and the program
+/// the reports came from.
 int runScan(const std::vector<std::string> &Files,
             const scanner::ScanOptions &Scan, bool Confirm, bool DumpCore,
             bool DumpMDG, bool DumpDot, bool Summary) {
-  const queries::SinkConfig &Sinks = Scan.Sinks;
-  obs::TraceRecorder *TR = Scan.Trace;
-
-  // Fail fast: a malformed built-in query would otherwise just match
-  // nothing and the scan would look vacuously clean.
-  std::string SchemaError;
-  if (!queries::GraphDBRunner::validateBuiltinQueries(Sinks, &SchemaError)) {
-    std::fprintf(stderr, "error: %s\n", SchemaError.c_str());
-    return 4;
-  }
-
+  scanner::Scanner S(Scan);
   int ExitCode = 0;
   for (const std::string &Path : Files) {
-    std::string Source;
-    if (!readFile(Path, Source)) {
-      std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+    std::vector<scanner::SourceFile> Source;
+    if (!readSources({Path}, Source))
       return 1;
-    }
-
-    obs::Span FileSpan(TR, "file");
-    FileSpan.arg("name", Path);
-
-    // The pipeline phases are explicit here (rather than the normalizeJS
-    // convenience wrapper) so each gets its own trace span.
-    DiagnosticEngine Diags;
-    obs::Span ParseSpan(TR, "parse");
-    auto Module = parseJS(Source, Diags, nullptr, TR);
-    ParseSpan.close();
-    if (Diags.hasErrors()) {
-      std::fprintf(stderr, "%s: parse errors:\n%s", Path.c_str(),
-                   Diags.str().c_str());
+    scanner::PackageBuild Kept;
+    scanner::ScanResult R = S.scanPackage(Source, &Kept);
+    if (printErrors(R.Errors)) {
       ExitCode = 1;
       continue;
     }
-    obs::Span NormSpan(TR, "normalize");
-    core::Normalizer Norm(Diags);
-    auto Program = Norm.normalize(*Module);
-    NormSpan.close();
-    if (Diags.hasErrors()) {
-      std::fprintf(stderr, "%s: parse errors:\n%s", Path.c_str(),
-                   Diags.str().c_str());
-      ExitCode = 1;
-      continue;
+    // Fail fast: a malformed built-in query would otherwise just match
+    // nothing and the scan would look vacuously clean.
+    if (!R.SchemaError.empty()) {
+      std::fprintf(stderr, "error: %s\n", R.SchemaError.c_str());
+      return 4;
     }
-    if (Scan.AsyncLower) {
-      obs::Span LowerSpan(TR, "lower");
-      Timer LowerTimer;
-      core::AsyncLowerStats AS = core::lowerAsync(*Program);
-      obs::hists::PhaseLower.recordSeconds(LowerTimer.elapsedSeconds());
-      obs::counters::AsyncAwaitsLowered.add(AS.AwaitsLowered);
-      obs::counters::AsyncReactionsLinked.add(AS.ReactionsLinked);
-      obs::counters::AsyncCallbacksUnresolved.add(AS.CallbacksUnresolved);
-      LowerSpan.arg("awaits_lowered", AS.AwaitsLowered);
-      LowerSpan.arg("reactions_linked", AS.ReactionsLinked);
-      LowerSpan.arg("callbacks_unresolved", AS.CallbacksUnresolved);
-    }
+    const core::Program &Program = *Kept.Programs[0];
     if (DumpCore)
       std::printf("== %s: Core JavaScript ==\n%s\n", Path.c_str(),
-                  core::dump(*Program).c_str());
-
-    obs::Span BuildSpan(TR, "build");
-    analysis::BuildResult Build =
-        analysis::buildMDG(*Program, Scan.builderOptions());
-    BuildSpan.arg("mdg_nodes", static_cast<uint64_t>(Build.Graph.numNodes()));
-    BuildSpan.arg("mdg_edges", static_cast<uint64_t>(Build.Graph.numEdges()));
-    BuildSpan.arg("work", Build.WorkDone);
-    BuildSpan.arg("fixpoint_iters", Build.FixpointIters);
-    BuildSpan.arg("store_vars_peak",
-                  static_cast<uint64_t>(Build.StoreVarsPeak));
-    BuildSpan.close();
-    if (Scan.SelfCheck) {
-      lint::PassManager PM;
-      PM.addPass(lint::createMDGCheckPass());
-      lint::LintContext Ctx;
-      Ctx.Build = &Build;
-      lint::LintResult LR = PM.run(Ctx);
-      for (const lint::Finding &F : LR.findings())
-        std::fprintf(stderr, "%s: self-check: %s\n", Path.c_str(),
-                     F.str().c_str());
-      if (LR.hasErrors())
-        return 4;
+                  core::dump(Program).c_str());
+    bool SelfCheckFailed = false;
+    for (const lint::Finding &F : R.SelfCheckFindings) {
+      std::fprintf(stderr, "%s: self-check: %s\n", Path.c_str(),
+                   F.str().c_str());
+      SelfCheckFailed |= F.Severity == DiagSeverity::Error;
     }
+    if (SelfCheckFailed)
+      return 4;
+    const analysis::BuildResult &Build = Kept.Build;
     if (DumpMDG)
       std::printf("== %s: MDG (%zu nodes, %zu edges) ==\n%s\n", Path.c_str(),
                   Build.Graph.numNodes(), Build.Graph.numEdges(),
@@ -345,22 +374,12 @@ int runScan(const std::vector<std::string> &Files,
     if (DumpDot)
       std::printf("%s", Build.Graph.toDot(Build.Props).c_str());
 
-    graphdb::EngineOptions EO;
-    EO.Trace = TR;
-    obs::Span ImportSpan(TR, "import");
-    queries::GraphDBRunner Runner(Build, EO);
-    ImportSpan.close();
-    obs::Span QuerySpan(TR, "query");
-    std::vector<queries::VulnReport> Reports = Runner.detect(Sinks);
-    QuerySpan.arg("reports", static_cast<uint64_t>(Reports.size()));
-    QuerySpan.close();
-
+    const std::vector<queries::VulnReport> &Reports = R.Reports;
     std::vector<std::string> Witnesses(Reports.size());
     std::vector<bool> Confirmed(Reports.size(), false);
     if (Confirm) {
       for (size_t I = 0; I < Reports.size(); ++I) {
-        scanner::ReplayResult RR =
-            scanner::replayFinding(*Program, Reports[I]);
+        scanner::ReplayResult RR = scanner::replayFinding(Program, Reports[I]);
         Confirmed[I] = RR.Confirmed;
         Witnesses[I] = RR.Witness;
       }
@@ -403,121 +422,23 @@ int runScan(const std::vector<std::string> &Files,
   return ExitCode;
 }
 
-/// Linked multi-file scan: one MDG for all inputs (local requires
-/// resolve across files).
-int runPackageScan(const std::vector<std::string> &Files,
-                   const scanner::ScanOptions &O, bool Summary) {
-  std::vector<scanner::SourceFile> Sources;
-  for (const std::string &Path : Files) {
-    std::string Text;
-    if (!readFile(Path, Text)) {
-      std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
-      return 1;
-    }
-    Sources.push_back({Path, Text});
-  }
-  scanner::Scanner S(O);
-  scanner::ScanResult R = S.scanPackage(Sources);
-  for (const scanner::ScanError &E : R.Errors)
-    std::fprintf(stderr, "warning: %s\n", E.str().c_str());
-  for (const lint::Finding &F : R.SelfCheckFindings)
-    std::fprintf(stderr, "self-check: %s\n", F.str().c_str());
-  if (!R.SchemaError.empty()) {
-    std::fprintf(stderr, "error: %s\n", R.SchemaError.c_str());
-    return 4;
-  }
-  if (Summary) {
-    std::printf("package (%zu files): %zu finding(s)\n", Sources.size(),
-                R.Reports.size());
-    for (const queries::VulnReport &Rep : R.Reports)
-      std::printf("  %s\n", Rep.str().c_str());
-  } else {
-    std::printf("%s\n", scanner::reportsToJSON(R.Reports).c_str());
-  }
-  return R.Reports.empty() ? 0 : 3;
-}
-
-/// Parses and normalizes a flattened dependency tree with the same
-/// per-module `<pkg>$<stem>$` name prefixing the scanner uses, and builds
-/// the ModuleLinkInfo (main-module map + unresolved-name valve) for it.
-/// Modules that fail to parse route their package and stem into
-/// ForceUnresolved instead of aborting.
-struct LinkedTree {
-  analysis::PackageGraph::FlatPlan Plan;
-  std::vector<std::unique_ptr<core::Program>> Programs; ///< parsed only
-  std::vector<const core::Program *> Mods;
-  std::vector<std::string> Stems;
-  analysis::ModuleLinkInfo Link;
-};
-
-bool buildLinkedTree(const analysis::PackageGraph &G, LinkedTree &B) {
-  B.Plan = G.flatten();
-  for (const std::string &W : B.Plan.Warnings)
-    std::fprintf(stderr, "warning: %s\n", W.c_str());
-  B.Link.ForceUnresolved = B.Plan.MissingDeps;
-
-  // Pass 1: parse + normalize; a failed module trips the valve for its
-  // whole package (its exports are unknowable).
-  std::vector<std::unique_ptr<core::Program>> Parsed(B.Plan.Modules.size());
-  std::vector<std::string> AllStems(B.Plan.Modules.size());
-  core::StmtIndex NextIndex = 1;
-  for (size_t I = 0; I < B.Plan.Modules.size(); ++I) {
-    const analysis::PackageGraph::FlatModule &M = B.Plan.Modules[I];
-    AllStems[I] = std::filesystem::path(M.Path).stem().string();
-    DiagnosticEngine Diags;
-    auto Module = parseJS(*M.Contents, Diags);
-    if (!Diags.hasErrors()) {
-      core::Normalizer Norm(Diags, M.Pkg + "$" + AllStems[I] + "$",
-                            NextIndex);
-      Parsed[I] = Norm.normalize(*Module);
-      core::lowerAsync(*Parsed[I], M.Pkg + "$" + AllStems[I] + "$");
-      NextIndex = Parsed[I]->NumIndices + 1;
-    }
-    if (Diags.hasErrors()) {
-      std::fprintf(stderr,
-                   "warning: %s: parse errors; package '%s' linked as "
-                   "unresolved\n",
-                   M.Path.c_str(), M.Pkg.c_str());
-      B.Link.ForceUnresolved.insert(M.Pkg);
-      B.Link.ForceUnresolved.insert(AllStems[I]);
-      Parsed[I] = nullptr;
-    }
-  }
-
-  // Pass 2: the link tables, indexed parallel to the surviving modules.
-  for (size_t I = 0; I < B.Plan.Modules.size(); ++I) {
-    if (!Parsed[I])
-      continue;
-    const analysis::PackageGraph::FlatModule &M = B.Plan.Modules[I];
-    B.Link.PkgOf.push_back(M.Pkg);
-    if (M.IsMain && !B.Link.ForceUnresolved.count(M.Pkg))
-      B.Link.MainModuleOf.emplace(M.Pkg, B.Mods.size());
-    B.Programs.push_back(std::move(Parsed[I]));
-    B.Mods.push_back(B.Programs.back().get());
-    B.Stems.push_back(AllStems[I]);
-  }
-  if (B.Mods.empty()) {
+/// `--with-deps --emit-summaries <dir>`: computes the linked call graph and
+/// taint summaries over the scanned tree, slices them per package, and
+/// writes one `<pkg>.summary.json` per analyzable package.
+bool emitPackageSummaries(const analysis::PackageGraph &G,
+                          const scanner::PackageBuild &Tree,
+                          const queries::SinkConfig &Sinks,
+                          const std::string &Dir) {
+  if (Tree.Mods.empty()) {
     std::fprintf(stderr, "error: no analyzable modules in the tree\n");
     return false;
   }
-  return true;
-}
-
-/// `--with-deps --emit-summaries <dir>`: recomputes the linked call graph
-/// and taint summaries over the tree, slices them per package, and writes
-/// one `<pkg>.summary.json` per analyzable package.
-bool emitPackageSummaries(const analysis::PackageGraph &G,
-                          const queries::SinkConfig &Sinks,
-                          const std::string &Dir) {
-  LinkedTree B;
-  if (!buildLinkedTree(G, B))
-    return false;
   analysis::CallGraph CG =
-      analysis::CallGraph::build(B.Mods, B.Stems, true, &B.Link);
-  analysis::SummarySet Sums =
-      analysis::computeSummaries(CG, B.Mods, queries::toSinkTable(Sinks));
+      analysis::CallGraph::build(Tree.Mods, Tree.ModStems, true, &Tree.Link);
+  analysis::SummarySet Sums = analysis::computeSummaries(
+      CG, Tree.Mods, queries::toSinkTable(Sinks));
   std::vector<analysis::PackageSummaries> Slices =
-      analysis::slicePackageSummaries(G, CG, Sums, B.Link);
+      analysis::slicePackageSummaries(G, CG, Sums, Tree.Link);
 
   std::error_code EC;
   std::filesystem::create_directories(Dir, EC);
@@ -538,23 +459,32 @@ bool emitPackageSummaries(const analysis::PackageGraph &G,
   return true;
 }
 
-/// `graphjs scan --with-deps <root-dir>`: discovers the root's dependency
-/// tree and scans it as one linked unit — taint flows that cross package
-/// boundaries (a sink buried levels deep in node_modules) are visible,
-/// unlike an isolated per-package scan.
-int runDepsScan(const std::string &RootDir, const scanner::ScanOptions &O,
-                bool Summary, const std::string &EmitSummariesDir) {
-  analysis::PackageGraph G;
-  std::string Error;
-  if (!analysis::PackageGraph::discover(RootDir, G, &Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-
+/// Linked scans, one MDG for all inputs. `--package` scans the inputs as
+/// one package (local requires resolve across files); `--with-deps` scans
+/// the root directory's discovered dependency tree as one unit, so taint
+/// flows that cross package boundaries (a sink buried levels deep in
+/// node_modules) are visible, unlike an isolated per-package scan.
+int runLinkedScan(const std::vector<std::string> &Files, bool WithDeps,
+                  const scanner::ScanOptions &O, bool Summary,
+                  const std::string &EmitSummariesDir) {
   scanner::Scanner S(O);
-  scanner::ScanResult R = S.scanDependencyTree(G);
-  for (const scanner::ScanError &E : R.Errors)
-    std::fprintf(stderr, "warning: %s\n", E.str().c_str());
+  scanner::PackageBuild Kept;
+  scanner::ScanResult R;
+  analysis::PackageGraph G;
+  if (WithDeps) {
+    std::string Error;
+    if (!analysis::PackageGraph::discover(Files[0], G, &Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
+      return 1;
+    }
+    R = S.scanDependencyTree(G, &Kept);
+  } else {
+    std::vector<scanner::SourceFile> Sources;
+    if (!readSources(Files, Sources))
+      return 1;
+    R = S.scanPackage(Sources);
+  }
+  printErrors(R.Errors);
   for (const lint::Finding &F : R.SelfCheckFindings)
     std::fprintf(stderr, "self-check: %s\n", F.str().c_str());
   if (!R.SchemaError.empty()) {
@@ -562,13 +492,18 @@ int runDepsScan(const std::string &RootDir, const scanner::ScanOptions &O,
     return 4;
   }
 
-  if (!EmitSummariesDir.empty() &&
-      !emitPackageSummaries(G, O.Sinks, EmitSummariesDir))
+  if (WithDeps && !EmitSummariesDir.empty() &&
+      !emitPackageSummaries(G, Kept, O.Sinks, EmitSummariesDir))
     return 1;
 
   if (Summary) {
-    std::printf("dependency tree (%zu packages, %u linked): %zu finding(s)\n",
-                G.packages().size(), R.LinkedPackages, R.Reports.size());
+    if (!WithDeps)
+      std::printf("package (%zu files): %zu finding(s)\n", Files.size(),
+                  R.Reports.size());
+    else
+      std::printf("dependency tree (%zu packages, %u linked): %zu "
+                  "finding(s)\n",
+                  G.packages().size(), R.LinkedPackages, R.Reports.size());
     if (!R.MissingDeps.empty()) {
       std::printf("  unresolved dependencies:");
       for (const std::string &Dep : R.MissingDeps)
@@ -583,109 +518,79 @@ int runDepsScan(const std::string &RootDir, const scanner::ScanOptions &O,
   return R.Reports.empty() ? 0 : 3;
 }
 
-/// `graphjs callgraph --packages <root-dir>`: the package DAG, the SCC
-/// link order, and the cross-package call graph of the linked tree.
-int runPackagesCallGraph(const std::string &RootDir, bool Dot, bool Summaries,
-                         const std::string &SinksFile) {
-  queries::SinkConfig Sinks = queries::SinkConfig::defaults();
-  if (!SinksFile.empty() && !loadSinkConfig(SinksFile, Sinks))
-    return 1;
-
-  analysis::PackageGraph G;
-  std::string Error;
-  if (!analysis::PackageGraph::discover(RootDir, G, &Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
+/// `callgraph --packages`: the package DAG and its SCC link order.
+void printPackageGraph(const analysis::PackageGraph &G) {
+  std::printf("package graph (%zu packages, root %s):\n", G.packages().size(),
+              G.packages()[G.rootIndex()].Name.c_str());
+  for (size_t I = 0; I < G.packages().size(); ++I) {
+    const analysis::PackageInfo &P = G.packages()[I];
+    std::printf("  %s%s%s ->", P.Name.c_str(), P.Version.empty() ? "" : "@",
+                P.Version.c_str());
+    if (G.depEdges()[I].empty())
+      std::printf(" (leaf)");
+    for (size_t Dep : G.depEdges()[I])
+      std::printf(" %s", G.packages()[Dep].Name.c_str());
+    if (!P.analyzable())
+      std::printf("  [%s]", P.Missing ? "missing" : "unparseable");
+    std::printf("\n");
   }
-
-  if (!Dot) {
-    std::printf("package graph (%zu packages, root %s):\n",
-                G.packages().size(),
-                G.packages()[G.rootIndex()].Name.c_str());
-    for (size_t I = 0; I < G.packages().size(); ++I) {
-      const analysis::PackageInfo &P = G.packages()[I];
-      std::printf("  %s%s%s ->", P.Name.c_str(),
-                  P.Version.empty() ? "" : "@",
-                  P.Version.c_str());
-      if (G.depEdges()[I].empty())
-        std::printf(" (leaf)");
-      for (size_t Dep : G.depEdges()[I])
-        std::printf(" %s", G.packages()[Dep].Name.c_str());
-      if (!P.analyzable())
-        std::printf("  [%s]", P.Missing ? "missing" : "unparseable");
-      std::printf("\n");
-    }
-    std::printf("link order (dependencies first):\n");
-    for (const std::vector<size_t> &SCC : G.linkOrder()) {
-      std::printf(" ");
-      for (size_t I : SCC)
-        std::printf(" %s", G.packages()[I].Name.c_str());
-      if (SCC.size() > 1)
-        std::printf("  [cycle: linked as one group]");
-      std::printf("\n");
-    }
+  std::printf("link order (dependencies first):\n");
+  for (const std::vector<size_t> &SCC : G.linkOrder()) {
+    std::printf(" ");
+    for (size_t I : SCC)
+      std::printf(" %s", G.packages()[I].Name.c_str());
+    if (SCC.size() > 1)
+      std::printf("  [cycle: linked as one group]");
+    std::printf("\n");
   }
-
-  LinkedTree B;
-  if (!buildLinkedTree(G, B))
-    return 1;
-  analysis::CallGraph CG =
-      analysis::CallGraph::build(B.Mods, B.Stems, true, &B.Link);
-
-  if (Dot)
-    std::printf("%s", CG.toDot().c_str());
-  else
-    std::printf("%s", CG.dumpText().c_str());
-
-  if (Summaries) {
-    analysis::SummarySet Sums =
-        analysis::computeSummaries(CG, B.Mods, queries::toSinkTable(Sinks));
-    std::printf("%s", analysis::dumpText(Sums, CG).c_str());
-  }
-  return 0;
 }
 
-/// `graphjs callgraph`: prints the static call graph (text or dot) and,
-/// with --summaries, the per-function taint summaries and the pruning
-/// decision for the inputs linked as one package.
-int runCallGraph(const std::vector<std::string> &Files, bool Dot,
-                 bool Summaries, const std::string &SinksFile) {
+/// `graphjs callgraph`: prints the static call graph (text or dot) of the
+/// inputs linked as one package and, with --summaries, the per-function
+/// taint summaries and the pruning decision. With --packages the input is a
+/// dependency-tree root: the package DAG and the SCC link order come first,
+/// then the cross-package call graph of the linked tree.
+int runCallGraph(const std::vector<std::string> &Files, bool Packages,
+                 bool Dot, bool Summaries, const std::string &SinksFile) {
   queries::SinkConfig Sinks = queries::SinkConfig::defaults();
   if (!SinksFile.empty() && !loadSinkConfig(SinksFile, Sinks))
     return 1;
 
-  // Same per-module name prefixing as the package scanner, so function
-  // names match the scanner's MDG and self-check.
-  bool SingleFile = Files.size() == 1;
-  core::StmtIndex NextIndex = 1;
-  std::vector<std::unique_ptr<core::Program>> Programs;
-  std::vector<std::string> Stems;
-  for (const std::string &Path : Files) {
-    std::string Source;
-    if (!readFile(Path, Source)) {
-      std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+  std::vector<scanner::SourceFile> Sources;
+  analysis::PackageGraph G;
+  scanner::PackageLinkSpec Link;
+  if (Packages) {
+    std::string Error;
+    if (!analysis::PackageGraph::discover(Files[0], G, &Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
-    DiagnosticEngine Diags;
-    auto Module = parseJS(Source, Diags);
-    if (Diags.hasErrors()) {
-      std::fprintf(stderr, "%s: parse errors:\n%s", Path.c_str(),
-                   Diags.str().c_str());
-      return 1;
-    }
-    std::string Stem = std::filesystem::path(Path).stem().string();
-    std::string Prefix = SingleFile ? "" : Stem + "$";
-    core::Normalizer Norm(Diags, Prefix, NextIndex);
-    Programs.push_back(Norm.normalize(*Module));
-    core::lowerAsync(*Programs.back(), Prefix);
-    NextIndex = Programs.back()->NumIndices + 1;
-    Stems.push_back(std::move(Stem));
+    if (!Dot)
+      printPackageGraph(G);
+    std::vector<std::string> Warnings;
+    Link = scanner::PackageLinkSpec::ofTree(G, Sources, &Warnings);
+    for (const std::string &W : Warnings)
+      std::fprintf(stderr, "warning: %s\n", W.c_str());
+  } else if (!readSources(Files, Sources)) {
+    return 1;
   }
 
-  std::vector<const core::Program *> Mods;
-  for (const auto &P : Programs)
-    Mods.push_back(P.get());
-  analysis::CallGraph CG = analysis::CallGraph::build(Mods, Stems);
+  // The scanner's front half, so function names match the scanner's MDG
+  // and self-check. A tree links past a file that does not parse (its
+  // package stays unresolved); a list of inputs stops there.
+  scanner::PackageBuild Pkg;
+  bool ParseFailed =
+      printErrors(scanner::runFrontHalf(Sources, scanner::ScanOptions(), Pkg,
+                                        /*WithBuild=*/false,
+                                        Packages ? &Link : nullptr));
+  if (ParseFailed && !Packages)
+    return 1;
+  if (Pkg.Mods.empty()) {
+    std::fprintf(stderr, "error: no analyzable modules in the tree\n");
+    return 1;
+  }
+  analysis::CallGraph CG =
+      analysis::CallGraph::build(Pkg.Mods, Pkg.ModStems, true, &Pkg.Link);
 
   if (Dot)
     std::printf("%s", CG.toDot().c_str());
@@ -694,7 +599,7 @@ int runCallGraph(const std::vector<std::string> &Files, bool Dot,
 
   if (Summaries) {
     analysis::SummarySet Sums =
-        analysis::computeSummaries(CG, Mods, queries::toSinkTable(Sinks));
+        analysis::computeSummaries(CG, Pkg.Mods, queries::toSinkTable(Sinks));
     // dumpText ends with the "prune decision:" line.
     std::printf("%s", analysis::dumpText(Sums, CG).c_str());
   }
@@ -708,35 +613,26 @@ bool collectBatchInputs(const std::string &Arg,
                         std::vector<driver::BatchInput> &Out) {
   namespace fs = std::filesystem;
 
-  auto AddFilePackage = [&](const fs::path &P) -> bool {
-    std::string Text;
-    if (!readFile(P.string(), Text)) {
-      std::fprintf(stderr, "error: cannot open %s\n", P.string().c_str());
+  // One package of the given files; empty packages are dropped.
+  auto AddPackage = [&](std::string Name,
+                        const std::vector<std::string> &Paths) -> bool {
+    driver::BatchInput Pkg{std::move(Name), {}};
+    if (!readSources(Paths, Pkg.Files))
       return false;
-    }
-    Out.push_back({P.filename().string(), {{P.string(), std::move(Text)}}});
-    return true;
-  };
-
-  auto AddDirPackage = [&](const fs::path &Dir) -> bool {
-    driver::BatchInput Pkg;
-    Pkg.Name = Dir.filename().string();
-    std::vector<fs::path> JS;
-    for (const fs::directory_entry &E : fs::directory_iterator(Dir))
-      if (E.is_regular_file() && E.path().extension() == ".js")
-        JS.push_back(E.path());
-    std::sort(JS.begin(), JS.end());
-    for (const fs::path &P : JS) {
-      std::string Text;
-      if (!readFile(P.string(), Text)) {
-        std::fprintf(stderr, "error: cannot open %s\n", P.string().c_str());
-        return false;
-      }
-      Pkg.Files.push_back({P.string(), std::move(Text)});
-    }
     if (!Pkg.Files.empty())
       Out.push_back(std::move(Pkg));
     return true;
+  };
+  auto AddFilePackage = [&](const fs::path &P) {
+    return AddPackage(P.filename().string(), {P.string()});
+  };
+  auto AddDirPackage = [&](const fs::path &Dir) {
+    std::vector<std::string> JS;
+    for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+      if (E.is_regular_file() && E.path().extension() == ".js")
+        JS.push_back(E.path().string());
+    std::sort(JS.begin(), JS.end());
+    return AddPackage(Dir.filename().string(), JS);
   };
 
   fs::path P(Arg);
@@ -880,32 +776,19 @@ int runBatch(const std::vector<std::string> &Args, driver::PoolOptions O,
 /// error-severity finding.
 int runLint(const std::vector<std::string> &Files, bool Summary,
             const std::vector<std::string> &ExtraQueries) {
-  queries::SinkConfig Sinks = queries::SinkConfig::defaults();
+  scanner::ScanOptions Cfg; // The default sinks and builder settings.
   int ExitCode = 0;
   for (const std::string &Path : Files) {
-    std::string Source;
-    if (!readFile(Path, Source)) {
-      std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+    scanner::PackageBuild Pkg;
+    if (!frontHalfOf(Path, Cfg, Pkg))
       return 1;
-    }
-    DiagnosticEngine Diags;
-    auto Module = parseJS(Source, Diags);
-    if (Diags.hasErrors()) {
-      std::fprintf(stderr, "%s: parse errors:\n%s", Path.c_str(),
-                   Diags.str().c_str());
-      return 1;
-    }
-    cfg::ModuleCFG CFG = cfg::buildCFG(*Module);
-    core::Normalizer Norm(Diags);
-    auto Program = Norm.normalize(*Module);
-    core::lowerAsync(*Program);
-    analysis::BuildResult Build = analysis::buildMDG(*Program);
+    cfg::ModuleCFG CFG = cfg::buildCFG(*Pkg.ASTs[0]);
 
     lint::LintContext Ctx;
-    Ctx.Program = Program.get();
+    Ctx.Program = Pkg.Programs[0].get();
     Ctx.CFG = &CFG;
-    Ctx.Build = &Build;
-    Ctx.Sinks = &Sinks;
+    Ctx.Build = &Pkg.Build;
+    Ctx.Sinks = &Cfg.Sinks;
     Ctx.ExtraQueries = ExtraQueries;
     lint::LintResult LR = lint::PassManager::standard().run(Ctx);
 
@@ -970,21 +853,12 @@ int runQuery(const std::string &QueryText, bool Builtin, bool Explain,
   }
 
   for (const std::string &Path : Files) {
-    std::string Source;
-    if (!readFile(Path, Source)) {
-      std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+    scanner::PackageBuild Pkg;
+    if (!frontHalfOf(Path, scanner::ScanOptions(), Pkg))
       return 1;
-    }
-    DiagnosticEngine Diags;
-    auto Program = core::normalizeJS(Source, Diags);
-    if (Diags.hasErrors()) {
-      std::fprintf(stderr, "%s: parse errors\n", Path.c_str());
-      return 1;
-    }
-    analysis::BuildResult Build = analysis::buildMDG(*Program);
     // Through GraphDBRunner so the built-in path predicates (untainted)
     // and the planner fold are registered, exactly as in a scan.
-    queries::GraphDBRunner Runner(Build);
+    queries::GraphDBRunner Runner(Pkg.Build);
     for (const auto &[Name, Text] : Queries) {
       std::string Error;
       graphdb::QueryProfile QP;
@@ -1017,6 +891,7 @@ int main(int argc, char **argv) {
   if (argc < 3)
     return usage();
   std::string Mode = argv[1];
+  NumericFlags Num{argv};
 
   if (Mode == "query") {
     bool Builtin = false, Explain = false, Profile = false;
@@ -1083,15 +958,11 @@ int main(int argc, char **argv) {
     }
     if (Files.empty())
       return usage();
-    if (Packages) {
-      if (Files.size() != 1) {
-        std::fprintf(stderr,
-                     "error: --packages takes one root directory\n");
-        return usage();
-      }
-      return runPackagesCallGraph(Files[0], Dot, Summaries, SinksFile);
+    if (Packages && Files.size() != 1) {
+      std::fprintf(stderr, "error: --packages takes one root directory\n");
+      return usage();
     }
-    return runCallGraph(Files, Dot, Summaries, SinksFile);
+    return runCallGraph(Files, Packages, Dot, Summaries, SinksFile);
   }
 
   if (Mode == "batch") {
@@ -1120,26 +991,25 @@ int main(int argc, char **argv) {
       else if (Arg == "--retry-crashed")
         O.RetryCrashed = true;
       else if (Arg == "--recycle-after" && I + 1 < argc)
-        O.RecycleAfter = static_cast<unsigned>(std::stoul(argv[++I]));
+        Num.count(I, O.RecycleAfter);
       else if (Arg == "--recycle-mem-mb" && I + 1 < argc)
-        O.RecycleRssMB = std::stoul(argv[++I]);
+        Num.count(I, O.RecycleRssMB);
       else if (Arg == "--journal" && I + 1 < argc)
         O.Batch.JournalPath = argv[++I];
       else if (Arg == "--deadline-ms" && I + 1 < argc)
-        O.Batch.Scan.Deadline.WallSeconds = std::stod(argv[++I]) / 1000.0;
+        O.Batch.Scan.Deadline.WallSeconds = Num.millis(I) / 1000.0;
       else if (Arg == "--work" && I + 1 < argc)
-        O.Batch.Scan.Deadline.WorkUnits = std::stoull(argv[++I]);
+        Num.count(I, O.Batch.Scan.Deadline.WorkUnits);
       else if (Arg == "--max" && I + 1 < argc)
-        O.Batch.MaxPackages = std::stoul(argv[++I]);
+        Num.count(I, O.Batch.MaxPackages);
       else if (Arg == "--max-degradation" && I + 1 < argc)
-        O.Batch.Scan.MaxDegradation =
-            static_cast<unsigned>(std::stoul(argv[++I]));
+        Num.count(I, O.Batch.Scan.MaxDegradation);
       else if (Arg == "--jobs" && I + 1 < argc)
-        Jobs = static_cast<unsigned>(std::stoul(argv[++I]));
+        Num.count(I, Jobs);
       else if (Arg == "--mem-limit-mb" && I + 1 < argc)
-        O.MemLimitMB = std::stoul(argv[++I]);
+        Num.count(I, O.MemLimitMB);
       else if (Arg == "--kill-after-ms" && I + 1 < argc)
-        O.KillAfterSeconds = std::stod(argv[++I]) / 1000.0;
+        O.KillAfterSeconds = Num.millis(I) / 1000.0;
       else if (Arg == "--trace-out" && I + 1 < argc)
         TraceOut = argv[++I];
       else if (Arg == "--metrics-out" && I + 1 < argc)
@@ -1147,20 +1017,19 @@ int main(int argc, char **argv) {
       else if (Arg == "--shared" && I + 1 < argc)
         Shared.Ledger.Dir = argv[++I];
       else if (Arg == "--shard-size" && I + 1 < argc) {
-        Shared.Ledger.ShardSize = std::stoul(argv[++I]);
+        Num.count(I, Shared.Ledger.ShardSize);
         SharedOnlyFlag = "--shard-size";
       } else if (Arg == "--lease-expiry-ms" && I + 1 < argc) {
-        Shared.Ledger.LeaseExpirySeconds = std::stod(argv[++I]) / 1000.0;
+        Shared.Ledger.LeaseExpirySeconds = Num.millis(I) / 1000.0;
         SharedOnlyFlag = "--lease-expiry-ms";
       } else if (Arg == "--quarantine-after" && I + 1 < argc) {
-        Shared.Ledger.QuarantineAfter =
-            static_cast<unsigned>(std::stoul(argv[++I]));
+        Num.count(I, Shared.Ledger.QuarantineAfter);
         SharedOnlyFlag = "--quarantine-after";
       } else if (Arg == "--supervisor-id" && I + 1 < argc) {
         Shared.Ledger.SupervisorId = argv[++I];
         SharedOnlyFlag = "--supervisor-id";
       } else if (Arg == "--chaos-kill-after" && I + 1 < argc) {
-        Shared.ChaosKillAfter = static_cast<unsigned>(std::stoul(argv[++I]));
+        Num.count(I, Shared.ChaosKillAfter);
         SharedOnlyFlag = "--chaos-kill-after";
       } else if (Arg == "--inject-fault" && I + 1 < argc) {
         scanner::FaultPlan Plan;
@@ -1175,6 +1044,8 @@ int main(int argc, char **argv) {
       else
         Inputs.push_back(Arg);
     }
+    if (Num.Bad)
+      return 2;
     if (Inputs.empty())
       return usage();
     bool IsShared = !Shared.Ledger.Dir.empty();
@@ -1235,23 +1106,23 @@ int main(int argc, char **argv) {
       if (Arg == "--socket" && I + 1 < argc)
         O.SocketPath = argv[++I];
       else if (Arg == "--jobs" && I + 1 < argc)
-        O.Jobs = static_cast<unsigned>(std::stoul(argv[++I]));
+        Num.count(I, O.Jobs);
       else if (Arg == "--queue-max" && I + 1 < argc)
-        O.QueueMax = std::stoul(argv[++I]);
+        Num.count(I, O.QueueMax);
       else if (Arg == "--journal" && I + 1 < argc)
         O.JournalPath = argv[++I];
       else if (Arg == "--deadline-ms" && I + 1 < argc)
-        O.Scan.Deadline.WallSeconds = std::stod(argv[++I]) / 1000.0;
+        O.Scan.Deadline.WallSeconds = Num.millis(I) / 1000.0;
       else if (Arg == "--kill-after-ms" && I + 1 < argc)
-        O.KillAfterSeconds = std::stod(argv[++I]) / 1000.0;
+        O.KillAfterSeconds = Num.millis(I) / 1000.0;
       else if (Arg == "--recycle-after" && I + 1 < argc)
-        O.RecycleAfter = static_cast<unsigned>(std::stoul(argv[++I]));
+        Num.count(I, O.RecycleAfter);
       else if (Arg == "--recycle-mem-mb" && I + 1 < argc)
-        O.RecycleRssMB = std::stoul(argv[++I]);
+        Num.count(I, O.RecycleRssMB);
       else if (Arg == "--mem-limit-mb" && I + 1 < argc)
-        O.MemLimitMB = std::stoul(argv[++I]);
+        Num.count(I, O.MemLimitMB);
       else if (Arg == "--heartbeat-ms" && I + 1 < argc)
-        O.HeartbeatSeconds = std::stod(argv[++I]) / 1000.0;
+        O.HeartbeatSeconds = Num.millis(I) / 1000.0;
       else if (Arg == "--metrics-out" && I + 1 < argc)
         O.MetricsPath = argv[++I];
       else if (Arg == "--quiet")
@@ -1260,10 +1131,12 @@ int main(int argc, char **argv) {
         Client = true;
         ClientLine = argv[++I];
       } else if (Arg == "--retry-budget-ms" && I + 1 < argc)
-        RetryBudgetMs = std::stod(argv[++I]);
+        RetryBudgetMs = Num.millis(I);
       else
         return usage();
     }
+    if (Num.Bad)
+      return 2;
     if (O.SocketPath.empty()) {
       std::fprintf(stderr, "error: serve requires --socket <path>\n");
       return 2;
@@ -1298,10 +1171,12 @@ int main(int argc, char **argv) {
       if (Arg == "--socket" && I + 1 < argc)
         SocketPath = argv[++I];
       else if (Arg == "--retry-budget-ms" && I + 1 < argc)
-        RetryBudgetMs = std::stod(argv[++I]);
+        RetryBudgetMs = Num.millis(I);
       else
         return usage();
     }
+    if (Num.Bad)
+      return 2;
     if (SocketPath.empty()) {
       std::fprintf(stderr, "error: metrics requires --socket <path>\n");
       return 2;
@@ -1372,18 +1247,14 @@ int main(int argc, char **argv) {
   if (TR)
     obs::setCountersEnabled(true);
 
-  int Code;
-  if (WithDeps) {
-    if (Files.size() != 1) {
-      std::fprintf(stderr, "error: --with-deps takes one root directory\n");
-      return usage();
-    }
-    Code = runDepsScan(Files[0], Scan, Summary, EmitSummariesDir);
-  } else if (AsPackage) {
-    Code = runPackageScan(Files, Scan, Summary);
-  } else {
-    Code = runScan(Files, Scan, Confirm, DumpCore, DumpMDG, DumpDot, Summary);
+  if (WithDeps && Files.size() != 1) {
+    std::fprintf(stderr, "error: --with-deps takes one root directory\n");
+    return usage();
   }
+  int Code =
+      WithDeps || AsPackage
+          ? runLinkedScan(Files, WithDeps, Scan, Summary, EmitSummariesDir)
+          : runScan(Files, Scan, Confirm, DumpCore, DumpMDG, DumpDot, Summary);
   if (TR) {
     if (Trace) {
       std::fprintf(stderr, "%s", Recorder.toText().c_str());
