@@ -9,7 +9,7 @@
 /// (MDGGoldenTest in test_builder.cpp, QueryGoldenTest in
 /// test_queries.cpp): control-flow snippets, every examples/js file, a
 /// fixed-seed Table 3 mix, DepTreeGenerator trees and the async twins,
-/// each built into an MDG the way the scanner builds it.
+/// each built into an MDG by the scanner's own front half.
 ///
 /// Include from exactly one translation unit per test binary; the including
 /// target must define GJS_EXAMPLES_JS_DIR.
@@ -21,9 +21,6 @@
 
 #include "analysis/MDGBuilder.h"
 #include "analysis/PackageGraph.h"
-#include "core/AsyncLower.h"
-#include "core/Normalizer.h"
-#include "frontend/Parser.h"
 #include "scanner/Scanner.h"
 #include "workload/Datasets.h"
 #include "workload/DepTrees.h"
@@ -35,7 +32,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -63,64 +59,22 @@ struct Input {
   std::set<std::string> Missing;
 };
 
-inline std::string stem(const std::string &Name) {
-  std::string S = Name.substr(Name.find_last_of('/') + 1);
-  if (S.size() > 3 && S.compare(S.size() - 3, 3, ".js") == 0)
-    S.resize(S.size() - 3);
-  return S;
-}
-
-/// Builds the MDG of \p In the way the scanner does: per-module prefixes
-/// and statement-index ranges, async lowering, and a linked buildPackage
-/// for multi-file packages and dependency trees. Returns false (after
-/// reporting a test failure) when no module parsed.
+/// Builds the MDG of \p In with the scanner's front half
+/// (scanner::runFrontHalf): per-module prefixes and statement-index ranges,
+/// async lowering, and a linked build for multi-file packages and
+/// dependency trees. Returns false (after reporting a test failure) when
+/// no module parsed.
 inline bool build(const Input &In, analysis::BuildResult &Out) {
-  const std::vector<scanner::SourceFile> &Files = In.Files;
-  bool Linked = !In.PkgOf.empty();
-  bool SingleFile = Files.size() == 1 && !Linked;
-  std::vector<std::unique_ptr<core::Program>> Programs(Files.size());
-  analysis::ModuleLinkInfo Link;
-  Link.ForceUnresolved = In.Missing;
-  core::StmtIndex Next = 1;
-  for (size_t I = 0; I < Files.size(); ++I) {
-    DiagnosticEngine Diags;
-    auto AST = parseJS(Files[I].Contents, Diags);
-    if (Diags.hasErrors()) {
-      if (Linked) {
-        Link.ForceUnresolved.insert(In.PkgOf[I]);
-        Link.ForceUnresolved.insert(stem(Files[I].Name));
-      }
-      continue;
-    }
-    std::string Prefix = SingleFile ? ""
-                         : Linked ? In.PkgOf[I] + "$" + stem(Files[I].Name) + "$"
-                                  : stem(Files[I].Name) + "$";
-    core::Normalizer Norm(Diags, Prefix, Next);
-    Programs[I] = Norm.normalize(*AST);
-    core::lowerAsync(*Programs[I], Prefix);
-    Next = Programs[I]->NumIndices + 1;
-  }
-  std::vector<analysis::PackageModule> Modules;
-  for (size_t I = 0; I < Files.size(); ++I) {
-    if (!Programs[I])
-      continue;
-    if (Linked) {
-      Link.PkgOf.push_back(In.PkgOf[I]);
-      if (In.IsMain[I] && !Link.ForceUnresolved.count(In.PkgOf[I]))
-        Link.MainModuleOf.emplace(In.PkgOf[I], Modules.size());
-      Modules.push_back({Files[I].Name, Programs[I].get(), In.PkgOf[I],
-                         static_cast<bool>(In.IsMain[I])});
-    } else {
-      Modules.push_back({Files[I].Name, Programs[I].get(), "", false});
-    }
-  }
-  if (Modules.empty()) {
+  scanner::PackageLinkSpec Link{In.PkgOf, In.IsMain, In.Missing};
+  scanner::PackageBuild Pkg;
+  scanner::runFrontHalf(In.Files, scanner::ScanOptions(), Pkg,
+                        /*WithBuild=*/true,
+                        In.PkgOf.empty() ? nullptr : &Link);
+  if (!Pkg.Built) {
     ADD_FAILURE() << In.Name << ": no module parsed";
     return false;
   }
-  Out = SingleFile ? analysis::buildMDG(*Programs[0])
-                   : analysis::buildPackageMDG(Modules, {},
-                                               Linked ? &Link : nullptr);
+  Out = std::move(Pkg.Build);
   return true;
 }
 

@@ -24,9 +24,7 @@
 #include "analysis/CallGraph.h"
 #include "analysis/PackageGraph.h"
 #include "analysis/TaintSummary.h"
-#include "core/Normalizer.h"
 #include "driver/BatchDriver.h"
-#include "frontend/Parser.h"
 #include "lint/PassManager.h"
 #include "queries/SinkConfig.h"
 #include "scanner/Scanner.h"
@@ -65,51 +63,15 @@ scanner::ScanResult scanRootOnly(const analysis::PackageGraph &G) {
   return S.scanPackage(Files);
 }
 
-/// Parses + normalizes a flattened tree with the scanner's `<pkg>$<stem>$`
-/// prefixing and builds the ModuleLinkInfo for it (test-local mirror of
-/// the CLI/scanner front half).
-struct LinkedBuild {
-  analysis::PackageGraph::FlatPlan Plan;
-  std::vector<std::unique_ptr<core::Program>> Programs;
-  std::vector<const core::Program *> Mods;
-  std::vector<std::string> Stems;
-  analysis::ModuleLinkInfo Link;
-};
-
-void buildLinked(const analysis::PackageGraph &G, LinkedBuild &B) {
-  B.Plan = G.flatten();
-  B.Link.ForceUnresolved = B.Plan.MissingDeps;
-  // A module that does not parse is left out, and its package and stem
-  // classify as unresolved (the scanner's soundness valve).
-  std::vector<std::unique_ptr<ast::Program>> ASTs;
-  for (const auto &M : B.Plan.Modules) {
-    DiagnosticEngine Diags;
-    ASTs.push_back(parseJS(*M.Contents, Diags));
-    if (Diags.hasErrors()) {
-      ASTs.back() = nullptr;
-      B.Link.ForceUnresolved.insert(M.Pkg);
-      B.Link.ForceUnresolved.insert(
-          std::filesystem::path(M.Path).stem().string());
-    }
-  }
-  core::StmtIndex NextIndex = 1;
-  for (size_t I = 0; I < ASTs.size(); ++I) {
-    if (!ASTs[I])
-      continue;
-    const auto &M = B.Plan.Modules[I];
-    DiagnosticEngine Diags;
-    std::string Stem = std::filesystem::path(M.Path).stem().string();
-    core::Normalizer Norm(Diags, M.Pkg + "$" + Stem + "$", NextIndex);
-    auto Program = Norm.normalize(*ASTs[I]);
-    ASSERT_FALSE(Diags.hasErrors()) << M.Path;
-    NextIndex = Program->NumIndices + 1;
-    B.Link.PkgOf.push_back(M.Pkg);
-    if (M.IsMain && !B.Link.ForceUnresolved.count(M.Pkg))
-      B.Link.MainModuleOf.emplace(M.Pkg, B.Mods.size());
-    B.Programs.push_back(std::move(Program));
-    B.Mods.push_back(B.Programs.back().get());
-    B.Stems.push_back(std::move(Stem));
-  }
+/// The scanner's front half over the flattened tree, stopped before the
+/// build: the linked call graph's and the summaries' inputs.
+scanner::PackageBuild linkedFrontHalf(const analysis::PackageGraph &G) {
+  std::vector<scanner::SourceFile> Files;
+  scanner::PackageLinkSpec Spec = scanner::PackageLinkSpec::ofTree(G, Files);
+  scanner::PackageBuild B;
+  scanner::runFrontHalf(Files, scanner::ScanOptions(), B,
+                        /*WithBuild=*/false, &Spec);
+  return B;
 }
 
 std::string uniqueTempDir(const std::string &Tag) {
@@ -357,10 +319,9 @@ namespace {
 void expectValveHolds(const DepTree &T, VulnType Type) {
   // The class whose flow leads into the invisible dependency must never be
   // pruned: its sink (if any) lives in code we cannot see.
-  LinkedBuild B;
-  buildLinked(T.Graph, B);
+  scanner::PackageBuild B = linkedFrontHalf(T.Graph);
   analysis::CallGraph CG =
-      analysis::CallGraph::build(B.Mods, B.Stems, true, &B.Link);
+      analysis::CallGraph::build(B.Mods, B.ModStems, true, &B.Link);
   analysis::SummarySet Sums = analysis::computeSummaries(
       CG, B.Mods, queries::toSinkTable(queries::SinkConfig::defaults()));
   std::string Decision =
@@ -404,10 +365,9 @@ TEST(SoundnessValve, MissingDepSurfacesInScanResult) {
 TEST(PackageSummaries, SliceAndRoundTrip) {
   DepTreeGenerator Gen(90);
   DepTree T = Gen.chain(VulnType::CommandInjection, 2, true);
-  LinkedBuild B;
-  buildLinked(T.Graph, B);
+  scanner::PackageBuild B = linkedFrontHalf(T.Graph);
   analysis::CallGraph CG =
-      analysis::CallGraph::build(B.Mods, B.Stems, true, &B.Link);
+      analysis::CallGraph::build(B.Mods, B.ModStems, true, &B.Link);
   analysis::SummarySet Sums = analysis::computeSummaries(
       CG, B.Mods, queries::toSinkTable(queries::SinkConfig::defaults()));
   std::vector<analysis::PackageSummaries> Slices =
@@ -433,10 +393,9 @@ TEST(PackageSummaries, SliceAndRoundTrip) {
 TEST(PackageSummaries, SchemaMismatchRejected) {
   DepTreeGenerator Gen(91);
   DepTree T = Gen.chain(VulnType::CodeInjection, 1, true);
-  LinkedBuild B;
-  buildLinked(T.Graph, B);
+  scanner::PackageBuild B = linkedFrontHalf(T.Graph);
   analysis::CallGraph CG =
-      analysis::CallGraph::build(B.Mods, B.Stems, true, &B.Link);
+      analysis::CallGraph::build(B.Mods, B.ModStems, true, &B.Link);
   analysis::SummarySet Sums = analysis::computeSummaries(
       CG, B.Mods, queries::toSinkTable(queries::SinkConfig::defaults()));
   std::vector<analysis::PackageSummaries> Slices =
