@@ -65,16 +65,17 @@ void MDGBuilder::finalize(BuildResult &R) {
   R.FixpointIters = FixpointIters;
   R.StoreVarsPeak = StoreVarsPeak;
   obs::counters::BuilderStoreVarsPeak.add(StoreVarsPeak);
-  R.Alloc.Site = SiteAlloc;
-  R.Alloc.Version = VersionAlloc;
-  R.Alloc.Value = ValueAlloc;
-  R.Alloc.Prop = PropAlloc;
-  R.Alloc.UnknownProp = UnknownPropAlloc;
-  R.Alloc.Call = CallAlloc;
-  R.Alloc.Ret = RetAlloc;
-  R.Alloc.Global = GlobalAlloc;
-  R.Alloc.Param = ParamAlloc;
-  R.FunctionNodes = FuncNodeByName;
+  // The build is over: hand the tables over instead of copying them.
+  R.Alloc.Site = std::move(SiteAlloc);
+  R.Alloc.Version = std::move(VersionAlloc);
+  R.Alloc.Value = std::move(ValueAlloc);
+  R.Alloc.Prop = std::move(PropAlloc);
+  R.Alloc.UnknownProp = std::move(UnknownPropAlloc);
+  R.Alloc.Call = std::move(CallAlloc);
+  R.Alloc.Ret = std::move(RetAlloc);
+  R.Alloc.Global = std::move(GlobalAlloc);
+  R.Alloc.Param = std::move(ParamAlloc);
+  R.FunctionNodes = std::move(FuncNodeByName);
 }
 
 BuildResult MDGBuilder::build(const core::Program &Program) {

@@ -292,6 +292,8 @@ private:
   /// its module's analysis ends.
   void noteStoreWidth();
   void markEntryPoints();
+  /// Fills \p R's summary fields and moves the allocation tables into it;
+  /// the builder's own tables are left empty.
   void finalize(BuildResult &R);
 };
 

@@ -695,7 +695,8 @@ public:
 std::string dump(const Stmt &S);
 std::string dump(const Expr &E);
 
-/// Counts AST nodes (used for CPG-size accounting in Table 7).
+/// Counts AST nodes (used for CPG-size accounting in Table 7): the number
+/// of lines dump(S) prints, counted by a walk that builds no strings.
 size_t countNodes(const Stmt &S);
 
 } // namespace ast

@@ -6,17 +6,30 @@
 
 #include "frontend/AST.h"
 
-#include <sstream>
+#include <string_view>
 
 using namespace gjs;
 using namespace gjs::ast;
 
 namespace {
 
-/// Renders the AST as an indented tree; used by parser tests and debugging.
-class Printer {
+/// A parameter list, rendered "a, <pattern>, c".
+struct ParamNames {
+  const std::vector<Param> &Params;
+};
+
+/// `Name`, or \p Fallback when it is empty.
+std::string_view orElse(const std::string &Name, std::string_view Fallback) {
+  return Name.empty() ? Fallback : std::string_view(Name);
+}
+
+/// Walks an AST in dump order, one line per node. With \p Print it renders
+/// the indented tree (used by parser tests and debugging); without, it only
+/// counts the lines and builds no strings, so countNodes costs a walk.
+template <bool Print> class Walker {
 public:
-  std::string result() { return OS.str(); }
+  std::string Out;
+  size_t Count = 0;
 
   void stmt(const Stmt *S, int Depth) {
     if (!S) {
@@ -41,10 +54,9 @@ public:
       const char *KindName = V->DeclKind == VarDeclKind::Var   ? "var"
                              : V->DeclKind == VarDeclKind::Let ? "let"
                                                                : "const";
-      line(Depth, std::string("VarDecl ") + KindName);
+      line(Depth, "VarDecl ", KindName);
       for (const VarDeclarator &D : V->Declarators) {
-        line(Depth + 1, "Declarator " + (D.Name.empty() ? "<pattern>"
-                                                        : D.Name));
+        line(Depth + 1, "Declarator ", orElse(D.Name, "<pattern>"));
         if (D.Pattern)
           expr(D.Pattern.get(), Depth + 2);
         if (D.Init)
@@ -97,9 +109,8 @@ public:
     case Stmt::Kind::ForIn:
     case Stmt::Kind::ForOf: {
       const auto *F = cast<ForInOfStatement>(S);
-      line(Depth, std::string(S->kind() == Stmt::Kind::ForIn ? "ForIn "
-                                                             : "ForOf ") +
-                      (F->Variable.empty() ? "<pattern>" : F->Variable));
+      line(Depth, S->kind() == Stmt::Kind::ForIn ? "ForIn " : "ForOf ",
+           orElse(F->Variable, "<pattern>"));
       expr(F->Object.get(), Depth + 1);
       stmt(F->Body.get(), Depth + 1);
       break;
@@ -133,7 +144,7 @@ public:
       line(Depth, "Try");
       stmt(T->Block.get(), Depth + 1);
       if (T->Handler) {
-        line(Depth + 1, "Catch " + T->CatchParam);
+        line(Depth + 1, "Catch ", T->CatchParam);
         stmt(T->Handler.get(), Depth + 2);
       }
       if (T->Finalizer) {
@@ -157,7 +168,7 @@ public:
     }
     case Stmt::Kind::Labeled: {
       const auto *L = cast<LabeledStatement>(S);
-      line(Depth, "Labeled " + L->Label);
+      line(Depth, "Labeled ", L->Label);
       stmt(L->Body.get(), Depth + 1);
       break;
     }
@@ -174,10 +185,10 @@ public:
     }
     switch (E->kind()) {
     case Expr::Kind::Number:
-      line(Depth, "Number " + std::to_string(cast<NumberLiteral>(E)->Value));
+      line(Depth, "Number ", cast<NumberLiteral>(E)->Value);
       break;
     case Expr::Kind::String:
-      line(Depth, "String \"" + cast<StringLiteral>(E)->Value + "\"");
+      line(Depth, "String \"", cast<StringLiteral>(E)->Value, "\"");
       break;
     case Expr::Kind::Boolean:
       line(Depth, cast<BooleanLiteral>(E)->Value ? "Boolean true"
@@ -190,10 +201,10 @@ public:
       line(Depth, "Undefined");
       break;
     case Expr::Kind::RegExp:
-      line(Depth, "RegExp " + cast<RegExpLiteral>(E)->Raw);
+      line(Depth, "RegExp ", cast<RegExpLiteral>(E)->Raw);
       break;
     case Expr::Kind::Identifier:
-      line(Depth, "Identifier " + cast<Identifier>(E)->Name);
+      line(Depth, "Identifier ", cast<Identifier>(E)->Name);
       break;
     case Expr::Kind::This:
       line(Depth, "This");
@@ -207,8 +218,8 @@ public:
     case Expr::Kind::Object: {
       line(Depth, "Object");
       for (const ObjectProperty &P : cast<ObjectLiteral>(E)->Properties) {
-        line(Depth + 1,
-             "Property " + (P.Computed ? "<computed>" : P.Name));
+        line(Depth + 1, "Property ",
+             P.Computed ? std::string_view("<computed>") : P.Name);
         if (P.KeyExpr)
           expr(P.KeyExpr.get(), Depth + 2);
         if (P.Value)
@@ -218,28 +229,14 @@ public:
     }
     case Expr::Kind::Function: {
       const auto *F = cast<FunctionExpr>(E);
-      std::string Header = "Function " + (F->Name.empty() ? "<anon>"
-                                                          : F->Name) + " (";
-      for (size_t I = 0; I < F->Params.size(); ++I) {
-        if (I)
-          Header += ", ";
-        Header += F->Params[I].Name.empty() ? "<pattern>" : F->Params[I].Name;
-      }
-      Header += ")";
-      line(Depth, Header);
+      line(Depth, "Function ", orElse(F->Name, "<anon>"), " (",
+           ParamNames{F->Params}, ")");
       stmt(F->Body.get(), Depth + 1);
       break;
     }
     case Expr::Kind::Arrow: {
       const auto *A = cast<ArrowFunctionExpr>(E);
-      std::string Header = "Arrow (";
-      for (size_t I = 0; I < A->Params.size(); ++I) {
-        if (I)
-          Header += ", ";
-        Header += A->Params[I].Name.empty() ? "<pattern>" : A->Params[I].Name;
-      }
-      Header += ")";
-      line(Depth, Header);
+      line(Depth, "Arrow (", ParamNames{A->Params}, ")");
       if (A->Body)
         stmt(A->Body.get(), Depth + 1);
       if (A->ExprBody)
@@ -248,10 +245,9 @@ public:
     }
     case Expr::Kind::Class: {
       const auto *C = cast<ClassExpr>(E);
-      line(Depth, "Class " + (C->Name.empty() ? "<anon>" : C->Name));
+      line(Depth, "Class ", orElse(C->Name, "<anon>"));
       for (const ClassMember &M : C->Members) {
-        line(Depth + 1, std::string("Member ") + M.Name +
-                            (M.IsStatic ? " static" : ""));
+        line(Depth + 1, "Member ", M.Name, M.IsStatic ? " static" : "");
         if (M.Value)
           expr(M.Value.get(), Depth + 2);
       }
@@ -260,15 +256,14 @@ public:
     case Expr::Kind::Unary: {
       static const char *Names[] = {"-", "+", "!", "~", "typeof", "void",
                                     "delete"};
-      line(Depth, std::string("Unary ") +
-                      Names[static_cast<int>(cast<UnaryExpr>(E)->Op)]);
+      line(Depth, "Unary ", Names[static_cast<int>(cast<UnaryExpr>(E)->Op)]);
       expr(cast<UnaryExpr>(E)->Operand.get(), Depth + 1);
       break;
     }
     case Expr::Kind::Update: {
       const auto *U = cast<UpdateExpr>(E);
-      line(Depth, std::string("Update ") + (U->IsIncrement ? "++" : "--") +
-                      (U->IsPrefix ? " prefix" : " postfix"));
+      line(Depth, "Update ", U->IsIncrement ? "++" : "--",
+           U->IsPrefix ? " prefix" : " postfix");
       expr(U->Operand.get(), Depth + 1);
       break;
     }
@@ -278,7 +273,7 @@ public:
           ">",  "<=", ">=",  "<<", ">>", ">>>", "&",  "|",  "^",  "in",
           "instanceof"};
       const auto *B = cast<BinaryExpr>(E);
-      line(Depth, std::string("Binary ") + Names[static_cast<int>(B->Op)]);
+      line(Depth, "Binary ", Names[static_cast<int>(B->Op)]);
       expr(B->LHS.get(), Depth + 1);
       expr(B->RHS.get(), Depth + 1);
       break;
@@ -286,7 +281,7 @@ public:
     case Expr::Kind::Logical: {
       static const char *Names[] = {"&&", "||", "??"};
       const auto *L = cast<LogicalExpr>(E);
-      line(Depth, std::string("Logical ") + Names[static_cast<int>(L->Op)]);
+      line(Depth, "Logical ", Names[static_cast<int>(L->Op)]);
       expr(L->LHS.get(), Depth + 1);
       expr(L->RHS.get(), Depth + 1);
       break;
@@ -331,7 +326,7 @@ public:
         expr(M->Object.get(), Depth + 1);
         expr(M->Index.get(), Depth + 1);
       } else {
-        line(Depth, "Member ." + M->Name);
+        line(Depth, "Member .", M->Name);
         expr(M->Object.get(), Depth + 1);
       }
       break;
@@ -346,7 +341,7 @@ public:
       const auto *T = cast<TemplateLiteral>(E);
       line(Depth, "Template");
       for (size_t I = 0; I < T->Quasis.size(); ++I) {
-        line(Depth + 1, "Quasi \"" + T->Quasis[I] + "\"");
+        line(Depth + 1, "Quasi \"", T->Quasis[I], "\"");
         if (I < T->Substitutions.size())
           expr(T->Substitutions[I].get(), Depth + 1);
       }
@@ -375,35 +370,50 @@ public:
     }
   }
 
-  size_t Count = 0;
-
 private:
-  std::ostringstream OS;
-
-  void line(int Depth, const std::string &Text) {
+  /// Emits one node's line; its text is the concatenation of \p Pieces.
+  template <typename... Pieces> void line(int Depth, const Pieces &...P) {
     ++Count;
-    for (int I = 0; I < Depth; ++I)
-      OS << "  ";
-    OS << Text << '\n';
+    if constexpr (Print) {
+      Out.append(2 * static_cast<size_t>(Depth), ' ');
+      (put(P), ...);
+      Out += '\n';
+    }
+  }
+
+  /// Appends text with newlines escaped, so every node stays one line.
+  void put(std::string_view S) {
+    for (size_t NL; (NL = S.find('\n')) != std::string_view::npos;
+         S.remove_prefix(NL + 1))
+      Out.append(S.substr(0, NL)).append("\\n");
+    Out.append(S);
+  }
+  void put(double V) { Out += std::to_string(V); }
+  void put(ParamNames L) {
+    for (size_t I = 0; I < L.Params.size(); ++I) {
+      if (I)
+        Out += ", ";
+      put(orElse(L.Params[I].Name, "<pattern>"));
+    }
   }
 };
 
 } // namespace
 
 std::string ast::dump(const Stmt &S) {
-  Printer P;
-  P.stmt(&S, 0);
-  return P.result();
+  Walker<true> W;
+  W.stmt(&S, 0);
+  return std::move(W.Out);
 }
 
 std::string ast::dump(const Expr &E) {
-  Printer P;
-  P.expr(&E, 0);
-  return P.result();
+  Walker<true> W;
+  W.expr(&E, 0);
+  return std::move(W.Out);
 }
 
 size_t ast::countNodes(const Stmt &S) {
-  Printer P;
-  P.stmt(&S, 0);
-  return P.Count;
+  Walker<false> W;
+  W.stmt(&S, 0);
+  return W.Count;
 }

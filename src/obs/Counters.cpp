@@ -6,6 +6,8 @@
 
 #include "obs/Counters.h"
 
+#include <algorithm>
+
 using namespace gjs;
 using namespace gjs::obs;
 
@@ -39,14 +41,29 @@ CounterSnapshot obs::snapshotCounters() {
   return Out;
 }
 
-CounterSnapshot obs::counterDelta(const CounterSnapshot &Before,
-                                  const CounterSnapshot &After) {
+CounterValues obs::snapshotCounterValues() {
+  CounterValues Out;
+  for (Counter *C = registryHead().load(std::memory_order_acquire); C;
+       C = C->next())
+    Out.push_back(C->value());
+  return Out;
+}
+
+CounterSnapshot obs::counterDelta(const CounterValues &Before) {
+  // Registration prepends, so Before lines up with the list's last
+  // Before.size() counters; any registered since start from zero.
+  size_t N = 0;
+  for (Counter *C = registryHead().load(std::memory_order_acquire); C;
+       C = C->next())
+    ++N;
+  size_t Fresh = N - std::min(N, Before.size());
   CounterSnapshot Out;
-  for (const auto &[Name, Value] : After) {
-    auto It = Before.find(Name);
-    uint64_t Base = It == Before.end() ? 0 : It->second;
-    if (Value > Base)
-      Out[Name] = Value - Base;
+  size_t I = 0;
+  for (Counter *C = registryHead().load(std::memory_order_acquire); C;
+       C = C->next(), ++I) {
+    uint64_t Base = I < Fresh ? 0 : Before[I - Fresh];
+    if (uint64_t Value = C->value(); Value > Base)
+      Out[C->name()] = Value - Base;
   }
   return Out;
 }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace gjs {
 namespace obs {
@@ -81,9 +82,14 @@ using CounterSnapshot = std::map<std::string, uint64_t>;
 /// Snapshots every registered counter (including zero-valued ones).
 CounterSnapshot snapshotCounters();
 
-/// Per-package telemetry: After - Before, dropping zero deltas.
-CounterSnapshot counterDelta(const CounterSnapshot &Before,
-                             const CounterSnapshot &After);
+/// Every registered counter's value in registry order: the cheap snapshot
+/// a per-package delta starts from (no names, no map).
+using CounterValues = std::vector<uint64_t>;
+CounterValues snapshotCounterValues();
+
+/// Per-package telemetry: the counters' growth since \p Before (a
+/// snapshotCounterValues()), keyed by name, dropping zero deltas.
+CounterSnapshot counterDelta(const CounterValues &Before);
 
 /// Resets every registered counter to zero (e.g. between batch packages).
 void resetCounters();

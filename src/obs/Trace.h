@@ -150,7 +150,8 @@ public:
       R->annotate(Id, std::move(Key), std::move(Value));
   }
   void arg(std::string Key, uint64_t Value) {
-    arg(std::move(Key), std::to_string(Value));
+    if (R)
+      arg(std::move(Key), std::to_string(Value));
   }
 
   /// Closes the span early (before destruction).

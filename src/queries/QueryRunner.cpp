@@ -10,9 +10,11 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -121,69 +123,160 @@ static const char *TaintQueryTemplatePath =
     "WHERE NOT untainted(p)\n"
     "RETURN src, arg, call";
 
-/// Substitutes the sink name into a query template (single '%' hole).
-static std::string instantiate(const char *Template, const std::string &Name) {
-  std::string Out(Template);
-  size_t Hole = Out.find('%');
-  Out.replace(Hole, 1, Name);
-  return Out;
-}
+// The taint-source endpoints of p1..p3 are anonymous: naming them would
+// bind variables the query never reads (the schema linter flags that).
+static const char *PollutionQuery =
+    "MATCH (obj:Object)-[:PU]->(sub:Object)-[:VU]->(ver:Object)"
+    "-[:PU]->(val:Object),\n"
+    "  p1 = (:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(sub),\n"
+    "  p2 = (:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(ver),\n"
+    "  p3 = (:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(val)\n"
+    "WHERE NOT untainted(p1) AND NOT untainted(p2) AND NOT untainted(p3)\n"
+    "RETURN obj, sub, ver, val";
 
-namespace {
+/// The taint-style classes, in detection order.
+static constexpr VulnType TaintClasses[] = {VulnType::CommandInjection,
+                                            VulnType::CodeInjection,
+                                            VulnType::PathTraversal};
 
-/// A built-in query text, parsed and schema-linted once.
-struct ParsedBuiltin {
+namespace gjs {
+namespace queries {
+
+/// One built-in query, parsed and schema-linted once.
+struct BuiltinQuery {
+  std::string Name; ///< Display name: "<class>/<sink>" or the class name.
+  std::string Text;
   bool Parsed = false;
   graphdb::Query Q;
   std::string LintError; ///< The first error-severity issue; "" if clean.
+  /// Taint queries: the sink (its sensitive arguments filter the rows) and
+  /// the call node's name/path literal as parsed. A store without that
+  /// string cannot match the query.
+  SinkSpec Sink;
+  std::string Anchor;
+
+  BuiltinQuery(std::string Name, std::string Text, SinkSpec Sink = {})
+      : Name(std::move(Name)), Text(std::move(Text)), Sink(std::move(Sink)) {
+    Parsed = graphdb::parseQuery(this->Text, Q, nullptr);
+    for (const graphdb::SchemaIssue &Issue :
+         graphdb::lintQueryText(this->Text, graphdb::mdgSchema()))
+      if (Issue.Severity == DiagSeverity::Error) {
+        LintError = Issue.str();
+        break;
+      }
+    if (Parsed)
+      for (const graphdb::NodePattern &N : Q.Matches.front().Nodes)
+        if (N.Var == "call" && !N.Props.empty())
+          Anchor = N.Props.begin()->second;
+  }
 };
 
-/// The process-wide memo of built-in query texts (keyed by the text, so a
-/// custom SinkConfig adds its own entries). Entries are never erased, so
-/// the returned reference stays valid.
-const ParsedBuiltin &parsedBuiltin(const std::string &Text) {
-  static std::mutex Lock;
-  static std::unordered_map<std::string, ParsedBuiltin> Memo;
-  std::lock_guard<std::mutex> Guard(Lock);
-  auto [It, Fresh] = Memo.try_emplace(Text);
-  ParsedBuiltin &P = It->second;
-  if (Fresh) {
-    P.Parsed = graphdb::parseQuery(Text, P.Q, nullptr);
-    for (const graphdb::SchemaIssue &Issue :
-         graphdb::lintQueryText(Text, graphdb::mdgSchema()))
-      if (Issue.Severity == DiagSeverity::Error) {
-        P.LintError = Issue.str();
+/// The prototype-pollution query (it names no sink), parsed once.
+static const BuiltinQuery &pollutionQuery() {
+  static const BuiltinQuery Q(vulnTypeName(VulnType::PrototypePollution),
+                              PollutionQuery);
+  return Q;
+}
+
+/// The Table 2 query set of one sink configuration: every query text
+/// instantiated, parsed and linted once per process.
+struct BuiltinQuerySet {
+  /// The taint queries class by class in TaintClasses order, then the
+  /// prototype-pollution query (the builtinQueries order).
+  std::vector<BuiltinQuery> Queries;
+  /// Queries[Begin[i]..Begin[i+1]) are TaintClasses[i]'s.
+  size_t Begin[std::size(TaintClasses) + 1] = {};
+  /// The first lint error, as the scan reports it; "" when all are clean.
+  std::string Error;
+
+  explicit BuiltinQuerySet(const SinkConfig &Config) {
+    for (size_t C = 0; C < std::size(TaintClasses); ++C) {
+      Begin[C] = Queries.size();
+      for (const SinkSpec &Spec : Config.sinks(TaintClasses[C])) {
+        std::string Text(Spec.isPath() ? TaintQueryTemplatePath
+                                       : TaintQueryTemplateName);
+        Text.replace(Text.find('%'), 1, Spec.Name);
+        Queries.emplace_back(
+            std::string(vulnTypeName(TaintClasses[C])) + "/" + Spec.Name,
+            std::move(Text), Spec);
+      }
+    }
+    Begin[std::size(TaintClasses)] = Queries.size();
+    Queries.push_back(pollutionQuery());
+    for (const BuiltinQuery &BQ : Queries)
+      if (!BQ.LintError.empty()) {
+        Error = "built-in query '" + BQ.Name + "': " + BQ.LintError;
         break;
       }
   }
-  return P;
-}
 
-/// Runs a built-in query text from the memo (an unparsable text matches
-/// nothing, as QueryEngine::run on text would).
-ResultSet runBuiltin(QueryEngine &E, const std::string &Text) {
-  const ParsedBuiltin &P = parsedBuiltin(Text);
-  return P.Parsed ? E.run(P.Q) : ResultSet();
-}
+  /// True when this set was built for \p Config's sinks.
+  bool isFor(const SinkConfig &Config) const {
+    for (size_t C = 0; C < std::size(TaintClasses); ++C) {
+      const std::vector<SinkSpec> &Sinks = Config.sinks(TaintClasses[C]);
+      if (Sinks.size() != Begin[C + 1] - Begin[C])
+        return false;
+      for (size_t I = 0; I < Sinks.size(); ++I) {
+        const SinkSpec &Mine = Queries[Begin[C] + I].Sink;
+        if (Sinks[I].Name != Mine.Name ||
+            Sinks[I].SensitiveArgs != Mine.SensitiveArgs)
+          return false;
+      }
+    }
+    return true;
+  }
+};
 
-} // namespace
+} // namespace queries
+} // namespace gjs
+
+const BuiltinQuerySet &GraphDBRunner::querySet(const SinkConfig &Config) {
+  // Process-wide, keyed by the sinks' content, so every fresh copy of a
+  // configuration (one per package in a batch) finds the same set. Sets
+  // are never erased, so the returned reference stays valid.
+  static std::mutex Lock;
+  static std::vector<std::unique_ptr<BuiltinQuerySet>> Memo;
+  std::lock_guard<std::mutex> Guard(Lock);
+  for (const std::unique_ptr<BuiltinQuerySet> &Set : Memo)
+    if (Set->isFor(Config))
+      return *Set;
+  return *Memo.emplace_back(std::make_unique<BuiltinQuerySet>(Config));
+}
 
 std::vector<VulnReport>
 GraphDBRunner::detectTaintStyle(VulnType T, const SinkConfig &Config,
                                 DetectStats *Stats) {
-  QueryEngine E(Imported.Graph, EngineOpts);
-  registerPredicates(E);
+  return detectTaintStyle(T, querySet(Config), Stats);
+}
+
+std::vector<VulnReport>
+GraphDBRunner::detectTaintStyle(VulnType T, const BuiltinQuerySet &Set,
+                                DetectStats *Stats) {
+  size_t C = std::find(std::begin(TaintClasses), std::end(TaintClasses), T) -
+             std::begin(TaintClasses);
+  if (C == std::size(TaintClasses))
+    return {}; // Not a taint-style class.
+  std::optional<QueryEngine> E; // Built for the first sink the store has.
+  obs::TraceRecorder *TR = EngineOpts.Trace;
 
   std::vector<VulnReport> Reports;
   std::set<VulnReport> Dedup;
 
-  for (const SinkSpec &Spec : Config.sinks(T)) {
-    std::string QueryText = instantiate(
-        Spec.isPath() ? TaintQueryTemplatePath : TaintQueryTemplateName,
-        Spec.Name);
-    obs::Span QSpan(EngineOpts.Trace, std::string(vulnTypeName(T)) + "/" +
-                                          Spec.Name);
-    ResultSet R = runBuiltin(E, QueryText);
+  for (size_t Q = Set.Begin[C]; Q < Set.Begin[C + 1]; ++Q) {
+    const BuiltinQuery &BQ = Set.Queries[Q];
+    obs::Span QSpan(TR, TR ? BQ.Name : std::string());
+    // An unparsable text matches nothing, as QueryEngine::run on text
+    // would; a sink the store lacks is the empty plan compile would prove.
+    ResultSet R;
+    if (BQ.Parsed && Imported.Graph.atom(BQ.Anchor) == graphdb::NoAtom) {
+      R.EmptyPlan = true;
+    } else if (BQ.Parsed) {
+      if (!E) {
+        E.emplace(Imported.Graph, EngineOpts);
+        registerPredicates(*E);
+      }
+      R = E->run(BQ.Q);
+    }
     QSpan.arg("rows", static_cast<uint64_t>(R.Rows.size()));
     QSpan.arg("work", R.Work);
     QSpan.arg("empty_plan", static_cast<uint64_t>(R.EmptyPlan));
@@ -200,7 +293,7 @@ GraphDBRunner::detectTaintStyle(VulnType T, const SinkConfig &Config,
       const Node &CN = Build.Graph.node(Call);
       bool Sensitive = false;
       for (unsigned I = 0; I < CN.Args.size() && !Sensitive; ++I) {
-        if (!SinkConfig::argIsSensitive(Spec, I))
+        if (!SinkConfig::argIsSensitive(BQ.Sink, I))
           continue;
         Sensitive = std::find(CN.Args[I].begin(), CN.Args[I].end(), Arg) !=
                     CN.Args[I].end();
@@ -219,45 +312,22 @@ GraphDBRunner::detectTaintStyle(VulnType T, const SinkConfig &Config,
   return Reports;
 }
 
-// The taint-source endpoints of p1..p3 are anonymous: naming them would
-// bind variables the query never reads (the schema linter flags that).
-static const char *PollutionQuery =
-    "MATCH (obj:Object)-[:PU]->(sub:Object)-[:VU]->(ver:Object)"
-    "-[:PU]->(val:Object),\n"
-    "  p1 = (:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(sub),\n"
-    "  p2 = (:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(ver),\n"
-    "  p3 = (:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(val)\n"
-    "WHERE NOT untainted(p1) AND NOT untainted(p2) AND NOT untainted(p3)\n"
-    "RETURN obj, sub, ver, val";
-
 std::vector<std::pair<std::string, std::string>>
 GraphDBRunner::builtinQueries(const SinkConfig &Config) {
   std::vector<std::pair<std::string, std::string>> Out;
-  for (VulnType T : {VulnType::CommandInjection, VulnType::CodeInjection,
-                     VulnType::PathTraversal}) {
-    for (const SinkSpec &Spec : Config.sinks(T)) {
-      std::string Name = std::string(vulnTypeName(T)) + "/" + Spec.Name;
-      Out.emplace_back(std::move(Name),
-                       instantiate(Spec.isPath() ? TaintQueryTemplatePath
-                                                 : TaintQueryTemplateName,
-                                   Spec.Name));
-    }
-  }
-  Out.emplace_back("prototype-pollution", PollutionQuery);
+  for (const BuiltinQuery &BQ : querySet(Config).Queries)
+    Out.emplace_back(BQ.Name, BQ.Text);
   return Out;
 }
 
 bool GraphDBRunner::validateBuiltinQueries(const SinkConfig &Config,
                                            std::string *Error) {
-  for (const auto &[Name, Text] : builtinQueries(Config)) {
-    const ParsedBuiltin &P = parsedBuiltin(Text);
-    if (P.LintError.empty())
-      continue;
-    if (Error)
-      *Error = "built-in query '" + Name + "': " + P.LintError;
-    return false;
-  }
-  return true;
+  const BuiltinQuerySet &Set = querySet(Config);
+  if (Set.Error.empty())
+    return true;
+  if (Error)
+    *Error = Set.Error;
+  return false;
 }
 
 std::vector<VulnReport>
@@ -266,7 +336,8 @@ GraphDBRunner::detectPrototypePollution(DetectStats *Stats) {
   registerPredicates(E);
 
   obs::Span QSpan(EngineOpts.Trace, "prototype-pollution");
-  ResultSet R = runBuiltin(E, PollutionQuery);
+  const BuiltinQuery &BQ = pollutionQuery();
+  ResultSet R = BQ.Parsed ? E.run(BQ.Q) : ResultSet();
   QSpan.arg("rows", static_cast<uint64_t>(R.Rows.size()));
   QSpan.arg("work", R.Work);
   QSpan.arg("empty_plan", static_cast<uint64_t>(R.EmptyPlan));
@@ -312,10 +383,10 @@ GraphDBRunner::profileBuiltins(const SinkConfig &Config) {
 
 std::vector<VulnReport> GraphDBRunner::detect(const SinkConfig &Config,
                                               DetectStats *Stats) {
+  const BuiltinQuerySet &Set = querySet(Config);
   std::vector<VulnReport> All;
-  for (VulnType T : {VulnType::CommandInjection, VulnType::CodeInjection,
-                     VulnType::PathTraversal}) {
-    std::vector<VulnReport> R = detectTaintStyle(T, Config, Stats);
+  for (VulnType T : TaintClasses) {
+    std::vector<VulnReport> R = detectTaintStyle(T, Set, Stats);
     All.insert(All.end(), R.begin(), R.end());
   }
   std::vector<VulnReport> PP = detectPrototypePollution(Stats);

@@ -46,6 +46,8 @@ struct DetectStats {
   bool TimedOut = false;
 };
 
+struct BuiltinQuerySet;
+
 /// Runs Table 2 through the graph database (the paper's default pipeline).
 class GraphDBRunner {
 public:
@@ -89,12 +91,13 @@ public:
   static std::vector<std::pair<std::string, std::string>>
   builtinQueries(const SinkConfig &Config);
 
-  /// Parses and schema-lints every built-in query against the MDG import
-  /// schema (graphdb::mdgSchema). Returns false and sets \p Error on the
-  /// first error-severity issue — a typo'd edge label or property key in a
+  /// Schema-lints every built-in query against the MDG import schema
+  /// (graphdb::mdgSchema). Returns false and sets \p Error on the first
+  /// error-severity issue — a typo'd edge label or property key in a
   /// built-in query must fail fast instead of silently matching nothing.
-  /// Each distinct query text is parsed and linted once per process; the
-  /// detectors run the same memoized parse.
+  /// A configuration's query set (texts, parses, lint verdict) is built
+  /// once per process and keyed by the sinks' content, so this is a lookup
+  /// after the first call; the detectors run the same parsed queries.
   static bool validateBuiltinQueries(const SinkConfig &Config,
                                      std::string *Error);
 
@@ -107,6 +110,14 @@ private:
   bool UntaintedExclusion;
 
   void registerPredicates(graphdb::QueryEngine &E) const;
+
+  /// The memoized query set of \p Config.
+  static const BuiltinQuerySet &querySet(const SinkConfig &Config);
+  /// A taint-style class over a looked-up set. A sink whose name/path the
+  /// imported store lacks is an empty plan without being compiled.
+  std::vector<VulnReport> detectTaintStyle(VulnType T,
+                                           const BuiltinQuerySet &Set,
+                                           DetectStats *Stats);
 };
 
 /// The same Table 2 detectors via native Table 1 traversals.

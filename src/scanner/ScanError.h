@@ -79,7 +79,7 @@ struct ScanError {
   /// (0:0) when the error has no single source position.
   SourceLocation Loc;
 
-  /// "parse: parse-error [a.js]:3:7: expected '(' ...".
+  /// "parse: parse-error [a.js]:3:7: error: expected '(' ...".
   std::string str() const;
 
   bool isTimeout() const {

@@ -236,21 +236,19 @@ topoOrder(const std::vector<std::unique_ptr<core::Program>> &Programs,
   std::_Exit(WorkerOomExit);
 }
 
-/// The first error diagnostic's message, or a generic fallback.
-std::string firstErrorMessage(const DiagnosticEngine &Diags) {
-  for (const Diagnostic &D : Diags.diagnostics())
-    if (D.Severity == DiagSeverity::Error)
-      return D.str();
-  return "parse failed";
-}
-
-/// The first error diagnostic's source position (the offending token), so
-/// ScanError carries structured line/column for corpus triage.
-SourceLocation firstErrorLoc(const DiagnosticEngine &Diags) {
-  for (const Diagnostic &D : Diags.diagnostics())
-    if (D.Severity == DiagSeverity::Error)
-      return D.Loc;
-  return SourceLocation();
+/// The parse error of a file: its first error diagnostic, the message
+/// (severity, text, code) as the detail and the offending token's position
+/// as the structured line/column for corpus triage. ScanError::str()
+/// prints the position, so the detail leaves it out.
+ScanError parseErrorOf(const DiagnosticEngine &Diags, const std::string &File) {
+  for (Diagnostic D : Diags.diagnostics())
+    if (D.Severity == DiagSeverity::Error) {
+      SourceLocation Loc = D.Loc;
+      D.Loc = SourceLocation();
+      return {ScanPhase::Parse, ScanErrorKind::ParseError, D.str(), File, Loc};
+    }
+  return {ScanPhase::Parse, ScanErrorKind::ParseError, "parse failed", File,
+          SourceLocation()};
 }
 
 } // namespace
@@ -292,9 +290,7 @@ void PackageBuild::parse(const std::vector<SourceFile> &Files, Deadline &D,
     DiagnosticEngine Diags;
     auto Module = parseJS(Files[I].Contents, Diags, &D, TR);
     if (Diags.hasErrors()) {
-      Out.Errors.push_back({ScanPhase::Parse, ScanErrorKind::ParseError,
-                            firstErrorMessage(Diags), Files[I].Name,
-                            firstErrorLoc(Diags)});
+      Out.Errors.push_back(parseErrorOf(Diags, Files[I].Name));
       FileSpan.arg("error", "parse failed");
       continue;
     }
@@ -670,9 +666,9 @@ ScanResult Scanner::scanWithLadder(const std::vector<SourceFile> &Files,
 
   obs::Span PackageSpan(Options.Trace, "package");
   PackageSpan.arg("files", static_cast<uint64_t>(Files.size()));
-  obs::CounterSnapshot Before;
+  obs::CounterValues Before;
   if (obs::countersEnabled())
-    Before = obs::snapshotCounters();
+    Before = obs::snapshotCounterValues();
 
   // AttemptLog keeps every attempt's cost so the timing attribution
   // survives the ladder (only the final attempt's metrics end up in
@@ -713,7 +709,7 @@ ScanResult Scanner::scanWithLadder(const std::vector<SourceFile> &Files,
   }
 
   if (obs::countersEnabled())
-    Out.Counters = obs::counterDelta(Before, obs::snapshotCounters());
+    Out.Counters = obs::counterDelta(Before);
   // Phase latency distributions: cumulative across ladder attempts, so a
   // degraded package attributes its full (retried) cost to each phase.
   obs::hists::PhaseParse.recordSeconds(Out.CumulativeTimes.Parse);

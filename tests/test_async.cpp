@@ -367,6 +367,22 @@ TEST(ScanErrorLocTest, ParseErrorCarriesLineAndColumn) {
   EXPECT_NE(E.str().find("2:"), std::string::npos) << E.str();
 }
 
+TEST(ScanErrorLocTest, ParseErrorPrintsItsPositionOnce) {
+  scanner::Scanner S{scanner::ScanOptions{}};
+  scanner::ScanResult R = S.scanPackage({{"broken.js", "function (( {\n"}});
+  ASSERT_FALSE(R.Errors.empty());
+  const scanner::ScanError &E = R.Errors[0];
+  ASSERT_EQ(E.Kind, scanner::ScanErrorKind::ParseError);
+  ASSERT_TRUE(E.Loc.isValid());
+  std::string Str = E.str(), Pos = E.Loc.str();
+  size_t First = Str.find(Pos);
+  ASSERT_NE(First, std::string::npos) << Str;
+  EXPECT_EQ(Str.find(Pos, First + 1), std::string::npos) << Str;
+  // The detail keeps the diagnostic's severity and message.
+  EXPECT_EQ(E.Detail.rfind("error: ", 0), 0u) << E.Detail;
+  EXPECT_EQ(E.Detail.find(Pos), std::string::npos) << E.Detail;
+}
+
 //===----------------------------------------------------------------------===//
 // Workload generator sanity
 //===----------------------------------------------------------------------===//

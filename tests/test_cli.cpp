@@ -155,8 +155,8 @@ TEST(CLIGoldenTest, PerFileScan) {
   for (const char *Mode : {"", "--summary ", "--confirm ", "--summary --confirm "})
     for (const char *Example : Examples)
       T.run(GJS_EXAMPLES_JS_DIR, std::string("scan ") + Mode + Example);
-  // Several files in one run: one report array per file, the exit code of
-  // the last file that set one.
+  // Several files in one run: one report array per file; findings in any
+  // file exit 3.
   T.run(GJS_EXAMPLES_JS_DIR,
         "scan figure1.js set_value.js clean_utils.js promise_chain.js");
   T.expectGolden("scan");
@@ -175,13 +175,37 @@ TEST(CLIGoldenTest, ParseErrorDoesNotHideLaterFindings) {
   std::ofstream(Dir + "/broken.js") << "function (( {\n";
   Transcript T;
   // The broken file is named by absolute path; it prints nothing on
-  // stdout, and figure1's findings still decide the exit code (3).
+  // stdout, and figure1's findings decide the exit code (3) wherever the
+  // broken file stands.
   CLIRun R = graphjs(GJS_EXAMPLES_JS_DIR, "scan " + Dir + "/broken.js figure1.js");
   T.add("scan <broken.js> figure1.js", R);
   R = graphjs(GJS_EXAMPLES_JS_DIR,
               "scan --summary figure1.js " + Dir + "/broken.js");
   T.add("scan --summary figure1.js <broken.js>", R);
   T.expectGolden("scan_parse_error");
+  fs::remove_all(Dir);
+}
+
+TEST(CLIExitCodeTest, PerFileScanExitIgnoresFileOrder) {
+  // Findings in any file exit 3, else a file that failed to parse exits 1,
+  // else 0 — whichever file comes last.
+  std::string Dir = tempDir("exit_order");
+  std::ofstream(Dir + "/broken.js") << "function (( {\n";
+  std::string Broken = Dir + "/broken.js";
+  for (const char *Other : {"figure1.js", "clean_utils.js"}) {
+    int Want = std::string(Other) == "figure1.js" ? 3 : 1;
+    EXPECT_EQ(graphjs(GJS_EXAMPLES_JS_DIR, "scan " + Broken + " " + Other).Exit,
+              Want)
+        << Other;
+    EXPECT_EQ(graphjs(GJS_EXAMPLES_JS_DIR, "scan " + std::string(Other) + " " +
+                                               Broken).Exit,
+              Want)
+        << Other;
+  }
+  EXPECT_EQ(graphjs(GJS_EXAMPLES_JS_DIR, "scan clean_utils.js figure1.js").Exit,
+            3);
+  EXPECT_EQ(graphjs(GJS_EXAMPLES_JS_DIR, "scan figure1.js clean_utils.js").Exit,
+            3);
   fs::remove_all(Dir);
 }
 

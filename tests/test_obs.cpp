@@ -239,10 +239,9 @@ TEST(CounterTest, AggregateCountersSumsAcrossOutcomes) {
 TEST(CounterTest, DeltaDropsZeroAndReportsChanges) {
   CounterGate Gate(true);
   obs::resetCounters();
-  obs::CounterSnapshot Before = obs::snapshotCounters();
+  obs::CounterValues Before = obs::snapshotCounterValues();
   obs::counters::QueryRows.add(5);
-  obs::CounterSnapshot Delta =
-      obs::counterDelta(Before, obs::snapshotCounters());
+  obs::CounterSnapshot Delta = obs::counterDelta(Before);
   ASSERT_EQ(Delta.size(), 1u);
   EXPECT_EQ(Delta.at("query.rows"), 5u);
 }

@@ -82,6 +82,11 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 # checks. argv parsing and out-of-range values are sanitizer territory.
 "$BUILD_DIR/tests/test_cli"
 
+# The fixed-cost suite: the count-only AST walk, the process-wide query-set
+# memo (shared across configurations and threads) and the absent-sink
+# shortcut, each checked against the long way.
+"$BUILD_DIR/tests/test_fixedcosts"
+
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # The flake gate: the whole suite three more times under full parallel

@@ -337,7 +337,9 @@ int runScan(const std::vector<std::string> &Files,
             const scanner::ScanOptions &Scan, bool Confirm, bool DumpCore,
             bool DumpMDG, bool DumpDot, bool Summary) {
   scanner::Scanner S(Scan);
-  int ExitCode = 0;
+  // Order-independent: findings in any file (3) outrank a file that failed
+  // to parse (1).
+  bool AnyFindings = false, AnyParseFailed = false;
   for (const std::string &Path : Files) {
     std::vector<scanner::SourceFile> Source;
     if (!readSources({Path}, Source))
@@ -345,7 +347,7 @@ int runScan(const std::vector<std::string> &Files,
     scanner::PackageBuild Kept;
     scanner::ScanResult R = S.scanPackage(Source, &Kept);
     if (printErrors(R.Errors)) {
-      ExitCode = 1;
+      AnyParseFailed = true;
       continue;
     }
     // Fail fast: a malformed built-in query would otherwise just match
@@ -416,10 +418,9 @@ int runScan(const std::vector<std::string> &Files,
       }
       std::printf("%s\n", json::Value(std::move(Arr)).str(2).c_str());
     }
-    if (!Reports.empty())
-      ExitCode = 3; // Findings present.
+    AnyFindings |= !Reports.empty();
   }
-  return ExitCode;
+  return AnyFindings ? 3 : AnyParseFailed ? 1 : 0;
 }
 
 /// `--with-deps --emit-summaries <dir>`: computes the linked call graph and
