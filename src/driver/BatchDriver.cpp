@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <utility>
 
 using namespace gjs;
 using namespace gjs::driver;
@@ -412,13 +413,39 @@ std::set<std::string> BatchDriver::journaledPackages(const std::string &Path,
   return Done;
 }
 
-BatchOutcome driver::scanPackageIsolated(const BatchInput &Input,
-                                         const scanner::ScanOptions &Scan) {
+void BatchSummary::tally(const BatchOutcome &Outcome) {
+  ++Scanned;
+  TotalSeconds += Outcome.Seconds;
+  TotalReports += Outcome.Result.Reports.size();
+  switch (Outcome.Status) {
+  case BatchStatus::Ok:
+    ++Ok;
+    break;
+  case BatchStatus::Degraded:
+    ++Degraded;
+    break;
+  case BatchStatus::Failed:
+    ++Failed;
+    break;
+  case BatchStatus::Quarantined:
+    // Scanners never issue this verdict themselves (the shared-ledger
+    // driver journals quarantined packages), but the accounting stays
+    // total over the enum.
+    ++Quarantined;
+    break;
+  }
+}
+
+namespace {
+
+/// One package scan: exceptions become a Failed outcome with a
+/// Driver/Internal ScanError instead of propagating.
+BatchOutcome scanContained(scanner::Scanner &Scanner,
+                           const BatchInput &Input) {
   BatchOutcome Out;
   Out.Package = Input.Name;
   Timer T;
   try {
-    scanner::Scanner Scanner(Scan);
     Out.Result = Scanner.scanPackage(Input.Files);
     Out.Status = Out.Result.Errors.empty() ? BatchStatus::Ok
                                            : BatchStatus::Degraded;
@@ -438,29 +465,12 @@ BatchOutcome driver::scanPackageIsolated(const BatchInput &Input,
   return Out;
 }
 
-BatchOutcome BatchDriver::scanOne(scanner::Scanner &Scanner,
-                                  const BatchInput &Input) {
-  BatchOutcome Out;
-  Out.Package = Input.Name;
-  Timer T;
-  try {
-    Out.Result = Scanner.scanPackage(Input.Files);
-    Out.Status = Out.Result.Errors.empty() ? BatchStatus::Ok
-                                           : BatchStatus::Degraded;
-  } catch (const std::exception &E) {
-    Out.Status = BatchStatus::Failed;
-    Out.Result.Errors.push_back({scanner::ScanPhase::Driver,
-                                 scanner::ScanErrorKind::Internal,
-                                 std::string("scan threw: ") + E.what(), ""});
-  } catch (...) {
-    Out.Status = BatchStatus::Failed;
-    Out.Result.Errors.push_back({scanner::ScanPhase::Driver,
-                                 scanner::ScanErrorKind::Internal,
-                                 "scan threw a non-standard exception", ""});
-  }
-  Out.Seconds = T.elapsedSeconds();
-  obs::hists::ScanLatency.recordSeconds(Out.Seconds);
-  return Out;
+} // namespace
+
+BatchOutcome driver::scanPackageIsolated(const BatchInput &Input,
+                                         scanner::ScanOptions Scan) {
+  scanner::Scanner Scanner(std::move(Scan));
+  return scanContained(Scanner, Input);
 }
 
 BatchSummary BatchDriver::run(const std::vector<BatchInput> &Inputs) {
@@ -515,27 +525,8 @@ BatchSummary BatchDriver::run(const std::vector<BatchInput> &Inputs) {
       obs::resetCounters();
     if (Options.OnPackageStart)
       Options.OnPackageStart(Input.Name);
-    BatchOutcome Outcome = scanOne(Scanner, Input);
-    ++Summary.Scanned;
-    Summary.TotalSeconds += Outcome.Seconds;
-    switch (Outcome.Status) {
-    case BatchStatus::Ok:
-      ++Summary.Ok;
-      break;
-    case BatchStatus::Degraded:
-      ++Summary.Degraded;
-      break;
-    case BatchStatus::Failed:
-      ++Summary.Failed;
-      break;
-    case BatchStatus::Quarantined:
-      // The in-process scanner never issues this verdict itself (the
-      // shared-ledger driver journals quarantined packages before the scan
-      // loop), but the accounting stays total over the enum.
-      ++Summary.Quarantined;
-      break;
-    }
-    Summary.TotalReports += Outcome.Result.Reports.size();
+    BatchOutcome Outcome = scanContained(Scanner, Input);
+    Summary.tally(Outcome);
 
     // Journal incrementally: the line is flushed before the next package
     // starts, so a kill at any point leaves a valid resumable prefix.

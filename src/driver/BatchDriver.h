@@ -183,6 +183,9 @@ struct BatchSummary {
   size_t LedgerClaims = 0;
   size_t LedgerSteals = 0;
   size_t LedgerExpired = 0;
+
+  /// Counts one scanned package: its verdict, seconds and reports.
+  void tally(const BatchOutcome &Outcome);
 };
 
 /// One isolated package scan with a fresh Scanner: exceptions become a
@@ -190,9 +193,11 @@ struct BatchSummary {
 /// propagating. This is the worker-side scan body shared by the process
 /// pool and the scan service; BatchDriver itself keeps one Scanner for the
 /// whole batch (its scan sequence is what FaultPlan::Package targets) and
-/// wraps it with the same containment.
+/// wraps it with the same containment. \p Scan is moved into the Scanner:
+/// a caller building per-job options moves them in, so each job copies its
+/// sink configuration once.
 BatchOutcome scanPackageIsolated(const BatchInput &Input,
-                                 const scanner::ScanOptions &Scan);
+                                 scanner::ScanOptions Scan);
 
 /// Renders throughput stats for a finished batch (`graphjs batch --stats`):
 /// packages/sec on wall-clock, CPU vs wall split, timeout rate, worker
@@ -261,10 +266,6 @@ public:
 
 private:
   BatchOptions Options;
-
-  /// One isolated package scan: exceptions become a Failed outcome with a
-  /// Driver/Internal ScanError instead of propagating.
-  BatchOutcome scanOne(scanner::Scanner &Scanner, const BatchInput &Input);
 };
 
 } // namespace driver

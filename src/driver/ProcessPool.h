@@ -19,27 +19,17 @@
 /// crash, a kill, or a *recycle* — a planned exit after RecycleAfter
 /// packages or when its resident set passes the RecycleRssMB watermark,
 /// bounding leak/fragmentation accumulation. RecycleAfter = 1 is the
-/// maximum-isolation setting: a fresh process image per package. A retiring
-/// worker holds no slot, so its replacement is forked as soon as the last
-/// response arrives.
+/// maximum-isolation setting: a fresh process image per package.
 ///
-/// Each worker holds up to two jobs: the one it runs (the *head*) and one
-/// queued behind it, so it starts its next scan without idling through a
-/// supervisor round trip. Assignment is depth-first (every worker gets a
-/// job before any gets a second), and a worker is sent at most
-/// RecycleAfter jobs. The head-of-line rules:
-///
-///  - a response settles the head only if its job id matches; anything
-///    else is stale;
-///  - the head's clock (kill ladder, `worker.job_us`, the `job:` trace
-///    span, the OnPackageStart hook) starts when it becomes the head — at
-///    assignment to an idle worker, else at the previous head's verdict —
-///    so a job waiting behind a slow one is never killed for its wait;
-///  - when a worker dies, only the head takes the wait-status verdict (and
-///    the RetryCrashed retry). Jobs behind it go back to the front of the
-///    queue in their original order: not retries, fault kept, no Crashed
-///    or Retried count. A worker announcing a recycle hands its queued job
-///    back the same way.
+/// The workers, their job FIFOs and the head-of-line rules (a job's clock
+/// starts when it becomes the head; a death gives the head the wait-status
+/// verdict and hands the jobs behind it back) are driver::WorkerSet's,
+/// shared with `graphjs serve`. The pool adds its policy: the plan and the
+/// queue, two jobs per worker assigned depth-first (every worker gets a job
+/// before any gets a second), RetryCrashed for a head that died (handed-back
+/// jobs are not retries and keep their fault), a strike that fails one job
+/// after three idle deaths in a row, failing the queue when no worker can
+/// fork, and the merge cursor over the journal.
 ///
 /// The pool preserves:
 ///

@@ -7,7 +7,7 @@
 #include "driver/ScanService.h"
 
 #include "driver/BatchDriver.h"
-#include "driver/WorkerProtocol.h"
+#include "driver/WorkerSet.h"
 #include "obs/Counters.h"
 #include "obs/Histogram.h"
 #include "obs/Metrics.h"
@@ -24,7 +24,6 @@
 #include <deque>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -39,29 +38,6 @@ using namespace gjs;
 using namespace gjs::driver;
 
 namespace {
-
-/// SIGINT/SIGTERM drain flag: the daemon stops admitting scans, finishes
-/// in-flight requests, flushes the journal, and exits.
-volatile std::sig_atomic_t ServeStopRequested = 0;
-
-void serveStopHandler(int) { ServeStopRequested = 1; }
-
-struct ServeSignalGuard {
-  struct sigaction OldInt {};
-  struct sigaction OldTerm {};
-  ServeSignalGuard() {
-    ServeStopRequested = 0;
-    struct sigaction SA {};
-    SA.sa_handler = serveStopHandler;
-    sigemptyset(&SA.sa_mask);
-    ::sigaction(SIGINT, &SA, &OldInt);
-    ::sigaction(SIGTERM, &SA, &OldTerm);
-  }
-  ~ServeSignalGuard() {
-    ::sigaction(SIGINT, &OldInt, nullptr);
-    ::sigaction(SIGTERM, &OldTerm, nullptr);
-  }
-};
 
 /// The serve-mode job source: the package spec (name + file paths) rides
 /// in on each request — jobs arrive from the network after the worker was
@@ -94,7 +70,7 @@ BatchOutcome scanRequested(const WorkerRequest &Req, obs::TraceRecorder *Trace,
     }
   }
   Scan.Trace = Trace;
-  BatchOutcome Out = scanPackageIsolated(In, Scan);
+  BatchOutcome Out = scanPackageIsolated(In, std::move(Scan));
   for (const std::string &Path : Unreadable)
     Out.Result.Errors.push_back({scanner::ScanPhase::Driver,
                                  scanner::ScanErrorKind::Internal,
@@ -116,20 +92,6 @@ struct PendingScan {
   Timer Waited;
 };
 
-struct ServeWorker {
-  Subprocess Proc;
-  FrameReader Reader;
-  bool Busy = false;
-  bool Retiring = false;
-  bool KillSent = false;
-  double KillAfter = 0;
-  std::optional<PendingScan> Job;
-  Timer JobStarted;
-  Timer IdleSince;
-  bool PingSent = false;
-  Timer PingStarted;
-};
-
 std::string errorLine(const char *Err, const std::string &Detail = "") {
   json::Object O;
   O["ok"] = json::Value(false);
@@ -139,11 +101,11 @@ std::string errorLine(const char *Err, const std::string &Detail = "") {
   return json::Value(std::move(O)).str();
 }
 
-/// Full EINTR-retried send of one response line; a vanished client drops
-/// the response (the daemon must outlive every client).
-void sendLine(int FD, const std::string &Line) {
+/// Full EINTR-retried send of one line; false when the peer is gone (the
+/// daemon drops the response: it must outlive every client).
+bool sendLine(int FD, const std::string &Line) {
   if (FD < 0)
-    return;
+    return false;
   std::string Out = Line;
   Out.push_back('\n');
   size_t Off = 0;
@@ -152,9 +114,10 @@ void sendLine(int FD, const std::string &Line) {
     if (N < 0 && errno == EINTR)
       continue;
     if (N <= 0)
-      return;
+      return false;
     Off += static_cast<size_t>(N);
   }
+  return true;
 }
 
 } // namespace
@@ -187,8 +150,6 @@ int ScanService::run() {
   }
   ::fcntl(Listen, F_SETFL, ::fcntl(Listen, F_GETFL, 0) | O_NONBLOCK);
 
-  ScopedSigpipeIgnore NoSigpipe;
-  ServeSignalGuard Signals;
   bool PrevCounters = obs::setCountersEnabled(true);
 
   std::ofstream Journal;
@@ -203,26 +164,15 @@ int ScanService::run() {
     }
   };
 
-  SubprocessLimits Limits;
-  Limits.MemLimitMB = Options.MemLimitMB;
-  // RLIMIT_CPU counts a worker's whole lifetime; only meaningful when the
-  // recycle quota bounds that lifetime (same policy as ProcessPool).
-  if (Options.KillAfterSeconds > 0 && Options.RecycleAfter > 0)
-    Limits.CpuSeconds = static_cast<unsigned>(Options.KillAfterSeconds *
-                                              Options.RecycleAfter) +
-                        2;
-
   std::deque<PendingScan> Queue;
-  std::vector<ServeWorker> Workers;
+  // Scans on a worker, by request id (the job's Ref in the worker set).
+  std::map<size_t, PendingScan> Running;
   std::map<int, std::string> Clients; // fd -> partial-line input buffer
   uint64_t NextId = 1;
-  size_t Accepted = 0, Rejected = 0, Completed = 0, Recycled = 0;
+  size_t Accepted = 0, Rejected = 0, Completed = 0;
   // Per-verdict completion splits (status/metrics surface): Completed is
   // their sum, kept separate because it predates the split.
   size_t CompletedOk = 0, CompletedDegraded = 0, CompletedFailed = 0;
-  // Total workers ever forked, including replacements after crashes and
-  // recycles — Workers.size() only says how many are alive *now*.
-  size_t Generations = 0;
   Timer Uptime;
   Timer MetricsClock;
   bool Draining = false, ShuttingDown = false;
@@ -231,26 +181,11 @@ int ScanService::run() {
   unsigned ConsecutiveDeaths = 0;
   Timer LastDeath;
 
-  auto killAfterFor = [&](const PendingScan &Job) {
-    if (Options.KillAfterSeconds > 0)
-      return Options.KillAfterSeconds;
-    double D = Job.Req.DeadlineSeconds > 0 ? Job.Req.DeadlineSeconds
-                                           : Options.Scan.Deadline.WallSeconds;
-    return D > 0 ? 2 * D + 1.0 : 0.0;
-  };
-
-  auto synthLine = [&](const PendingScan &Job, scanner::ScanErrorKind Kind,
-                       const std::string &Detail) {
-    BatchOutcome Out;
-    Out.Package = Job.Req.Name;
-    Out.Status = BatchStatus::Failed;
-    Out.Result.Errors.push_back(
-        {scanner::ScanPhase::Driver, Kind, Detail, ""});
-    return BatchDriver::journalLine(Out);
-  };
-
-  auto finishScan = [&](const PendingScan &Job, const std::string &Line,
+  auto finishScan = [&](size_t Id, const std::string &Line,
                         BatchStatus Status) {
+    auto It = Running.find(Id);
+    const int ClientFD = It->second.ClientFD;
+    Running.erase(It);
     if (Journal.is_open()) {
       Journal << Line << '\n';
       Journal.flush();
@@ -270,7 +205,7 @@ int ScanService::run() {
       break;
     }
     // The line is a compact JSON object; splice it in as the result.
-    sendLine(Job.ClientFD, "{\"ok\":true,\"result\":" + Line + "}");
+    sendLine(ClientFD, "{\"ok\":true,\"result\":" + Line + "}");
   };
 
   auto spawnAllowed = [&]() {
@@ -289,7 +224,8 @@ int ScanService::run() {
   WorkerLoopOptions Loop;
   Loop.RecycleAfter = Options.RecycleAfter;
   Loop.RecycleRssMB = Options.RecycleRssMB;
-  auto workerMain = [&](int FD) {
+  WorkerSetConfig Config;
+  Config.WorkerMain = [&](int FD) {
     // Shed every inherited supervisor fd (listening socket, client
     // connections, journal): a worker holding the listen socket would keep
     // the address alive past daemon shutdown, and one holding a client fd
@@ -305,117 +241,43 @@ int ScanService::run() {
           return true;
         });
   };
+  Config.RecycleAfter = Options.RecycleAfter;
+  Config.MemLimitMB = Options.MemLimitMB;
+  // Only an explicit kill-after bounds every job of a worker's life, and
+  // so sizes the RLIMIT_CPU backstop: a request may raise its own deadline
+  // (and with it the derived kill) above the base.
+  Config.LifetimeKillAfter = Options.KillAfterSeconds;
+  Config.OnResult = [&](size_t Id, BatchOutcome &Out) {
+    ConsecutiveDeaths = 0;
+    finishScan(Id, Out.RawJournalLine, Out.Status);
+  };
+  Config.OnFailure = [&](size_t Id, const JobFailure &F) {
+    const PendingScan &Job = Running.at(Id);
+    if (F.Death)
+      log("worker " + std::to_string(F.Pid) + " died mid-job (" +
+          F.Death->str() + "), job " + Job.Req.Name + " failed");
+    else
+      ConsecutiveDeaths = 0;
+    finishScan(Id, F.outcome(Job.Req.Name).RawJournalLine,
+               BatchStatus::Failed);
+  };
+  Config.OnIdleDeath = [&](const WaitStatus &WS) {
+    ++ConsecutiveDeaths;
+    LastDeath = Timer();
+    log("idle worker died (" + WS.str() + "), backoff re-fork");
+  };
+  // One job per worker: a queued request waits for the first free worker
+  // instead of behind one slow scan (docs/SERVICE.md).
+  WorkerSet Set(/*Depth=*/1, std::move(Config));
 
   auto spawnWorker = [&]() -> bool {
-    Subprocess P;
     std::string Err;
-    bool OK = Subprocess::forkWorker(workerMain, P, &Err, Limits);
-    if (!OK) {
-      log("worker fork failed: " + Err);
-      ++ConsecutiveDeaths;
-      LastDeath = Timer();
-      return false;
-    }
-    ::fcntl(P.commFD(), F_SETFL, ::fcntl(P.commFD(), F_GETFL, 0) | O_NONBLOCK);
-    obs::counters::WorkerSpawned.add();
-    ++Generations;
-    ServeWorker W;
-    W.Proc = std::move(P);
-    Workers.push_back(std::move(W));
-    return true;
-  };
-
-  auto assignJob = [&](ServeWorker &W) {
-    PendingScan Job = std::move(Queue.front());
-    Queue.pop_front();
-    WorkerRequest Req = Job.Req;
-    Req.Kind = WorkerRequest::Op::Scan;
-    Req.JobId = Job.Id;
-    if (!writeFrame(W.Proc.commFD(), Req.encode())) {
-      // Worker died between jobs; the request never started and goes back
-      // to the head of the line. Make the death certain for the reaper.
-      W.Proc.kill(SIGKILL);
-      Queue.push_front(std::move(Job));
-      return;
-    }
-    obs::counters::ServeInflight.add();
-    obs::hists::QueueWait.recordSeconds(Job.Waited.elapsedSeconds());
-    W.Busy = true;
-    W.KillSent = false;
-    W.JobStarted = Timer();
-    W.KillAfter = killAfterFor(Job);
-    W.Job = std::move(Job);
-  };
-
-  auto handleWorkerFrame = [&](ServeWorker &W, const std::string &Text) {
-    WorkerResponse Resp;
-    if (!WorkerResponse::decode(Text, Resp))
-      return; // Corrupt frame; the reap path attributes what follows.
-    if (Resp.Pong) {
-      W.PingSent = false;
-      W.IdleSince = Timer();
-      return;
-    }
-    if (!W.Busy || !W.Job || Resp.JobId != W.Job->Id)
-      return; // Stale or duplicate: first verdict wins.
-    ConsecutiveDeaths = 0;
-    W.Busy = false;
-    if (Resp.Recycle || W.KillSent)
-      W.Retiring = true;
-    // Stitch the worker's scan telemetry into the daemon's registries:
-    // this is what makes the `metrics` op reflect scan-pipeline counters
-    // and latency percentiles, not just supervisor bookkeeping. Counters
-    // ride the journal line; histograms ride the response.
-    if (!Resp.HistDelta.empty())
-      obs::mergeHistograms(Resp.HistDelta);
-    obs::hists::WorkerJob.recordSeconds(W.JobStarted.elapsedSeconds());
-    PendingScan Job = std::move(*W.Job);
-    W.Job.reset();
-    W.IdleSince = Timer();
-    BatchOutcome Parsed;
-    if (!Resp.Line.empty() &&
-        BatchDriver::parseJournalLine(Resp.Line, Parsed)) {
-      if (!Parsed.Result.Counters.empty())
-        obs::mergeCounters(Parsed.Result.Counters);
-      finishScan(Job, Resp.Line, Parsed.Status);
-    } else {
-      finishScan(Job,
-                 synthLine(Job, scanner::ScanErrorKind::Crashed,
-                           "worker sent an unparseable result"),
-                 BatchStatus::Failed);
-    }
-  };
-
-  auto reapWorker = [&](ServeWorker &W, const WaitStatus &WS) {
-    // A worker may flush its response and die before we read it: pump the
-    // frames first so a completed scan keeps its own verdict.
-    W.Reader.pump(W.Proc.commFD());
-    std::string Text;
-    while (W.Reader.next(Text))
-      handleWorkerFrame(W, Text);
-
-    if (WS.exitedWith(WorkerRecycleExit)) {
-      obs::counters::WorkerRecycled.add();
-      ++Recycled;
-    }
-    bool Planned =
-        WS.exitedWith(0) || WS.exitedWith(WorkerRecycleExit) || W.Retiring;
-    if (W.Busy && W.Job) {
-      // The job died with the worker: wait-status attribution, same kill
-      // ladder as the batch pool.
-      WorkerDeath Death = attributeWorkerDeath(WS, W.KillSent);
-      PendingScan Job = std::move(*W.Job);
-      W.Job.reset();
-      W.Busy = false;
-      finishScan(Job, synthLine(Job, Death.Kind, Death.Detail),
-                 BatchStatus::Failed);
-      log("worker " + std::to_string(W.Proc.pid()) + " died mid-job (" +
-          WS.str() + "), job " + Job.Req.Name + " failed");
-    } else if (!Planned) {
-      ++ConsecutiveDeaths;
-      LastDeath = Timer();
-      log("idle worker died (" + WS.str() + "), backoff re-fork");
-    }
+    if (Set.spawn(&Err))
+      return true;
+    log("worker fork failed: " + Err);
+    ++ConsecutiveDeaths;
+    LastDeath = Timer();
+    return false;
   };
 
   auto closeClient = [&](int FD) {
@@ -424,22 +286,20 @@ int ScanService::run() {
     for (PendingScan &P : Queue)
       if (P.ClientFD == FD)
         P.ClientFD = -1;
-    for (ServeWorker &W : Workers)
-      if (W.Job && W.Job->ClientFD == FD)
-        W.Job->ClientFD = -1;
+    for (auto &[Id, P] : Running)
+      if (P.ClientFD == FD)
+        P.ClientFD = -1;
     ::close(FD);
     Clients.erase(FD);
   };
 
   auto statusLine = [&]() {
-    size_t BusyCount = static_cast<size_t>(
-        std::count_if(Workers.begin(), Workers.end(),
-                      [](const ServeWorker &W) { return W.Busy; }));
+    size_t BusyCount = Set.busy();
+    size_t Workers = Set.workers().size();
     json::Object O;
     O["ok"] = json::Value(true);
-    O["workers"] = json::Value(static_cast<unsigned long>(Workers.size()));
-    O["idle"] =
-        json::Value(static_cast<unsigned long>(Workers.size() - BusyCount));
+    O["workers"] = json::Value(static_cast<unsigned long>(Workers));
+    O["idle"] = json::Value(static_cast<unsigned long>(Workers - BusyCount));
     O["inflight"] = json::Value(static_cast<unsigned long>(BusyCount));
     O["queued"] = json::Value(static_cast<unsigned long>(Queue.size()));
     O["accepted"] = json::Value(static_cast<unsigned long>(Accepted));
@@ -450,24 +310,23 @@ int ScanService::run() {
         json::Value(static_cast<unsigned long>(CompletedDegraded));
     O["completed_failed"] =
         json::Value(static_cast<unsigned long>(CompletedFailed));
-    O["recycled"] = json::Value(static_cast<unsigned long>(Recycled));
-    O["generations"] = json::Value(static_cast<unsigned long>(Generations));
+    O["recycled"] = json::Value(static_cast<unsigned long>(Set.recycled()));
+    // Total workers ever forked, including replacements after crashes and
+    // recycles — "workers" only says how many are alive now.
+    O["generations"] = json::Value(static_cast<unsigned long>(Set.spawned()));
     O["uptime_s"] = json::Value(Uptime.elapsedSeconds());
     O["draining"] = json::Value(Draining);
     return json::Value(std::move(O)).str();
   };
 
   auto gauges = [&]() {
-    size_t BusyCount = static_cast<size_t>(
-        std::count_if(Workers.begin(), Workers.end(),
-                      [](const ServeWorker &W) { return W.Busy; }));
     return obs::GaugeList{
         {"serve.uptime_s", Uptime.elapsedSeconds()},
         {"serve.queue_depth", static_cast<double>(Queue.size())},
-        {"serve.workers", static_cast<double>(Workers.size())},
+        {"serve.workers", static_cast<double>(Set.workers().size())},
         // "_now" keeps the gauge distinct from the cumulative
         // serve.inflight counter — one Prometheus name, one type.
-        {"serve.inflight_now", static_cast<double>(BusyCount)},
+        {"serve.inflight_now", static_cast<double>(Set.busy())},
     };
   };
 
@@ -570,7 +429,7 @@ int ScanService::run() {
       std::to_string(Options.Jobs) + " workers");
 
   while (true) {
-    if (ServeStopRequested && !ShuttingDown) {
+    if (WorkerSet::stopRequested() && !ShuttingDown) {
       Draining = ShuttingDown = true;
       log("signal received, draining");
     }
@@ -590,43 +449,46 @@ int ScanService::run() {
     }
 
     // Maintain the warm pool (shrinking to the remaining work once
-    // shutting down), under the re-fork backoff.
-    size_t BusyCount = static_cast<size_t>(
-        std::count_if(Workers.begin(), Workers.end(),
-                      [](const ServeWorker &W) { return W.Busy; }));
-    // A retiring worker has answered its last job and holds no slot: its
-    // replacement is forked now, not after the reap.
+    // shutting down), under the re-fork backoff. A retiring worker has
+    // answered its last job and holds no slot: its replacement is forked
+    // now, not after the reap.
     size_t Want = std::max<size_t>(1, Options.Jobs);
     if (ShuttingDown)
-      Want = std::min(Want, Queue.size() + BusyCount);
-    size_t Serving = static_cast<size_t>(
-        std::count_if(Workers.begin(), Workers.end(),
-                      [](const ServeWorker &W) { return !W.Retiring; }));
-    while (Serving < Want && spawnAllowed() && spawnWorker())
-      ++Serving;
+      Want = std::min(Want, Queue.size() + Set.busy());
+    for (size_t Serving = Set.serving();
+         Serving < Want && spawnAllowed() && spawnWorker(); ++Serving) {
+    }
 
-    for (ServeWorker &W : Workers) {
+    for (Worker &W : Set.workers()) {
       if (Queue.empty())
         break;
-      if (!W.Busy && !W.Retiring && !W.Reader.dead())
-        assignJob(W);
+      if (!Set.accepts(W))
+        continue;
+      PendingScan &Job = Queue.front();
+      WorkerRequest Req = Job.Req;
+      // Each request's kill follows its own deadline. A worker that died
+      // between jobs leaves the request at the head of the line.
+      double Deadline = Req.DeadlineSeconds > 0
+                            ? Req.DeadlineSeconds
+                            : Options.Scan.Deadline.WallSeconds;
+      if (!Set.assign(W, Job.Id,
+                      defaultKillAfter(Options.KillAfterSeconds, Deadline),
+                      Req))
+        continue;
+      obs::counters::ServeInflight.add();
+      obs::hists::QueueWait.recordSeconds(Job.Waited.elapsedSeconds());
+      Running.emplace(Job.Id, std::move(Job));
+      Queue.pop_front();
     }
-    BusyCount = static_cast<size_t>(
-        std::count_if(Workers.begin(), Workers.end(),
-                      [](const ServeWorker &W) { return W.Busy; }));
 
-    if (ShuttingDown && Queue.empty() && BusyCount == 0)
+    if (ShuttingDown && Queue.empty() && Set.busy() == 0)
       break;
 
     // Sleep until something is readable (or 50ms, for the timers).
-    std::vector<pollfd> Fds;
-    Fds.push_back({Listen, POLLIN, 0});
+    std::vector<int> FDs{Listen};
     for (const auto &[FD, Buf] : Clients)
-      Fds.push_back({FD, POLLIN, 0});
-    for (const ServeWorker &W : Workers)
-      Fds.push_back({W.Proc.commFD(), POLLIN, 0});
-    int PR = ::poll(Fds.data(), static_cast<nfds_t>(Fds.size()), 50);
-    if (PR < 0 && errno != EINTR && errno != EAGAIN)
+      FDs.push_back(FD);
+    if (!Set.wait(50, FDs))
       break; // poll() itself failing is unrecoverable.
 
     // Accept new connections (kept open across requests; reads below are
@@ -669,46 +531,26 @@ int ScanService::run() {
     for (int FD : ToClose)
       closeClient(FD);
 
-    // Workers: frames, deaths, the kill ladder, idle heartbeats.
-    for (size_t I = 0; I < Workers.size();) {
-      ServeWorker &W = Workers[I];
-      if (!W.Reader.dead()) {
-        W.Reader.pump(W.Proc.commFD());
-        std::string Text;
-        while (W.Reader.next(Text))
-          handleWorkerFrame(W, Text);
-      }
-      WaitStatus WS;
-      if (W.Proc.poll(WS)) {
-        ServeWorker Dead = std::move(W);
-        Workers.erase(Workers.begin() + static_cast<long>(I));
-        reapWorker(Dead, WS);
+    // Workers: frames, deaths, the kill ladder; then idle heartbeats.
+    Set.tick();
+    for (Worker &W : Set.workers()) {
+      if (Options.HeartbeatSeconds <= 0 || !W.Jobs.empty() || W.Retiring)
         continue;
-      }
-      if (W.Busy && !W.KillSent && W.KillAfter > 0 &&
-          W.JobStarted.elapsedSeconds() > W.KillAfter) {
+      if (W.PingSent &&
+          W.PingStarted.elapsedSeconds() > Options.HeartbeatSeconds) {
+        // Wedged while idle: no pong within a whole heartbeat period.
         W.Proc.kill(SIGKILL);
-        W.KillSent = true;
-      }
-      if (!W.Busy && !W.Retiring && Options.HeartbeatSeconds > 0) {
-        if (W.PingSent &&
-            W.PingStarted.elapsedSeconds() > Options.HeartbeatSeconds) {
-          // Wedged while idle: no pong within a whole heartbeat period.
+      } else if (!W.PingSent &&
+                 W.IdleSince.elapsedSeconds() > Options.HeartbeatSeconds) {
+        WorkerRequest Ping;
+        Ping.Kind = WorkerRequest::Op::Ping;
+        if (writeFrame(W.Proc.commFD(), Ping.encode())) {
+          W.PingSent = true;
+          W.PingStarted = Timer();
+        } else {
           W.Proc.kill(SIGKILL);
-        } else if (!W.PingSent &&
-                   W.IdleSince.elapsedSeconds() > Options.HeartbeatSeconds) {
-          WorkerRequest Ping;
-          Ping.Kind = WorkerRequest::Op::Ping;
-          Ping.JobId = NextId++;
-          if (writeFrame(W.Proc.commFD(), Ping.encode())) {
-            W.PingSent = true;
-            W.PingStarted = Timer();
-          } else {
-            W.Proc.kill(SIGKILL);
-          }
         }
       }
-      ++I;
     }
 
     // Periodic Prometheus snapshot, driven off the same 50ms poll tick as
@@ -720,19 +562,8 @@ int ScanService::run() {
     }
   }
 
-  // Drain the workers: ask politely, then reap (counting a recycle that
-  // raced the shutdown).
-  for (ServeWorker &W : Workers) {
-    WaitStatus WS;
-    if (W.Proc.poll(WS))
-      continue;
-    WorkerRequest Req;
-    Req.Kind = WorkerRequest::Op::Exit;
-    writeFrame(W.Proc.commFD(), Req.encode());
-  }
-  for (ServeWorker &W : Workers)
-    reapWorker(W, W.Proc.wait());
-  Workers.clear();
+  // Drain the workers: ask politely, then reap.
+  Set.drain();
 
   for (auto &[FD, Buf] : Clients)
     ::close(FD);
@@ -786,20 +617,11 @@ bool ScanService::request(const std::string &SocketPath,
     ::usleep(50000);
   }
 
-  std::string Out = RequestLine;
-  Out.push_back('\n');
-  size_t Off = 0;
-  while (Off < Out.size()) {
-    ssize_t N = ::send(FD, Out.data() + Off, Out.size() - Off, MSG_NOSIGNAL);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0) {
-      ::close(FD);
-      if (Error)
-        *Error = std::string("send failed: ") + std::strerror(errno);
-      return false;
-    }
-    Off += static_cast<size_t>(N);
+  if (!sendLine(FD, RequestLine)) {
+    if (Error)
+      *Error = std::string("send failed: ") + std::strerror(errno);
+    ::close(FD);
+    return false;
   }
 
   Response.clear();

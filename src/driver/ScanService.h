@@ -23,14 +23,14 @@
 ///    is rejected immediately with `{"ok":false,"error":"overloaded"}` —
 ///    explicit backpressure instead of unbounded buffering — and a queued
 ///    request that outwaits its own deadline is rejected with `"deadline"`.
-///  - **Workers**: the same resident-worker machinery as the pool
-///    (driver/WorkerProtocol.h): frames over socketpairs, one shared worker
-///    frame loop, the kill ladder for wedged jobs, one crash/oom/deadline
-///    attribution, recycling on a package quota or RSS watermark (a
-///    retiring worker's replacement is forked at once). A dead worker is re-forked under
+///  - **Workers**: driver::WorkerSet, the supervisor core shared with the
+///    batch pool: frames over socketpairs, the kill ladder, one death
+///    attribution, recycling on a package quota or RSS watermark. Serve
+///    adds its policy: one job per worker, a kill-after per request (the
+///    RLIMIT_CPU backstop only with an explicit one), re-forks under
 ///    exponential backoff (a worker that dies on arrival must not turn the
-///    daemon into a fork bomb), and idle workers answer heartbeat pings so
-///    a wedged-while-idle worker is detected before a job lands on it.
+///    daemon into a fork bomb), and heartbeat pings to idle workers so a
+///    wedged-while-idle worker is caught before a job lands on it.
 ///  - **Durability**: an optional append-mode JSONL journal records every
 ///    completed scan in the BatchDriver line format, flushed per line.
 ///    SIGINT/SIGTERM drain gracefully: in-flight requests finish, the
@@ -61,7 +61,8 @@ struct ServiceOptions {
   size_t QueueMax = 64;
   /// Supervisor kill for a wedged job, seconds of wall-clock (0 derives
   /// 2*deadline+1 from the request's or the base deadline when one is set,
-  /// else disables the killer — same policy as the pool).
+  /// else disables the killer). Only an explicit value sizes the RLIMIT_CPU
+  /// backstop: a request may raise its own deadline above the base.
   double KillAfterSeconds = 0;
   /// Recycle a worker after this many scans (0 = unlimited).
   unsigned RecycleAfter = 0;

@@ -9,7 +9,6 @@
 #include "support/JSON.h"
 
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 
 #include <sys/socket.h>
@@ -426,34 +425,4 @@ int driver::runWorkerLoop(int FD, const WorkerLoopOptions &Options,
       return WorkerRecycleExit;
   }
   return 0; // Supervisor hung up: orderly drain.
-}
-
-WorkerDeath driver::attributeWorkerDeath(const WaitStatus &WS, bool KillSent) {
-  using scanner::ScanErrorKind;
-  if (WS.exitedWith(WorkerOomExit)) {
-    obs::counters::WorkerOomKilled.add();
-    return {ScanErrorKind::KilledOom,
-            "worker allocation failed under memory cap (" + WS.str() + ")"};
-  }
-  if (KillSent) {
-    obs::counters::WorkerDeadlineKilled.add();
-    return {ScanErrorKind::KilledDeadline,
-            "supervisor killed worker after hard deadline (" + WS.str() + ")"};
-  }
-  if (WS.signaled() && WS.Signal == SIGXCPU) {
-    obs::counters::WorkerDeadlineKilled.add();
-    return {ScanErrorKind::KilledDeadline,
-            "worker hit RLIMIT_CPU (" + WS.str() + ")"};
-  }
-  if (WS.signaled() && WS.Signal == SIGKILL) {
-    // We did not send it: the kernel OOM killer is the usual suspect.
-    obs::counters::WorkerOomKilled.add();
-    return {ScanErrorKind::KilledOom,
-            "worker got an unexplained SIGKILL (kernel OOM killer?)"};
-  }
-  obs::counters::WorkerCrashed.add();
-  if (WS.signaled())
-    return {ScanErrorKind::Crashed, "worker died on " + WS.str()};
-  return {ScanErrorKind::Crashed,
-          "worker produced no result (" + WS.str() + ")"};
 }

@@ -7,9 +7,8 @@
 /// \file
 /// The wire protocol between a supervisor and its resident workers: JSON
 /// request/response messages in length-prefixed frames over a socketpair,
-/// plus the two pieces both supervisors share on either side of it — the
-/// worker's frame loop (runWorkerLoop) and the attribution of a worker
-/// that died with a job in hand (attributeWorkerDeath).
+/// plus the worker's side of it (runWorkerLoop), shared by both
+/// supervisors. The supervisor's side is driver/WorkerSet.h.
 ///
 /// A resident worker drains many jobs over its lifetime, so each job needs
 /// an explicit request (which package, retry or not, per-request deadline)
@@ -192,20 +191,6 @@ using WorkerJobSource = std::function<bool(
 /// corruption, 122 when a response cannot be written.
 int runWorkerLoop(int FD, const WorkerLoopOptions &Options,
                   const WorkerJobSource &Source);
-
-/// A worker's death, attributed to the job it had in hand.
-struct WorkerDeath {
-  scanner::ScanErrorKind Kind = scanner::ScanErrorKind::Crashed;
-  std::string Detail;
-};
-
-/// Maps the wait status of a worker that died mid-job onto a failure via
-/// the kill ladder: OOM exit code, supervisor kill (\p KillSent),
-/// RLIMIT_CPU, unexplained SIGKILL (the kernel OOM killer), any other
-/// signal, then "exited without a result". Bumps the matching worker.*
-/// counter. Shared by the pool and the scan service so attribution is
-/// identical.
-WorkerDeath attributeWorkerDeath(const WaitStatus &WS, bool KillSent);
 
 } // namespace driver
 } // namespace gjs

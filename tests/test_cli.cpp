@@ -186,6 +186,21 @@ TEST(CLIGoldenTest, ParseErrorDoesNotHideLaterFindings) {
   fs::remove_all(Dir);
 }
 
+TEST(CLIGoldenTest, LinkedScanParseErrorExitCode) {
+  // `scan --package` follows the per-file rule: findings exit 3, else a
+  // file that failed to parse exits 1.
+  std::string Dir = tempDir("package_parse_error");
+  std::ofstream(Dir + "/broken.js") << "function (( {\n";
+  Transcript T;
+  for (const char *Other : {"clean_utils.js", "figure1.js"}) {
+    CLIRun R = graphjs(GJS_EXAMPLES_JS_DIR, "scan --package --summary " + Dir +
+                                                "/broken.js " + Other);
+    T.add(std::string("scan --package --summary <broken.js> ") + Other, R);
+  }
+  T.expectGolden("scan_package_parse_error");
+  fs::remove_all(Dir);
+}
+
 TEST(CLIExitCodeTest, PerFileScanExitIgnoresFileOrder) {
   // Findings in any file exit 3, else a file that failed to parse exits 1,
   // else 0 — whichever file comes last.

@@ -6,8 +6,9 @@
 // protocol (length-prefixed frames, incremental reassembly, the
 // request/response codec), and the daemon end to end — scan round trips,
 // status, bounded admission ("overloaded") with recovery after the queue
-// drains, crash attribution with worker re-fork, drain/shutdown, and the
-// append-mode journal across daemon restarts.
+// drains, crash and OOM attribution with worker re-fork, recycling on the
+// package quota, drain/shutdown, and the append-mode journal across daemon
+// restarts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -566,6 +567,80 @@ TEST(ScanServiceTest, WorkerCrashIsAttributedAndReForked) {
   EXPECT_EQ(Out.Result.Errors[0].Kind, scanner::ScanErrorKind::Crashed);
 
   // A fresh worker serves the next scan.
+  ASSERT_TRUE(
+      ScanService::request(O.SocketPath, scanRequest("after", JS), Resp));
+  RO = parseResponse(Resp);
+  EXPECT_TRUE(responseOk(RO)) << Resp;
+  EXPECT_EQ(responseOutcome(RO).Status, driver::BatchStatus::Ok);
+
+  shutdownService(H);
+}
+
+TEST(ScanServiceTest, RecycleQuotaRetiresAndReForks) {
+  Scratch S("recycle");
+  std::string JS = S.writeJS("pkg.js", VulnSource);
+  std::string Journal = S.path("serve.jsonl");
+  ServiceOptions O;
+  O.SocketPath = S.path("d.sock");
+  O.Jobs = 1;
+  O.RecycleAfter = 2;
+  O.JournalPath = Journal;
+  O.Quiet = true;
+  ServiceHandle H = startService(O);
+
+  // Each worker answers two scans, announces its recycle on the second and
+  // exits; the planned death fails nothing and a fresh image takes over.
+  for (int I = 0; I < 5; ++I) {
+    std::string Resp;
+    ASSERT_TRUE(ScanService::request(
+        O.SocketPath, scanRequest("pkg" + std::to_string(I), JS), Resp));
+    json::Object RO = parseResponse(Resp);
+    EXPECT_TRUE(responseOk(RO)) << Resp;
+    EXPECT_EQ(responseOutcome(RO).Status, driver::BatchStatus::Ok) << Resp;
+  }
+  // Reaping a recycled worker trails its last response: wait for it.
+  EXPECT_TRUE(waitUntil(
+      10.0, [&] { return statusNumber(O.SocketPath, "recycled") >= 2; }));
+  EXPECT_GE(statusNumber(O.SocketPath, "generations"), 3);
+  EXPECT_EQ(statusNumber(O.SocketPath, "completed_ok"), 5);
+  shutdownService(H);
+
+  std::ifstream In(Journal);
+  std::string Line;
+  size_t Lines = 0;
+  while (std::getline(In, Line)) {
+    driver::BatchOutcome Out;
+    ASSERT_TRUE(driver::BatchDriver::parseJournalLine(Line, Out)) << Line;
+    EXPECT_EQ(Out.Package, "pkg" + std::to_string(Lines));
+    ++Lines;
+  }
+  EXPECT_EQ(Lines, 5u);
+}
+
+TEST(ScanServiceTest, OomFaultIsAttributedKilledOom) {
+  Scratch S("oom");
+  std::string JS = S.writeJS("pkg.js", VulnSource);
+  ServiceOptions O;
+  O.SocketPath = S.path("d.sock");
+  O.Jobs = 1;
+  // Under AddressSanitizer RLIMIT_AS is not applied; the fault's allocation
+  // storm then self-bounds and exits with the OOM code on its own, so the
+  // attribution is the same either way.
+  O.MemLimitMB = 128;
+  O.Quiet = true;
+  ServiceHandle H = startService(O);
+
+  std::string Resp;
+  ASSERT_TRUE(ScanService::request(
+      O.SocketPath, scanRequest("hog", JS, 0, "build:oom"), Resp));
+  json::Object RO = parseResponse(Resp);
+  EXPECT_TRUE(responseOk(RO)) << Resp;
+  driver::BatchOutcome Out = responseOutcome(RO);
+  EXPECT_EQ(Out.Status, driver::BatchStatus::Failed);
+  ASSERT_FALSE(Out.Result.Errors.empty());
+  EXPECT_EQ(Out.Result.Errors[0].Kind, scanner::ScanErrorKind::KilledOom);
+
+  // The replacement worker serves the next scan.
   ASSERT_TRUE(
       ScanService::request(O.SocketPath, scanRequest("after", JS), Resp));
   RO = parseResponse(Resp);

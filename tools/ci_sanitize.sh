@@ -95,3 +95,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # flaking later. until-fail stops each test at its first failure.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
   --repeat until-fail:3
+
+# The supervisor flake gate: the batch pool, `graphjs serve` and the shared
+# ledger's supervisors race worker deaths, kill ladders and poll timeouts
+# against each other, so their suites (CTest label `supervisor`) repeat ten
+# more times under full parallel load.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
+  -L supervisor --repeat until-fail:10

@@ -485,7 +485,7 @@ int runLinkedScan(const std::vector<std::string> &Files, bool WithDeps,
       return 1;
     R = S.scanPackage(Sources);
   }
-  printErrors(R.Errors);
+  const bool ParseFailed = printErrors(R.Errors);
   for (const lint::Finding &F : R.SelfCheckFindings)
     std::fprintf(stderr, "self-check: %s\n", F.str().c_str());
   if (!R.SchemaError.empty()) {
@@ -516,7 +516,10 @@ int runLinkedScan(const std::vector<std::string> &Files, bool WithDeps,
   } else {
     std::printf("%s\n", scanner::reportsToJSON(R.Reports).c_str());
   }
-  return R.Reports.empty() ? 0 : 3;
+  // The per-file scan's rule: findings (3) outrank a parse failure (1).
+  if (!R.Reports.empty())
+    return 3;
+  return ParseFailed ? 1 : 0;
 }
 
 /// `callgraph --packages`: the package DAG and its SCC link order.
