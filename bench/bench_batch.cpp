@@ -116,7 +116,7 @@ int main() {
     // Per-package scan latency distribution over every repeat of this
     // mode, from the scan.latency_us histogram — recorded in-process by
     // the driver, merged from worker telemetry deltas by the pools.
-    obs::HistogramSnapshotMap HistBefore = obs::snapshotHistograms();
+    obs::HistogramValues HistBefore = obs::snapshotHistogramValues();
     for (int It = 0; It < Repeats; ++It) {
       Measured Run = runMode(M, Inputs);
       const driver::BatchSummary &S = Run.Summary;
@@ -150,8 +150,7 @@ int main() {
     }
     const driver::BatchSummary &S = R.Summary;
 
-    obs::HistogramSnapshotMap HistDelta =
-        obs::histogramDelta(HistBefore, obs::snapshotHistograms());
+    obs::HistogramSnapshotMap HistDelta = obs::histogramDelta(HistBefore);
     obs::HistogramSnapshot Lat;
     if (HistDelta.count("scan.latency_us"))
       Lat = HistDelta.at("scan.latency_us");

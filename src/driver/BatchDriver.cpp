@@ -17,6 +17,8 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 using namespace gjs;
@@ -177,197 +179,209 @@ void ProgressMeter::emit() {
 }
 
 std::string BatchDriver::journalLine(const BatchOutcome &Outcome) {
-  json::Object O;
-  O["package"] = json::Value(Outcome.Package);
-  O["status"] = json::Value(batchStatusName(Outcome.Status));
-  O["degradation"] = json::Value(Outcome.Result.Degradation);
-  O["attempts"] = json::Value(Outcome.Result.Attempts);
-  O["retries"] = json::Value(Outcome.Result.Retries);
-  O["seconds"] = json::Value(Outcome.Seconds);
+  const scanner::ScanResult &R = Outcome.Result;
+  std::string Out;
+  Out.reserve(1024);
+  // Compact, one line per package. Numbers go through json::writeNumber as
+  // doubles, exactly as a json::Value holding them would print.
+  auto Attempt = [&](const scanner::AttemptRecord &A) {
+    json::ObjectWriter AO(Out);
+    AO.num("deadline_work", static_cast<double>(A.DeadlineWork));
+    AO.num("graph_seconds",
+           A.Times.Parse + A.Times.GraphBuild + A.Times.DbImport);
+    AO.num("level", A.Level);
+    AO.num("query_seconds", A.Times.Query);
+    AO.boolean("timed_out", A.TimedOut);
+    AO.close();
+  };
+  auto Error = [&](const scanner::ScanError &E) {
+    json::ObjectWriter EO(Out);
+    if (!E.Detail.empty())
+      EO.str("detail", E.Detail);
+    if (!E.File.empty())
+      EO.str("file", E.File);
+    EO.str("kind", scanner::scanErrorKindName(E.Kind));
+    EO.str("phase", scanner::scanPhaseName(E.Phase));
+    EO.close();
+  };
+  auto Report = [&](const queries::VulnReport &V) {
+    json::ObjectWriter RO(Out);
+    RO.str("cwe", queries::cweOf(V.Type));
+    RO.num("line", V.SinkLoc.Line);
+    if (!V.SinkName.empty())
+      RO.str("sink", V.SinkName);
+    RO.str("type", queries::vulnTypeName(V.Type));
+    RO.close();
+  };
+
+  json::ObjectWriter O(Out);
+  if (!R.AttemptLog.empty())
+    json::writeArray(O.key("attempt_log"), R.AttemptLog, Attempt);
+  O.num("attempts", R.Attempts);
+  if (!R.Counters.empty()) {
+    json::ObjectWriter CO(O.key("counters"));
+    for (const auto &[Name, Value] : R.Counters)
+      CO.num(Name, static_cast<double>(Value));
+    CO.close();
+  }
+  O.num("degradation", R.Degradation);
+  O.num("edges", static_cast<double>(R.MDGEdges));
+  json::writeArray(O.key("errors"), R.Errors, Error);
   // Cumulative over every ladder attempt (not just the final one): the
   // package's true phase-time attribution.
-  const scanner::PhaseTimes &CT = Outcome.Result.CumulativeTimes;
-  O["graph_seconds"] = json::Value(CT.Parse + CT.GraphBuild + CT.DbImport);
-  O["query_seconds"] = json::Value(CT.Query);
-  O["nodes"] = json::Value(static_cast<unsigned long>(Outcome.Result.MDGNodes));
-  O["edges"] = json::Value(static_cast<unsigned long>(Outcome.Result.MDGEdges));
-  if (Outcome.Result.LinkedPackages)
-    O["linked_packages"] = json::Value(Outcome.Result.LinkedPackages);
-  if (!Outcome.Result.MissingDeps.empty()) {
-    json::Array Deps;
-    for (const std::string &Dep : Outcome.Result.MissingDeps)
-      Deps.push_back(json::Value(Dep));
-    O["missing_deps"] = json::Value(std::move(Deps));
-  }
-
-  if (!Outcome.Result.AttemptLog.empty()) {
-    json::Array Attempts;
-    for (const scanner::AttemptRecord &A : Outcome.Result.AttemptLog) {
-      json::Object AO;
-      AO["level"] = json::Value(A.Level);
-      AO["graph_seconds"] =
-          json::Value(A.Times.Parse + A.Times.GraphBuild + A.Times.DbImport);
-      AO["query_seconds"] = json::Value(A.Times.Query);
-      AO["deadline_work"] =
-          json::Value(static_cast<unsigned long>(A.DeadlineWork));
-      AO["timed_out"] = json::Value(A.TimedOut);
-      Attempts.push_back(json::Value(std::move(AO)));
-    }
-    O["attempt_log"] = json::Value(std::move(Attempts));
-  }
-
-  if (!Outcome.Result.Counters.empty()) {
-    json::Object Counters;
-    for (const auto &[Name, Value] : Outcome.Result.Counters)
-      Counters[Name] = json::Value(static_cast<unsigned long>(Value));
-    O["counters"] = json::Value(std::move(Counters));
-  }
-
-  json::Array Errors;
-  for (const scanner::ScanError &E : Outcome.Result.Errors) {
-    json::Object EO;
-    EO["phase"] = json::Value(scanner::scanPhaseName(E.Phase));
-    EO["kind"] = json::Value(scanner::scanErrorKindName(E.Kind));
-    if (!E.Detail.empty())
-      EO["detail"] = json::Value(E.Detail);
-    if (!E.File.empty())
-      EO["file"] = json::Value(E.File);
-    Errors.push_back(json::Value(std::move(EO)));
-  }
-  O["errors"] = json::Value(std::move(Errors));
-
-  json::Array Reports;
-  for (const queries::VulnReport &R : Outcome.Result.Reports) {
-    json::Object RO;
-    RO["cwe"] = json::Value(queries::cweOf(R.Type));
-    RO["type"] = json::Value(queries::vulnTypeName(R.Type));
-    RO["line"] = json::Value(static_cast<unsigned>(R.SinkLoc.Line));
-    if (!R.SinkName.empty())
-      RO["sink"] = json::Value(R.SinkName);
-    Reports.push_back(json::Value(std::move(RO)));
-  }
-  O["reports"] = json::Value(std::move(Reports));
-
-  // Compact (indent 0): exactly one line per package.
-  return json::Value(std::move(O)).str();
+  const scanner::PhaseTimes &CT = R.CumulativeTimes;
+  O.num("graph_seconds", CT.Parse + CT.GraphBuild + CT.DbImport);
+  if (R.LinkedPackages)
+    O.num("linked_packages", R.LinkedPackages);
+  if (!R.MissingDeps.empty())
+    json::writeArray(O.key("missing_deps"), R.MissingDeps,
+                     [&](const std::string &D) { json::writeString(Out, D); });
+  O.num("nodes", static_cast<double>(R.MDGNodes));
+  O.str("package", Outcome.Package);
+  O.num("query_seconds", CT.Query);
+  json::writeArray(O.key("reports"), R.Reports, Report);
+  O.num("retries", R.Retries);
+  O.num("seconds", Outcome.Seconds);
+  O.str("status", batchStatusName(Outcome.Status));
+  O.close();
+  return Out;
 }
 
 bool BatchDriver::parseJournalLine(const std::string &Line, BatchOutcome &Out) {
   // Accept both framed (`@len:crc:payload`, the shared-ledger format) and
   // bare journal lines; a framed line with a bad length/CRC is malformed.
-  std::string Payload;
-  if (!unframeJournalLine(Line, Payload))
-    return false;
-  json::Value V;
-  if (!json::parse(Payload, V) || !V.isObject())
-    return false;
-  const json::Object &O = V.asObject();
-
-  auto Str = [&](const char *Key, std::string &Dst) {
-    auto It = O.find(Key);
-    if (It == O.end() || !It->second.isString())
+  std::string Unframed;
+  std::string_view Payload = Line;
+  if (!Line.empty() && Line[0] == '@') {
+    if (!unframeJournalLine(Line, Unframed))
       return false;
-    Dst = It->second.asString();
+    Payload = Unframed;
+  }
+
+  // One pass over the line, no Value tree. A field of the wrong type is
+  // skipped, as an unknown key is; an error or report entry that does not
+  // name a known phase, kind or type makes the line malformed.
+  json::Reader R(Payload);
+  // Numbers land in fields of several types, as the casts always did.
+  auto Num = [&](auto &Dst, bool *Read = nullptr) {
+    double D = 0;
+    bool Got = false;
+    if (!R.numberOrSkip(D, &Got))
+      return false;
+    if (Got)
+      Dst = static_cast<std::remove_reference_t<decltype(Dst)>>(D);
+    if (Read)
+      *Read = Got;
     return true;
   };
-  auto Num = [&](const char *Key, double &Dst) {
-    auto It = O.find(Key);
-    if (It == O.end() || !It->second.isNumber())
-      return false;
-    Dst = It->second.asNumber();
-    return true;
+  auto Str = [&](std::string &Dst) { return R.stringOrSkip(Dst); };
+  // Reads an array of objects, each through \p Entry, when one is there.
+  auto Objects = [&](auto Entry) {
+    if (R.peek() != '[')
+      return R.skip();
+    return R.array([&] { return R.peek() == '{' && Entry(); });
   };
 
   Out = BatchOutcome();
   std::string Status;
-  if (!Str("package", Out.Package) || !Str("status", Status) ||
+  bool HasPackage = false;
+  bool Ok = R.object([&](std::string_view Key) {
+    scanner::ScanResult &Res = Out.Result;
+    if (Key == "package")
+      return R.stringOrSkip(Out.Package, &HasPackage);
+    if (Key == "status")
+      return Str(Status);
+    if (Key == "seconds")
+      return Num(Out.Seconds);
+    if (Key == "degradation")
+      return Num(Res.Degradation);
+    if (Key == "attempts")
+      return Num(Res.Attempts);
+    if (Key == "retries")
+      return Num(Res.Retries);
+    // graph_seconds folds parse+build+import together in the journal;
+    // claim it all for GraphBuild so PhaseTimes::total() round-trips.
+    if (Key == "graph_seconds")
+      return Num(Res.CumulativeTimes.GraphBuild);
+    if (Key == "query_seconds")
+      return Num(Res.CumulativeTimes.Query);
+    if (Key == "nodes")
+      return Num(Res.MDGNodes);
+    if (Key == "edges")
+      return Num(Res.MDGEdges);
+    if (Key == "linked_packages")
+      return Num(Res.LinkedPackages);
+    if (Key == "missing_deps") {
+      if (R.peek() != '[')
+        return R.skip();
+      return R.array([&] {
+        std::string Dep;
+        bool Got = false;
+        if (!R.stringOrSkip(Dep, &Got))
+          return false;
+        if (Got)
+          Res.MissingDeps.push_back(std::move(Dep));
+        return true;
+      });
+    }
+    if (Key == "counters") {
+      if (R.peek() != '{')
+        return R.skip();
+      return R.object([&](std::string_view Name) {
+        uint64_t V = 0;
+        bool Got = false;
+        if (!Num(V, &Got))
+          return false;
+        if (Got)
+          Res.Counters.emplace(Name, V);
+        return true;
+      });
+    }
+    if (Key == "errors")
+      return Objects([&] {
+        scanner::ScanError E;
+        std::string Phase, Kind;
+        bool Read = R.object([&](std::string_view K) {
+          if (K == "phase")
+            return Str(Phase);
+          if (K == "kind")
+            return Str(Kind);
+          if (K == "detail")
+            return Str(E.Detail);
+          if (K == "file")
+            return Str(E.File);
+          return R.skip();
+        });
+        if (!Read || !scanner::scanPhaseFromName(Phase, E.Phase) ||
+            !scanner::scanErrorKindFromName(Kind, E.Kind))
+          return false;
+        Res.Errors.push_back(std::move(E));
+        return true;
+      });
+    if (Key == "reports")
+      return Objects([&] {
+        queries::VulnReport V;
+        std::string Type;
+        bool Read = R.object([&](std::string_view K) {
+          if (K == "type")
+            return Str(Type);
+          if (K == "line")
+            return Num(V.SinkLoc.Line);
+          if (K == "sink")
+            return Str(V.SinkName);
+          return R.skip();
+        });
+        if (!Read || !queries::vulnTypeFromName(Type, V.Type))
+          return false;
+        Res.Reports.push_back(std::move(V));
+        return true;
+      });
+    return R.skip();
+  });
+  if (!Ok || !R.atEnd() || !HasPackage ||
       !batchStatusFromName(Status, Out.Status))
     return false;
-
-  double D = 0;
-  if (Num("seconds", D))
-    Out.Seconds = D;
-  if (Num("degradation", D))
-    Out.Result.Degradation = static_cast<unsigned>(D);
-  if (Num("attempts", D))
-    Out.Result.Attempts = static_cast<unsigned>(D);
-  if (Num("retries", D))
-    Out.Result.Retries = static_cast<unsigned>(D);
-  // graph_seconds folds parse+build+import together in the journal; claim
-  // it all for GraphBuild so PhaseTimes::total() round-trips.
-  if (Num("graph_seconds", D))
-    Out.Result.CumulativeTimes.GraphBuild = D;
-  if (Num("query_seconds", D))
-    Out.Result.CumulativeTimes.Query = D;
   Out.Result.Times = Out.Result.CumulativeTimes;
-  if (Num("nodes", D))
-    Out.Result.MDGNodes = static_cast<size_t>(D);
-  if (Num("edges", D))
-    Out.Result.MDGEdges = static_cast<size_t>(D);
-  if (Num("linked_packages", D))
-    Out.Result.LinkedPackages = static_cast<unsigned>(D);
-  {
-    auto It = O.find("missing_deps");
-    if (It != O.end() && It->second.isArray())
-      for (const json::Value &DV : It->second.asArray())
-        if (DV.isString())
-          Out.Result.MissingDeps.push_back(DV.asString());
-  }
-
-  {
-    auto It = O.find("counters");
-    if (It != O.end() && It->second.isObject())
-      for (const auto &[Name, Value] : It->second.asObject())
-        if (Value.isNumber())
-          Out.Result.Counters[Name] =
-              static_cast<uint64_t>(Value.asNumber());
-  }
-
-  auto It = O.find("errors");
-  if (It != O.end() && It->second.isArray()) {
-    for (const json::Value &EV : It->second.asArray()) {
-      if (!EV.isObject())
-        return false;
-      const json::Object &EO = EV.asObject();
-      scanner::ScanError E;
-      auto PIt = EO.find("phase");
-      auto KIt = EO.find("kind");
-      if (PIt == EO.end() || !PIt->second.isString() ||
-          !scanner::scanPhaseFromName(PIt->second.asString(), E.Phase))
-        return false;
-      if (KIt == EO.end() || !KIt->second.isString() ||
-          !scanner::scanErrorKindFromName(KIt->second.asString(), E.Kind))
-        return false;
-      auto DIt = EO.find("detail");
-      if (DIt != EO.end() && DIt->second.isString())
-        E.Detail = DIt->second.asString();
-      auto FIt = EO.find("file");
-      if (FIt != EO.end() && FIt->second.isString())
-        E.File = FIt->second.asString();
-      Out.Result.Errors.push_back(std::move(E));
-    }
-  }
-
-  It = O.find("reports");
-  if (It != O.end() && It->second.isArray()) {
-    for (const json::Value &RV : It->second.asArray()) {
-      if (!RV.isObject())
-        return false;
-      const json::Object &RO = RV.asObject();
-      queries::VulnReport R;
-      auto TIt = RO.find("type");
-      if (TIt == RO.end() || !TIt->second.isString() ||
-          !queries::vulnTypeFromName(TIt->second.asString(), R.Type))
-        return false;
-      auto LIt = RO.find("line");
-      if (LIt != RO.end() && LIt->second.isNumber())
-        R.SinkLoc.Line = static_cast<uint32_t>(LIt->second.asNumber());
-      auto SIt = RO.find("sink");
-      if (SIt != RO.end() && SIt->second.isString())
-        R.SinkName = SIt->second.asString();
-      Out.Result.Reports.push_back(std::move(R));
-    }
-  }
   return true;
 }
 

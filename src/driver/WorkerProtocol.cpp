@@ -9,7 +9,9 @@
 #include "support/JSON.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <string_view>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -86,10 +88,11 @@ bool driver::writeFrame(int FD, const std::string &Payload,
       *Error = "frame too large";
     return false;
   }
-  char Hdr[4];
-  putU32LE(Hdr, static_cast<uint32_t>(Payload.size()));
-  return fullWrite(FD, Hdr, sizeof(Hdr), Error) &&
-         fullWrite(FD, Payload.data(), Payload.size(), Error);
+  // Prefix and payload in one buffer: one send per frame.
+  std::string Frame(4, '\0');
+  putU32LE(Frame.data(), static_cast<uint32_t>(Payload.size()));
+  Frame += Payload;
+  return fullWrite(FD, Frame.data(), Frame.size(), Error);
 }
 
 bool driver::readFrame(int FD, std::string &Out, std::string *Error) {
@@ -142,60 +145,80 @@ bool FrameReader::next(std::string &Out) {
   }
   if (Buf.size() < 4 + static_cast<size_t>(Len))
     return false;
-  Out = Buf.substr(4, Len);
+  Out.assign(Buf, 4, Len);
   Buf.erase(0, 4 + static_cast<size_t>(Len));
   obs::hists::FrameBytes.record(Len);
   return true;
 }
 
 std::string WorkerRequest::encode() const {
-  json::Object O;
-  switch (Kind) {
-  case Op::Scan:
-    O["op"] = json::Value("scan");
-    break;
-  case Op::Ping:
-    O["op"] = json::Value("ping");
-    break;
-  case Op::Exit:
-    O["op"] = json::Value("exit");
-    break;
-  }
-  O["job"] = json::Value(static_cast<unsigned long>(JobId));
-  if (HasPlanIndex)
-    O["plan"] = json::Value(static_cast<unsigned long>(PlanIndex));
-  if (IsRetry)
-    O["retry"] = json::Value(true);
-  if (!Name.empty())
-    O["name"] = json::Value(Name);
-  if (!Paths.empty()) {
-    json::Array A;
-    for (const std::string &P : Paths)
-      A.push_back(json::Value(P));
-    O["files"] = json::Value(std::move(A));
-  }
+  std::string Out;
+  json::ObjectWriter O(Out);
   if (DeadlineSeconds > 0)
-    O["deadline_s"] = json::Value(DeadlineSeconds);
-  if (!FaultSpec.empty())
-    O["fault"] = json::Value(FaultSpec);
-  if (WantTrace)
-    O["trace"] = json::Value(true);
+    O.num("deadline_s", DeadlineSeconds);
   if (TraceEpochUs)
-    O["epoch_us"] = json::Value(static_cast<double>(TraceEpochUs));
-  return json::Value(std::move(O)).str();
+    O.num("epoch_us", static_cast<double>(TraceEpochUs));
+  if (!FaultSpec.empty())
+    O.str("fault", FaultSpec);
+  if (!Paths.empty())
+    json::writeArray(O.key("files"), Paths, [&](const std::string &P) {
+      json::writeString(Out, P);
+    });
+  O.num("job", static_cast<double>(JobId));
+  if (!Name.empty())
+    O.str("name", Name);
+  O.str("op", Kind == Op::Scan ? "scan" : Kind == Op::Ping ? "ping" : "exit");
+  if (HasPlanIndex)
+    O.num("plan", static_cast<double>(PlanIndex));
+  if (IsRetry)
+    O.boolean("retry", true);
+  if (WantTrace)
+    O.boolean("trace", true);
+  O.close();
+  return Out;
 }
 
-bool WorkerRequest::decode(const std::string &Text, WorkerRequest &Out) {
-  json::Value V;
-  if (!json::parse(Text, V) || !V.isObject())
-    return false;
-  const json::Object &O = V.asObject();
+bool WorkerRequest::decode(std::string_view Text, WorkerRequest &Out) {
   Out = WorkerRequest();
-
-  auto It = O.find("op");
-  if (It == O.end() || !It->second.isString())
+  json::Reader R(Text);
+  std::string Op;
+  double Job = 0, Plan = 0, Epoch = 0;
+  bool Ok = R.object([&](std::string_view Key) {
+    if (Key == "op")
+      return R.stringOrSkip(Op);
+    if (Key == "job")
+      return R.numberOrSkip(Job);
+    if (Key == "plan")
+      return R.numberOrSkip(Plan, &Out.HasPlanIndex);
+    if (Key == "retry")
+      return R.booleanOrSkip(Out.IsRetry);
+    if (Key == "name")
+      return R.stringOrSkip(Out.Name);
+    if (Key == "files") {
+      if (R.peek() != '[')
+        return R.skip();
+      return R.array([&] {
+        std::string Path;
+        bool Got = false;
+        if (!R.stringOrSkip(Path, &Got))
+          return false;
+        if (Got)
+          Out.Paths.push_back(std::move(Path));
+        return true;
+      });
+    }
+    if (Key == "deadline_s")
+      return R.numberOrSkip(Out.DeadlineSeconds);
+    if (Key == "fault")
+      return R.stringOrSkip(Out.FaultSpec);
+    if (Key == "trace")
+      return R.booleanOrSkip(Out.WantTrace);
+    if (Key == "epoch_us")
+      return R.numberOrSkip(Epoch);
+    return R.skip();
+  });
+  if (!Ok || !R.atEnd())
     return false;
-  const std::string &Op = It->second.asString();
   if (Op == "scan")
     Out.Kind = Op::Scan;
   else if (Op == "ping")
@@ -204,29 +227,9 @@ bool WorkerRequest::decode(const std::string &Text, WorkerRequest &Out) {
     Out.Kind = Op::Exit;
   else
     return false;
-
-  if ((It = O.find("job")) != O.end() && It->second.isNumber())
-    Out.JobId = static_cast<uint64_t>(It->second.asNumber());
-  if ((It = O.find("plan")) != O.end() && It->second.isNumber()) {
-    Out.HasPlanIndex = true;
-    Out.PlanIndex = static_cast<size_t>(It->second.asNumber());
-  }
-  if ((It = O.find("retry")) != O.end() && It->second.isBool())
-    Out.IsRetry = It->second.asBool();
-  if ((It = O.find("name")) != O.end() && It->second.isString())
-    Out.Name = It->second.asString();
-  if ((It = O.find("files")) != O.end() && It->second.isArray())
-    for (const json::Value &P : It->second.asArray())
-      if (P.isString())
-        Out.Paths.push_back(P.asString());
-  if ((It = O.find("deadline_s")) != O.end() && It->second.isNumber())
-    Out.DeadlineSeconds = It->second.asNumber();
-  if ((It = O.find("fault")) != O.end() && It->second.isString())
-    Out.FaultSpec = It->second.asString();
-  if ((It = O.find("trace")) != O.end() && It->second.isBool())
-    Out.WantTrace = It->second.asBool();
-  if ((It = O.find("epoch_us")) != O.end() && It->second.isNumber())
-    Out.TraceEpochUs = static_cast<uint64_t>(It->second.asNumber());
+  Out.JobId = static_cast<uint64_t>(Job);
+  Out.PlanIndex = static_cast<size_t>(Plan);
+  Out.TraceEpochUs = static_cast<uint64_t>(Epoch);
   return true;
 }
 
@@ -246,130 +249,178 @@ driver::rebasedSpans(const obs::TraceRecorder &Recorder,
   return Out;
 }
 
-std::string WorkerResponse::encode() const {
-  json::Object O;
-  O["job"] = json::Value(static_cast<unsigned long>(JobId));
-  if (!Line.empty())
-    O["line"] = json::Value(Line);
-  if (Pong)
-    O["pong"] = json::Value(true);
-  if (Recycle)
-    O["recycle"] = json::Value(true);
-  if (!HistDelta.empty()) {
-    json::Object H;
-    for (const auto &[Name, Snap] : HistDelta) {
-      json::Object S;
-      S["u"] = json::Value(Snap.Unit);
-      S["s"] = json::Value(static_cast<double>(Snap.Sum));
-      json::Array B;
-      for (const auto &[Bucket, Count] : Snap.Buckets) {
-        json::Array Pair;
-        Pair.push_back(json::Value(Bucket));
-        Pair.push_back(json::Value(static_cast<unsigned long>(Count)));
-        B.push_back(json::Value(std::move(Pair)));
-      }
-      S["b"] = json::Value(std::move(B));
-      H[Name] = json::Value(std::move(S));
-    }
-    O["hist"] = json::Value(std::move(H));
-  }
-  if (!Spans.empty()) {
-    json::Array A;
-    for (const obs::SpanRecord &S : Spans) {
-      json::Object SO;
-      SO["n"] = json::Value(S.Name);
-      SO["ts"] = json::Value(S.StartUs);
-      SO["dur"] = json::Value(S.DurUs < 0 ? 0.0 : S.DurUs);
-      SO["d"] = json::Value(S.Depth);
-      if (S.Parent != obs::SpanRecord::npos)
-        SO["p"] = json::Value(static_cast<unsigned long>(S.Parent));
-      if (!S.Args.empty()) {
-        json::Object AO;
-        for (const auto &[Key, Value] : S.Args)
-          AO[Key] = json::Value(Value);
-        SO["a"] = json::Value(std::move(AO));
-      }
-      A.push_back(json::Value(std::move(SO)));
-    }
-    O["spans"] = json::Value(std::move(A));
-  }
-  return json::Value(std::move(O)).str();
+namespace {
+
+void appendUInt(std::string &Out, uint64_t V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
 }
 
-bool WorkerResponse::decode(const std::string &Text, WorkerResponse &Out) {
-  json::Value V;
-  if (!json::parse(Text, V) || !V.isObject())
+/// A whole-token unsigned integer; false on anything else.
+template <typename T> bool parseUInt(std::string_view Tok, T &Out) {
+  auto [Ptr, Ec] = std::from_chars(Tok.data(), Tok.data() + Tok.size(), Out);
+  return !Tok.empty() && Ec == std::errc() && Ptr == Tok.data() + Tok.size();
+}
+
+/// Splits \p S at the first \p Sep: returns what precedes it and leaves
+/// the rest in \p S. Without a separator it returns all of \p S and
+/// leaves null, which an empty rest after a trailing separator is not.
+std::string_view cut(std::string_view &S, char Sep) {
+  size_t At = S.find(Sep);
+  std::string_view Head = S.substr(0, At);
+  S = At == std::string_view::npos ? std::string_view() : S.substr(At + 1);
+  return Head;
+}
+
+/// One `h:` token's body: `<name>:<unit>:<sum>:<bucket>=<count>,...`.
+bool decodeHistogram(std::string_view Tok, obs::HistogramSnapshotMap &Out) {
+  std::string_view Name = cut(Tok, ':');
+  std::string_view Unit = cut(Tok, ':');
+  obs::HistogramSnapshot Snap;
+  if (Name.empty() || !parseUInt(cut(Tok, ':'), Snap.Sum) || Tok.empty())
     return false;
-  const json::Object &O = V.asObject();
-  Out = WorkerResponse();
-  auto It = O.find("job");
-  if (It == O.end() || !It->second.isNumber())
-    return false;
-  Out.JobId = static_cast<uint64_t>(It->second.asNumber());
-  if ((It = O.find("line")) != O.end() && It->second.isString())
-    Out.Line = It->second.asString();
-  if ((It = O.find("pong")) != O.end() && It->second.isBool())
-    Out.Pong = It->second.asBool();
-  if ((It = O.find("recycle")) != O.end() && It->second.isBool())
-    Out.Recycle = It->second.asBool();
-  if ((It = O.find("hist")) != O.end() && It->second.isObject()) {
-    for (const auto &[Name, HV] : It->second.asObject()) {
-      if (!HV.isObject())
-        continue;
-      const json::Object &HO = HV.asObject();
-      obs::HistogramSnapshot Snap;
-      auto UIt = HO.find("u");
-      if (UIt != HO.end() && UIt->second.isString())
-        Snap.Unit = UIt->second.asString();
-      auto SIt = HO.find("s");
-      if (SIt != HO.end() && SIt->second.isNumber())
-        Snap.Sum = static_cast<uint64_t>(SIt->second.asNumber());
-      auto BIt = HO.find("b");
-      if (BIt != HO.end() && BIt->second.isArray())
-        for (const json::Value &Pair : BIt->second.asArray()) {
-          if (!Pair.isArray() || Pair.asArray().size() != 2 ||
-              !Pair.asArray()[0].isNumber() || !Pair.asArray()[1].isNumber())
-            continue;
-          Snap.Buckets.emplace_back(
-              static_cast<unsigned>(Pair.asArray()[0].asNumber()),
-              static_cast<uint64_t>(Pair.asArray()[1].asNumber()));
-        }
-      if (!Snap.Buckets.empty())
-        Out.HistDelta[Name] = std::move(Snap);
-    }
+  Snap.Unit = Unit;
+  while (Tok.data()) {
+    std::string_view Pair = cut(Tok, ',');
+    unsigned Bucket = 0;
+    uint64_t Count = 0;
+    if (!parseUInt(cut(Pair, '='), Bucket) || !parseUInt(Pair, Count))
+      return false;
+    Snap.Buckets.emplace_back(Bucket, Count);
   }
-  if ((It = O.find("spans")) != O.end() && It->second.isArray()) {
-    for (const json::Value &SV : It->second.asArray()) {
-      if (!SV.isObject())
-        continue;
-      const json::Object &SO = SV.asObject();
-      obs::SpanRecord S;
-      auto NIt = SO.find("n");
-      if (NIt == SO.end() || !NIt->second.isString())
-        continue;
-      S.Name = NIt->second.asString();
-      auto TIt = SO.find("ts");
-      if (TIt != SO.end() && TIt->second.isNumber())
-        S.StartUs = TIt->second.asNumber();
-      auto DIt = SO.find("dur");
-      if (DIt != SO.end() && DIt->second.isNumber())
-        S.DurUs = DIt->second.asNumber();
-      auto DepIt = SO.find("d");
-      if (DepIt != SO.end() && DepIt->second.isNumber())
-        S.Depth = static_cast<unsigned>(DepIt->second.asNumber());
-      auto PIt = SO.find("p");
-      S.Parent = PIt != SO.end() && PIt->second.isNumber()
-                     ? static_cast<size_t>(PIt->second.asNumber())
-                     : obs::SpanRecord::npos;
-      auto AIt = SO.find("a");
-      if (AIt != SO.end() && AIt->second.isObject())
-        for (const auto &[Key, Value] : AIt->second.asObject())
-          if (Value.isString())
-            S.Args.emplace_back(Key, Value.asString());
-      Out.Spans.push_back(std::move(S));
-    }
-  }
+  Out[std::string(Name)] = std::move(Snap);
   return true;
+}
+
+/// The `spans:` token: the span tree as a compact JSON array of objects,
+/// `{"a":{args},"d":depth,"dur":us,"n":name,"p":parent,"ts":us}`.
+void encodeSpans(const std::vector<obs::SpanRecord> &Spans, std::string &Out) {
+  json::writeArray(Out, Spans, [&](const obs::SpanRecord &S) {
+    json::ObjectWriter SO(Out);
+    if (!S.Args.empty()) {
+      // Annotation keys in the order recorded: the reader keeps that order.
+      json::ObjectWriter AO(SO.key("a"));
+      for (const auto &[Key, Value] : S.Args)
+        AO.str(Key, Value);
+      AO.close();
+    }
+    SO.num("d", S.Depth);
+    SO.num("dur", S.DurUs < 0 ? 0.0 : S.DurUs);
+    SO.str("n", S.Name);
+    if (S.Parent != obs::SpanRecord::npos)
+      SO.num("p", static_cast<double>(S.Parent));
+    SO.num("ts", S.StartUs);
+    SO.close();
+  });
+}
+
+bool decodeSpans(std::string_view Text, std::vector<obs::SpanRecord> &Out) {
+  json::Reader R(Text);
+  bool Ok = R.array([&] {
+    if (R.peek() != '{')
+      return R.skip(); // Not a span: dropped, as a nameless one is.
+    obs::SpanRecord S;
+    double Depth = 0, Parent = -1;
+    bool Named = false;
+    if (!R.object([&](std::string_view Key) {
+          if (Key == "n")
+            return R.stringOrSkip(S.Name, &Named);
+          if (Key == "ts")
+            return R.numberOrSkip(S.StartUs);
+          if (Key == "dur")
+            return R.numberOrSkip(S.DurUs);
+          if (Key == "d")
+            return R.numberOrSkip(Depth);
+          if (Key == "p")
+            return R.numberOrSkip(Parent);
+          if (Key == "a" && R.peek() == '{')
+            return R.object([&](std::string_view ArgKey) {
+              std::string Name(ArgKey), Value;
+              bool Got = false;
+              if (!R.stringOrSkip(Value, &Got))
+                return false;
+              if (Got)
+                S.Args.emplace_back(std::move(Name), std::move(Value));
+              return true;
+            });
+          return R.skip();
+        }))
+      return false;
+    if (Named) {
+      S.Depth = static_cast<unsigned>(Depth);
+      S.Parent =
+          Parent < 0 ? obs::SpanRecord::npos : static_cast<size_t>(Parent);
+      Out.push_back(std::move(S));
+    }
+    return true;
+  });
+  return Ok && R.atEnd();
+}
+
+} // namespace
+
+std::string WorkerResponse::encode() const {
+  std::string Out;
+  Out.reserve(256 + Line.size());
+  appendUInt(Out, JobId);
+  if (Pong)
+    Out += " pong";
+  if (Recycle)
+    Out += " recycle";
+  for (const auto &[Name, Snap] : HistDelta) {
+    if (Snap.empty())
+      continue;
+    Out += " h:";
+    Out += Name;
+    Out += ':';
+    Out += Snap.Unit;
+    Out += ':';
+    appendUInt(Out, Snap.Sum);
+    char Sep = ':';
+    for (const auto &[Bucket, Count] : Snap.Buckets) {
+      Out += Sep;
+      Sep = ',';
+      appendUInt(Out, Bucket);
+      Out += '=';
+      appendUInt(Out, Count);
+    }
+  }
+  if (!Spans.empty()) {
+    Out += " spans:";
+    encodeSpans(Spans, Out);
+  }
+  Out += '\n';
+  Out += Line;
+  return Out;
+}
+
+bool WorkerResponse::decode(std::string_view Text, WorkerResponse &Out) {
+  Out = WorkerResponse();
+  size_t NewLine = Text.find('\n');
+  if (NewLine == std::string_view::npos)
+    return false;
+  std::string_view Header = Text.substr(0, NewLine);
+  if (!parseUInt(cut(Header, ' '), Out.JobId))
+    return false;
+  while (Header.data()) {
+    if (Header.substr(0, 6) == "spans:") {
+      // Always the last token: the rest of the header is its JSON.
+      if (!decodeSpans(Header.substr(6), Out.Spans))
+        return false;
+      break;
+    }
+    std::string_view Tok = cut(Header, ' ');
+    if (Tok == "pong")
+      Out.Pong = true;
+    else if (Tok == "recycle")
+      Out.Recycle = true;
+    else if (Tok.substr(0, 2) != "h:" ||
+             !decodeHistogram(Tok.substr(2), Out.HistDelta))
+      return false;
+  }
+  Out.Line.assign(Text.substr(NewLine + 1));
+  // Only a pong answers without a journal line.
+  return Out.Pong || !Out.Line.empty();
 }
 
 int driver::runWorkerLoop(int FD, const WorkerLoopOptions &Options,
@@ -379,14 +430,14 @@ int driver::runWorkerLoop(int FD, const WorkerLoopOptions &Options,
     obs::setCountersEnabled(true);
     obs::resetCounters();
   }
-  // Rolling histogram baseline: one snapshot per job, diffed against the
-  // previous job's, so each response carries exactly what was recorded
-  // since the last one (this job's scan plus the request frames read in
-  // between). Counters need no such bracket: the scanner already measures
-  // each package's counter delta into its journal line.
-  obs::HistogramSnapshotMap HistPrev;
+  // Rolling histogram baseline: one flat snapshot per job, so each
+  // response carries exactly what was recorded since the last one (this
+  // job's scan plus the request frames read in between). Counters need no
+  // such bracket: the scanner already measures each package's counter
+  // delta into its journal line.
+  obs::HistogramValues HistPrev;
   if (Options.EnableCounters)
-    HistPrev = obs::snapshotHistograms();
+    HistPrev = obs::snapshotHistogramValues();
   unsigned Done = 0;
   std::string Text;
   while (readFrame(FD, Text)) {
@@ -404,14 +455,16 @@ int driver::runWorkerLoop(int FD, const WorkerLoopOptions &Options,
       continue;
     }
     obs::TraceRecorder Recorder;
+    obs::TraceRecorder *Trace = Req.WantTrace ? &Recorder : nullptr;
     BatchOutcome Out;
-    if (!Source(Req, Req.WantTrace ? &Recorder : nullptr, Out))
+    if (!Source(Req, Trace, Out))
       return 121;
-    Resp.Line = BatchDriver::journalLine(Out);
-    if (Options.EnableCounters) {
-      obs::HistogramSnapshotMap HistNow = obs::snapshotHistograms();
-      Resp.HistDelta = obs::histogramDelta(HistPrev, HistNow);
-      HistPrev = std::move(HistNow);
+    {
+      // What answering costs the worker beyond the scan.
+      obs::Span Reply(Trace, "reply");
+      Resp.Line = BatchDriver::journalLine(Out);
+      if (Options.EnableCounters)
+        Resp.HistDelta = obs::histogramDelta(HistPrev);
     }
     if (Req.WantTrace)
       Resp.Spans = rebasedSpans(Recorder, Req.TraceEpochUs);

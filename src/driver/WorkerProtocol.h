@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The wire protocol between a supervisor and its resident workers: JSON
-/// request/response messages in length-prefixed frames over a socketpair,
-/// plus the worker's side of it (runWorkerLoop), shared by both
+/// The wire protocol between a supervisor and its resident workers:
+/// request and response messages in length-prefixed frames over a
+/// socketpair, plus the worker's side of it (runWorkerLoop), shared by both
 /// supervisors. The supervisor's side is driver/WorkerSet.h.
 ///
 /// A resident worker drains many jobs over its lifetime, so each job needs
@@ -22,9 +22,25 @@
 ///    network after the worker was forked.
 ///
 /// Framing is a 4-byte little-endian length prefix followed by that many
-/// payload bytes. All I/O here is EINTR-retried and SIGPIPE-free (writes
-/// use MSG_NOSIGNAL): a signal aimed at the supervisor mid-syscall must
-/// never corrupt a frame or misattribute a worker verdict.
+/// payload bytes, written with one send. A request payload is a compact
+/// JSON object (the same object a `graphjs serve` client sends). A
+/// response payload is a one-line telemetry header, `\n`, then the job's
+/// journal line verbatim — the line is serialized once, by the worker's
+/// BatchDriver::journalLine, and never escaped into another document:
+///
+///   <job-id>[ pong][ recycle][ h:<name>:<unit>:<sum>:<b>=<n>[,<b>=<n>]...]...
+///           [ spans:<JSON array>]
+///
+/// One `h:` token per histogram that grew (bucket index `b` gained `n`
+/// samples; names and units hold no space, ':' or newline). `spans:`,
+/// present only when the request asked for a trace, is the last token and
+/// runs to the end of the header (compact JSON holds no raw newline). The
+/// supervisor splits at the first newline, reads the rest of the header
+/// with integer parsing only, and parses the line once.
+///
+/// All I/O here is EINTR-retried and SIGPIPE-free (writes use
+/// MSG_NOSIGNAL): a signal aimed at the supervisor mid-syscall must never
+/// corrupt a frame or misattribute a worker verdict.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +57,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gjs {
@@ -123,7 +140,8 @@ struct WorkerRequest {
   uint64_t TraceEpochUs = 0;
 
   std::string encode() const;
-  static bool decode(const std::string &Text, WorkerRequest &Out);
+  /// False on malformed JSON, a non-object, or a missing or unknown op.
+  static bool decode(std::string_view Text, WorkerRequest &Out);
 };
 
 /// One job response, worker -> supervisor.
@@ -142,7 +160,7 @@ struct WorkerResponse {
   /// carries no counters: the journal line already holds the package's
   /// counter delta (`counters`), and the supervisor merges that.
   /// Histogram bucket deltas recorded since the worker's previous
-  /// response…
+  /// response (obs::histogramDelta over a flat value snapshot)…
   obs::HistogramSnapshotMap HistDelta;
   /// …and the job's span tree, timestamps already rebased onto the
   /// supervisor epoch from the request.
@@ -150,8 +168,12 @@ struct WorkerResponse {
 
   bool hasTelemetry() const { return !HistDelta.empty() || !Spans.empty(); }
 
+  /// The frame payload: header, `\n`, Line.
   std::string encode() const;
-  static bool decode(const std::string &Text, WorkerResponse &Out);
+  /// False, never a throw, on a payload without a newline, a header that
+  /// does not parse (job id, flags, `h:` and `spans:` tokens), or an empty
+  /// line in anything but a pong.
+  static bool decode(std::string_view Text, WorkerResponse &Out);
 };
 
 /// Extracts a worker recorder's spans rebased onto the supervisor's epoch
@@ -183,8 +205,9 @@ using WorkerJobSource = std::function<bool(
 /// driver::ScanService. Drains request frames off \p FD until the
 /// supervisor says exit or hangs up: answers pings, scans each job through
 /// \p Source, attaches the histogram delta since the previous response
-/// (one snapshot per job) and the span tree rebased onto the supervisor's
-/// epoch, and announces a recycle in the last response before exiting
+/// (one flat snapshot per job) and the span tree rebased onto the
+/// supervisor's epoch (with a `reply` span timing the journal line and the
+/// delta), and announces a recycle in the last response before exiting
 /// WorkerRecycleExit — so the supervisor never mistakes the planned death
 /// for a crash nor assigns the worker a job it would silently drop.
 /// Returns the exit code: 0 on an orderly drain, 121 on protocol

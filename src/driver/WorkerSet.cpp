@@ -192,6 +192,8 @@ bool WorkerSet::assign(Worker &W, size_t Ref, double KillAfter,
 }
 
 void WorkerSet::handleFrame(Worker &W, const std::string &Text) {
+  // The `result` span: everything from here to the verdict.
+  const double ResultStartUs = Config.Trace ? Config.Trace->nowUs() : 0;
   WorkerResponse Resp;
   if (!WorkerResponse::decode(Text, Resp))
     return; // Corrupt frame; the reap attributes whatever follows.
@@ -217,30 +219,36 @@ void WorkerSet::handleFrame(Worker &W, const std::string &Text) {
   if (!Resp.HistDelta.empty())
     obs::mergeHistograms(Resp.HistDelta);
   const int Pid = W.Proc.pid();
+  double JobStartUs = W.TraceStartUs;
   if (Config.Trace && !Resp.Spans.empty()) {
-    Config.Trace->labelPid(Pid, "worker " + std::to_string(Pid));
-    Config.Trace->addForeignSpans(Resp.Spans, Pid);
-  }
-  const double Seconds = W.JobStarted.elapsedSeconds();
-  obs::hists::WorkerJob.recordSeconds(Seconds);
-  if (Config.Trace) {
     // A queued job starts in the worker as soon as the one ahead is
-    // answered, a little before the supervisor reads that answer: open the
-    // span at the worker's first span if that is earlier, so the worker's
-    // spans nest inside it.
-    double StartUs = W.TraceStartUs;
+    // answered, a little before the supervisor reads that answer: the
+    // `job:` span opens at the worker's first span if that is earlier, so
+    // the worker's spans nest inside it.
     for (const obs::SpanRecord &Span : Resp.Spans)
-      StartUs = std::min(StartUs, Span.StartUs);
-    Config.Trace->addCompletedSpan("job:" + Config.JobName(Job.Ref), StartUs,
-                                   Config.Trace->nowUs() - StartUs);
+      JobStartUs = std::min(JobStartUs, Span.StartUs);
+    Config.Trace->labelPid(Pid, "worker " + std::to_string(Pid));
+    Config.Trace->addForeignSpans(std::move(Resp.Spans), Pid);
   }
-  W.IdleSince = Timer();
   BatchOutcome Out;
-  if (!Resp.Line.empty() && BatchDriver::parseJournalLine(Resp.Line, Out)) {
+  const bool Parsed = BatchDriver::parseJournalLine(Resp.Line, Out);
+  if (Parsed) {
     Out.RawJournalLine = std::move(Resp.Line);
     // The package's counter delta, measured by the worker's scanner.
     if (!Out.Result.Counters.empty())
       obs::mergeCounters(Out.Result.Counters);
+  }
+  const double Seconds = W.JobStarted.elapsedSeconds();
+  obs::hists::WorkerJob.recordSeconds(Seconds);
+  if (Config.Trace) {
+    const double NowUs = Config.Trace->nowUs();
+    size_t JobSpan = Config.Trace->addCompletedSpan(
+        "job:" + Config.JobName(Job.Ref), JobStartUs, NowUs - JobStartUs);
+    Config.Trace->addCompletedSpan("result", ResultStartUs,
+                                   NowUs - ResultStartUs, 0, JobSpan);
+  }
+  W.IdleSince = Timer();
+  if (Parsed) {
     Config.OnResult(Job.Ref, Out);
   } else {
     obs::counters::WorkerCrashed.add();

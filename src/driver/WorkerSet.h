@@ -18,9 +18,11 @@
 ///    `worker.job_us`, the `job:` span, OnStart) starts when it
 ///    becomes the head, so a job is never killed for its wait behind a
 ///    slow one; each job carries its own kill-after;
-///  - responses: the histogram delta and journal-line counters merge into
-///    the registries, and with a trace recorder the worker's spans land on
-///    its own pid lane beside a `job:` span;
+///  - responses: the header is decoded and the journal line parsed once;
+///    the histogram delta and journal-line counters merge into the
+///    registries, and with a trace recorder the worker's spans land on its
+///    own pid lane beside a `job:` span holding a `result` span (decode,
+///    parse and merges);
 ///  - deaths: frames flushed before a death are read first, recycles are
 ///    counted, the head takes the wait-status verdict (Crashed, KilledOom
 ///    or KilledDeadline) and the jobs behind it are handed back unstarted;

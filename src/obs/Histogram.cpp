@@ -6,6 +6,7 @@
 
 #include "obs/Histogram.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace gjs;
@@ -121,29 +122,46 @@ HistogramSnapshotMap obs::snapshotHistograms() {
   return Out;
 }
 
-HistogramSnapshotMap obs::histogramDelta(const HistogramSnapshotMap &Before,
-                                         const HistogramSnapshotMap &After) {
+HistogramValues obs::snapshotHistogramValues() {
+  HistogramValues Out;
+  for (Histogram *H = registryHead().load(std::memory_order_acquire); H;
+       H = H->next()) {
+    Out.push_back(H->sum());
+    for (unsigned I = 0; I < HistogramBucketCount; ++I)
+      Out.push_back(H->bucketValue(I));
+  }
+  return Out;
+}
+
+HistogramSnapshotMap obs::histogramDelta(HistogramValues &Baseline) {
+  constexpr size_t Stride = HistogramBucketCount + 1;
+  size_t N = 0;
+  for (Histogram *H = registryHead().load(std::memory_order_acquire); H;
+       H = H->next())
+    ++N;
+  // Registration prepends, so the baseline lines up with the list's last
+  // Baseline.size() / Stride histograms; any registered since start empty.
+  size_t Known = std::min(N, Baseline.size() / Stride);
+  Baseline.resize(Known * Stride);
+  Baseline.insert(Baseline.begin(), (N - Known) * Stride, 0);
   HistogramSnapshotMap Out;
-  for (const auto &[Name, AfterSnap] : After) {
-    auto BIt = Before.find(Name);
-    std::map<unsigned, uint64_t> Base;
-    uint64_t BaseSum = 0;
-    if (BIt != Before.end()) {
-      BaseSum = BIt->second.Sum;
-      for (const auto &[Bucket, Count] : BIt->second.Buckets)
-        Base[Bucket] = Count;
-    }
+  uint64_t *Base = Baseline.data();
+  for (Histogram *H = registryHead().load(std::memory_order_acquire); H;
+       H = H->next(), Base += Stride) {
     HistogramSnapshot D;
-    D.Unit = AfterSnap.Unit;
-    D.Sum = AfterSnap.Sum >= BaseSum ? AfterSnap.Sum - BaseSum : 0;
-    for (const auto &[Bucket, Count] : AfterSnap.Buckets) {
-      auto It = Base.find(Bucket);
-      uint64_t Prior = It == Base.end() ? 0 : It->second;
-      if (Count > Prior)
-        D.Buckets.emplace_back(Bucket, Count - Prior);
+    for (unsigned B = 0; B < HistogramBucketCount; ++B) {
+      uint64_t Count = H->bucketValue(B);
+      if (Count > Base[1 + B])
+        D.Buckets.emplace_back(B, Count - Base[1 + B]);
+      Base[1 + B] = Count;
     }
-    if (!D.Buckets.empty())
-      Out[Name] = std::move(D);
+    uint64_t Sum = H->sum();
+    D.Sum = Sum >= Base[0] ? Sum - Base[0] : 0;
+    Base[0] = Sum;
+    if (D.Buckets.empty())
+      continue;
+    D.Unit = H->unit();
+    Out[H->name()] = std::move(D);
   }
   return Out;
 }

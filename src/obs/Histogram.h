@@ -59,7 +59,8 @@ constexpr unsigned HistogramBucketCount = 256;
 /// One named process-wide histogram. Construct only with static storage
 /// duration (construction registers it in a global intrusive list and
 /// there is no deregistration). Unit is advisory ("us", "bytes") and rides
-/// into snapshots for rendering.
+/// into snapshots for rendering. Name and Unit hold no space, ':' or
+/// newline: the worker protocol's response header carries them bare.
 class Histogram {
 public:
   explicit Histogram(const char *Name, const char *Unit = "us");
@@ -153,10 +154,18 @@ using HistogramSnapshotMap = std::map<std::string, HistogramSnapshot>;
 /// can subtract against a complete baseline).
 HistogramSnapshotMap snapshotHistograms();
 
-/// Per-job telemetry: After - Before per bucket, dropping histograms whose
-/// delta is empty. The worker->supervisor wire payload.
-HistogramSnapshotMap histogramDelta(const HistogramSnapshotMap &Before,
-                                    const HistogramSnapshotMap &After);
+/// Every registered histogram's sum and buckets in registry order,
+/// HistogramBucketCount + 1 values each: the cheap snapshot a per-job delta
+/// starts from (no names, no map, no allocation per histogram).
+using HistogramValues = std::vector<uint64_t>;
+HistogramValues snapshotHistogramValues();
+
+/// Per-job telemetry: each histogram's growth since \p Baseline (a
+/// snapshotHistogramValues() or the baseline a previous call left),
+/// keyed by name, dropping histograms that did not grow. \p Baseline
+/// moves up to the values read, so consecutive calls give consecutive
+/// deltas. The worker->supervisor wire payload.
+HistogramSnapshotMap histogramDelta(HistogramValues &Baseline);
 
 /// Merges worker deltas into the live registry by name (cross-process
 /// stitching: the supervisor folds each worker's per-job delta into its

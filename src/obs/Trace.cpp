@@ -51,21 +51,25 @@ void TraceRecorder::labelPid(int Pid, std::string Label) {
 }
 
 size_t TraceRecorder::addCompletedSpan(std::string Name, double StartUs,
-                                       double DurUs, int Pid) {
+                                       double DurUs, int Pid, size_t Parent) {
   SpanRecord S;
   S.Name = std::move(Name);
   S.StartUs = StartUs;
   S.DurUs = DurUs < 0 ? 0 : DurUs;
   S.Pid = Pid;
+  if (Parent < Spans.size()) {
+    S.Parent = Parent;
+    S.Depth = Spans[Parent].Depth + 1;
+  }
   Spans.push_back(std::move(S));
   return Spans.size() - 1;
 }
 
-void TraceRecorder::addForeignSpans(const std::vector<SpanRecord> &Foreign,
+void TraceRecorder::addForeignSpans(std::vector<SpanRecord> Foreign,
                                     int Pid) {
   size_t Base = Spans.size();
   Spans.reserve(Base + Foreign.size());
-  for (SpanRecord S : Foreign) {
+  for (SpanRecord &S : Foreign) {
     if (S.Parent != SpanRecord::npos)
       S.Parent += Base;
     S.Pid = Pid;

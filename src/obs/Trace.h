@@ -101,18 +101,18 @@ public:
   /// via process_name metadata events. Re-labeling a pid overwrites.
   void labelPid(int Pid, std::string Label);
 
-  /// Appends one already-timed span as a closed root (supervisor
-  /// scheduling spans are recorded retroactively, at job completion).
-  /// Returns its id for annotate().
+  /// Appends one already-timed span, closed, as a root or as a child of
+  /// \p Parent (supervisor scheduling spans are recorded retroactively, at
+  /// job completion). Returns its id for annotate().
   size_t addCompletedSpan(std::string Name, double StartUs, double DurUs,
-                          int Pid = 0);
+                          int Pid = 0, size_t Parent = SpanRecord::npos);
 
   /// Splices a worker's serialized span tree into this recorder: parent
   /// links are rebased onto the appended range, every span is stamped with
   /// \p Pid, and timestamps are taken as already epoch-normalized (the
   /// worker rebased them before encoding). The open-span stack is
   /// untouched — foreign spans are history, not context.
-  void addForeignSpans(const std::vector<SpanRecord> &Foreign, int Pid);
+  void addForeignSpans(std::vector<SpanRecord> Foreign, int Pid);
 
   /// Chrome trace_event JSON ("X" complete events, ts/dur in microseconds).
   /// Open spans are exported with their elapsed-so-far duration.

@@ -387,16 +387,45 @@ TEST(HistogramTest, DeltaSubtractsBaselineAndDropsEmpty) {
   CounterGate Gate(true);
   H.reset();
   H.record(7);
-  obs::HistogramSnapshotMap Before = obs::snapshotHistograms();
-  obs::HistogramSnapshotMap NoChange = obs::histogramDelta(Before, Before);
+  obs::HistogramValues Before = obs::snapshotHistogramValues();
+  obs::HistogramSnapshotMap NoChange = obs::histogramDelta(Before);
   EXPECT_FALSE(NoChange.count("test.hist.delta_us"));
   H.record(7);
   H.record(9000);
-  obs::HistogramSnapshotMap Delta =
-      obs::histogramDelta(Before, obs::snapshotHistograms());
+  obs::HistogramSnapshotMap Delta = obs::histogramDelta(Before);
   ASSERT_TRUE(Delta.count("test.hist.delta_us"));
   EXPECT_EQ(Delta.at("test.hist.delta_us").count(), 2u);
   EXPECT_EQ(Delta.at("test.hist.delta_us").Sum, 9007u);
+  // The delta carries the histogram's unit and one sample in each of 7's
+  // and 9000's buckets, nothing else.
+  EXPECT_EQ(Delta.at("test.hist.delta_us").Unit, "us");
+  EXPECT_EQ(Delta.at("test.hist.delta_us").Buckets,
+            (std::vector<std::pair<unsigned, uint64_t>>{
+                {obs::Histogram::bucketFor(7), 1},
+                {obs::Histogram::bucketFor(9000), 1}}));
+}
+
+TEST(HistogramTest, DeltaCoversHistogramsRegisteredAfterTheBaseline) {
+  CounterGate Gate(true);
+  obs::HistogramValues Before = obs::snapshotHistogramValues();
+  // Registered on first use, after the baseline: it starts from empty.
+  static obs::Histogram Late("test.hist.late_bytes", "bytes");
+  Late.reset();
+  Late.record(100);
+  obs::HistogramSnapshotMap Delta = obs::histogramDelta(Before);
+  ASSERT_TRUE(Delta.count("test.hist.late_bytes"));
+  EXPECT_EQ(Delta.at("test.hist.late_bytes").Unit, "bytes");
+  EXPECT_EQ(Delta.at("test.hist.late_bytes").count(), 1u);
+  EXPECT_EQ(Delta.at("test.hist.late_bytes").Sum, 100u);
+  // The baseline moved up to what the delta read, the late histogram
+  // included: a second call sees nothing new, then only new samples.
+  EXPECT_TRUE(obs::histogramDelta(Before).empty());
+  Late.record(5);
+  Delta = obs::histogramDelta(Before);
+  ASSERT_EQ(Delta.size(), 1u);
+  EXPECT_EQ(Delta.at("test.hist.late_bytes").count(), 1u);
+  EXPECT_EQ(Delta.at("test.hist.late_bytes").Sum, 5u);
+  Late.reset();
 }
 
 TEST(HistogramTest, MergeIsAssociativeAndOrderIndependent) {

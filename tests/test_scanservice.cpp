@@ -433,6 +433,116 @@ TEST(WorkerProtocolTest, TelemetryRidesTheResponseFrame) {
   EXPECT_FALSE(Back.hasTelemetry());
 }
 
+TEST(WorkerProtocolTest, ResponseFrameIsHeaderNewlineThenTheLineVerbatim) {
+  WorkerResponse Resp;
+  Resp.JobId = 7;
+  Resp.Recycle = true;
+  Resp.Line = "{\"package\":\"p\"}";
+  obs::HistogramSnapshot H;
+  H.Unit = "us";
+  H.Sum = 1234;
+  H.Buckets = {{3, 2}, {17, 1}};
+  Resp.HistDelta["scan.latency_us"] = H;
+  EXPECT_EQ(Resp.encode(),
+            "7 recycle h:scan.latency_us:us:1234:3=2,17=1\n"
+            "{\"package\":\"p\"}");
+}
+
+TEST(WorkerProtocolTest, MalformedResponseFramesAreRejectedNotThrown) {
+  const char *Bad[] = {
+      // No newline.
+      "", "13", "13 recycle", "{}",
+      // Header only: nothing but a pong answers without a journal line.
+      "13\n", "13 recycle\n", "13 h:scan.latency_us:us:5:3=1\n",
+      // Truncated or unknown header tokens.
+      "13 rec\n{}", "13 h:\n{}", "13 h:scan.latency_us\n{}",
+      "13 h:scan.latency_us:us\n{}", "13 h:scan.latency_us:us:5\n{}",
+      "13 h:scan.latency_us:us:5:\n{}", "13 h:scan.latency_us:us:5:3=\n{}",
+      "13 h:scan.latency_us:us:5:3=1,\n{}", "13 h:scan.latency_us:us:x:3=1\n{}",
+      "13 spans:[{\"n\":\"a\"\n{}", "13 spans:\n{}", "13  recycle\n{}",
+      "13 recycle \n{}",
+      // Bad job ids.
+      "\n{}", " 13\n{}", "x\n{}", "-1\n{}", "+1\n{}", "12a\n{}", "1.5\n{}",
+      "99999999999999999999999\n{}"};
+  for (const char *Text : Bad) {
+    WorkerResponse Back;
+    bool Ok = true;
+    EXPECT_NO_THROW(Ok = WorkerResponse::decode(Text, Back)) << Text;
+    EXPECT_FALSE(Ok) << "accepted: " << Text;
+  }
+
+  // Every prefix of a full frame decodes or is refused, never throws; one
+  // cut inside the header is always refused.
+  WorkerResponse Full;
+  Full.JobId = 21;
+  Full.Line = "{\"package\":\"p\"}";
+  Full.HistDelta["scan.latency_us"].Unit = "us";
+  Full.HistDelta["scan.latency_us"].Sum = 9;
+  Full.HistDelta["scan.latency_us"].Buckets = {{3, 2}};
+  obs::SpanRecord Root;
+  Root.Name = "package";
+  Root.Args = {{"name", "a b\nc.js"}};
+  Full.Spans = {Root};
+  const std::string Text = Full.encode();
+  const size_t NewLine = Text.find('\n');
+  for (size_t Len = 0; Len < Text.size(); ++Len) {
+    WorkerResponse Back;
+    bool Ok = true;
+    EXPECT_NO_THROW(Ok = WorkerResponse::decode(Text.substr(0, Len), Back));
+    if (Len <= NewLine + 1) {
+      EXPECT_FALSE(Ok) << Text.substr(0, Len);
+    }
+  }
+  WorkerResponse Back;
+  ASSERT_TRUE(WorkerResponse::decode(Text, Back));
+  ASSERT_EQ(Back.Spans.size(), 1u);
+  EXPECT_EQ(Back.Spans[0].Args[0].second, "a b\nc.js");
+
+  // Span entries that are not spans are dropped, not fatal.
+  ASSERT_TRUE(WorkerResponse::decode(
+      "4 spans:[7,{\"d\":0},{\"n\":\"x\",\"a\":[1]}]\n{}", Back));
+  ASSERT_EQ(Back.Spans.size(), 1u);
+  EXPECT_EQ(Back.Spans[0].Name, "x");
+  EXPECT_TRUE(Back.Spans[0].Args.empty());
+}
+
+TEST(WorkerProtocolTest, JournalLineWithEscapedNewlinesRoundTrips) {
+  driver::BatchOutcome Out;
+  Out.Package = "multi\nline";
+  Out.Status = driver::BatchStatus::Degraded;
+  Out.Result.Errors.push_back({scanner::ScanPhase::Parse,
+                               scanner::ScanErrorKind::ParseError,
+                               "line 1\nline 2\r\ttab \"q\" \\", "a\nb.js",
+                               {}});
+  const std::string Line = driver::BatchDriver::journalLine(Out);
+  ASSERT_EQ(Line.find('\n'), std::string::npos) << Line;
+
+  WorkerResponse Resp;
+  Resp.JobId = 5;
+  Resp.Line = Line;
+  int FDs[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, FDs), 0);
+  ASSERT_TRUE(driver::writeFrame(FDs[0], Resp.encode()));
+  ::fcntl(FDs[1], F_SETFL, ::fcntl(FDs[1], F_GETFL, 0) | O_NONBLOCK);
+  FrameReader Reader;
+  Reader.pump(FDs[1]);
+  std::string Frame;
+  ASSERT_TRUE(Reader.next(Frame));
+  ::close(FDs[0]);
+  ::close(FDs[1]);
+
+  WorkerResponse Back;
+  ASSERT_TRUE(WorkerResponse::decode(Frame, Back));
+  EXPECT_EQ(Back.JobId, 5u);
+  EXPECT_EQ(Back.Line, Line);
+  driver::BatchOutcome Parsed;
+  ASSERT_TRUE(driver::BatchDriver::parseJournalLine(Back.Line, Parsed));
+  EXPECT_EQ(Parsed.Package, "multi\nline");
+  ASSERT_EQ(Parsed.Result.Errors.size(), 1u);
+  EXPECT_EQ(Parsed.Result.Errors[0].Detail, "line 1\nline 2\r\ttab \"q\" \\");
+  EXPECT_EQ(Parsed.Result.Errors[0].File, "a\nb.js");
+}
+
 TEST(WorkerProtocolTest, TraceRequestFlagsRoundTrip) {
   WorkerRequest Req;
   Req.Kind = WorkerRequest::Op::Scan;
@@ -540,6 +650,30 @@ TEST(ScanServiceTest, BadRequestsAreRejectedNotFatal) {
   // The daemon is still healthy afterwards.
   ASSERT_TRUE(
       ScanService::request(O.SocketPath, scanRequest("ok", JS), Resp));
+  EXPECT_TRUE(responseOk(parseResponse(Resp))) << Resp;
+
+  shutdownService(H);
+}
+
+TEST(ScanServiceTest, MalformedNumbersAreBadRequestsNotFatal) {
+  // A lone minus sign and a number past double range once threw out of
+  // the JSON parser and took the daemon down with them.
+  Scratch S("badnum");
+  ServiceOptions O;
+  O.SocketPath = S.path("d.sock");
+  O.Jobs = 1;
+  O.Quiet = true;
+  ServiceHandle H = startService(O);
+
+  std::string Resp;
+  ASSERT_TRUE(ScanService::request(O.SocketPath, "-", Resp));
+  EXPECT_EQ(responseError(parseResponse(Resp)), "bad-request");
+  ASSERT_TRUE(ScanService::request(O.SocketPath,
+                                   "{\"op\":\"status\",\"x\":1e999}", Resp));
+  EXPECT_EQ(responseError(parseResponse(Resp)), "bad-request");
+
+  // The daemon still answers.
+  ASSERT_TRUE(ScanService::request(O.SocketPath, "{\"op\":\"status\"}", Resp));
   EXPECT_TRUE(responseOk(parseResponse(Resp))) << Resp;
 
   shutdownService(H);

@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <string>
+
 using namespace gjs;
 
 TEST(SourceLocationTest, OrderingAndValidity) {
@@ -88,6 +92,76 @@ TEST(JSONTest, ParsesStringEscapes) {
   json::Value V;
   ASSERT_TRUE(json::parse(R"("a\nbA")", V));
   EXPECT_EQ(V.asString(), "a\nbA");
+}
+
+TEST(JSONTest, MalformedNumbersFailInsteadOfThrowing) {
+  // Each of these once escaped parse() as a std::stod exception.
+  for (const char *Text : {"-", "1e999", "-1e999", "[1, -]", "{\"x\": 1e999}",
+                           "1e", "1e+", "-e5", "--1"}) {
+    json::Value V;
+    std::string Error;
+    bool Ok = true;
+    EXPECT_NO_THROW(Ok = json::parse(Text, V, &Error)) << Text;
+    EXPECT_FALSE(Ok) << Text;
+    EXPECT_FALSE(Error.empty()) << Text;
+  }
+  json::Value V;
+  ASSERT_TRUE(json::parse(
+      "[-0, 1e15, 0.1, 0.000123, -2.5e-3, 18446744073709551615]", V));
+  const json::Array &A = V.asArray();
+  EXPECT_TRUE(std::signbit(A[0].asNumber()));
+  EXPECT_EQ(A[1].asNumber(), 1e15);
+  EXPECT_EQ(A[2].asNumber(), 0.1);
+  EXPECT_EQ(A[3].asNumber(), 0.000123);
+  EXPECT_EQ(A[4].asNumber(), -2.5e-3);
+  EXPECT_EQ(A[5].asNumber(), 18446744073709551615.0);
+}
+
+TEST(JSONTest, NumbersPrintAsPrintfPrintedThem) {
+  // Integral values below 1e15 print like "%.0f", everything else like
+  // "%.17g": the journal's bytes depend on it.
+  EXPECT_EQ(json::Value(-0.0).str(), "-0");
+  EXPECT_EQ(json::Value(0.0).str(), "0");
+  EXPECT_EQ(json::Value(42).str(), "42");
+  EXPECT_EQ(json::Value(-7).str(), "-7");
+  EXPECT_EQ(json::Value(999999999999999.0).str(), "999999999999999");
+  EXPECT_EQ(json::Value(1e15).str(), "1000000000000000");
+  EXPECT_EQ(json::Value(1e300).str(), "1.0000000000000001e+300");
+  EXPECT_EQ(json::Value(0.1).str(), "0.10000000000000001");
+  EXPECT_EQ(json::Value(0.000123).str(), "0.00012300000000000001");
+  EXPECT_EQ(json::Value(1e-7).str(), "9.9999999999999995e-08");
+  EXPECT_EQ(json::Value(2.5).str(), "2.5");
+
+  auto printfNumber = [](double D) {
+    char Buf[64];
+    if (D == std::floor(D) && std::abs(D) < 1e15)
+      std::snprintf(Buf, sizeof(Buf), "%.0f", D);
+    else
+      std::snprintf(Buf, sizeof(Buf), "%.17g", D);
+    return std::string(Buf);
+  };
+  RNG R(77);
+  for (int I = 0; I < 20000; ++I) {
+    double Mantissa = static_cast<double>(R.next() % 1000000007) / 1000.0;
+    int Exp = static_cast<int>(R.next() % 60) - 30;
+    double D = std::ldexp(Mantissa, Exp) * (I % 2 ? -1 : 1);
+    ASSERT_EQ(json::Value(D).str(), printfNumber(D)) << D;
+  }
+}
+
+TEST(JSONTest, StringsWithEscapesRoundTripInBulk) {
+  std::string S = "plain run, then \"quotes\", \\ backslash, \n\t\r and ";
+  S += '\x01';
+  S += '\x1f';
+  S += " control, then a long tail without escapes";
+  std::string Text = json::Value(S).str();
+  EXPECT_NE(Text.find("\\u0001"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("\\u001f"), std::string::npos) << Text;
+  json::Value V;
+  ASSERT_TRUE(json::parse(Text, V));
+  EXPECT_EQ(V.asString(), S);
+  EXPECT_FALSE(json::parse("\"unterminated", V));
+  EXPECT_FALSE(json::parse("\"dangling \\", V));
 }
 
 TEST(RNGTest, DeterministicAcrossInstances) {

@@ -45,9 +45,22 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 # uninitialized reads hide.
 "$BUILD_DIR/tests/test_distributed"
 
+# The JSON layer every journal, ledger, manifest and request goes
+# through: the one-pass reader (string views into the text, bulk copies of
+# unescaped runs, from_chars numbers on malformed and out-of-range input)
+# and the string writer.
+"$BUILD_DIR/tests/test_support"
+
+# The journal-line writer against the tree builder it replaced, over the
+# golden corpus and every optional field, and the one-pass journal-line
+# parse back.
+"$BUILD_DIR/tests/test_journal"
+
 # The scan-service suite: the length-prefixed wire protocol (incremental
 # reassembly buffers are classic overflow territory), the telemetry
-# codec riding the response frames, the `graphjs serve` daemon's poll
+# header riding the response frames and its split from the journal line
+# (every prefix of a frame, truncated headers, bad job ids), malformed
+# numbers in client requests, the `graphjs serve` daemon's poll
 # loop over live sockets, the `metrics` op and --metrics-out snapshots,
 # worker re-fork after induced crashes, and the bounded admission
 # queue's rejection paths.
