@@ -6,9 +6,9 @@
 
 #include "driver/BatchDriver.h"
 
+#include "driver/ProcessPool.h"
 #include "obs/Counters.h"
 #include "obs/Histogram.h"
-#include "obs/Metrics.h"
 #include "support/JSON.h"
 #include "support/Timer.h"
 
@@ -450,12 +450,9 @@ void BatchSummary::tally(const BatchOutcome &Outcome) {
   }
 }
 
-namespace {
-
-/// One package scan: exceptions become a Failed outcome with a
-/// Driver/Internal ScanError instead of propagating.
-BatchOutcome scanContained(scanner::Scanner &Scanner,
-                           const BatchInput &Input) {
+BatchOutcome driver::scanPackageIsolated(const BatchInput &Input,
+                                         scanner::ScanOptions Scan) {
+  scanner::Scanner Scanner(std::move(Scan));
   BatchOutcome Out;
   Out.Package = Input.Name;
   Timer T;
@@ -479,103 +476,8 @@ BatchOutcome scanContained(scanner::Scanner &Scanner,
   return Out;
 }
 
-} // namespace
-
-BatchOutcome driver::scanPackageIsolated(const BatchInput &Input,
-                                         scanner::ScanOptions Scan) {
-  scanner::Scanner Scanner(std::move(Scan));
-  return scanContained(Scanner, Input);
-}
-
 BatchSummary BatchDriver::run(const std::vector<BatchInput> &Inputs) {
-  BatchSummary Summary;
-  Timer Wall;
-
-  std::set<std::string> Done;
-  if (Options.Resume && !Options.JournalPath.empty())
-    Done = journaledPackages(Options.JournalPath);
-
-  std::ofstream Journal;
-  if (!Options.JournalPath.empty()) {
-    // Resume appends to the existing journal; a fresh run truncates it.
-    Journal.open(Options.JournalPath, Options.Resume
-                                          ? std::ios::out | std::ios::app
-                                          : std::ios::out | std::ios::trunc);
-  }
-
-  // One Scanner for the whole batch: its scan sequence number is what a
-  // FaultPlan targets ("fail the build of the 3rd package").
-  scanner::Scanner Scanner(Options.Scan);
-
-  // Counter lifecycle: on for the run, reset per package so each journal
-  // line carries exactly that package's telemetry, prior state restored on
-  // exit.
-  bool PrevCounters = obs::countersEnabled();
-  if (Options.EnableCounters)
-    obs::setCountersEnabled(true);
-
-  ProgressMeter Progress(Inputs.size(), Options.ProgressEveryPackages,
-                         Options.ProgressEverySeconds, Options.Quiet);
-
-  // The live counter registry is reset per package (journal attribution),
-  // so metrics snapshots render these accumulated run totals instead.
-  obs::CounterSnapshot RunCounters;
-  Timer MetricsClock;
-  for (const BatchInput &Input : Inputs) {
-    if (Done.count(Input.Name) || Options.AlreadyDone.count(Input.Name)) {
-      BatchOutcome Skip;
-      Skip.Package = Input.Name;
-      Skip.Skipped = true;
-      Summary.Outcomes.push_back(std::move(Skip));
-      ++Summary.SkippedResumed;
-      continue;
-    }
-    if (Options.MaxPackages && Summary.Scanned >= Options.MaxPackages)
-      break;
-    if (Options.OnTick && !Options.OnTick())
-      break;
-
-    if (Options.EnableCounters)
-      obs::resetCounters();
-    if (Options.OnPackageStart)
-      Options.OnPackageStart(Input.Name);
-    BatchOutcome Outcome = scanContained(Scanner, Input);
-    Summary.tally(Outcome);
-
-    // Journal incrementally: the line is flushed before the next package
-    // starts, so a kill at any point leaves a valid resumable prefix.
-    if (Journal.is_open()) {
-      std::string Line = journalLine(Outcome);
-      if (Options.FramedJournal)
-        Line = frameJournalLine(Line);
-      Journal << Line << '\n';
-      Journal.flush();
-    }
-    Progress.completed(Outcome.Status == BatchStatus::Failed);
-    Summary.Outcomes.push_back(std::move(Outcome));
-
-    if (!Options.MetricsPath.empty()) {
-      for (const auto &[Name, Value] :
-           Summary.Outcomes.back().Result.Counters)
-        RunCounters[Name] += Value;
-      if (MetricsClock.elapsedSeconds() >= Options.MetricsEverySeconds) {
-        obs::writePrometheusFile(Options.MetricsPath, RunCounters,
-                                 obs::snapshotHistograms());
-        MetricsClock.reset();
-      }
-    }
-  }
-
-  Progress.finish();
-  if (Options.EnableCounters)
-    obs::setCountersEnabled(PrevCounters);
-  Summary.WallSeconds = Wall.elapsedSeconds();
-  // Final snapshot regardless of cadence: a scraper (or the smoke test)
-  // always sees the completed run's totals.
-  if (!Options.MetricsPath.empty())
-    obs::writePrometheusFile(Options.MetricsPath, RunCounters,
-                             obs::snapshotHistograms());
-  return Summary;
+  return ProcessPool(PoolOptions{.Batch = Options, .Jobs = 0}).run(Inputs);
 }
 
 std::string driver::batchStatsText(const BatchSummary &Summary) {

@@ -23,8 +23,11 @@
 ///    the journal are skipped, so restarting after a crash (or sharding
 ///    with MaxPackages) re-scans only unjournaled work.
 ///
-/// The evaluation harness (eval::Harness) and the `graphjs batch` CLI mode
-/// are both thin layers over this driver.
+/// The run itself is driver::ProcessPool::run (driver/ProcessPool.h), one
+/// body for in-process and pooled runs; BatchDriver::run is its in-process
+/// form (PoolOptions::Jobs == 0). The evaluation harness (eval::Harness),
+/// the shared ledger and the `graphjs batch` CLI mode each make one
+/// ProcessPool::run call, whatever their Jobs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,7 +103,15 @@ struct BatchOutcome {
 };
 
 struct BatchOptions {
+  /// Settings for every scan. Scan.Fault and Scan.Trace are set per scan
+  /// from Faults and PoolOptions::Trace.
   scanner::ScanOptions Scan;
+  /// Deterministic faults, each given to the scan of one package as its
+  /// ScanOptions::Fault: an index fault targets the Nth *scanned* package
+  /// of the run (resume skips not counted), a `@name` fault the package of
+  /// that name. A list, in-process or pooled: one run can fail package 1
+  /// and stall package 3.
+  std::vector<scanner::FaultPlan> Faults;
   /// JSONL journal path; empty disables journaling (and resume).
   std::string JournalPath;
   /// Skip packages already journaled at JournalPath (appends new lines).
@@ -109,10 +120,6 @@ struct BatchOptions {
   /// With Resume this shards a large batch across successive runs — and
   /// lets tests simulate a run killed partway through.
   size_t MaxPackages = 0;
-  /// Enable obs counters for the duration of the run (restoring the prior
-  /// state afterwards) and reset them between packages, so every journal
-  /// line carries that package's counter values.
-  bool EnableCounters = true;
   /// Stderr progress line cadence: emit after every N completed packages
   /// (0 = never on count) and/or every T seconds (0 = never on time).
   /// Both zero (the library default) disables progress entirely; the CLI
@@ -127,7 +134,8 @@ struct BatchOptions {
   /// Prometheus text-format metrics snapshot path (`--metrics-out`): the
   /// run rewrites this file every MetricsEverySeconds and once at the end,
   /// so an external scraper sees live counters and latency percentiles.
-  /// Empty disables. Honored by the in-process driver and both pool modes.
+  /// Empty disables. The run keeps counters on and never resets them: the
+  /// page shows the process's cumulative registries.
   std::string MetricsPath;
   double MetricsEverySeconds = 5.0;
   /// Write journal lines CRC32+length framed (`@<len>:<crc8>:<payload>`).
@@ -190,11 +198,10 @@ struct BatchSummary {
 
 /// One isolated package scan with a fresh Scanner: exceptions become a
 /// Failed outcome (ScanPhase::Driver, ScanErrorKind::Internal) instead of
-/// propagating. This is the worker-side scan body shared by the process
-/// pool and the scan service; BatchDriver itself keeps one Scanner for the
-/// whole batch (its scan sequence is what FaultPlan::Package targets) and
-/// wraps it with the same containment. \p Scan is moved into the Scanner:
-/// a caller building per-job options moves them in, so each job copies its
+/// propagating. The scan body of every batch job, in-process or in a pool
+/// or scan-service worker. BatchOutcome::Seconds times the scan alone, not
+/// the Scanner's construction. \p Scan is moved into the Scanner: a
+/// caller building per-job options moves them in, so each job copies its
 /// sink configuration once.
 BatchOutcome scanPackageIsolated(const BatchInput &Input,
                                  scanner::ScanOptions Scan);
@@ -204,9 +211,9 @@ BatchOutcome scanPackageIsolated(const BatchInput &Input,
 /// failure breakdown, and the top-3 slowest packages.
 std::string batchStatsText(const BatchSummary &Summary);
 
-/// Stderr progress reporting shared by the in-process driver and the
-/// process pool: "progress: 12/40 done, 2 failed, 3.1 pkg/s, eta 9.0s",
-/// throttled to every N packages / T seconds.
+/// Stderr progress reporting of the batch run: "progress: 12/40 done, 2
+/// failed, 3.1 pkg/s, eta 9.0s", throttled to every N packages / T
+/// seconds.
 class ProgressMeter {
 public:
   ProgressMeter(size_t Total, size_t EveryPackages, double EverySeconds,
@@ -241,7 +248,8 @@ class BatchDriver {
 public:
   explicit BatchDriver(BatchOptions Options = {});
 
-  /// Runs the whole batch, journaling incrementally.
+  /// Runs the whole batch in this process, journaling incrementally: the
+  /// batch run of driver::ProcessPool with Jobs == 0, under these options.
   BatchSummary run(const std::vector<BatchInput> &Inputs);
 
   const BatchOptions &options() const { return Options; }

@@ -1,4 +1,4 @@
-//===- driver/ProcessPool.cpp - Supervised multi-process batch scan --------==//
+//===- driver/ProcessPool.cpp - Batch run, in-process or pooled ------------==//
 //
 // Part of graphjs-cpp (PLDI 2024 MDG reproduction).
 //
@@ -28,7 +28,7 @@ struct WorkItem {
   size_t InputIndex = 0;
   size_t SlotIndex = 0;
   /// Fault targeting this package, already rebased to Package=0 for the
-  /// worker's single-package Scanner.
+  /// fresh Scanner that scans it.
   std::optional<scanner::FaultPlan> Fault;
   /// Sent again after its worker died with it in hand (RetryCrashed): the
   /// worker drops the fault and halves the wall-clock budget.
@@ -66,8 +66,7 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
     Done = BatchDriver::journaledPackages(Batch.JournalPath);
 
   // Plan: input order, resume skips prefilled complete, scanned packages
-  // numbered by the same sequence a single in-process Scanner would count
-  // (what FaultPlan::Package targets).
+  // numbered in scan order (what an index fault targets).
   std::vector<Slot> Slots;
   std::vector<WorkItem> Plan;
   unsigned Seq = 0;
@@ -88,14 +87,14 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
     WorkItem W;
     W.InputIndex = I;
     W.SlotIndex = Slots.size() - 1;
-    for (const scanner::FaultPlan &F : Options.Faults) {
+    for (const scanner::FaultPlan &F : Batch.Faults) {
       // A name-targeted fault (`...@pkg`) follows its package wherever it
       // lands in a shard; an index fault targets the scan sequence.
       bool Match = F.PackageName.empty() ? F.Package == Seq
                                          : F.PackageName == Inputs[I].Name;
       if (Match) {
         W.Fault = F;
-        W.Fault->Package = 0; // Worker scans exactly one package.
+        W.Fault->Package = 0; // Each scan gets a fresh Scanner.
         W.Fault->PackageName.clear();
         break;
       }
@@ -110,17 +109,22 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
                                         ? std::ios::out | std::ios::app
                                         : std::ios::out | std::ios::trunc);
 
+  // Counters stay on for the run and are never reset: each scan measures
+  // its own delta into its journal line, and the registry keeps the run's
+  // totals for the metrics page (in-process the scans count into it; the
+  // pool merges each journal line's delta).
   bool PrevCounters = obs::countersEnabled();
-  if (Batch.EnableCounters)
-    obs::setCountersEnabled(true);
+  obs::setCountersEnabled(true);
 
   ProgressMeter Progress(Inputs.size(), Batch.ProgressEveryPackages,
                          Batch.ProgressEverySeconds, Batch.Quiet);
 
+  // The metrics page, on its cadence or (Final) regardless of it: a
+  // scraper, or the smoke test, always sees the completed run's totals.
   Timer MetricsClock;
-  auto maybeWriteMetrics = [&]() {
+  auto writeMetrics = [&](bool Final) {
     if (Batch.MetricsPath.empty() ||
-        MetricsClock.elapsedSeconds() < Batch.MetricsEverySeconds)
+        (!Final && MetricsClock.elapsedSeconds() < Batch.MetricsEverySeconds))
       return;
     obs::writePrometheusFile(Batch.MetricsPath);
     MetricsClock.reset();
@@ -139,14 +143,14 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
       } else {
         Summary.tally(S.Outcome);
         if (Journal.is_open()) {
-          // Healthy packages: the worker's bytes verbatim, so --jobs N and
-          // --jobs 1 journals are byte-identical where both succeed. The
-          // shared ledger frames every line it persists (workers always
+          // Healthy pool packages: the worker's bytes verbatim, so --jobs N
+          // and in-process journals are byte-identical where both succeed.
+          // The shared ledger frames every line it persists (workers always
           // emit bare lines).
           std::string Line = S.Outcome.RawJournalLine.empty()
                                  ? BatchDriver::journalLine(S.Outcome)
                                  : S.Outcome.RawJournalLine;
-          if (Options.Batch.FramedJournal)
+          if (Batch.FramedJournal)
             Line = frameJournalLine(Line);
           Journal << Line << '\n';
           Journal.flush();
@@ -163,6 +167,43 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
     Progress.completed(Slots[SlotIdx].Outcome.Status == BatchStatus::Failed);
     flushCursor();
   };
+
+  // One planned job's scan, wherever it runs. A retry drops the injected
+  // fault and halves the wall-clock budget (the transient-failure model).
+  auto scanPlanned = [&](const WorkItem &W, bool IsRetry,
+                         obs::TraceRecorder *Trace) {
+    scanner::ScanOptions Scan = Batch.Scan;
+    Scan.Fault = IsRetry ? std::nullopt : W.Fault;
+    if (IsRetry && Scan.Deadline.WallSeconds > 0)
+      Scan.Deadline.WallSeconds /= 2;
+    Scan.Trace = Trace;
+    return scanPackageIsolated(Inputs[W.InputIndex], std::move(Scan));
+  };
+
+  // The end of every run: the rest of the complete prefix, the final
+  // progress line and metrics page.
+  auto finish = [&]() {
+    flushCursor();
+    Progress.finish();
+    writeMetrics(true);
+    obs::setCountersEnabled(PrevCounters);
+    Summary.WallSeconds = Wall.elapsedSeconds();
+    return std::move(Summary);
+  };
+
+  if (Options.Jobs == 0) {
+    // In-process: the plan in order, each job scanned here; nothing is
+    // forked and no signal handler is installed.
+    for (const WorkItem &W : Plan) {
+      if (Batch.OnTick && !Batch.OnTick())
+        break;
+      if (Batch.OnPackageStart)
+        Batch.OnPackageStart(Inputs[W.InputIndex].Name);
+      completeSlot(W.SlotIndex, scanPlanned(W, false, Options.Trace));
+      writeMetrics(false);
+    }
+    return finish();
+  }
 
   // Plan indices; retries and handed-back jobs go to the front so a
   // replacement worker runs them before draining the rest.
@@ -186,30 +227,22 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
   };
 
   // The job source: a request names a plan entry the worker inherited at
-  // fork. A retry drops the injected fault and halves the wall-clock
-  // budget (the transient-failure model).
+  // fork.
   WorkerLoopOptions Loop;
-  Loop.EnableCounters = Batch.EnableCounters;
   Loop.RecycleAfter = Options.RecycleAfter;
   Loop.RecycleRssMB = Options.RecycleRssMB;
-  auto scanPlanned = [&](const WorkerRequest &Req, obs::TraceRecorder *Trace,
-                         BatchOutcome &Out) {
+  auto scanRequested = [&](const WorkerRequest &Req, obs::TraceRecorder *Trace,
+                           BatchOutcome &Out) {
     if (!Req.HasPlanIndex || Req.PlanIndex >= Plan.size())
       return false;
-    const WorkItem &W = Plan[Req.PlanIndex];
-    scanner::ScanOptions Scan = Batch.Scan;
-    Scan.Fault = Req.IsRetry ? std::nullopt : W.Fault;
-    if (Req.IsRetry && Scan.Deadline.WallSeconds > 0)
-      Scan.Deadline.WallSeconds /= 2;
-    Scan.Trace = Trace;
-    Out = scanPackageIsolated(Inputs[W.InputIndex], std::move(Scan));
+    Out = scanPlanned(Plan[Req.PlanIndex], Req.IsRetry, Trace);
     return true;
   };
 
   const double KillAfter = effectiveKillAfter(Options);
   WorkerSetConfig Config;
   Config.WorkerMain = [&](int FD) {
-    return runWorkerLoop(FD, Loop, scanPlanned);
+    return runWorkerLoop(FD, Loop, scanRequested);
   };
   Config.RecycleAfter = Options.RecycleAfter;
   Config.MemLimitMB = Options.MemLimitMB;
@@ -297,7 +330,7 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
       break;
 
     bool Activity = Set.tick();
-    maybeWriteMetrics();
+    writeMetrics(false);
     if (!Activity)
       Set.wait(50);
   }
@@ -305,15 +338,5 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
   // Orderly drain: every surviving worker is asked to exit and reaped.
   Set.drain();
   Summary.Recycled = Set.recycled();
-
-  flushCursor();
-  Progress.finish();
-  // Final snapshot regardless of cadence; the supervisor registries are
-  // cumulative here (workers reset their own, the supervisor never does).
-  if (!Batch.MetricsPath.empty())
-    obs::writePrometheusFile(Batch.MetricsPath);
-  if (Batch.EnableCounters)
-    obs::setCountersEnabled(PrevCounters);
-  Summary.WallSeconds = Wall.elapsedSeconds();
-  return Summary;
+  return finish();
 }

@@ -1,17 +1,24 @@
-//===- driver/ProcessPool.h - Supervised multi-process batch scan *- C++ -*-==//
+//===- driver/ProcessPool.h - Batch run, in-process or pooled ----*- C++ -*-==//
 //
 // Part of graphjs-cpp (PLDI 2024 MDG reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-process batch scanner: a supervisor that forks worker
-/// processes and reaps whatever happens to them. The in-process BatchDriver
-/// contains everything *cooperative* — exceptions, deadlines, work budgets
-/// — but a segfault in native code, an abort(), a kernel OOM kill, or an
-/// uninterruptible loop takes the whole process down, journal and all. At
-/// the paper's 20k-npm corpus scale (§5.6) that single-package blast radius
-/// is unacceptable; the pool reduces it to one worker.
+/// The batch run, in-process or across supervised worker processes. One
+/// body plans the run (resume and AlreadyDone skips, MaxPackages, the
+/// fault list), journals outcomes in input order, meters progress, keeps
+/// the counters on and writes the metrics page; PoolOptions::Jobs picks
+/// where each planned job is scanned. With Jobs == 0 every job is scanned
+/// in this process, with a fresh Scanner each, and nothing is forked (the
+/// form BatchDriver::run and `graphjs batch` without --jobs use). The
+/// in-process run contains everything *cooperative* — exceptions,
+/// deadlines, work budgets — but a segfault in native code, an abort(), a
+/// kernel OOM kill, or an uninterruptible loop takes the whole process
+/// down, journal and all. At the paper's 20k-npm corpus scale (§5.6) that
+/// single-package blast radius is unacceptable; with Jobs > 0 a supervisor
+/// forks worker processes and reaps whatever happens to them, reducing it
+/// to one worker.
 ///
 /// Each forked worker is resident: it drains a pipe-fed queue of jobs
 /// (length-prefixed frames over a socketpair, driver/WorkerProtocol.h),
@@ -24,12 +31,12 @@
 /// The workers, their job FIFOs and the head-of-line rules (a job's clock
 /// starts when it becomes the head; a death gives the head the wait-status
 /// verdict and hands the jobs behind it back) are driver::WorkerSet's,
-/// shared with `graphjs serve`. The pool adds its policy: the plan and the
-/// queue, two jobs per worker assigned depth-first (every worker gets a job
-/// before any gets a second), RetryCrashed for a head that died (handed-back
-/// jobs are not retries and keep their fault), a strike that fails one job
-/// after three idle deaths in a row, failing the queue when no worker can
-/// fork, and the merge cursor over the journal.
+/// shared with `graphjs serve`. The pool adds its policy: the queue, two
+/// jobs per worker assigned depth-first (every worker gets a job before any
+/// gets a second), RetryCrashed for a head that died (handed-back jobs are
+/// not retries and keep their fault), a strike that fails one job after
+/// three idle deaths in a row, and failing the queue when no worker can
+/// fork. The plan and the merge cursor over the journal are the run's.
 ///
 /// The pool preserves:
 ///
@@ -64,13 +71,13 @@ namespace gjs {
 namespace driver {
 
 struct PoolOptions {
-  /// The underlying batch options (scan settings, journal, resume,
-  /// MaxPackages, progress cadence). BatchOptions::Scan::Fault is ignored
-  /// here — the pool takes its (possibly multiple) faults via Faults.
+  /// The underlying batch options (scan settings, fault list, journal,
+  /// resume, MaxPackages, progress cadence, metrics).
   BatchOptions Batch;
-  /// Concurrent resident worker processes. 1 still forks (containment
-  /// without parallelism); the CLI routes a batch without --jobs to
-  /// BatchDriver instead.
+  /// Concurrent resident worker processes. 0 scans in this process: no
+  /// fork, no worker set, no signal handler (`graphjs batch` without
+  /// --jobs, BatchDriver). 1 still forks (containment without
+  /// parallelism).
   unsigned Jobs = 2;
   /// Read by no code: every pool runs resident workers (RecycleAfter = 1
   /// for a fresh process per package). Kept only because the benchmark
@@ -97,21 +104,18 @@ struct PoolOptions {
   /// injected fault and at half the wall-clock budget (the transient-
   /// failure model the one-shot FaultPlan semantics encode).
   bool RetryCrashed = false;
-  /// Deterministic faults, each targeting the Nth *scanned* package of
-  /// the run (same sequence a single in-process Scanner would count).
-  /// Unlike BatchOptions::Scan::Fault this is a list: one run can crash
-  /// package 1 and hang package 3.
-  std::vector<scanner::FaultPlan> Faults;
-  /// Cross-process trace stitching (`graphjs batch --trace-out`): when set,
-  /// every job request asks its worker for a span tree rebased onto this
-  /// recorder's epoch, and the supervisor splices worker spans (one Chrome
-  /// pid lane per worker process) next to its own retroactive scheduling
-  /// spans. Null disables worker-side tracing entirely.
+  /// The run's trace recorder (`graphjs batch --trace-out`); null traces
+  /// nothing. In-process it is every scan's ScanOptions::Trace. With
+  /// workers it stitches across processes: every job request asks its
+  /// worker for a span tree rebased onto this recorder's epoch, and the
+  /// supervisor splices worker spans (one Chrome pid lane per worker
+  /// process) next to its own retroactive scheduling spans.
   obs::TraceRecorder *Trace = nullptr;
 };
 
-/// The supervised worker pool. Same contract as BatchDriver::run — same
-/// inputs, same journal format, same summary — plus OS-level containment.
+/// The batch run. In-process and pooled runs take the same inputs and
+/// write the same journal and summary; Jobs > 0 adds OS-level
+/// containment.
 class ProcessPool {
 public:
   explicit ProcessPool(PoolOptions Options);

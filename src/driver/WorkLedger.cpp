@@ -567,6 +567,17 @@ SharedBatchResult driver::runSharedBatch(const SharedBatchOptions &Options,
   // torn-state worst case (start without terminal).
   unsigned StartsSeen = 0;
 
+  // Index faults target the corpus input index: each becomes a name fault
+  // on its package, which the batch run matches in whatever shard the
+  // package lands.
+  std::vector<scanner::FaultPlan> Faults;
+  for (scanner::FaultPlan F : Options.Pool.Batch.Faults) {
+    if (F.PackageName.empty() && F.Package < Inputs.size())
+      F.PackageName = Inputs[F.Package].Name;
+    if (!F.PackageName.empty())
+      Faults.push_back(std::move(F));
+  }
+
   const double PollSeconds =
       std::min(0.1, std::max(0.02, Ledger.options().LeaseExpirySeconds / 5));
   Timer WaitClock;
@@ -614,38 +625,12 @@ SharedBatchResult driver::runSharedBatch(const SharedBatchOptions &Options,
     }
 
     std::vector<BatchInput> ShardInputs;
-    std::vector<size_t> CorpusIndex; // ShardInputs position -> corpus index.
-    for (size_t Idx : ShardIdx) {
+    for (size_t Idx : ShardIdx)
       ShardInputs.push_back(Inputs[Idx]);
-      CorpusIndex.push_back(Idx);
-    }
 
-    // Rebase corpus-global faults onto this shard's dispatch sequence (the
-    // position among packages that will actually be scanned). Index faults
-    // target the corpus *input* index in shared mode; name faults follow
-    // the package.
-    std::vector<scanner::FaultPlan> ShardFaults;
-    {
-      unsigned Seq = 0;
-      for (size_t P = 0; P < ShardInputs.size(); ++P) {
-        if (DoneSet.count(ShardInputs[P].Name))
-          continue;
-        for (const scanner::FaultPlan &F : Options.Pool.Faults) {
-          bool Match = F.PackageName.empty()
-                           ? F.Package == CorpusIndex[P]
-                           : F.PackageName == ShardInputs[P].Name;
-          if (Match) {
-            scanner::FaultPlan FP = F;
-            FP.Package = Seq;
-            FP.PackageName.clear();
-            ShardFaults.push_back(FP);
-          }
-        }
-        ++Seq;
-      }
-    }
-
-    BatchOptions BO = Options.Pool.Batch;
+    PoolOptions PO = Options.Pool;
+    BatchOptions &BO = PO.Batch;
+    BO.Faults = Faults;
     BO.JournalPath = Ledger.shardJournalPath(L);
     BO.Resume = true; // Appends after the quarantine records above.
     BO.FramedJournal = true;
@@ -677,20 +662,10 @@ SharedBatchResult driver::runSharedBatch(const SharedBatchOptions &Options,
         ::raise(SIGKILL);
     };
 
-    BatchSummary Sub;
-    if (Options.Pool.Jobs > 0) {
-      PoolOptions PO = Options.Pool;
-      PO.Batch = BO;
-      PO.Faults = ShardFaults;
-      Sub = ProcessPool(PO).run(ShardInputs);
-    } else {
-      // In-process drain: a process-fatal fault here kills this whole
-      // supervisor after the start record — the crash loop the quarantine
-      // breaker is built to end.
-      if (!ShardFaults.empty())
-        BO.Scan.Fault = ShardFaults.front();
-      Sub = BatchDriver(BO).run(ShardInputs);
-    }
+    // In-process (Jobs == 0), a process-fatal fault kills this whole
+    // supervisor after the start record — the crash loop the quarantine
+    // breaker is built to end.
+    BatchSummary Sub = ProcessPool(std::move(PO)).run(ShardInputs);
 
     // Fold this shard's work into the supervisor-local summary (skips are
     // other tokens' terminals; don't re-report them as outcomes).

@@ -182,13 +182,14 @@ struct SharedBatchOptions {
 
   LedgerOptions Ledger;
   /// Per-shard scheduling and scan settings. Pool.Jobs == 0 (the default
-  /// here) drains shards in-process (BatchDriver); N > 0 uses the worker
-  /// pool. Pool.Batch.JournalPath, when set, receives a copy of the merged
+  /// here) drains shards in-process; N > 0 uses the worker pool.
+  /// Pool.Batch.JournalPath, when set, receives a copy of the merged
   /// corpus journal after convergence; per-shard journaling always goes
-  /// through the ledger. Pool.Faults are corpus-global (index = corpus scan
-  /// order, or `@name`) and rebased per shard before dispatch.
-  /// Process-fatal faults with Pool.Jobs == 0 kill this supervisor —
-  /// exactly the crash loop the quarantine breaker exists for.
+  /// through the ledger. Pool.Batch.Faults are corpus-global: an index
+  /// fault targets the corpus input index and becomes a `@name` fault on
+  /// that package. Process-fatal faults with Pool.Jobs == 0 kill this
+  /// supervisor — exactly the crash loop the quarantine breaker exists
+  /// for.
   PoolOptions Pool;
   /// Chaos harness: when N > 0, raise(SIGKILL) immediately after appending
   /// the start record of the (N+1)-th package this supervisor dispatches.

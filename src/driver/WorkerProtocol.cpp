@@ -426,18 +426,15 @@ bool WorkerResponse::decode(std::string_view Text, WorkerResponse &Out) {
 int driver::runWorkerLoop(int FD, const WorkerLoopOptions &Options,
                           const WorkerJobSource &Source) {
   installOomExitHandler();
-  if (Options.EnableCounters) {
-    obs::setCountersEnabled(true);
-    obs::resetCounters();
-  }
+  // Counters and histograms on: each journal line carries its package's
+  // counter delta, and each response its histogram delta.
+  obs::setCountersEnabled(true);
   // Rolling histogram baseline: one flat snapshot per job, so each
   // response carries exactly what was recorded since the last one (this
   // job's scan plus the request frames read in between). Counters need no
   // such bracket: the scanner already measures each package's counter
   // delta into its journal line.
-  obs::HistogramValues HistPrev;
-  if (Options.EnableCounters)
-    HistPrev = obs::snapshotHistogramValues();
+  obs::HistogramValues HistPrev = obs::snapshotHistogramValues();
   unsigned Done = 0;
   std::string Text;
   while (readFrame(FD, Text)) {
@@ -463,8 +460,7 @@ int driver::runWorkerLoop(int FD, const WorkerLoopOptions &Options,
       // What answering costs the worker beyond the scan.
       obs::Span Reply(Trace, "reply");
       Resp.Line = BatchDriver::journalLine(Out);
-      if (Options.EnableCounters)
-        Resp.HistDelta = obs::histogramDelta(HistPrev);
+      Resp.HistDelta = obs::histogramDelta(HistPrev);
     }
     if (Req.WantTrace)
       Resp.Spans = rebasedSpans(Recorder, Req.TraceEpochUs);

@@ -184,10 +184,6 @@ rebasedSpans(const obs::TraceRecorder &Recorder, uint64_t SupervisorEpochUs);
 
 /// What a resident worker does beyond scanning, the same for every caller.
 struct WorkerLoopOptions {
-  /// Turn counters and histograms on in the worker (each journal line then
-  /// carries its package's counter delta) and ship each job's histogram
-  /// delta in its response.
-  bool EnableCounters = true;
   /// Planned recycle after this many jobs (0 = unlimited)…
   unsigned RecycleAfter = 0;
   /// …or once the resident set exceeds this many MiB after a job (0 = off).

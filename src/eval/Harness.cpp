@@ -6,7 +6,6 @@
 
 #include "eval/Harness.h"
 
-#include "driver/BatchDriver.h"
 #include "driver/ProcessPool.h"
 
 using namespace gjs;
@@ -27,30 +26,18 @@ HarnessOptions HarnessOptions::defaults() {
 std::vector<PackageOutcome>
 eval::runGraphJS(const std::vector<Package> &Packages,
                  const scanner::ScanOptions &Options, unsigned Jobs) {
-  // The harness is a thin layer over the batch driver (same isolation and
-  // degradation behavior as `graphjs batch`, just without a journal) — or
-  // over the worker pool when parallelism is requested.
-  driver::BatchOptions BO;
-  BO.Scan = Options;
+  // The harness is a thin layer over the batch run (same isolation and
+  // degradation behavior as `graphjs batch`, just without a journal):
+  // in-process, or in the worker pool when parallelism is requested.
+  driver::PoolOptions PO;
+  PO.Batch.Scan = Options;
+  PO.Jobs = Jobs > 1 ? Jobs : 0;
 
   std::vector<driver::BatchInput> Inputs;
   Inputs.reserve(Packages.size());
   for (const Package &P : Packages)
     Inputs.push_back({P.Name, P.Files});
-
-  driver::BatchSummary Summary;
-  if (Jobs > 1) {
-    driver::PoolOptions PO;
-    PO.Batch = std::move(BO);
-    PO.Jobs = Jobs;
-    if (PO.Batch.Scan.Fault) {
-      PO.Faults.push_back(*PO.Batch.Scan.Fault);
-      PO.Batch.Scan.Fault.reset();
-    }
-    Summary = driver::ProcessPool(std::move(PO)).run(Inputs);
-  } else {
-    Summary = driver::BatchDriver(std::move(BO)).run(Inputs);
-  }
+  driver::BatchSummary Summary = driver::ProcessPool(std::move(PO)).run(Inputs);
 
   std::vector<PackageOutcome> Out;
   Out.reserve(Summary.Outcomes.size());

@@ -37,9 +37,11 @@ struct HarnessOptions {
   static HarnessOptions defaults();
 };
 
-/// Runs Graph.js on every package. With Jobs > 1 the scans go through the
-/// supervised worker pool (driver::ProcessPool): Jobs resident worker
-/// processes, OS-level crash containment, same outcome shape.
+/// Runs Graph.js on every package through the batch run
+/// (driver::ProcessPool), in-process or, with Jobs > 1, in Jobs resident
+/// worker processes with OS-level crash containment; same outcome shape.
+/// Options.Fault and Options.Trace are ignored: a batch run sets both per
+/// package from its own fault list and trace recorder.
 std::vector<PackageOutcome>
 runGraphJS(const std::vector<workload::Package> &Packages,
            const scanner::ScanOptions &Options, unsigned Jobs = 1);

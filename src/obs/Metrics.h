@@ -40,10 +40,10 @@ std::string renderPrometheus(const CounterSnapshot &Counters,
 /// Writes one rendered page of the given snapshots to \p Path through
 /// writeFileAtomic (obs/AtomicFile.h), so scrapers never observe a torn
 /// snapshot and concurrent writers never share a temp file. Returns false,
-/// leaving no temp file, when the file cannot be written. For callers
-/// whose live counter registry is not cumulative (the in-process batch
-/// driver resets it per package for journal attribution) — they render
-/// accumulated snapshots.
+/// leaving no temp file, when the file cannot be written. The batch run
+/// and `graphjs serve` never reset their registries and render them live
+/// through the overload below; this one renders snapshots the caller
+/// holds.
 bool writePrometheusFile(const std::string &Path,
                          const CounterSnapshot &Counters,
                          const HistogramSnapshotMap &Histograms,

@@ -560,6 +560,29 @@ TEST(SharedBatchTest, SingleSupervisorDrainsAndMerges) {
   std::filesystem::remove_all(Dir);
 }
 
+TEST(SharedBatchTest, InProcessShardFiresEveryFault) {
+  // Both faults land in one in-process shard: the index fault (corpus
+  // input index 2, charlie) and the name fault each degrade their package.
+  std::string Dir = tempDir("shared_faults");
+  driver::SharedBatchOptions SO;
+  SO.Ledger = ledgerOpts(Dir, 4, 10.0, "solo");
+  SO.Pool.Batch.Quiet = true;
+  scanner::FaultPlan ByIndex, ByName;
+  ASSERT_TRUE(scanner::FaultPlan::parse("build:fail:2", ByIndex));
+  ASSERT_TRUE(scanner::FaultPlan::parse("build:fail@alpha", ByName));
+  SO.Pool.Batch.Faults = {ByIndex, ByName};
+  driver::SharedBatchResult R = driver::runSharedBatch(SO, fourInputs());
+  EXPECT_EQ(R.Summary.Scanned, 4u);
+  EXPECT_EQ(R.Summary.Degraded, 2u);
+  ASSERT_TRUE(R.Merged);
+  std::map<std::string, std::string> Status = statusByPackage(R.MergedJournal);
+  EXPECT_EQ(Status["alpha"], "degraded");
+  EXPECT_EQ(Status["bravo"], "ok");
+  EXPECT_EQ(Status["charlie"], "degraded");
+  EXPECT_EQ(Status["delta"], "ok");
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(SharedBatchTest, CopiesMergedJournalToBatchJournalPath) {
   std::string Dir = tempDir("shared_copy");
   driver::SharedBatchOptions SO;

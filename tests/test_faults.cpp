@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/BatchDriver.h"
+#include "obs/Counters.h"
 #include "odgen/ODGenAnalyzer.h"
 #include "scanner/Scanner.h"
 #include "support/Deadline.h"
@@ -17,9 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 using namespace gjs;
@@ -397,7 +400,7 @@ TEST(BatchDriverTest, FaultedPackageIsJournaledAndBatchCompletes) {
   std::remove(Journal.c_str());
 
   driver::BatchOptions BO;
-  BO.Scan.Fault = FaultPlan{ScanPhase::Build, FaultPlan::Action::Fail, 1};
+  BO.Faults.push_back(FaultPlan{ScanPhase::Build, FaultPlan::Action::Fail, 1});
   BO.JournalPath = Journal;
   driver::BatchDriver Driver(BO);
 
@@ -480,6 +483,24 @@ TEST(BatchDriverTest, TruncatedJournalLineIsIgnoredOnResume) {
   std::set<std::string> Done =
       driver::BatchDriver::journaledPackages(Journal);
   EXPECT_EQ(Done, std::set<std::string>{"whole"});
+
+  // A resumed run counts the torn line, and its metrics page shows it:
+  // the run never resets the counter registry.
+  obs::resetCounters();
+  std::string Prom = ::testing::TempDir() + "gjs_batch_trunc.prom";
+  driver::BatchOptions BO;
+  BO.JournalPath = Journal;
+  BO.Resume = true;
+  BO.MetricsPath = Prom;
+  driver::BatchSummary S = driver::BatchDriver(BO).run(
+      {makeInput("whole", VulnSource), makeInput("torn", VulnSource)});
+  EXPECT_EQ(S.SkippedResumed, 1u);
+  EXPECT_EQ(S.Scanned, 1u);
+  std::vector<std::string> Page = readLines(Prom);
+  EXPECT_NE(std::find(Page.begin(), Page.end(),
+                      "graphjs_journal_dropped_lines 1"),
+            Page.end());
+  std::remove(Prom.c_str());
 }
 
 TEST(BatchDriverTest, ParseErrorsDegradeButDoNotFailTheBatch) {
@@ -525,6 +546,44 @@ TEST(BatchCLITest, InjectedFaultBatchCompletesRemainingPackages) {
   json::Object Fig1 = parseLine(Lines[1]);
   EXPECT_EQ(Fig1.at("package").asString(), "figure1.js");
   EXPECT_FALSE(Fig1.at("reports").asArray().empty());
+}
+
+TEST(BatchCLITest, FaultsTargetTheSamePackagesInProcessAndPooled) {
+  // A name fault degrades its package, not the first one scanned, and
+  // in-process runs honour the whole fault list: the --summary lines are
+  // the same with and without worker processes.
+  std::string Out = ::testing::TempDir() + "gjs_cli_fault_parity.out";
+  std::string Dir = std::string(GJS_EXAMPLES_JS_DIR) + "/";
+  auto summary = [&](const std::string &Flags) {
+    std::string Cmd = std::string(GRAPHJS_BIN) + " batch --quiet --summary " +
+                      Flags + " " + Dir + "figure1.js " + Dir +
+                      "clean_utils.js " + Dir + "set_value.js > " + Out +
+                      " 2>/dev/null";
+    EXPECT_EQ(std::system(Cmd.c_str()), 0) << Cmd;
+    std::map<std::string, std::string> Status;
+    for (const std::string &L : readLines(Out)) {
+      std::istringstream In(L);
+      std::string Pkg, St;
+      In >> Pkg >> St;
+      Status[Pkg] = St;
+    }
+    return Status;
+  };
+  const std::string NameFault = "--inject-fault build:fail@set_value.js";
+  std::map<std::string, std::string> InProc = summary(NameFault);
+  EXPECT_EQ(InProc["figure1.js"], "ok");
+  EXPECT_EQ(InProc["clean_utils.js"], "ok");
+  EXPECT_EQ(InProc["set_value.js"], "degraded");
+  EXPECT_EQ(summary("--jobs 2 " + NameFault), InProc);
+
+  // Two faults in one in-process run: both fire.
+  const std::string TwoFaults = NameFault + " --inject-fault build:fail:0";
+  std::map<std::string, std::string> Both = summary(TwoFaults);
+  EXPECT_EQ(Both["figure1.js"], "degraded");
+  EXPECT_EQ(Both["clean_utils.js"], "ok");
+  EXPECT_EQ(Both["set_value.js"], "degraded");
+  EXPECT_EQ(summary("--jobs 2 " + TwoFaults), Both);
+  std::remove(Out.c_str());
 }
 
 TEST(BatchCLITest, ResumeAfterKillRescansOnlyUnjournaled) {

@@ -420,13 +420,67 @@ TEST(ProcessPoolTest, RecycleAfterOneMatchesResidentWorkers) {
   EXPECT_EQ(Journals[1], Journals[0]);
 }
 
+TEST(ProcessPoolTest, FaultsAndResumeMatchInProcessRun) {
+  // One fault list, one plan: an index fault counts scanned packages
+  // (the resumed one is not counted), a name fault follows its package,
+  // and both runs journal the same lines.
+  std::vector<driver::BatchInput> Inputs = healthyInputs(5);
+  FaultPlan ByName;
+  ASSERT_TRUE(FaultPlan::parse("build:fail@pkg0", ByName));
+  std::map<unsigned, driver::BatchSummary> ByJobs;
+  std::map<unsigned, std::vector<std::string>> Journals;
+  for (unsigned Jobs : {0u, 2u}) {
+    std::string Journal = testing::TempDir() + "procpool_parity" +
+                          std::to_string(Jobs) + "_" +
+                          std::to_string(::getpid()) + ".jsonl";
+    {
+      std::ofstream Out(Journal, std::ios::trunc);
+      Out << R"({"package":"pkg1","status":"ok"})" << "\n";
+    }
+    driver::PoolOptions PO;
+    PO.Jobs = Jobs;
+    PO.Batch.JournalPath = Journal;
+    PO.Batch.Resume = true;
+    PO.Batch.Faults.push_back(
+        makeFault(ScanPhase::Query, FaultPlan::Action::Fail, 2));
+    PO.Batch.Faults.push_back(ByName);
+    ByJobs[Jobs] = driver::ProcessPool(PO).run(Inputs);
+    for (const std::string &Line : readLines(Journal))
+      Journals[Jobs].push_back(withoutTimings(Line));
+    std::remove(Journal.c_str());
+  }
+  for (unsigned Jobs : {0u, 2u}) {
+    SCOPED_TRACE("Jobs=" + std::to_string(Jobs));
+    const driver::BatchSummary &S = ByJobs[Jobs];
+    EXPECT_EQ(S.Scanned, 4u);
+    EXPECT_EQ(S.SkippedResumed, 1u);
+    ASSERT_EQ(S.Outcomes.size(), 5u);
+    std::set<std::string> Faulted;
+    for (const driver::BatchOutcome &O : S.Outcomes)
+      if (O.Result.faulted())
+        Faulted.insert(O.Package);
+    // pkg3 is the third package scanned (index 2): pkg1 is resumed.
+    EXPECT_EQ(Faulted, (std::set<std::string>{"pkg0", "pkg3"}));
+    EXPECT_TRUE(S.Outcomes[1].Skipped);
+    EXPECT_EQ(S.Outcomes[0].Status, driver::BatchStatus::Degraded);
+    EXPECT_EQ(S.Outcomes[3].Status, driver::BatchStatus::Degraded);
+  }
+  for (size_t I = 0; I < Inputs.size(); ++I) {
+    EXPECT_EQ(ByJobs[0].Outcomes[I].Status, ByJobs[2].Outcomes[I].Status);
+    EXPECT_EQ(ByJobs[0].Outcomes[I].Skipped, ByJobs[2].Outcomes[I].Skipped);
+  }
+  // Same journal bytes apart from wall-clock timings.
+  ASSERT_EQ(Journals[0].size(), 5u);
+  EXPECT_EQ(Journals[0], Journals[2]);
+}
+
 TEST(ProcessPoolTest, CrashIsContainedAndAttributed) {
   for (unsigned RecycleAfter : RecycleSettings) {
     SCOPED_TRACE("RecycleAfter=" + std::to_string(RecycleAfter));
     driver::PoolOptions PO;
     PO.Jobs = 2;
     PO.RecycleAfter = RecycleAfter;
-    PO.Faults.push_back(
+    PO.Batch.Faults.push_back(
         makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 1));
     driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
 
@@ -451,7 +505,8 @@ TEST(ProcessPoolTest, OomIsContainedAndAttributed) {
     PO.Jobs = 2;
     PO.RecycleAfter = RecycleAfter;
     PO.MemLimitMB = 128;
-    PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Oom, 0));
+    PO.Batch.Faults.push_back(
+        makeFault(ScanPhase::Build, FaultPlan::Action::Oom, 0));
     driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
 
     EXPECT_EQ(S.Failed, 1u);
@@ -469,7 +524,7 @@ TEST(ProcessPoolTest, HangIsKilledAtSupervisorDeadline) {
     PO.Jobs = 2;
     PO.RecycleAfter = RecycleAfter;
     PO.KillAfterSeconds = 1.0;
-    PO.Faults.push_back(
+    PO.Batch.Faults.push_back(
         makeFault(ScanPhase::Build, FaultPlan::Action::Hang, 0));
     driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
 
@@ -490,7 +545,7 @@ TEST(ProcessPoolTest, RetryCrashedRecoversTransientFault) {
     PO.Jobs = 2;
     PO.RecycleAfter = RecycleAfter;
     PO.RetryCrashed = true;
-    PO.Faults.push_back(
+    PO.Batch.Faults.push_back(
         makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 0));
     driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(3));
 
@@ -567,7 +622,8 @@ TEST(PersistentPoolTest, CrashMidQueueFailsOnlyItsPackage) {
   // everything after it.
   driver::PoolOptions PO;
   PO.Jobs = 1;
-  PO.Faults.push_back(makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 2));
+  PO.Batch.Faults.push_back(
+      makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 2));
   driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(6));
 
   EXPECT_EQ(S.Scanned, 6u);
@@ -832,7 +888,7 @@ TEST(PipelinedPoolTest, CrashSparesTheJobQueuedBehindIt) {
       PO.Jobs = 1;
       PO.RecycleAfter = RecycleAfter;
       PO.RetryCrashed = Retry;
-      PO.Faults.push_back(
+      PO.Batch.Faults.push_back(
           makeFault(ScanPhase::Build, FaultPlan::Action::Crash, 0));
       std::map<std::string, unsigned> Starts;
       PO.Batch.OnPackageStart = [&](const std::string &Pkg) { ++Starts[Pkg]; };
@@ -873,7 +929,7 @@ TEST(PipelinedPoolTest, HangKillsOnlyTheHungJob) {
     PO.Jobs = 1;
     PO.RecycleAfter = RecycleAfter;
     PO.KillAfterSeconds = 1.0;
-    PO.Faults.push_back(
+    PO.Batch.Faults.push_back(
         makeFault(ScanPhase::Build, FaultPlan::Action::Hang, 1));
     driver::BatchSummary S = driver::ProcessPool(PO).run(healthyInputs(4));
 

@@ -29,8 +29,9 @@
 //   --max <n>               stop after scanning n packages (sharding)
 //   --max-degradation <n>   degradation-ladder depth: 0 = no retry, 1 =
 //                           one cheaper-builder retry (default 1)
-//   --inject-fault <spec>   deterministic fault (repeatable with --jobs):
-//                           <phase>:<fail|stall|crash|hang|oom>[:<n>]
+//   --inject-fault <spec>   deterministic fault (repeatable):
+//                           <phase>:<fail|stall|crash|hang|oom>[:<n>|@<name>]
+//                           (crash/hang/oom need --jobs)
 //   --jobs <n>              supervised worker pool: n resident worker
 //                           processes draining a job queue (OS-level
 //                           containment)
@@ -678,8 +679,7 @@ bool collectBatchInputs(const std::string &Arg,
 }
 
 int runBatch(const std::vector<std::string> &Args, driver::PoolOptions O,
-             unsigned Jobs, bool Summary, bool Stats,
-             const std::string &TraceOut,
+             bool Summary, bool Stats, const std::string &TraceOut,
              driver::SharedBatchOptions *Shared = nullptr) {
   std::vector<driver::BatchInput> Inputs;
   for (const std::string &Arg : Args)
@@ -692,10 +692,12 @@ int runBatch(const std::vector<std::string> &Args, driver::PoolOptions O,
 
   // One recorder spans the whole run. Under --jobs it stitches: the pool
   // hands its epoch to every worker and splices their span trees back on
-  // per-process pid lanes next to its own scheduling spans. In-process it
-  // simply rides along in the scan options, as in `graphjs scan`.
+  // per-process pid lanes next to its own scheduling spans. In-process
+  // every scan records into it, as in `graphjs scan`.
   obs::TraceRecorder Recorder;
   bool WantTrace = !TraceOut.empty();
+  if (WantTrace)
+    O.Trace = &Recorder;
 
   driver::BatchSummary S;
   bool SharedMerged = false;
@@ -705,30 +707,14 @@ int runBatch(const std::vector<std::string> &Args, driver::PoolOptions O,
     // Distributed drain: the ledger under Shared->Ledger.Dir coordinates
     // this supervisor with any concurrent ones; scan/pool settings carry
     // over per shard.
-    Shared->Pool = O;
-    Shared->Pool.Jobs = Jobs;
-    if (WantTrace)
-      Shared->Pool.Trace = &Recorder;
+    Shared->Pool = std::move(O);
     driver::SharedBatchResult R = driver::runSharedBatch(*Shared, Inputs);
     S = std::move(R.Summary);
     SharedMerged = R.Merged;
     SharedJournal = R.MergedJournal;
     SharedDrained = R.ShardsDrained;
-  } else if (Jobs > 0) {
-    O.Jobs = Jobs;
-    if (WantTrace)
-      O.Trace = &Recorder;
-    driver::ProcessPool Pool(std::move(O));
-    S = Pool.run(Inputs);
   } else {
-    // In-process driver: at most one (non-process-fatal) fault, carried in
-    // the scan options.
-    if (!O.Faults.empty())
-      O.Batch.Scan.Fault = O.Faults.front();
-    if (WantTrace)
-      O.Batch.Scan.Trace = &Recorder;
-    driver::BatchDriver Driver(std::move(O.Batch));
-    S = Driver.run(Inputs);
+    S = driver::ProcessPool(std::move(O)).run(Inputs);
   }
   if (WantTrace && !writeTrace(Recorder, TraceOut))
     return 1;
@@ -971,7 +957,7 @@ int main(int argc, char **argv) {
 
   if (Mode == "batch") {
     driver::PoolOptions O;
-    unsigned Jobs = 0; // 0 = in-process BatchDriver; >=1 = worker pool.
+    O.Jobs = 0; // In-process unless --jobs asks for workers.
     bool Summary = false, Stats = false, Quiet = false;
     std::string TraceOut;
     driver::SharedBatchOptions Shared; // Live iff Shared.Ledger.Dir set.
@@ -1009,7 +995,7 @@ int main(int argc, char **argv) {
       else if (Arg == "--max-degradation" && I + 1 < argc)
         Num.count(I, O.Batch.Scan.MaxDegradation);
       else if (Arg == "--jobs" && I + 1 < argc)
-        Num.count(I, Jobs);
+        Num.count(I, O.Jobs);
       else if (Arg == "--mem-limit-mb" && I + 1 < argc)
         Num.count(I, O.MemLimitMB);
       else if (Arg == "--kill-after-ms" && I + 1 < argc)
@@ -1042,7 +1028,7 @@ int main(int argc, char **argv) {
           std::fprintf(stderr, "error: %s\n", Error.c_str());
           return 2;
         }
-        O.Faults.push_back(Plan);
+        O.Batch.Faults.push_back(Plan);
       } else if (Arg.rfind("--", 0) == 0)
         return usage();
       else
@@ -1058,12 +1044,11 @@ int main(int argc, char **argv) {
                    SharedOnlyFlag);
       return 2;
     }
-    if (Jobs == 0) {
+    if (O.Jobs == 0) {
       // Pool-only options and faults only the pool can contain. Under
-      // --shared the fault restrictions lift: process-fatal faults kill
+      // --shared the fault restriction lifts: process-fatal faults kill
       // this *supervisor*, which is exactly what the ledger's lease
-      // stealing and quarantine breaker exist to absorb, and multiple
-      // faults rebase onto different shards.
+      // stealing and quarantine breaker exist to absorb.
       const char *Needs = nullptr;
       if (O.MemLimitMB)
         Needs = "--mem-limit-mb";
@@ -1075,10 +1060,9 @@ int main(int argc, char **argv) {
         Needs = "--recycle-after";
       else if (O.RecycleRssMB)
         Needs = "--recycle-mem-mb";
-      else if (!IsShared && O.Faults.size() > 1)
-        Needs = "multiple --inject-fault";
-      else if (!IsShared && !O.Faults.empty() &&
-               O.Faults.front().processFatal())
+      else if (!IsShared &&
+               std::ranges::any_of(O.Batch.Faults,
+                                   &scanner::FaultPlan::processFatal))
         Needs = "a crash/hang/oom fault";
       if (Needs) {
         std::fprintf(stderr, "error: %s requires --jobs N\n", Needs);
@@ -1091,7 +1075,7 @@ int main(int argc, char **argv) {
     O.Batch.Quiet = Quiet;
     O.Batch.ProgressEveryPackages = 25;
     O.Batch.ProgressEverySeconds = 2.0;
-    return runBatch(Inputs, std::move(O), Jobs, Summary, Stats, TraceOut,
+    return runBatch(Inputs, std::move(O), Summary, Stats, TraceOut,
                     !Shared.Ledger.Dir.empty() ? &Shared : nullptr);
   }
 
