@@ -657,6 +657,8 @@ void MDGBuilder::analyzeCall(const core::Stmt &S) {
     Node &CN = G->node(CallNode);
     CN.CallName = S.CalleeName;
     CN.CallPath = S.CalleePath;
+    CN.CallNameSym = Result->Props.intern(S.CalleeName);
+    CN.CallPathSym = Result->Props.intern(S.CalleePath);
     CallAlloc[S.Index] = CallNode;
     Result->CallNodes.push_back(CallNode);
   }

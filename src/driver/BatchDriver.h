@@ -213,7 +213,8 @@ std::string batchStatsText(const BatchSummary &Summary);
 
 /// Stderr progress reporting of the batch run: "progress: 12/40 done, 2
 /// failed, 3.1 pkg/s, eta 9.0s", throttled to every N packages / T
-/// seconds.
+/// seconds. The total is the run's planned scans: resume skips and
+/// packages past MaxPackages are not counted.
 class ProgressMeter {
 public:
   ProgressMeter(size_t Total, size_t EveryPackages, double EverySeconds,

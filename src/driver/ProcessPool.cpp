@@ -116,7 +116,7 @@ BatchSummary ProcessPool::run(const std::vector<BatchInput> &Inputs) {
   bool PrevCounters = obs::countersEnabled();
   obs::setCountersEnabled(true);
 
-  ProgressMeter Progress(Inputs.size(), Batch.ProgressEveryPackages,
+  ProgressMeter Progress(Plan.size(), Batch.ProgressEveryPackages,
                          Batch.ProgressEverySeconds, Batch.Quiet);
 
   // The metrics page, on its cadence or (Final) regardless of it: a

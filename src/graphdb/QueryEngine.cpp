@@ -223,17 +223,21 @@ struct QueryEngine::NodeStep {
   Atom Label = NoAtom; ///< NoAtom = any label.
   std::vector<Prop> Props;
   int32_t Slot = -1; ///< Node variable slot; -1 = anonymous.
-  /// Label scan of an item's first node (ascending handles).
+  /// Label scan of an item's first node (ascending handles); null for
+  /// the item's other nodes.
   const std::vector<NodeHandle> *Scan = nullptr;
 };
 
 /// A relationship pattern resolved against the store.
 struct QueryEngine::RelStep {
   bool AnyType = true;
-  /// Bitset over type atoms: the pattern's types the store has.
+  /// Bitset over type atoms from TypeBase on: the pattern's types the
+  /// store has.
+  Atom TypeBase = 0;
   std::vector<uint64_t> Types;
   bool hasType(Atom T) const {
-    return (T >> 6) < Types.size() && (Types[T >> 6] >> (T & 63)) & 1;
+    const Atom D = T - TypeBase; // Wraps past the set for T < TypeBase.
+    return (D >> 6) < Types.size() && (Types[D >> 6] >> (D & 63)) & 1;
   }
   bool Never = false;      ///< A property string the store never saw.
   std::vector<Prop> Props;
@@ -299,6 +303,26 @@ QueryEngine::Plan QueryEngine::compile(const Query &Q) const {
     auto It = Slots.find(Var);
     return It == Slots.end() ? -1 : It->second;
   };
+  // Keys first: on an opened MDG, naming a debug property key interns its
+  // values, and every string below must resolve against the final table.
+  auto PrepareKey = [&](const std::string &Key) {
+    if (!Key.empty())
+      G.keyAtom(Key);
+  };
+  for (const MatchItem &M : Q.Matches) {
+    for (const NodePattern &N : M.Nodes)
+      for (const auto &KV : N.Props)
+        PrepareKey(KV.first);
+    for (const RelPattern &R : M.Rels)
+      for (const auto &KV : R.Props)
+        PrepareKey(KV.first);
+  }
+  for (const Condition &C : Q.Where) {
+    PrepareKey(C.LHSKey);
+    PrepareKey(C.RHSKey);
+  }
+  for (const ReturnItem &R : Q.Returns)
+    PrepareKey(R.Key);
   // Pattern properties: a key or value the store never saw can't match.
   // Returns the first such string ("" when every string resolved).
   auto Resolve = [&](const std::map<std::string, std::string> &In,
@@ -335,18 +359,25 @@ QueryEngine::Plan QueryEngine::compile(const Query &Q) const {
       }
       ProveEmpty(I.StepBase + Pos, Absent);
       S.Slot = Declare(NodeSlots, P.NodeVars, N.Var);
-      S.Scan = &G.nodesByLabel(N.Label);
+      if (Pos == 0)
+        S.Scan = &G.nodesByLabel(N.Label);
     }
     for (size_t Pos = 0; Pos < M.Rels.size(); ++Pos) {
       const RelPattern &R = M.Rels[Pos];
       RelStep &S = I.Rels.emplace_back();
       S.AnyType = R.Types.empty();
+      std::vector<Atom> TypeAtoms;
       for (const std::string &T : R.Types)
-        if (Atom A = G.atom(T); A != NoAtom) {
-          if ((A >> 6) >= S.Types.size())
-            S.Types.resize((A >> 6) + 1, 0);
-          S.Types[A >> 6] |= uint64_t(1) << (A & 63);
-        }
+        if (Atom A = G.atom(T); A != NoAtom)
+          TypeAtoms.push_back(A);
+      if (!TypeAtoms.empty())
+        S.TypeBase = *std::min_element(TypeAtoms.begin(), TypeAtoms.end());
+      for (Atom A : TypeAtoms) {
+        const Atom D = A - S.TypeBase;
+        if ((D >> 6) >= S.Types.size())
+          S.Types.resize((D >> 6) + 1, 0);
+        S.Types[D >> 6] |= uint64_t(1) << (D & 63);
+      }
       std::string Absent = Resolve(R.Props, S.Props);
       S.Never = !Absent.empty();
       if (!S.AnyType && S.Types.empty()) { // No named type is stored.
@@ -549,7 +580,7 @@ void QueryEngine::registerPathPredicate(const std::string &Name,
 }
 
 bool QueryEngine::nodeMatches(NodeHandle H, const NodeStep &Pat) const {
-  if (Pat.Label != NoAtom && G.node(H).Label != Pat.Label)
+  if (Pat.Label != NoAtom && G.labelAtom(H) != Pat.Label)
     return false;
   for (const Prop &P : Pat.Props)
     if (G.propAtom(H, P.Key) != P.Value)
@@ -557,10 +588,11 @@ bool QueryEngine::nodeMatches(NodeHandle H, const NodeStep &Pat) const {
   return true;
 }
 
-bool QueryEngine::relMatches(RelHandle H, const RelStep &Pat) const {
+bool QueryEngine::relMatches(RelHandle H, const RelRef &Rel,
+                             const RelStep &Pat) const {
   if (Pat.Never)
     return false;
-  if (!Pat.AnyType && !Pat.hasType(G.rel(H).Type))
+  if (!Pat.AnyType && !Pat.hasType(Rel.Type))
     return false;
   for (const Prop &P : Pat.Props)
     if (G.relPropAtom(H, P.Key) != P.Value)
@@ -690,9 +722,9 @@ QueryEngine::goalSet(size_t ItemIdx, size_t NodeIdx, MatchState &State) {
     // Against the segment's direction: a forward segment's predecessors
     // come from the in-adjacency, a `<-[...]-` segment's from the out.
     for (RelHandle RH : R.Reverse ? G.out(Members[I]) : G.in(Members[I])) {
-      if (!relMatches(RH, R))
+      const RelRef Rel = G.rel(RH);
+      if (!relMatches(RH, Rel, R))
         continue;
-      const StoredRel &Rel = G.rel(RH);
       NodeHandle Prev = R.Reverse ? Rel.To : Rel.From;
       if (GS.Stamp[Prev] != GS.Gen) {
         GS.Stamp[Prev] = GS.Gen;
@@ -844,9 +876,9 @@ void QueryEngine::walk(const Segment &Seg, NodeHandle Cur, uint32_t Hops,
   Path &P = Seg.Item.P;
   std::vector<uint8_t> &OnPath = Seg.Item.OnPath;
   for (RelHandle RH : Seg.R.Reverse ? G.in(Cur) : G.out(Cur)) {
-    if (!relMatches(RH, Seg.R) || OnPath[RH])
+    const RelRef R = G.rel(RH);
+    if (OnPath[RH] || !relMatches(RH, R, Seg.R))
       continue;
-    const StoredRel &R = G.rel(RH);
     NodeHandle Next = Seg.R.Reverse ? R.From : R.To;
     if (Seg.Goal && !Seg.Goal->has(Next))
       continue; // Cannot reach the bound end node (see goalSet).

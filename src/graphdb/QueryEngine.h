@@ -194,7 +194,7 @@ private:
             int64_t FoldState, MatchState &State, ResultSet &Out);
   void emitRow(MatchState &State, ResultSet &Out);
   bool nodeMatches(NodeHandle H, const NodeStep &Pat) const;
-  bool relMatches(RelHandle H, const RelStep &Pat) const;
+  bool relMatches(RelHandle H, const RelRef &Rel, const RelStep &Pat) const;
   bool evalWhere(const MatchState &State) const;
 };
 

@@ -1,4 +1,4 @@
-//===- graphdb/SchemaLint.cpp - MDG import schema + query linting ----------==//
+//===- graphdb/SchemaLint.cpp - MDG store schema + query linting -----------==//
 //
 // Part of graphjs-cpp (PLDI 2024 MDG reproduction).
 //
@@ -40,8 +40,8 @@ bool GraphSchema::relHasProp(const std::vector<std::string> &Types,
 }
 
 const GraphSchema &graphdb::mdgSchema() {
-  // Mirrors exactly what importMDG emits (see MDGImport.cpp); the
-  // MDGImportTest round-trip tests keep the two in sync.
+  // Mirrors exactly what an opened MDG carries (graphdb/PropertyGraph.h);
+  // MDGImportTest.SchemaRoundTrip keeps the two in sync.
   static const GraphSchema S = [] {
     GraphSchema Schema;
     Schema.NodeProps["Object"] = {"label", "site", "line", "taint"};

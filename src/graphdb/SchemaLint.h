@@ -1,24 +1,25 @@
-//===- graphdb/SchemaLint.h - MDG import schema + query linting --*- C++ -*-==//
+//===- graphdb/SchemaLint.h - MDG store schema + query linting ---*- C++ -*-==//
 //
 // Part of graphjs-cpp (PLDI 2024 MDG reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The machine-readable schema of MDGs as stored by `graphdb::importMDG`,
-/// and a static linter that checks parsed queries against it.
+/// The machine-readable schema of an MDG opened as a graph-DB store
+/// (`PropertyGraph(const mdg::Graph &, const StringInterner &)`), and a
+/// static linter that checks parsed queries against it.
 ///
 /// A query with a typo'd edge type or property key is syntactically valid
 /// and silently matches zero paths — for a vulnerability scanner, that is
 /// the worst possible failure mode (it reports "no vulnerabilities"). The
 /// linter turns those typos into diagnostics: unknown node labels, unknown
-/// relationship types, property keys the importer never emits,
+/// relationship types, property keys the store never carries,
 /// unsatisfiable hop bounds, unused MATCH bindings, and RETURN/WHERE items
 /// referencing unbound variables.
 ///
 /// The schema table in docs/QUERY_LANGUAGE.md is the human-readable view
-/// of `mdgSchema()`; `importMDG` and the schema are kept in sync by the
-/// import round-trip tests.
+/// of `mdgSchema()`; the store and the schema are kept in sync by
+/// `MDGImportTest.SchemaRoundTrip` (tests/test_graphdb.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +37,8 @@
 namespace gjs {
 namespace graphdb {
 
-/// The property-graph schema one importer emits: which node labels and
-/// relationship types exist, and which property keys each carries.
+/// A property-graph schema: which node labels and relationship types
+/// exist, and which property keys each carries.
 struct GraphSchema {
   /// Node label -> property keys emitted for nodes of that label.
   std::map<std::string, std::set<std::string>> NodeProps;
@@ -59,7 +60,7 @@ struct GraphSchema {
                   const std::string &Key) const;
 };
 
-/// The schema `importMDG` (MDGImport.cpp) writes. This is the single
+/// The schema of an opened MDG (graphdb/PropertyGraph.h). This is the single
 /// machine-readable description every query — built-in or ad-hoc — is
 /// linted against.
 const GraphSchema &mdgSchema();
@@ -76,7 +77,7 @@ struct SchemaIssue {
 
 /// Lints a parsed query against \p Schema. Returns all issues found
 /// (empty = clean). Error-severity issues mean the query can never match
-/// anything the importer stores (or references variables it never binds).
+/// anything the store holds (or references variables it never binds).
 std::vector<SchemaIssue> lintQuery(const Query &Q, const GraphSchema &Schema);
 
 /// Parses and lints query text in one step. A parse failure is reported

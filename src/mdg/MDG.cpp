@@ -41,6 +41,7 @@ NodeId Graph::addNode(NodeKind Kind, uint32_t Site, SourceLocation Loc,
   N.Loc = Loc;
   N.Label = std::move(Label);
   Nodes.push_back(std::move(N));
+  (Kind == NodeKind::Call ? CallIds : ObjectIds).push_back(Id);
   OutEdges.emplace_back();
   InEdges.emplace_back();
   ++Revision;
@@ -407,6 +408,8 @@ Graph Graph::collapseVersions() const {
     Copy.IsTaintSource = Nodes[N].IsTaintSource;
     Copy.CallName = Nodes[N].CallName;
     Copy.CallPath = Nodes[N].CallPath;
+    Copy.CallNameSym = Nodes[N].CallNameSym;
+    Copy.CallPathSym = Nodes[N].CallPathSym;
   }
   // Merged members propagate taint onto their representative.
   for (NodeId N = 0; N < Nodes.size(); ++N)

@@ -82,6 +82,10 @@ struct Node {
   /// Call-node metadata.
   std::string CallName; ///< e.g. "exec"
   std::string CallPath; ///< e.g. "child_process.exec"
+  /// CallName and CallPath interned in the build's property-name table
+  /// (analysis::BuildResult::Props): what the graph-DB store reads.
+  Symbol CallNameSym = 0;
+  Symbol CallPathSym = 0;
   std::vector<std::vector<NodeId>> Args;
 };
 
@@ -120,6 +124,11 @@ public:
 
   /// All node ids, in allocation order.
   std::vector<NodeId> nodeIds() const;
+
+  /// The ids of the nodes of kind \p K, ascending (kept as nodes are added).
+  const std::vector<NodeId> &nodesOfKind(NodeKind K) const {
+    return K == NodeKind::Call ? CallIds : ObjectIds;
+  }
 
   /// Monotone-growth revision counter: bumped on every new node or edge.
   /// Fixpoint loops compare revisions instead of whole graphs.
@@ -182,6 +191,7 @@ public:
 
 private:
   std::vector<Node> Nodes;
+  std::vector<NodeId> ObjectIds, CallIds;
   std::vector<std::vector<Edge>> OutEdges;
   std::vector<std::vector<Edge>> InEdges;
 

@@ -30,11 +30,11 @@ using graphdb::ResultSet;
 GraphDBRunner::GraphDBRunner(const analysis::BuildResult &Build,
                              graphdb::EngineOptions Engine,
                              bool UntaintedExclusion)
-    : Build(Build), Imported(graphdb::importMDG(Build.Graph, Build.Props,
-                                                Engine.ScanDeadline)),
-      EngineOpts(Engine), UntaintedExclusion(UntaintedExclusion) {}
+    : Build(Build), DB(Build.Graph, Build.Props), EngineOpts(Engine),
+      UntaintedExclusion(UntaintedExclusion) {}
 
-void GraphDBRunner::registerPredicates(QueryEngine &E) const {
+void GraphDBRunner::registerPredicates(QueryEngine &E, const PropertyGraph &DB,
+                                       bool UntaintedExclusion) {
   if (!UntaintedExclusion) {
     // Ablated mode: `untainted(p)` is constant-false (TaintPath becomes
     // BasicPath) and no pruning fold is installed.
@@ -46,8 +46,7 @@ void GraphDBRunner::registerPredicates(QueryEngine &E) const {
                       -> int64_t { return 0; });
     return;
   }
-  // The schema atoms of this store (NoAtom when it has no such edges).
-  const PropertyGraph &DB = Imported.Graph;
+  // The schema atoms of this store.
   const graphdb::Atom V = DB.atom("V"), P = DB.atom("P"),
                       Name = DB.atom("name");
 
@@ -268,12 +267,12 @@ GraphDBRunner::detectTaintStyle(VulnType T, const BuiltinQuerySet &Set,
     // An unparsable text matches nothing, as QueryEngine::run on text
     // would; a sink the store lacks is the empty plan compile would prove.
     ResultSet R;
-    if (BQ.Parsed && Imported.Graph.atom(BQ.Anchor) == graphdb::NoAtom) {
+    if (BQ.Parsed && DB.atom(BQ.Anchor) == graphdb::NoAtom) {
       R.EmptyPlan = true;
     } else if (BQ.Parsed) {
       if (!E) {
-        E.emplace(Imported.Graph, EngineOpts);
-        registerPredicates(*E);
+        E.emplace(DB, EngineOpts);
+        registerPredicates(*E, DB, UntaintedExclusion);
       }
       R = E->run(BQ.Q);
     }
@@ -332,8 +331,8 @@ bool GraphDBRunner::validateBuiltinQueries(const SinkConfig &Config,
 
 std::vector<VulnReport>
 GraphDBRunner::detectPrototypePollution(DetectStats *Stats) {
-  QueryEngine E(Imported.Graph, EngineOpts);
-  registerPredicates(E);
+  QueryEngine E(DB, EngineOpts);
+  registerPredicates(E, DB, UntaintedExclusion);
 
   obs::Span QSpan(EngineOpts.Trace, "prototype-pollution");
   const BuiltinQuery &BQ = pollutionQuery();
@@ -364,8 +363,8 @@ GraphDBRunner::detectPrototypePollution(DetectStats *Stats) {
 graphdb::ResultSet GraphDBRunner::runQuery(const std::string &Text,
                                            std::string *Error,
                                            graphdb::QueryProfile *Profile) {
-  QueryEngine E(Imported.Graph, EngineOpts);
-  registerPredicates(E);
+  QueryEngine E(DB, EngineOpts);
+  registerPredicates(E, DB, UntaintedExclusion);
   return E.run(Text, Error, Profile);
 }
 

@@ -7,9 +7,11 @@
 /// \file
 /// The Table 2 vulnerability detectors, in both of the paper's flavors:
 ///
-///  - **GraphDBRunner** — the Graph.js architecture: the MDG is imported
-///    into the graph database and interrogated with the Cypher-like query
-///    language (two query families: taint-style and prototype pollution),
+///  - **GraphDBRunner** — the Graph.js architecture: the MDG is opened in
+///    place as a graph-database store (the paper imports it into Neo4j;
+///    ours reads the MDG itself, with no copy) and interrogated with the
+///    Cypher-like query language (two query families: taint-style and
+///    prototype pollution),
 ///    plus a thin host-side layer for argument-index filtering and report
 ///    deduplication (the paper's "500 lines of Python").
 ///
@@ -28,7 +30,7 @@
 #define GJS_QUERIES_QUERYRUNNER_H
 
 #include "analysis/MDGBuilder.h"
-#include "graphdb/MDGImport.h"
+#include "graphdb/PropertyGraph.h"
 #include "graphdb/QueryEngine.h"
 #include "queries/SinkConfig.h"
 #include "queries/Traversals.h"
@@ -51,6 +53,8 @@ struct BuiltinQuerySet;
 /// Runs Table 2 through the graph database (the paper's default pipeline).
 class GraphDBRunner {
 public:
+  /// Opens \p Build's MDG as the store (constant time: nothing is copied).
+  /// \p Build must outlive the runner.
   GraphDBRunner(const analysis::BuildResult &Build,
                 graphdb::EngineOptions Engine = {},
                 bool UntaintedExclusion = true);
@@ -67,7 +71,7 @@ public:
   std::vector<VulnReport> detectPrototypePollution(DetectStats *Stats =
                                                        nullptr);
 
-  /// Runs arbitrary query text against the imported MDG with the built-in
+  /// Runs arbitrary query text against the opened MDG with the built-in
   /// path predicates registered (what `graphjs query` executes). With
   /// \p Profile, per-step PROFILE metrics are collected.
   graphdb::ResultSet runQuery(const std::string &Text,
@@ -80,18 +84,22 @@ public:
   std::vector<std::pair<std::string, graphdb::QueryProfile>>
   profileBuiltins(const SinkConfig &Config);
 
-  /// Access to the imported database (examples / custom queries).
-  const graphdb::PropertyGraph &database() const { return Imported.Graph; }
+  /// Access to the opened database (examples / custom queries).
+  const graphdb::PropertyGraph &database() const { return DB; }
 
-  /// True when the scan deadline expired mid-import (partial database).
-  bool importTruncated() const { return Imported.Truncated; }
+  /// Registers the built-in path predicate `untainted` and the pruning
+  /// fold over \p DB on \p E (what every query of a runner gets). With
+  /// \p UntaintedExclusion false, `untainted` is constant-false.
+  static void registerPredicates(graphdb::QueryEngine &E,
+                                 const graphdb::PropertyGraph &DB,
+                                 bool UntaintedExclusion = true);
 
   /// The built-in Table 2 query texts as instantiated for \p Config, as
   /// (display name, query text) pairs — what the schema linter validates.
   static std::vector<std::pair<std::string, std::string>>
   builtinQueries(const SinkConfig &Config);
 
-  /// Schema-lints every built-in query against the MDG import schema
+  /// Schema-lints every built-in query against the MDG store schema
   /// (graphdb::mdgSchema). Returns false and sets \p Error on the first
   /// error-severity issue — a typo'd edge label or property key in a
   /// built-in query must fail fast instead of silently matching nothing.
@@ -103,18 +111,16 @@ public:
 
 private:
   const analysis::BuildResult &Build;
-  graphdb::ImportedMDG Imported;
+  graphdb::PropertyGraph DB;
   graphdb::EngineOptions EngineOpts;
   /// When false, TaintPath degrades to BasicPath (ablation of the
   /// UntaintedPath exclusion — Table 1's key precision mechanism).
   bool UntaintedExclusion;
 
-  void registerPredicates(graphdb::QueryEngine &E) const;
-
   /// The memoized query set of \p Config.
   static const BuiltinQuerySet &querySet(const SinkConfig &Config);
   /// A taint-style class over a looked-up set. A sink whose name/path the
-  /// imported store lacks is an empty plan without being compiled.
+  /// store lacks is an empty plan without being compiled.
   std::vector<VulnReport> detectTaintStyle(VulnType T,
                                            const BuiltinQuerySet &Set,
                                            DetectStats *Stats);

@@ -544,9 +544,9 @@ ScanResult Scanner::runAttempt(const std::vector<SourceFile> &Files,
   noteDeadline(ScanPhase::Build);
   Out.Times.GraphBuild = Phase.elapsedSeconds();
 
-  // Phases 4+5: import into the database and run the queries. The built-in
-  // queries are schema-validated first: a malformed query must fail the
-  // scan loudly, not return an empty (vacuously clean) report set.
+  // Phases 4+5: open the MDG as the database and run the queries. The
+  // built-in queries are schema-validated first: a malformed query must
+  // fail the scan loudly, not return an empty (vacuously clean) report set.
   if (Pkg.Built) {
     const analysis::BuildResult &Build = Pkg.Build;
     if (!queries::GraphDBRunner::validateBuiltinQueries(Cfg.Sinks,

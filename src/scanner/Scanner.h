@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The end-to-end Graph.js pipeline (§4 Implementation): parse JavaScript,
-/// transpile to Core JavaScript, build the MDG, import it into the graph
-/// database, and run the vulnerability queries. Reports carry the CWE and
+/// transpile to Core JavaScript, build the MDG, open it as the graph
+/// database (in place: the paper's import, minus the copy), and run the
+/// vulnerability queries. Reports carry the CWE and
 /// the sink line number, which is what the evaluation compares against
 /// dataset annotations.
 ///

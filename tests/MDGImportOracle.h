@@ -1,23 +1,39 @@
-//===- graphdb/MDGImport.cpp - MDG to property-graph import ----------------==//
+//===- tests/MDGImportOracle.h - Copying MDG import (test oracle) -*- C++ -*-=//
 //
 // Part of graphjs-cpp (PLDI 2024 MDG reproduction).
 //
 //===----------------------------------------------------------------------===//
+///
+/// \file
+/// The MDG import the graph-DB store replaced: it copies every MDG node and
+/// edge into a hand-built PropertyGraph, interning every string. The
+/// scanner now opens the MDG in place (PropertyGraph(const mdg::Graph &,
+/// const StringInterner &)); this copy stays as the oracle the in-place
+/// store is checked against (MDGStoreDifferentialTest). It numbers
+/// relationships the same way, source-major: node by node, each node's
+/// out-edges in order.
+///
+//===----------------------------------------------------------------------===//
 
-#include "graphdb/MDGImport.h"
+#ifndef GJS_TESTS_MDGIMPORTORACLE_H
+#define GJS_TESTS_MDGIMPORTORACLE_H
 
-#include "obs/Counters.h"
-#include "support/Deadline.h"
+#include "graphdb/PropertyGraph.h"
+#include "mdg/MDG.h"
+#include "support/StringInterner.h"
 
-using namespace gjs;
-using namespace gjs::graphdb;
-using namespace gjs::mdg;
+#include <string>
+#include <vector>
 
-ImportedMDG graphdb::importMDG(const Graph &MDG, const StringInterner &Props,
-                               Deadline *ScanDeadline) {
-  ImportedMDG Out;
-  PropertyGraph &G = Out.Graph;
-  Out.NodeOf.reserve(MDG.numNodes());
+namespace gjs {
+namespace oracle {
+
+/// Copies \p MDG (with property names from \p Props) into a fresh store.
+inline graphdb::PropertyGraph importMDG(const mdg::Graph &MDG,
+                                        const StringInterner &Props) {
+  using namespace graphdb;
+  using mdg::EdgeKind;
+  PropertyGraph G;
 
   // The schema's strings, interned up front. Keys are interned in
   // alphabetical order, so the runs below are already sorted by atom.
@@ -54,49 +70,40 @@ ImportedMDG graphdb::importMDG(const Graph &MDG, const StringInterner &Props,
     return A;
   };
 
-  for (NodeId N : MDG.nodeIds()) {
-    // Cooperative cancellation: one checkpoint per imported node. On
-    // expiry, stop — queries run over the partial store.
-    if (ScanDeadline && ScanDeadline->checkpoint()) {
-      Out.Truncated = true;
-      return Out;
-    }
-    const Node &Src = MDG.node(N);
+  std::vector<NodeHandle> NodeOf;
+  for (mdg::NodeId N : MDG.nodeIds()) {
+    const mdg::Node &Src = MDG.node(N);
     Atom L = G.intern(Src.Label);
     Atom LineA = Number(Src.Loc.Line), SiteA = Number(Src.Site);
-    if (Src.Kind == NodeKind::Call) {
+    if (Src.Kind == mdg::NodeKind::Call) {
       const Prop P[] = {{Label, L},
                         {Line, LineA},
                         {Name, G.intern(Src.CallName)},
                         {PathKey, G.intern(Src.CallPath)},
                         {Site, SiteA}};
-      Out.NodeOf.push_back(G.addNode(Call, P));
+      NodeOf.push_back(G.addNode(Call, P));
     } else {
       const Prop P[] = {{Label, L},
                         {Line, LineA},
                         {Site, SiteA},
                         {Taint, Src.IsTaintSource ? True : False}};
-      Out.NodeOf.push_back(G.addNode(Object, P));
+      NodeOf.push_back(G.addNode(Object, P));
     }
-    obs::counters::ImportNodes.add();
   }
 
-  for (NodeId N : MDG.nodeIds()) {
-    for (const Edge &E : MDG.out(N)) {
-      // One checkpoint per imported relationship.
-      if (ScanDeadline && ScanDeadline->checkpoint()) {
-        Out.Truncated = true;
-        return Out;
-      }
+  for (mdg::NodeId N : MDG.nodeIds()) {
+    for (const mdg::Edge &E : MDG.out(N)) {
       // P(p) and V(p) carry the property name; the others carry nothing.
-      bool Named =
-          E.Kind == EdgeKind::Prop || E.Kind == EdgeKind::Version;
+      bool Named = E.Kind == EdgeKind::Prop || E.Kind == EdgeKind::Version;
       const Prop P[] = {{Name, Named ? PropName(E.Prop) : 0}};
-      G.addRel(Out.NodeOf[E.From], Out.NodeOf[E.To],
-               TypeOf[static_cast<int>(E.Kind)],
+      G.addRel(NodeOf[E.From], NodeOf[E.To], TypeOf[static_cast<int>(E.Kind)],
                std::span<const Prop>(P, Named ? 1 : 0));
-      obs::counters::ImportRels.add();
     }
   }
-  return Out;
+  return G;
 }
+
+} // namespace oracle
+} // namespace gjs
+
+#endif // GJS_TESTS_MDGIMPORTORACLE_H

@@ -473,6 +473,38 @@ TEST(BatchDriverTest, ResumeSkipsJournaledPackages) {
   EXPECT_EQ(Names, (std::set<std::string>{"one", "two", "three"}));
 }
 
+TEST(BatchDriverTest, ResumedRunProgressCountsOnlyPlannedScans) {
+  std::string Journal = ::testing::TempDir() + "gjs_batch_progress.jsonl";
+  std::remove(Journal.c_str());
+  std::vector<driver::BatchInput> Inputs;
+  for (const char *Name : {"p1", "p2", "p3", "p4", "p5", "p6"})
+    Inputs.push_back(makeInput(Name, VulnSource));
+
+  driver::BatchOptions BO;
+  BO.JournalPath = Journal;
+  BO.MaxPackages = 2;
+  driver::BatchDriver(BO).run(Inputs);
+
+  // The resumed run plans four scans (two are journaled), and its last
+  // progress line says all of them are done.
+  driver::BatchOptions RO = BO;
+  RO.MaxPackages = 0;
+  RO.Resume = true;
+  RO.ProgressEveryPackages = 1;
+  ::testing::internal::CaptureStderr();
+  driver::BatchSummary S = driver::BatchDriver(RO).run(Inputs);
+  std::string Err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(S.Scanned, 4u);
+  EXPECT_EQ(S.SkippedResumed, 2u);
+  std::istringstream Lines(Err);
+  std::string Line, Last;
+  while (std::getline(Lines, Line))
+    if (Line.rfind("progress: ", 0) == 0)
+      Last = Line;
+  EXPECT_EQ(Last.rfind("progress: 4/4 done, 0 failed, ", 0), 0u) << Err;
+  EXPECT_EQ(Last.find("eta"), std::string::npos) << Last;
+}
+
 TEST(BatchDriverTest, TruncatedJournalLineIsIgnoredOnResume) {
   std::string Journal = ::testing::TempDir() + "gjs_batch_trunc.jsonl";
   {

@@ -6,8 +6,8 @@
 
 #include "analysis/MDGBuilder.h"
 #include "core/Normalizer.h"
-#include "graphdb/MDGImport.h"
 #include "graphdb/QueryEngine.h"
+#include "graphdb/SchemaLint.h"
 #include "obs/Counters.h"
 #include "queries/QueryRunner.h"
 
@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <random>
+#include <set>
 
 using namespace gjs;
 using namespace gjs::graphdb;
@@ -241,11 +242,43 @@ TEST(MDGImportTest, SchemaRoundTrip) {
       "module.exports = f;\n",
       Diags);
   auto Built = analysis::buildMDG(*Prog);
-  ImportedMDG Imported = importMDG(Built.Graph, Built.Props);
-  EXPECT_EQ(Imported.Graph.numNodes(), Built.Graph.numNodes());
-  EXPECT_EQ(Imported.Graph.numRels(), Built.Graph.numEdges());
+  // The MDG opened in place: the store the scanner queries.
+  PropertyGraph Store(Built.Graph, Built.Props);
+  EXPECT_EQ(Store.numNodes(), Built.Graph.numNodes());
+  EXPECT_EQ(Store.numRels(), Built.Graph.numEdges());
 
-  QueryEngine E(Imported.Graph);
+  // An opened store's labels, types and keys are exactly the schema the
+  // queries are linted against, over a graph with every edge kind. Keys
+  // are probed from the schema's own plus a few it lacks; an element
+  // carries a key when it has a value for it.
+  auto Every = core::normalizeJS(
+      "function f(a, k) { var o = {}; o[k] = a; o.x = a; g(o[k], o.x); }\n"
+      "module.exports = f;\n",
+      Diags);
+  auto EveryBuilt = analysis::buildMDG(*Every);
+  PropertyGraph EveryStore(EveryBuilt.Graph, EveryBuilt.Props);
+  std::set<std::string> Probe = {"missing", "type", "kind", "args"};
+  for (const auto &Entries : {mdgSchema().NodeProps, mdgSchema().RelProps})
+    for (const auto &[Name, Keys] : Entries)
+      Probe.insert(Keys.begin(), Keys.end());
+  GraphSchema Seen;
+  for (NodeHandle H = 0; H < EveryStore.numNodes(); ++H) {
+    std::set<std::string> &Keys = Seen.NodeProps[EveryStore.label(H)];
+    for (const std::string &K : Probe)
+      if (EveryStore.propAtom(H, EveryStore.keyAtom(K)) != NoAtom)
+        Keys.insert(K);
+  }
+  for (RelHandle H = 0; H < EveryStore.numRels(); ++H) {
+    std::set<std::string> &Keys =
+        Seen.RelProps[EveryStore.str(EveryStore.rel(H).Type)];
+    for (const std::string &K : Probe)
+      if (EveryStore.relPropAtom(H, EveryStore.keyAtom(K)) != NoAtom)
+        Keys.insert(K);
+  }
+  EXPECT_EQ(Seen.NodeProps, mdgSchema().NodeProps);
+  EXPECT_EQ(Seen.RelProps, mdgSchema().RelProps);
+
+  QueryEngine E(Store);
   // Taint sources present.
   ResultSet Sources =
       E.run("MATCH (s:Object {taint: 'true'}) RETURN s.label");
@@ -256,6 +289,33 @@ TEST(MDGImportTest, SchemaRoundTrip) {
       "RETURN c.name LIMIT 1");
   ASSERT_EQ(R.Rows.size(), 1u);
   EXPECT_EQ(R.Rows[0].Values[0], "g");
+}
+
+TEST(MDGStoreTest, DebugValuesBecomeAtomsWhenAQueryNamesTheirKey) {
+  DiagnosticEngine Diags;
+  auto Prog = core::normalizeJS(
+      "function f(a) { g(a); }\n"
+      "module.exports = f;\n",
+      Diags);
+  auto Built = analysis::buildMDG(*Prog);
+  PropertyGraph Store(Built.Graph, Built.Props);
+  // 'a' is only the debug label of f's parameter: no query has named the
+  // label key yet, so the string is absent and proves the plan empty.
+  EXPECT_EQ(Store.atom("a"), NoAtom);
+  QueryEngine E(Store);
+  ResultSet Absent = E.run("MATCH (c:Call {name: 'a'}) RETURN c");
+  EXPECT_TRUE(Absent.EmptyPlan);
+  EXPECT_EQ(Absent.Work, 0u);
+  // Naming the key interns every node's label first; the plan then runs
+  // (and still finds no call named 'a').
+  ResultSet Named = E.run("MATCH (c:Call {name: 'a'}) RETURN c.label");
+  EXPECT_FALSE(Named.EmptyPlan);
+  EXPECT_TRUE(Named.Rows.empty());
+  EXPECT_GT(Named.Work, 0u);
+  EXPECT_NE(Store.atom("a"), NoAtom);
+  ResultSet Param = E.run("MATCH (n:Object {label: 'a'}) RETURN n.taint");
+  ASSERT_EQ(Param.Rows.size(), 1u);
+  EXPECT_EQ(Param.Rows[0].Values[0], "true");
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,6 +16,7 @@
 #include "scanner/Scanner.h"
 
 #include "GoldenCorpus.h"
+#include "MDGImportOracle.h"
 
 #include <gtest/gtest.h>
 
@@ -882,4 +883,110 @@ TEST(QueryGoldenTest, BuiltinQueryCostsMatchRecordedDigests) {
 TEST(QueryGoldenTest, NoInputTakesMoreStepsThanRecorded) {
   checkRecorded(QueryGoldenWorkCeilings, &GoldenRun::Work,
                 "    {\"%s\", %llu},", /*Ceiling=*/true);
+}
+
+//===----------------------------------------------------------------------===//
+// The in-place store against the copying import it replaced
+// (tests/MDGImportOracle.h): over every golden input, the Table 2 query
+// set and queries that read each property of the schema must find the
+// same rows, bindings (relationship ids included) and projected values
+// at the same cost.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Queries reading label, line, site, name, path, taint and the P/V name,
+/// in forward, reverse, variable-length, joined and unlabeled forms.
+const std::vector<std::string> &propertyQueries() {
+  static const std::vector<std::string> Queries = {
+      "MATCH (n:Object) RETURN n.label, n.line, n.site, n.taint",
+      "MATCH (c:Call) RETURN c.name, c.path, c.label, c.line, c.site",
+      "MATCH (n) RETURN n, n.name, n.path, n.taint",
+      "MATCH (n {site: '0'}) RETURN n, n.label, n.name",
+      "MATCH (n:Object {label: 'this'}) RETURN n.line",
+      "MATCH (c:Call {name: 'require'}) RETURN c.path, c.line",
+      "MATCH (c:Call {path: 'child_process.exec'}) RETURN c.label",
+      "MATCH (c:Call {name: ''}) RETURN c.path",
+      "MATCH (c:Call)<-[:D]-(a) RETURN c.path, a.label, a.site",
+      "MATCH (o:Object)-[:P {name: 'constructor'}]->(v) RETURN o, v.label",
+      "MATCH (o:Object)-[:P {name: '__proto__'}]->(v) RETURN o.label, v",
+      "MATCH p = (o:Object)-[:V {name: 'c'}]->(v:Object) RETURN o, v, p",
+      "MATCH (a)-[:P|V]->(b) RETURN DISTINCT a.label, b.taint",
+      "MATCH (c:Call), (n:Object {taint: 'true'}) WHERE c.line = n.line "
+      "RETURN c.name, n.label",
+      "MATCH (a:Object)-[:D]->(b:Object) WHERE a.label <> b.label "
+      "RETURN a.label, b.label LIMIT 50",
+      "MATCH (n:Object) WHERE n.line = '1' RETURN n.label, n.site",
+      "MATCH p = (c:Call)<-[:D|P|PU|V|VU*1..3]-(s:Object {taint: 'true'}) "
+      "WHERE NOT untainted(p) RETURN DISTINCT c.name, s.line, p",
+      "MATCH p = (s:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(a)"
+      "-[:D]->(c:Call) WHERE NOT untainted(p) RETURN s.label, a.site, "
+      "c.path",
+  };
+  return Queries;
+}
+
+/// Everything a query run returns, with the rows and bindings rendered.
+std::string renderRun(const graphdb::ResultSet &R, const std::string &Error) {
+  std::string D = Error + "|timeout=" + std::to_string(R.TimedOut) +
+                  "|work=" + std::to_string(R.Work) +
+                  "|goal=" + std::to_string(R.GoalWork) +
+                  "|empty=" + std::to_string(R.EmptyPlan);
+  for (const graphdb::ResultRow &Row : R.Rows) {
+    D += "\n";
+    for (const std::string &V : Row.Values)
+      D += V + ",";
+    for (const auto &[Var, Node] : Row.NodeBindings)
+      D += Var + "=" + std::to_string(Node) + ";";
+    for (const auto &[Var, P] : Row.PathBindings) {
+      D += Var + "=";
+      for (graphdb::NodeHandle N : P.Nodes)
+        D += std::to_string(N) + " ";
+      D += "/";
+      for (graphdb::RelHandle E : P.Rels)
+        D += " " + std::to_string(E);
+      D += ";";
+    }
+  }
+  return D;
+}
+
+} // namespace
+
+TEST(MDGStoreDifferentialTest, InPlaceStoreMatchesTheImportOracle) {
+  std::vector<std::string> Builtin;
+  for (const auto &[Name, Text] :
+       GraphDBRunner::builtinQueries(SinkConfig::defaults()))
+    Builtin.push_back(Text);
+  size_t Inputs = 0, Rows[2] = {0, 0};
+  for (const golden::Input &In : golden::corpus()) {
+    analysis::BuildResult Build;
+    if (!golden::build(In, Build))
+      continue;
+    ++Inputs;
+    graphdb::PropertyGraph Store(Build.Graph, Build.Props);
+    graphdb::PropertyGraph Oracle =
+        oracle::importMDG(Build.Graph, Build.Props);
+    ASSERT_EQ(Store.numNodes(), Oracle.numNodes()) << In.Name;
+    ASSERT_EQ(Store.numRels(), Oracle.numRels()) << In.Name;
+    for (size_t Set = 0; Set < 2; ++Set)
+      for (const std::string &Text : Set ? propertyQueries() : Builtin) {
+        std::string Runs[2];
+        for (int Backing = 0; Backing < 2; ++Backing) {
+          const graphdb::PropertyGraph &DB = Backing ? Oracle : Store;
+          graphdb::QueryEngine E(DB);
+          GraphDBRunner::registerPredicates(E, DB);
+          std::string Error;
+          graphdb::ResultSet R = E.run(Text, &Error);
+          Runs[Backing] = renderRun(R, Error);
+          if (!Backing)
+            Rows[Set] += R.Rows.size();
+        }
+        EXPECT_EQ(Runs[0], Runs[1]) << In.Name << ": " << Text;
+      }
+  }
+  EXPECT_EQ(Inputs, golden::corpus().size());
+  // Both sets found rows, so the comparison covered bindings and values.
+  EXPECT_GT(Rows[0], 0u);
+  EXPECT_GT(Rows[1], 0u);
 }

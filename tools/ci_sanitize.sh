@@ -100,6 +100,14 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 # shortcut, each checked against the long way.
 "$BUILD_DIR/tests/test_fixedcosts"
 
+# The graph-DB and query suites: the store reads the MDG in place, so
+# every relationship id is index arithmetic over the MDG's own vectors
+# (source-major id offsets, the counting-sorted in-adjacency, atoms past
+# the build's symbol table), checked here against hand-built graphs and
+# the copying import it replaced (tests/MDGImportOracle.h).
+"$BUILD_DIR/tests/test_graphdb"
+"$BUILD_DIR/tests/test_queries"
+
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # The flake gate: the whole suite three more times under full parallel

@@ -804,7 +804,7 @@ int runQuery(const std::string &QueryText, bool Builtin, bool Explain,
     Queries.emplace_back("query", QueryText);
   }
 
-  // Pre-lint ad-hoc query text against the import schema: a typo'd label or
+  // Pre-lint ad-hoc query text against the store schema: a typo'd label or
   // relationship type would otherwise just return zero rows. (Built-ins are
   // validated by their own tests and by `graphjs lint`.)
   if (!QueryText.empty()) {
